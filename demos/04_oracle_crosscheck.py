@@ -44,7 +44,8 @@ for y, tau, temp, n_cut in cases:
     e_gauss = pe.log_negativity(pe.covariance_matrix(params_for(y), tau, temp))
     print(f"  y={y}, tau={tau}, T={temp} K, n_cut={n_cut}: "
           f"Fock {e_fock:.6f} vs Gaussian {e_gauss:.6f} "
-          f"(diff {abs(e_fock - e_gauss):.1e}, leakage {state.leakage:.1e})")
+          f"(diff {abs(e_fock - e_gauss):.1e}, leakage {state.leakage:.1e}, "
+          f"edge population {state.edge_population:.1e})")
 
 print("\nquadrature moments recovered from the Fock state")
 state = pe.evolve_fock(params_for(0.5), 0.6, 0.8, n_cut=24, step=1e-4)

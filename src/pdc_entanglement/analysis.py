@@ -15,6 +15,7 @@ separability indicator at fixed interaction time, found by bisection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -150,10 +151,10 @@ def critical_temperature(
     (tau_i = 0) or it is still entangled at t_max.  S is checked by sign
     at both bracket ends rather than assumed monotone.
     """
-    if tau_i < 0.0:
-        raise ValidationError("tau_i must be >= 0")
-    if t_max <= 0.0:
-        raise ValidationError("t_max must be positive")
+    if not 0.0 <= tau_i < math.inf:
+        raise ValidationError("tau_i must be finite and >= 0")
+    if not 0.0 < t_max < math.inf:
+        raise ValidationError("t_max must be finite and positive")
     if tau_i == 0.0:
         return None  # never entangled at any temperature
     if _indicator_at(params, tau_i, 0.0) >= 0.0:

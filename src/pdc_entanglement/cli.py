@@ -9,7 +9,12 @@ parameter points and runs the oracle equivalence suites:
     fig4   critical temperature vs mismatch (phase boundary)
     fig5   sqrt(S0) and mean photon number vs temperature
     eval   single-point report, exit code encodes the verdict
-    oracle-check   closed form vs ODE moments and vs Fock negativity
+    oracle-check   closed form vs ODE moments and vs Fock negativity,
+           one line per case
+
+Exit code 2 means the run failed: bad input, or a package error
+(numerical domain, Fock truncation, unstable integration); exit code 1
+is reserved for eval's "separable" verdict and a failed oracle-check.
 
 CSV output has a one-line header, comma separators, LF line endings and
 12 significant digits; identical configurations produce byte-identical
@@ -28,7 +33,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analysis, fock_oracle, gaussian_core, pdc_dynamics
-from .errors import ValidationError
+from .errors import (
+    IntegrationError,
+    NumericalDomainError,
+    TruncationError,
+    ValidationError,
+)
 
 DEFAULT_NU1_HZ = 3.12e10
 DEFAULT_OMEGA1_BAR = 200.0
@@ -235,7 +245,8 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_oracle_check(config: RunConfig, skip_fock: bool = False) -> int:
-    """Run the oracle equivalence suites and print the worst deviations."""
+    """Run the oracle equivalence suites: one line per case, then the
+    worst deviation of each suite and the verdict."""
     worst_cm = 0.0
     for y in (0.0, 0.5, 0.9):
         for temp in (0.0, 50.0, 300.0):
@@ -245,6 +256,10 @@ def cmd_oracle_check(config: RunConfig, skip_fock: bool = False) -> int:
                 closed = pdc_dynamics.covariance_matrix(params, tau, temp)
                 dev = float(
                     np.max(np.abs(traj.final().entries - closed.entries))
+                )
+                print(
+                    f"ode y={y:g} T={temp:g} K tau={tau:g}: "
+                    f"|ODE - closed form| = {dev:.3e}"
                 )
                 worst_cm = max(worst_cm, dev)
     print(f"moments: max |ODE - closed form| = {worst_cm:.3e} (tolerance 1e-8)")
@@ -262,7 +277,13 @@ def cmd_oracle_check(config: RunConfig, skip_fock: bool = False) -> int:
             e_fock = fock_oracle.fock_log_negativity(state)
             closed = pdc_dynamics.covariance_matrix(params, tau, temp)
             e_gauss = gaussian_core.log_negativity(closed)
-            worst_en = max(worst_en, abs(e_fock - e_gauss))
+            dev = abs(e_fock - e_gauss)
+            print(
+                f"fock y={y:g} T={temp:g} K tau={tau:g} n_cut={n_cut}: "
+                f"|Fock - Gaussian| = {dev:.3e}, leakage = {state.leakage:.3e}, "
+                f"edge_population = {state.edge_population:.3e}"
+            )
+            worst_en = max(worst_en, dev)
         print(f"negativity: max |Fock - Gaussian| = {worst_en:.3e} (tolerance 1e-3)")
         ok = ok and worst_en <= 1e-3
 
@@ -308,8 +329,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
+        elif key in _FLOAT_KEYS and key in file_values:
+            try:
+                merged[key] = float(file_values[key])
+            except ValueError:
+                raise ValidationError(
+                    f"config key {key!r} needs a number, got {file_values[key]!r}"
+                ) from None
         elif key in file_values:
-            merged[key] = float(file_values[key]) if key in _FLOAT_KEYS else file_values[key]
+            merged[key] = file_values[key]
     defaults = RunConfig()
     tau_fallbacks = {"fig3": FIG3_TAU, "fig4": FIG4_TAU, "fig5": FIG5_TAU}
     if "tau" not in merged and args.command in tau_fallbacks:
@@ -371,7 +399,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "oracle-check":
             return cmd_oracle_check(config, skip_fock=args.skip_fock)
         raise ValidationError(f"unknown command {args.command!r}")
-    except (ValidationError, OSError) as exc:
+    except (
+        ValidationError,
+        NumericalDomainError,
+        TruncationError,
+        IntegrationError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

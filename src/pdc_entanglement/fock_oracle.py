@@ -27,10 +27,21 @@ E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as the
 matrix power R^n (square-and-multiply).  The composition is associative,
 hence identical (up to rounding) to stepping one by one, and the error
 retains the O(h^4) signature checked by the step-halving test.
+
+The Fock stages work sector by sector.  The generator conserves the
+photon difference n1 - n2 (the model's integral of motion), so the
+propagator and the evolved state split into one block per difference
+sector, and the partial transpose of such a state splits into one block
+per total-number sector n1 + n2.  Blocks are found from the matrix
+itself (:func:`_sector_blocks`): a matrix that couples two sectors is
+treated as one block, so a state without the structure still gets the
+exact dense answer.  The blocking rests on a symmetry of the generator,
+not on the Gaussian closed form, so the oracle stays independent of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -62,6 +73,9 @@ class FockState:
     leakage reports 1 - trace(rho): the thermal weight dropped at
     truncation (the geometric distribution is normalized over the full
     ladder, not renormalized after the cut) plus any integrator drift.
+    Truncated evolution conserves the trace, so leakage cannot see
+    population pushed against the cutoff during the evolution; that
+    shows in edge_population.
     """
 
     rho: np.ndarray
@@ -79,6 +93,17 @@ class FockState:
             raise ValidationError("rho is not Hermitian within 1e-12")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+
+    @property
+    def edge_population(self) -> float:
+        """Diagonal mass on the cutoff edge, n1 = n_cut or n2 = n_cut.
+
+        A state that has not reached the cutoff leaves this near zero;
+        a sizable value means the truncated dynamics has been distorted.
+        """
+        dim = self.n_cut + 1
+        diag = np.real(np.diagonal(self.rho)).reshape(dim, dim)
+        return float(diag[-1, :].sum() + diag[:-1, -1].sum())
 
 
 def _matrix_power(base: np.ndarray, n: int) -> np.ndarray:
@@ -104,6 +129,19 @@ def _rk4_step_matrix(generator: np.ndarray, h) -> np.ndarray:
         + (hm2 @ hm) / 6.0
         + (hm2 @ hm2) / 24.0
     )
+
+
+def _sector_blocks(matrix: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """Basis indices grouped by an integer label, one group per label.
+
+    If any nonzero entry of matrix couples two different labels, the
+    matrix does not split and a single group holding every index is
+    returned, so callers treat the dense case as one block.
+    """
+    labels = np.asarray(labels)
+    if np.any(matrix[labels[:, None] != labels[None, :]]):
+        return [np.arange(labels.size)]
+    return [np.flatnonzero(labels == value) for value in np.unique(labels)]
 
 
 def _symplectic_nu_minus(sigma) -> float:
@@ -156,8 +194,8 @@ def evolve_moments_ode(
     would show up above the 1e-8 absolute agreement this oracle is held
     to at high temperature.
     """
-    if tau_end < 0.0:
-        raise ValidationError("tau_end must be >= 0")
+    if not 0.0 <= tau_end < math.inf:
+        raise ValidationError("tau_end must be finite and >= 0")
     if not 0.0 < step <= MAX_MOMENT_STEP:
         raise ValidationError(f"step must lie in (0, {MAX_MOMENT_STEP}]")
     ld = np.longdouble
@@ -241,12 +279,20 @@ def evolve_fock(
     afterwards, so the returned state is lab-frame and its moments match
     the closed-form covariance matrix directly.
 
+    H conserves n1 - n2, so the RK4 propagator is built and applied per
+    difference sector (dimension <= n_cut + 1); RK4 is a polynomial in
+    H, so this is the same integrator as the dense product.
+
     The oracle is restricted to small occupation (nbar <= 2) and demands
-    n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError,
-    and a dropped tail above LEAKAGE_LIMIT raises TruncationError.
+    n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError.
+    TruncationError is raised when the initial thermal tail dropped at
+    the cut (plus integrator drift) exceeds LEAKAGE_LIMIT.  Population
+    driven against the cutoff during the evolution is not caught by that
+    check, because truncated evolution conserves the trace; read
+    FockState.edge_population to see it.
     """
-    if tau_end < 0.0:
-        raise ValidationError("tau_end must be >= 0")
+    if not 0.0 <= tau_end < math.inf:
+        raise ValidationError("tau_end must be finite and >= 0")
     if step <= 0.0:
         raise ValidationError("step must be positive")
     if n_cut < 1:
@@ -264,43 +310,46 @@ def evolve_fock(
         )
 
     dim = n_cut + 1
-    w1 = _thermal_weights(init.nbar1, dim)
-    w2 = _thermal_weights(init.nbar2, dim)
-    rho = np.diag(np.kron(w1, w2)).astype(complex)
-
-    lower = _destroy(dim)
-    number = np.diag(np.arange(dim, dtype=float))
-    eye = np.eye(dim)
-    ham = -params.y * (np.kron(number, eye) + np.kron(eye, number)) - (
-        np.kron(lower.T, lower.T) + np.kron(lower, lower)
+    weights = np.kron(
+        _thermal_weights(init.nbar1, dim), _thermal_weights(init.nbar2, dim)
     )
+
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)  # basis index n1*dim + n2
+    pair = np.kron(_destroy(dim), _destroy(dim))  # c1 c2
+    ham = np.diag(-params.y * (n1 + n2)) - (pair.T + pair)
 
     n_steps = max(1, int(np.ceil(float(tau_end) / step)))
     h = float(tau_end) / n_steps
-    propagator = _matrix_power(_rk4_step_matrix(-1j * ham.astype(complex), h), n_steps)
-    rho = propagator @ rho @ propagator.conj().T
-
     # exact local-phase restoration to the lab frame
     a1 = (params.omega1_bar + params.y) * float(tau_end)
     a2 = (params.omega2_bar + params.y) * float(tau_end)
-    n1_grid, n2_grid = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    phases = np.exp(-1j * (a1 * n1_grid + a2 * n2_grid)).reshape(dim * dim)
-    rho = (phases[:, None] * rho) * phases.conj()[None, :]
+    phases = np.exp(-1j * (a1 * n1 + a2 * n2))
+
+    # the thermal input is diagonal, so each sector evolves on its own:
+    # rho_d = (P U_d) diag(w_d) (P U_d)^dag with P the lab-frame phases
+    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for idx in _sector_blocks(ham, n1 - n2):
+        block = np.ix_(idx, idx)
+        step_matrix = _rk4_step_matrix(-1j * ham[block], h)
+        lab = phases[idx, None] * _matrix_power(step_matrix, n_steps)
+        sector = (lab * weights[idx]) @ lab.conj().T
+        rho[block] = (sector + sector.conj().T) / 2.0
 
     leakage = float(1.0 - np.real(np.trace(rho)))
     if leakage > LEAKAGE_LIMIT:
         raise TruncationError(
             f"basis leakage {leakage:.2e} exceeds {LEAKAGE_LIMIT}; raise n_cut"
         )
-    rho = (rho + rho.conj().T) / 2.0
     return FockState(rho=rho, n_cut=n_cut, leakage=leakage)
 
 
 def fock_log_negativity(state: FockState) -> float:
     """ln of the trace norm of the partial transpose over mode 2, >= 0.
 
-    The spectrum comes from a dense Hermitian eigensolver; the result is
-    normalized by trace(rho) so a truncated product state gives exactly 0.
+    The spectrum comes from a Hermitian eigensolver per total-number
+    sector n1 + n2 of the partial transpose (one dense solve when the
+    partial transpose couples sectors); the result is normalized by
+    trace(rho) so a truncated product state gives exactly 0.
     """
     dim = state.n_cut + 1
     rho = state.rho
@@ -311,7 +360,9 @@ def fock_log_negativity(state: FockState) -> float:
         .transpose(0, 3, 2, 1)
         .reshape(dim * dim, dim * dim)
     )
-    eigs = np.linalg.eigvalsh(pt)
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    blocks = _sector_blocks(pt, n1 + n2)
+    eigs = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(b, b)]) for b in blocks])
     trace = float(np.real(np.trace(rho)))
     # ||pt||_1 = trace - 2 * (negative mass); log1p keeps a PT-positive
     # state at exactly zero
@@ -325,30 +376,29 @@ def moments_from_fock(state: FockState) -> CovarianceMatrix:
     First moments must vanish (within 1e-9): every state this oracle
     produces carries only pair coherences.  Expectations are normalized
     by trace(rho) to remove the truncation-tail bias.
+
+    Single-mode moments come from the reduced density matrices and the
+    cross-mode moments from one contraction of the four-index rho, so
+    the cost is O(dim^4) and no block structure is assumed.
     """
     dim = state.n_cut + 1
-    rho = state.rho
     lower = _destroy(dim)
-    q = (lower + lower.T) / np.sqrt(2.0)
-    p = -1j * (lower - lower.T) / np.sqrt(2.0)
-    eye = np.eye(dim)
-    quads = [
-        np.kron(q, eye),
-        np.kron(p, eye),
-        np.kron(eye, q),
-        np.kron(eye, p),
-    ]
-    trace = float(np.real(np.trace(rho)))
-    prods = [op @ rho for op in quads]
-    means = np.array([np.trace(pr) / trace for pr in prods])
+    # local quadratures (q, p), the same operators on either mode
+    quads = np.stack(
+        [(lower + lower.T) / np.sqrt(2.0), -1j * (lower - lower.T) / np.sqrt(2.0)]
+    )
+    r = state.rho.reshape(dim, dim, dim, dim)  # r[i1, i2, j1, j2]
+    trace = float(np.real(np.trace(state.rho)))
+    reduced = (np.einsum("ajbj->ab", r), np.einsum("jajb->ab", r))
+    means = np.concatenate(
+        [np.einsum("xab,ba->x", quads, red) for red in reduced]
+    ) / trace
     if float(np.max(np.abs(means))) > 1e-9:
         raise ValidationError("state has nonzero first moments")
-    sigma = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            # tr(X_i X_j rho) = sum(X_i * (X_j rho)^T), avoids a matmul per pair
-            fwd = np.sum(quads[i] * prods[j].T)
-            rev = np.sum(quads[j] * prods[i].T)
-            val = float(np.real(fwd + rev)) / (2.0 * trace)
-            sigma[i, j] = sigma[j, i] = val - float(np.real(means[i] * means[j]))
+    # tr(X Y rho) for X, Y on one mode, and tr((X (x) Y) rho) across modes
+    local = [np.einsum("xab,ybc,ca->xy", quads, quads, red) for red in reduced]
+    cross = np.einsum("xab,ycd,bdac->xy", quads, quads, r, optimize=True)
+    second = np.block([[local[0], cross], [cross.T, local[1]]]) / trace
+    # symmetrized products (X_i X_j + X_j X_i) / 2 of the Hermitian quadratures
+    sigma = np.real(second + second.T) / 2.0 - np.real(np.outer(means, means))
     return CovarianceMatrix(sigma)

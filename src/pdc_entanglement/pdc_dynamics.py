@@ -22,6 +22,7 @@ precision (used by the invariant-conservation checks).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,7 @@ def thermal_occupation(omega, temperature):
     Parameters
     ----------
     omega : angular frequency, rad/s (> 0)
-    temperature : kelvin (>= 0); T = 0 returns exactly 0
+    temperature : kelvin (finite, >= 0); T = 0 returns exactly 0
 
     Returns
     -------
@@ -114,8 +115,8 @@ def thermal_occupation(omega, temperature):
     dt = _wd(omega, temperature)
     if not omega > 0.0:
         raise ValidationError("omega must be positive")
-    if temperature < 0.0:
-        raise ValidationError("temperature must be >= 0")
+    if not 0.0 <= temperature < math.inf:
+        raise ValidationError("temperature must be finite and >= 0")
     if temperature == 0.0:
         return dt.type(0.0)
     beta = dt.type(HBAR) * dt.type(omega) / (dt.type(K_B) * dt.type(temperature))
@@ -156,8 +157,8 @@ def ab_coefficients(y, tau) -> ModeCoefficients:
     """
     if not (0.0 <= y < 1.0):
         raise ValidationError(f"mismatch y must lie in [0, 1), got {y}")
-    if tau < 0.0:
-        raise ValidationError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError("tau must be finite and >= 0")
     _, ratio, ch = _stretch(y, tau)
     return ModeCoefficients(a_coef=ch + 1j * y * ratio, b_coef=1j * ratio)
 
@@ -166,8 +167,8 @@ def squeezing_parameter(y, tau):
     """Effective squeezing r = tau*sqrt(1 - y^2); reduces to r = tau at y=0."""
     if not (0.0 <= y < 1.0):
         raise ValidationError(f"mismatch y must lie in [0, 1), got {y}")
-    if tau < 0.0:
-        raise ValidationError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError("tau must be finite and >= 0")
     dt = _wd(y, tau)
     return dt.type(tau) * np.sqrt(dt.type(1.0) - dt.type(y) ** 2)
 
@@ -178,8 +179,8 @@ def mean_photon_numbers(params: PdcParams, tau, temperature):
     With m = sinh^2(x tau)/x^2 and K = nbar1 + nbar2 + 1 both modes gain
     the same m*K pairs, so n1 - n2 is conserved (integral of motion).
     """
-    if tau < 0.0:
-        raise ValidationError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError("tau must be finite and >= 0")
     n10 = thermal_occupation(params.omega1_bar * params.g, temperature)
     n20 = thermal_occupation(params.omega2_bar * params.g, temperature)
     _, ratio, _ = _stretch(params.y, tau)
@@ -205,8 +206,8 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     convention; it flips nothing that a determinant can see.  The pump
     phase phi is a local rotation and is not threaded through.
     """
-    if tau < 0.0:
-        raise ValidationError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError("tau must be finite and >= 0")
     dt = _wd(params.y, tau, temperature)
     n10 = thermal_occupation(params.omega1_bar * params.g, temperature)
     n20 = thermal_occupation(params.omega2_bar * params.g, temperature)
@@ -246,8 +247,8 @@ def det_gamma_closed_form(params: PdcParams, tau, temperature):
     Equals -m(m+1)K^2 with m = sinh^2(x tau)/x^2; always <= 0 and
     strictly decreasing in tau for tau > 0.
     """
-    if tau < 0.0:
-        raise ValidationError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError("tau must be finite and >= 0")
     n10 = thermal_occupation(params.omega1_bar * params.g, temperature)
     n20 = thermal_occupation(params.omega2_bar * params.g, temperature)
     _, ratio, _ = _stretch(params.y, tau)

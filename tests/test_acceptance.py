@@ -61,7 +61,8 @@ def test_criterion_02_fig3_anchors():
         # demands m*(300 K) < m(0.3, 2.881) = 66.44641 -- no thermal
         # occupation model satisfies both.  With CODATA constants m* =
         # 66.2853, the state is (barely) entangled and E_N = 2.5e-3; the
-        # true zero crossing sits at y = 0.9002.  See the decisions ledger.
+        # true zero crossing sits at y = 0.9002.  See the README section
+        # "Tests and acceptance suite".
         assert en_300_90 == 0.0, (
             f"E_N(300 K, y=0.9, tau=4.543) = {en_300_90:.6e}, not 0: this "
             "anchor is mathematically incompatible with criterion 3"

@@ -198,3 +198,20 @@ class TestWitness:
                 hi = mid
         crossing = (lo + hi) / 2
         assert abs(crossing - t_c) / t_c < 0.01
+
+
+class TestNonFiniteInput:
+    """Non-finite input is refused, never turned into a verdict."""
+
+    def test_birth_time_nan_temperature(self, reference_params):
+        with pytest.raises(ValidationError):
+            birth_time(reference_params, np.nan)
+
+    def test_birth_time_bisection_infinite_temperature(self, reference_params):
+        with pytest.raises(ValidationError):
+            birth_time(reference_params, np.inf, method="bisection")
+
+    @pytest.mark.parametrize("tau_i,t_max", [(np.nan, 2000.0), (2.881, np.inf)])
+    def test_critical_temperature_non_finite(self, reference_params, tau_i, t_max):
+        with pytest.raises(ValidationError):
+            critical_temperature(reference_params, tau_i, t_max=t_max)

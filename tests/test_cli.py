@@ -4,6 +4,13 @@ import sys
 import numpy as np
 import pytest
 
+from pdc_entanglement import (
+    IntegrationError,
+    NumericalDomainError,
+    TruncationError,
+    fock_oracle,
+    gaussian_core,
+)
 from pdc_entanglement.cli import RunConfig, main
 
 
@@ -226,6 +233,48 @@ class TestConfigFile:
         code, _, err = run_cli(["eval", "--config", str(cfg)], capsys)
         assert code == 2
 
+    def test_non_numeric_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("y=abc\n")
+        code, _, err = run_cli(["eval", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "error" in err and "'y'" in err
+
+
+class TestPackageErrorsExit2:
+    """Every package error exits 2, never 1 (eval's "separable")."""
+
+    @staticmethod
+    def _raise(exc):
+        def fail(*args, **kwargs):
+            raise exc("injected")
+
+        return fail
+
+    def test_numerical_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            gaussian_core, "symplectic_invariants", self._raise(NumericalDomainError)
+        )
+        code, _, err = run_cli(
+            ["eval", "--y", "0", "--tau", "1", "--temp-k", "0"], capsys
+        )
+        assert code == 2
+        assert "error: injected" in err
+
+    def test_truncation_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(fock_oracle, "evolve_fock", self._raise(TruncationError))
+        code, _, err = run_cli(["oracle-check"], capsys)
+        assert code == 2
+        assert "error: injected" in err
+
+    def test_integration_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            fock_oracle, "evolve_moments_ode", self._raise(IntegrationError)
+        )
+        code, _, err = run_cli(["oracle-check", "--skip-fock"], capsys)
+        assert code == 2
+        assert "error: injected" in err
+
 
 class TestCsvFormat:
     def test_lf_endings_and_digit_count(self, capsys, tmp_path):
@@ -276,6 +325,21 @@ def test_oracle_check_full(capsys):
     assert code == 0
     assert "negativity" in out
     assert "PASS" in out
+
+
+def test_oracle_check_reports_each_case(capsys):
+    code, out, _ = run_cli(["oracle-check"], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    ode = [line for line in lines if line.startswith("ode ")]
+    fock = [line for line in lines if line.startswith("fock ")]
+    assert len(ode) == 27
+    assert len(fock) == 3
+    assert "ode y=0.5 T=50 K tau=2.881: |ODE - closed form| = " in out
+    for line in fock:
+        for field in ("n_cut=", "|Fock - Gaussian| = ", "leakage = ", "edge_population = "):
+            assert field in line
+    assert lines[-1] == "oracle-check: PASS"
 
 
 class TestRowsRederivableByEval:

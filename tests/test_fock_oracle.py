@@ -212,3 +212,126 @@ class TestMomentsFromFock:
         fock_cm = moments_from_fock(state)
         closed = covariance_matrix(params, tau, temp)
         assert np.max(np.abs(fock_cm.entries - closed.entries)) < 1e-5
+
+
+# Independent dense references for the sector-blocked Fock stages: the
+# generator is built from Kronecker products and propagated exactly by a
+# dense eigendecomposition, the negativity comes from one dense eigvalsh
+# of the partial transpose, and the moments from full two-mode quadrature
+# operators.  The package keeps no dense path; these are the references.
+
+
+def dense_operators(n_cut):
+    dim = n_cut + 1
+    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    number = np.diag(np.arange(dim, dtype=float))
+    eye = np.eye(dim)
+    return lower, number, eye
+
+
+def dense_reference_state(params, tau, temp, n_cut):
+    lower, number, eye = dense_operators(n_cut)
+    ham = -params.y * (np.kron(number, eye) + np.kron(eye, number)) - (
+        np.kron(lower.T, lower.T) + np.kron(lower, lower)
+    )
+    energies, vecs = np.linalg.eigh(ham)
+    propagator = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
+    init = thermal_init(params, temp)
+    weights = []
+    for nbar in (init.nbar1, init.nbar2):
+        levels = np.arange(n_cut + 1)
+        weights.append(
+            (nbar / (nbar + 1.0)) ** levels / (nbar + 1.0)
+            if nbar > 0.0
+            else (levels == 0).astype(float)
+        )
+    rho0 = np.diag(np.kron(weights[0], weights[1]))
+    phase1 = np.exp(-1j * (params.omega1_bar + params.y) * tau * np.diag(number))
+    phase2 = np.exp(-1j * (params.omega2_bar + params.y) * tau * np.diag(number))
+    lab = np.kron(phase1, phase2)[:, None] * propagator
+    return lab @ rho0 @ lab.conj().T
+
+
+def dense_log_negativity(state):
+    dim = state.n_cut + 1
+    pt = (
+        state.rho.reshape(dim, dim, dim, dim)
+        .transpose(0, 3, 2, 1)
+        .reshape(dim * dim, dim * dim)
+    )
+    eigs = np.linalg.eigvalsh(pt)
+    return float(np.log(np.abs(eigs).sum() / np.real(np.trace(state.rho))))
+
+
+def dense_moments(state):
+    lower, _, eye = dense_operators(state.n_cut)
+    q = (lower + lower.T) / np.sqrt(2.0)
+    p = -1j * (lower - lower.T) / np.sqrt(2.0)
+    quads = [np.kron(q, eye), np.kron(p, eye), np.kron(eye, q), np.kron(eye, p)]
+    rho = state.rho
+    trace = np.real(np.trace(rho))
+    sigma = np.empty((4, 4))
+    for i in range(4):
+        for j in range(4):
+            sym = quads[i] @ quads[j] + quads[j] @ quads[i]
+            sigma[i, j] = np.real(np.trace(sym @ rho)) / (2.0 * trace)
+    return sigma
+
+
+def random_density_matrix(n_cut, rng, sector_labels=None):
+    """Random full-rank state; block-diagonal in the given labels if any."""
+    size = (n_cut + 1) ** 2
+    labels = np.zeros(size, dtype=int) if sector_labels is None else sector_labels
+    rho = np.zeros((size, size), dtype=complex)
+    for value in np.unique(labels):
+        idx = np.flatnonzero(labels == value)
+        a = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(
+            size=(idx.size, idx.size)
+        )
+        rho[np.ix_(idx, idx)] = a @ a.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return FockState(rho=rho / np.real(np.trace(rho)), n_cut=n_cut, leakage=0.0)
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("y,tau", [(0.0, 0.7), (0.5, 1.0), (0.9, 0.4)])
+    def test_evolved_state_matches_dense_propagator(self, make_params, y, tau):
+        params = make_params(y=y)
+        state = evolve_fock(params, tau, T_TINY, n_cut=10, step=1e-4)
+        expected = dense_reference_state(params, tau, T_TINY, 10)
+        assert np.max(np.abs(state.rho - expected)) < 1e-10
+
+    def test_negativity_of_evolved_state(self, make_params):
+        state = evolve_fock(make_params(y=0.5), 1.0, T_TINY, n_cut=10, step=1e-4)
+        reference = dense_log_negativity(state)
+        assert reference > 0.5
+        assert abs(fock_log_negativity(state) - reference) < 1e-12
+
+    def test_negativity_of_unstructured_state(self):
+        # every entry is nonzero, so the partial transpose couples all
+        # total-number sectors and the spectrum comes from one dense block
+        state = random_density_matrix(8, np.random.default_rng(11))
+        reference = dense_log_negativity(state)
+        assert reference > 0.0
+        assert abs(fock_log_negativity(state) - reference) < 1e-12
+
+    def test_moments_of_sector_diagonal_state(self):
+        n_cut = 9
+        n1, n2 = np.divmod(np.arange((n_cut + 1) ** 2), n_cut + 1)
+        state = random_density_matrix(n_cut, np.random.default_rng(5), n1 - n2)
+        cm = moments_from_fock(state)
+        assert np.max(np.abs(cm.entries - dense_moments(state))) < 1e-12
+
+
+def test_edge_population_exposes_dynamical_truncation(reference_params):
+    # tau = 3 at T = 0 pumps the pairs far past n_cut = 8: the trace is
+    # conserved, so leakage stays at rounding level, while the true
+    # E_N = 2 tau = 6 is badly underestimated
+    state = evolve_fock(reference_params, 3.0, 0.0, n_cut=8)
+    assert abs(state.leakage) < 1e-10
+    assert state.edge_population == pytest.approx(5.67e-2, rel=1e-2)
+    assert fock_log_negativity(state) < 2.0
+    with pytest.raises(AttributeError):
+        state.edge_population = 0.0
+    resolved = evolve_fock(reference_params, 0.5, 0.0, n_cut=20)
+    assert resolved.edge_population < 1e-10

@@ -65,6 +65,11 @@ class TestThermalOccupation:
         with pytest.raises(ValidationError):
             thermal_occupation(1e10, -1.0)
 
+    @pytest.mark.parametrize("temp", [np.nan, np.inf])
+    def test_rejects_non_finite_temperature(self, temp):
+        with pytest.raises(ValidationError):
+            thermal_occupation(1e10, temp)
+
     def test_thermal_init_ordering(self, reference_params):
         init = thermal_init(reference_params, 150.0)
         assert init.nbar1 >= init.nbar2  # omega1 < omega2
@@ -247,3 +252,14 @@ class TestCovarianceMatrix:
     def test_zero_temperature_entanglement_from_start(self, make_params):
         s = separability_indicator(covariance_matrix(make_params(y=0.9), 0.01, 0.0))
         assert s < 0.0
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_closed_forms_reject_non_finite_tau(reference_params, tau):
+    for closed_form in (covariance_matrix, mean_photon_numbers, det_gamma_closed_form):
+        with pytest.raises(ValidationError):
+            closed_form(reference_params, tau, 10.0)
+    with pytest.raises(ValidationError):
+        squeezing_parameter(0.5, tau)
+    with pytest.raises(ValidationError):
+        ab_coefficients(0.5, tau)
