@@ -7,10 +7,13 @@ state is entangled exactly when
     |det gamma(tau)| > S0,      S0 = nbar1 nbar2 (nbar1+1)(nbar2+1),
 
 with |det gamma| = m(m+1)K^2, m = sinh^2(x tau)/x^2, K = nbar1+nbar2+1.
-The birth time solves the equality in closed form (quadratic in m); a
-bracketed bisection on the same condition is kept as an independent
-verification route.  The critical temperature is the root in T of the
-separability indicator at fixed interaction time, found by bisection.
+Every quantity here reads the occupations and m from the scalar core of
+``pdc_dynamics``.  The birth time solves the equality in closed form
+(quadratic in m, then arcsinh); a bracketed bisection in tau on the same
+condition, with the occupations fixed outside its loop, is kept as an
+independent verification route.  The critical temperature is the root in
+T of the separability indicator at fixed interaction time, found by
+bisection with m computed once.
 """
 
 from __future__ import annotations
@@ -19,15 +22,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
 from .pdc_dynamics import (
     PdcParams,
     X_DEGENERATE,
-    det_gamma_closed_form,
-    mean_photon_numbers,
-    thermal_init,
+    _occupations,
+    _pair_state,
+    _stretch,
 )
 
 BTE_ABS_TOL = 1e-10
@@ -103,24 +104,26 @@ def birth_time(
     """
     if method not in ("closed_form", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
-    init = thermal_init(params, temperature)
-    s0 = s0_threshold(init.nbar1, init.nbar2)
+    pair = _pair_state(params, 0.0, temperature)
+    s0 = s0_threshold(pair.nbar1, pair.nbar2)
     if s0 == 0.0:
         return BteResult(tau_e=0.0, method=method)
-    big_k = init.nbar1 + init.nbar2 + 1.0
+    k_sq = pair.big_k * pair.big_k
 
     if method == "closed_form":
-        c = 4.0 * s0 / (big_k * big_k)
-        m_star = c / (2.0 * (1.0 + np.sqrt(1.0 + c)))  # (-1+sqrt(1+c))/2, stable
-        x = np.sqrt(1.0 - params.y * params.y)
+        c = 4.0 * s0 / k_sq
+        m_star = c / (2.0 * (1.0 + math.sqrt(1.0 + c)))  # (-1+sqrt(1+c))/2, stable
+        x = float(pair.x)
         if x < X_DEGENERATE:
-            tau_e = float(np.sqrt(m_star))
+            tau_e = math.sqrt(m_star)
         else:
-            tau_e = float(np.arcsinh(x * np.sqrt(m_star)) / x)
-        return BteResult(tau_e=tau_e, method=method)
+            tau_e = math.asinh(x * math.sqrt(m_star)) / x
+        return BteResult(tau_e=float(tau_e), method=method)
 
     def f(tau):
-        return -det_gamma_closed_form(params, tau, temperature) - s0
+        _, ratio, _ = _stretch(params.y, tau)
+        m = ratio * ratio
+        return m * (m + 1.0) * k_sq - s0
 
     hi = 1.0
     while f(hi) <= 0.0:
@@ -132,13 +135,6 @@ def birth_time(
     return BteResult(
         tau_e=float(_bisect(f, 0.0, hi, abs_tol=BTE_ABS_TOL)), method=method
     )
-
-
-def _indicator_at(params: PdcParams, tau, temperature):
-    """S(T) = S0(T) - |det gamma(tau; T)| without building the matrix."""
-    init = thermal_init(params, temperature)
-    s0 = s0_threshold(init.nbar1, init.nbar2)
-    return s0 + det_gamma_closed_form(params, tau, temperature)
 
 
 def critical_temperature(
@@ -157,15 +153,21 @@ def critical_temperature(
         raise ValidationError("t_max must be finite and positive")
     if tau_i == 0.0:
         return None  # never entangled at any temperature
-    if _indicator_at(params, tau_i, 0.0) >= 0.0:
+    _, ratio, _ = _stretch(params.y, tau_i)
+    m = ratio * ratio
+    pair_gain = m * (m + 1.0)
+
+    def indicator(temp):
+        """S(T) = S0(T) - m(m+1)K(T)^2 at the fixed m."""
+        n1, n2 = _occupations(params, temp)
+        big_k = n1 + n2 + 1.0
+        return s0_threshold(n1, n2) - pair_gain * big_k * big_k
+
+    if indicator(0.0) >= 0.0:
         return None
-    if _indicator_at(params, tau_i, t_max) < 0.0:
+    if indicator(t_max) < 0.0:
         return None  # still entangled at t_max: no root in bracket
-
-    def f(temp):
-        return _indicator_at(params, tau_i, temp)
-
-    return float(_bisect(f, 0.0, t_max, rel_tol=TC_REL_TOL))
+    return float(_bisect(indicator, 0.0, t_max, rel_tol=TC_REL_TOL))
 
 
 def phase_boundary(
@@ -193,8 +195,8 @@ def witness(params: PdcParams, tau, temperature) -> WitnessValue:
     and the medium temperature alone.  Its zero crossing in T sits close
     to (but not algebraically at) the critical temperature.
     """
-    init = thermal_init(params, temperature)
-    threshold = float(np.sqrt(s0_threshold(init.nbar1, init.nbar2)))
-    n1, n2 = mean_photon_numbers(params, tau, temperature)
-    mean = float((n1 + n2) / 2.0)
+    pair = _pair_state(params, tau, temperature)
+    threshold = float(math.sqrt(s0_threshold(pair.nbar1, pair.nbar2)))
+    gain = pair.m * pair.big_k
+    mean = float((pair.nbar1 + gain + pair.nbar2 + gain) / 2.0)
     return WitnessValue(w=threshold - mean, mean_pair_photons=mean, threshold=threshold)

@@ -352,9 +352,7 @@ def fock_log_negativity(state: FockState) -> float:
     trace(rho) so a truncated product state gives exactly 0.
     """
     dim = state.n_cut + 1
-    rho = state.rho
-    if float(np.max(np.abs(rho - rho.conj().T))) > 1e-12:
-        raise ValidationError("rho is not Hermitian within 1e-12")
+    rho = state.rho  # Hermitian: FockState checks it before freezing rho
     pt = (
         rho.reshape(dim, dim, dim, dim)
         .transpose(0, 3, 2, 1)

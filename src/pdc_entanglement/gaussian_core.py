@@ -11,15 +11,31 @@ separability indicator S is negative exactly when the state is entangled
 (PPT criterion, necessary and sufficient for 1x1 modes), and the
 logarithmic negativity is E_N = max(0, -ln 2*nu_minus_pt).
 
+The invariants have two routes:
+
+* the pair route, for a matrix that carries a :class:`PairState` (every
+  matrix from ``pdc_dynamics.covariance_matrix``).  The state is then a
+  thermally seeded two-mode squeezed state, fixed by its initial
+  occupations nbar1, nbar2, the pair gain m and K = nbar1 + nbar2 + 1,
+  and every invariant has a closed form with no subtraction of large
+  terms.  It runs in the precision of the pair state and is exact until
+  the invariants leave the float range, where it raises
+  NumericalDomainError;
+* the generic route, for any other matrix.  It computes determinants of
+  the 4x4 entries in extended precision; at strong squeezing the
+  combinations cancel, so it loses digits once sinh(x tau) is large.
+
 Every function is pure and the value types are frozen; instances can be
 shared freely across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -74,6 +90,23 @@ def _det4_cofactor(m) -> float:
     return total
 
 
+class PairState(NamedTuple):
+    """Scalars that fix a thermally seeded two-mode squeezed state.
+
+    nbar1, nbar2 are the initial thermal occupations, m = sinh^2(x tau)/x^2
+    the pair gain and big_k = nbar1 + nbar2 + 1; x, ratio = sinh(x tau)/x
+    and ch = cosh(x tau) are kept for the covariance-matrix entries.
+    """
+
+    nbar1: float
+    nbar2: float
+    m: float
+    big_k: float
+    x: float
+    ratio: float
+    ch: float
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """4x4 real symmetric second-moment matrix, ordering (q1, p1, q2, p2).
@@ -83,9 +116,14 @@ class CovarianceMatrix:
     physicality is *not* enforced here, use :func:`physicality_check`.
     The dtype of the input is preserved, so extended-precision pipelines
     (``np.longdouble``) pass through untouched.
+
+    ``pair`` is set by ``pdc_dynamics.covariance_matrix`` to the pair
+    state the entries were built from; the invariants then take the pair
+    route.  It takes no part in equality or repr.
     """
 
     entries: np.ndarray
+    pair: Optional[PairState] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.entries, copy=True)
@@ -182,21 +220,65 @@ def _pt_eigenvalue_pair(delta, i1):
     return np.sqrt(nu_minus_sq), np.sqrt(nu_plus_sq)
 
 
+def _pair_invariants(pair: PairState) -> SymplecticInvariants:
+    """The invariant set of a pair state, with no cancelling subtraction.
+
+    With a = nbar1 + 1/2, b = nbar2 + 1/2 and |det gamma| = m(m+1)K^2:
+    I1 = (ab)^2 and I2 = a^2 + b^2 are conserved by the evolution,
+    delta_tilde = I2 + 4|det gamma|, and the PT symplectic eigenvalues are
+    nu_plus = D/2 and nu_minus = ab/nu_plus with
+    D = K(1+2m) + sqrt((nbar1-nbar2)^2 + 4K^2 m(m+1)), so that
+    E_N = ln(D/((2nbar1+1)(2nbar2+1))).  D is formed from sqrt(m)
+    sqrt(m+1), not from |det gamma|, so it stays finite while m does.
+    """
+    lib = np if isinstance(pair.m, np.longdouble) else math
+    n1, n2, m, big_k = pair.nbar1, pair.nbar2, pair.m, pair.big_k
+    a = n1 + 0.5
+    b = n2 + 0.5
+    i1 = a * b * a * b
+    i2 = a * a + b * b
+    s0 = n1 * n2 * (n1 + 1.0) * (n2 + 1.0)
+    correlation = m * (m + 1.0) * big_k * big_k
+    spread = 2.0 * big_k * lib.sqrt(m) * lib.sqrt(m + 1.0)
+    nu_plus = (big_k * (1.0 + 2.0 * m) + lib.hypot(n1 - n2, spread)) / 2.0
+    s = s0 - correlation
+    delta_tilde = i2 + 4.0 * correlation
+    # every term but -s is >= 0 and s0 - s >= 0, so the sum is finite
+    # exactly when every invariant is
+    if not i1 + i2 + s0 - s + delta_tilde + nu_plus < math.inf:
+        raise NumericalDomainError(
+            f"invariants overflow the {type(m).__name__} range at m={float(m)!r}"
+        )
+    return SymplecticInvariants(
+        i1=i1,
+        i2=i2,
+        s0=s0,
+        s=s,
+        delta_tilde=delta_tilde,
+        nu_minus_pt=a * b / nu_plus,
+        nu_plus_pt=nu_plus,
+    )
+
+
 def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     """Compute the invariant set (I1, I2, S0, S, PT symplectic spectrum).
 
-    Arithmetic runs in extended precision and the results are cast back to
-    the entry dtype: the determinant combinations cancel several digits at
-    strong squeezing, and plain double evaluation would miss the stated
-    1e-9-level contracts (e.g. E_N = 2 tau for a squeezed vacuum) already
-    at tau ~ 4.
+    A matrix that carries its pair state takes the pair route, in the
+    precision of the pair state.  Any other matrix takes the generic
+    route: arithmetic runs in extended precision and the results are cast
+    back to the entry dtype, because the determinant combinations cancel
+    digits at strong squeezing (there even extended precision misses
+    E_N = 2 tau by more than 1e-9 from tau ~ 6.5 on).
 
     Raises
     ------
     NumericalDomainError
         If delta_tilde^2 < 4*I1 beyond tolerance, which signals an
-        unphysical input matrix.
+        unphysical input matrix, or if an invariant of the pair route is
+        not finite.
     """
+    if cm.pair is not None:
+        return _pair_invariants(cm.pair)
     out = cm.entries.dtype.type
     sigma = cm.entries.astype(np.longdouble)
     det_alpha = _det2(sigma[:2, :2])

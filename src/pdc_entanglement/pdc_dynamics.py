@@ -15,20 +15,29 @@ with |A|^2 - |B|^2 = 1.  The mode amplitudes grow like sinh(x tau), so a
 mismatch only slows the pair production down (y < 1 regime); the
 oscillatory regime y >= 1 is out of scope.
 
-Closed forms are dtype-polymorphic: pass ``np.longdouble`` time or
-temperature arguments to evaluate the whole pipeline in extended
-precision (used by the invariant-conservation checks).
+Every closed form reads one core, ``_pair_state``.  It validates tau and
+T once and returns the four numbers that fix the state: the initial
+occupations nbar1 and nbar2, the pair gain m = sinh^2(x tau)/x^2 and
+K = nbar1 + nbar2 + 1, plus x, sinh(x tau)/x and cosh(x tau) for the
+covariance-matrix entries.  Float inputs are evaluated on Python floats
+with ``math``; when any input is ``np.longdouble`` the same formulas run
+in extended precision with numpy (the invariant-conservation checks use
+this).  ``covariance_matrix`` attaches the pair state to the matrix it
+returns, so ``gaussian_core`` takes E_N and S from (nbar1, nbar2, m, K)
+without cancellation (the pair route); a matrix built from entries
+alone goes through the generic 4x4 route.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .gaussian_core import CovarianceMatrix
+from .errors import NumericalDomainError, ValidationError
+from .gaussian_core import CovarianceMatrix, PairState
 
 # CODATA 2018 exact values
 HBAR = 1.054571817e-34  # J s
@@ -36,6 +45,12 @@ K_B = 1.380649e-23  # J/K
 
 # below this x = sqrt(1-y^2) the sinh(x tau)/x forms switch to their series
 X_DEGENERATE = 1e-6
+
+# largest argument of exp (and so of sinh, cosh, expm1) per scalar type
+_EXP_MAX = {
+    float: math.log(sys.float_info.max),
+    np.longdouble: float(np.log(np.finfo(np.longdouble).max)),
+}
 
 
 @dataclass(frozen=True)
@@ -95,9 +110,38 @@ class ThermalInit:
             raise ValidationError("zero temperature forces zero occupation")
 
 
-def _wd(*values):
-    """Common working dtype of the inputs (at least float64)."""
-    return np.result_type(np.float64, *(np.asarray(v).dtype for v in values))
+def _working(*values):
+    """(scalar type, math module) of a closed-form evaluation: Python
+    floats with ``math``, or ``np.longdouble`` with numpy when any input is
+    extended precision."""
+    for value in values:
+        if isinstance(value, np.longdouble):
+            return np.longdouble, np
+    return float, math
+
+
+def _bose(omega, temperature, num, lib):
+    """1/(exp(beta) - 1) at beta = hbar omega/(k_B T) for a validated T.
+
+    Exactly 0 at T = 0, and also once exp(beta) leaves the range of the
+    scalar type, where the occupation is below its smallest normal value.
+    """
+    if temperature == 0.0:
+        return num(0.0)
+    beta = num(HBAR) * num(omega) / (num(K_B) * num(temperature))
+    if beta > _EXP_MAX[num]:
+        return num(0.0)
+    return 1.0 / lib.expm1(beta)
+
+
+def _check_temperature(temperature):
+    if not 0.0 <= temperature < math.inf:
+        raise ValidationError("temperature must be finite and >= 0")
+
+
+def _check_tau(tau):
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError("tau must be finite and >= 0")
 
 
 def thermal_occupation(omega, temperature):
@@ -110,23 +154,30 @@ def thermal_occupation(omega, temperature):
 
     Returns
     -------
-    1 / (exp(hbar*omega/(k_B*T)) - 1) in the working dtype of the inputs.
+    1 / (exp(hbar*omega/(k_B*T)) - 1): a Python float, or ``np.longdouble``
+    for extended-precision input.  Exactly 0 once hbar*omega/(k_B*T)
+    exceeds the exponent range of that type.
     """
-    dt = _wd(omega, temperature)
     if not omega > 0.0:
         raise ValidationError("omega must be positive")
-    if not 0.0 <= temperature < math.inf:
-        raise ValidationError("temperature must be finite and >= 0")
-    if temperature == 0.0:
-        return dt.type(0.0)
-    beta = dt.type(HBAR) * dt.type(omega) / (dt.type(K_B) * dt.type(temperature))
-    return dt.type(1.0) / np.expm1(beta)
+    _check_temperature(temperature)
+    num, lib = _working(omega, temperature)
+    return _bose(omega, temperature, num, lib)
+
+
+def _occupations(params: PdcParams, temperature):
+    """Initial occupations (nbar1, nbar2) of both modes at a validated T."""
+    num, lib = _working(temperature)
+    return (
+        _bose(params.omega1_bar * params.g, temperature, num, lib),
+        _bose(params.omega2_bar * params.g, temperature, num, lib),
+    )
 
 
 def thermal_init(params: PdcParams, temperature) -> ThermalInit:
     """Initial occupations for both modes of a parameter set."""
-    n1 = thermal_occupation(params.omega1_bar * params.g, temperature)
-    n2 = thermal_occupation(params.omega2_bar * params.g, temperature)
+    _check_temperature(temperature)
+    n1, n2 = _occupations(params, temperature)
     return ThermalInit(temperature=float(temperature), nbar1=float(n1), nbar2=float(n2))
 
 
@@ -136,17 +187,44 @@ def _stretch(y, tau):
     For x < X_DEGENERATE the ratio sinh(x tau)/x is evaluated by its
     series tau*(1 + z^2/6) with z = x*tau (and cosh by 1 + z^2/2), which
     avoids the 0/0 at y -> 1 with branch error far below 1e-12.
+
+    Raises NumericalDomainError once x*tau leaves the exponent range.
     """
-    dt = _wd(y, tau)
-    y = dt.type(y)
-    tau = dt.type(tau)
-    one = dt.type(1.0)
-    x = np.sqrt(one - y * y)
+    num, lib = _working(y, tau)
+    y = num(y)
+    tau = num(tau)
+    x = lib.sqrt(1.0 - y * y)
+    z = x * tau
+    if z > _EXP_MAX[num]:
+        raise NumericalDomainError(
+            f"x*tau = {float(z)!r} overflows sinh(x*tau) in {num.__name__}"
+        )
     if x < X_DEGENERATE:
-        z = x * tau
-        return x, tau * (one + z * z / 6.0), one + z * z / 2.0
-    arg = x * tau
-    return x, np.sinh(arg) / x, np.cosh(arg)
+        return x, tau * (1.0 + z * z / 6.0), 1.0 + z * z / 2.0
+    return x, lib.sinh(z) / x, lib.cosh(z)
+
+
+def _pair_state(params: PdcParams, tau, temperature) -> PairState:
+    """The scalar core every closed form reads: (nbar1, nbar2, m, K) at
+    (tau, T), plus the (x, sinh(x tau)/x, cosh(x tau)) of the entries.
+
+    Validates tau and T once.  m = sinh^2(x tau)/x^2 is the pair gain and
+    K = nbar1 + nbar2 + 1.
+    """
+    _check_tau(tau)
+    _check_temperature(temperature)
+    num, _ = _working(params.y, tau, temperature)
+    nbar1, nbar2 = _occupations(params, num(temperature))
+    x, ratio, ch = _stretch(num(params.y), num(tau))
+    return PairState(
+        nbar1=nbar1,
+        nbar2=nbar2,
+        m=ratio * ratio,
+        big_k=nbar1 + nbar2 + 1.0,
+        x=x,
+        ratio=ratio,
+        ch=ch,
+    )
 
 
 def ab_coefficients(y, tau) -> ModeCoefficients:
@@ -157,8 +235,7 @@ def ab_coefficients(y, tau) -> ModeCoefficients:
     """
     if not (0.0 <= y < 1.0):
         raise ValidationError(f"mismatch y must lie in [0, 1), got {y}")
-    if not 0.0 <= tau < math.inf:
-        raise ValidationError("tau must be finite and >= 0")
+    _check_tau(tau)
     _, ratio, ch = _stretch(y, tau)
     return ModeCoefficients(a_coef=ch + 1j * y * ratio, b_coef=1j * ratio)
 
@@ -167,10 +244,9 @@ def squeezing_parameter(y, tau):
     """Effective squeezing r = tau*sqrt(1 - y^2); reduces to r = tau at y=0."""
     if not (0.0 <= y < 1.0):
         raise ValidationError(f"mismatch y must lie in [0, 1), got {y}")
-    if not 0.0 <= tau < math.inf:
-        raise ValidationError("tau must be finite and >= 0")
-    dt = _wd(y, tau)
-    return dt.type(tau) * np.sqrt(dt.type(1.0) - dt.type(y) ** 2)
+    _check_tau(tau)
+    num, lib = _working(y, tau)
+    return num(tau) * lib.sqrt(1.0 - num(y) ** 2)
 
 
 def mean_photon_numbers(params: PdcParams, tau, temperature):
@@ -179,14 +255,9 @@ def mean_photon_numbers(params: PdcParams, tau, temperature):
     With m = sinh^2(x tau)/x^2 and K = nbar1 + nbar2 + 1 both modes gain
     the same m*K pairs, so n1 - n2 is conserved (integral of motion).
     """
-    if not 0.0 <= tau < math.inf:
-        raise ValidationError("tau must be finite and >= 0")
-    n10 = thermal_occupation(params.omega1_bar * params.g, temperature)
-    n20 = thermal_occupation(params.omega2_bar * params.g, temperature)
-    _, ratio, _ = _stretch(params.y, tau)
-    m = ratio * ratio
-    gain = m * (n10 + n20 + 1.0)
-    return n10 + gain, n20 + gain
+    pair = _pair_state(params, tau, temperature)
+    gain = pair.m * pair.big_k
+    return pair.nbar1 + gain, pair.nbar2 + gain
 
 
 def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
@@ -204,41 +275,40 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
 
     The sign of sigma_24 follows from the dimensionless quadrature
     convention; it flips nothing that a determinant can see.  The pump
-    phase phi is a local rotation and is not threaded through.
+    phase phi is a local rotation and is not threaded through.  The
+    returned matrix carries the pair state, so its invariants take the
+    pair route.
     """
-    if not 0.0 <= tau < math.inf:
-        raise ValidationError("tau must be finite and >= 0")
-    dt = _wd(params.y, tau, temperature)
-    n10 = thermal_occupation(params.omega1_bar * params.g, temperature)
-    n20 = thermal_occupation(params.omega2_bar * params.g, temperature)
-    y = dt.type(params.y)
-    tau = dt.type(tau)
-    half = dt.type(0.5)
-    x, ratio, ch = _stretch(y, tau)
-    m = ratio * ratio
-    big_k = n10 + n20 + dt.type(1.0)
-    gain = m * big_k
+    pair = _pair_state(params, tau, temperature)
+    num, lib = _working(params.y, tau, temperature)
+    y = num(params.y)
+    tau = num(tau)
+    ratio, ch, big_k = pair.ratio, pair.ch, pair.big_k
+    gain = pair.m * big_k
     # phase accumulated per mode; summed this way it matches the local
     # rotations used by the moment-ODE oracle to the last ulp
-    alpha1 = (dt.type(params.omega1_bar) + y) * tau
-    alpha2 = (dt.type(params.omega2_bar) + y) * tau
+    alpha1 = (num(params.omega1_bar) + y) * tau
+    alpha2 = (num(params.omega2_bar) + y) * tau
     phase = alpha1 + alpha2
-    sn, cs = np.sin(phase), np.cos(phase)
+    sn, cs = lib.sin(phase), lib.cos(phase)
     s13 = big_k * ratio * (sn * ch - cs * y * ratio)
     s14 = big_k * ratio * (cs * ch + sn * y * ratio)
-    d1 = n10 + gain + half
-    d2 = n20 + gain + half
-    zero = dt.type(0.0)
+    d1 = pair.nbar1 + gain + 0.5
+    d2 = pair.nbar2 + gain + 0.5
+    if not abs(s13) + abs(s14) + d1 + d2 < math.inf:
+        raise NumericalDomainError(
+            f"covariance matrix entries overflow {num.__name__} at tau={float(tau)!r}"
+        )
     sigma = np.array(
         [
-            [d1, zero, s13, s14],
-            [zero, d1, s14, -s13],
-            [s13, s14, d2, zero],
-            [s14, -s13, zero, d2],
+            [d1, 0.0, s13, s14],
+            [0.0, d1, s14, -s13],
+            [s13, s14, d2, 0.0],
+            [s14, -s13, 0.0, d2],
         ],
-        dtype=dt,
+        dtype=num,
     )
-    return CovarianceMatrix(sigma)
+    return CovarianceMatrix(sigma, pair=pair)
 
 
 def det_gamma_closed_form(params: PdcParams, tau, temperature):
@@ -247,11 +317,6 @@ def det_gamma_closed_form(params: PdcParams, tau, temperature):
     Equals -m(m+1)K^2 with m = sinh^2(x tau)/x^2; always <= 0 and
     strictly decreasing in tau for tau > 0.
     """
-    if not 0.0 <= tau < math.inf:
-        raise ValidationError("tau must be finite and >= 0")
-    n10 = thermal_occupation(params.omega1_bar * params.g, temperature)
-    n20 = thermal_occupation(params.omega2_bar * params.g, temperature)
-    _, ratio, _ = _stretch(params.y, tau)
-    m = ratio * ratio
-    big_k = n10 + n20 + 1.0
+    pair = _pair_state(params, tau, temperature)
+    m, big_k = pair.m, pair.big_k
     return -m * (m + 1.0) * big_k * big_k

@@ -394,3 +394,13 @@ class TestRowsRederivableByEval:
         report = dict(line.split("=") for line in text.strip().split("\n"))
         # at tau_E the indicator crosses zero: |S| is tiny against S0
         assert abs(float(report["S"])) < 1e-6 * float(report["S0"])
+
+
+def test_eval_entangled_at_large_tau_room_temperature(capsys):
+    code, out, _ = run_cli(
+        ["eval", "--tau", "20", "--temp-k", "300", "--y", "0"], capsys
+    )
+    assert code == 0
+    report = dict(line.split("=") for line in out.strip().split("\n"))
+    assert report["verdict"] == "entangled"
+    assert report["E_N"] == "34.4122353455"  # 34.412235345523136

@@ -335,3 +335,11 @@ def test_edge_population_exposes_dynamical_truncation(reference_params):
         state.edge_population = 0.0
     resolved = evolve_fock(reference_params, 0.5, 0.0, n_cut=20)
     assert resolved.edge_population < 1e-10
+
+
+def test_fock_state_rejects_non_hermitian_rho():
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    rho[0, 1] = 1e-6
+    with pytest.raises(ValidationError):
+        FockState(rho=rho, n_cut=1, leakage=0.0)

@@ -206,3 +206,58 @@ class TestEntanglementReport:
             if inv.nu_plus_pt > 0.5 + 1e-9:
                 assert rep.entangled == (rep.log_negativity > 0.0)
                 assert rep.entangled == (rep.nu_minus_pt < 0.5)
+
+
+class TestPairRoute:
+    """Matrices from covariance_matrix carry their pair state and take the
+    cancellation-free route; a matrix rebuilt from its entries takes the
+    generic 4x4 route."""
+
+    @pytest.mark.parametrize("tau", [5.0, 20.0, 50.0, 100.0, 150.0])
+    def test_squeezed_vacuum_log_negativity_at_large_tau(self, reference_params, tau):
+        report = entanglement_report(covariance_matrix(reference_params, tau, 0.0))
+        assert report.entangled
+        assert report.log_negativity == pytest.approx(2.0 * tau, rel=1e-9)
+
+    def test_routes_agree_on_invariant_conservation_grid(self, make_params):
+        # the grid of acceptance criterion 04, in extended precision
+        misses = []
+        for y in (0.0, 0.5, 0.9):
+            params = make_params(y=y)
+            for temp in (0.0, 50.0, 300.0):
+                for tau in np.linspace(0.0, 5.0, 50):
+                    cm = covariance_matrix(
+                        params, np.longdouble(tau), np.longdouble(temp)
+                    )
+                    assert cm.pair is not None
+                    generic_cm = CovarianceMatrix(cm.entries)
+                    assert generic_cm.pair is None
+                    assert np.array_equal(generic_cm.entries, cm.entries)
+                    pair = symplectic_invariants(cm)
+                    generic = symplectic_invariants(generic_cm)
+                    correlation = (pair.delta_tilde - pair.i2) / 4.0
+                    scales = {
+                        "i1": pair.i1,
+                        "i2": pair.i2,
+                        "s0": pair.i1 + pair.i2 / 4.0 + 1.0 / 16.0,
+                        "s": pair.s0 + correlation,
+                        "delta_tilde": pair.delta_tilde,
+                        "nu_minus_pt": pair.nu_minus_pt,
+                        "nu_plus_pt": pair.nu_plus_pt,
+                    }
+                    for name, scale in scales.items():
+                        diff = abs(getattr(pair, name) - getattr(generic, name))
+                        if not diff <= 1e-9 * scale:
+                            misses.append((y, temp, float(tau), name, float(diff)))
+        assert misses == []
+
+    def test_pair_state_stays_out_of_repr(self, reference_params):
+        cm = covariance_matrix(reference_params, 1.0, 10.0)
+        assert repr(cm) == repr(CovarianceMatrix(cm.entries))
+
+    def test_overflow_past_float_range_raises(self, reference_params):
+        # m(m+1)K^2 overflows a double from tau ~ 177 on at y = 0, T = 0
+        cm = covariance_matrix(reference_params, 200.0, 0.0)
+        for measure in (symplectic_invariants, entanglement_report, log_negativity):
+            with pytest.raises(NumericalDomainError):
+                measure(cm)

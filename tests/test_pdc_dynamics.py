@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,27 @@ def test_closed_forms_reject_non_finite_tau(reference_params, tau):
         squeezing_parameter(0.5, tau)
     with pytest.raises(ValidationError):
         ab_coefficients(0.5, tau)
+
+
+class TestOccupationUnderflow:
+    def test_float_beta_past_exp_range_is_exact_zero(self):
+        # beta = hbar*omega/(k_B T) ~ 748 at omega2 = 400 g, T = 4 mK:
+        # exp(beta) overflows a double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermal_occupation(400 * G_COUPLING, 0.004) == 0.0
+
+    def test_longdouble_beta_past_exp_range_is_exact_zero(self):
+        # beta ~ 3e5, far past the extended-precision limit of ~11356
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = thermal_occupation(400 * G_COUPLING, np.longdouble(1e-8))
+        assert value == 0.0
+
+    def test_occupations_underflow_in_closed_forms(self, reference_params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            init = thermal_init(reference_params, 0.004)
+            cm = covariance_matrix(reference_params, 1.0, 0.004)
+        assert init.nbar2 == 0.0
+        assert cm.entries[2, 2] == covariance_matrix(reference_params, 1.0, 0.0).entries[2, 2]
