@@ -35,7 +35,7 @@ print(f"  27 parameter points, worst entrywise deviation: {worst:.3e} "
 print("\ntruncated-Fock partial-transpose negativity vs Gaussian E_N")
 cases = [
     (0.0, 0.5, 0.0, 20),
-    (0.5, 1.0, 1.2, 30),
+    (0.5, 1.0, 1.2, 36),
     (0.9, 1.0, 0.8, 26),
 ]
 for y, tau, temp, n_cut in cases:

@@ -269,7 +269,7 @@ def cmd_oracle_check(config: RunConfig, skip_fock: bool = False) -> int:
         worst_en = 0.0
         for y, tau, temp, n_cut in (
             (0.0, 0.5, 0.0, 20),
-            (0.5, 1.0, 1.2, 30),
+            (0.5, 1.0, 1.2, 36),
             (0.9, 1.0, 0.8, 26),
         ):
             params = build_params(config, y)

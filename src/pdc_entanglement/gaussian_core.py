@@ -24,6 +24,10 @@ The invariants have two routes:
 * the generic route, for any other matrix.  It computes determinants of
   the 4x4 entries in extended precision; at strong squeezing the
   combinations cancel, so it loses digits once sinh(x tau) is large.
+  The rounding of the entries themselves (relative eps of their dtype)
+  then reaches E_N as an error of about eps * max|sigma|^2 / sqrt(I1);
+  once that estimate passes GENERIC_EN_TOL the route raises
+  NumericalDomainError instead of returning a verdict.
 
 Every function is pure and the value types are frozen; instances can be
 shared freely across threads.
@@ -44,6 +48,11 @@ from .errors import NumericalDomainError, ValidationError
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_SLACK = 1e-9
 DOMAIN_TOL = 1e-9
+# largest estimated E_N error the generic route answers with.  On float64
+# entries (y in [0, 0.99], T in [0, 2000] K, tau from 4 until
+# covariance_matrix overflows) every E_N it then gave was within 2e-9 of
+# the pair route
+GENERIC_EN_TOL = 1e-9
 
 
 def _det2(m) -> float:
@@ -129,10 +138,12 @@ class CovarianceMatrix:
         arr = np.array(self.entries, copy=True)
         if arr.shape != (4, 4):
             raise ValidationError(f"covariance matrix must be 4x4, got {arr.shape}")
-        if not np.all(np.isfinite(arr.astype(np.float64))):
+        # one pass finds both: the max is NaN if any entry is, and float()
+        # turns an entry past the float64 range into inf
+        scale = float(np.abs(arr).max())
+        if not scale < math.inf:
             raise ValidationError("covariance matrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_TOL * scale:
+        if float(np.abs(arr - arr.T).max()) > SYMMETRY_TOL * max(1.0, scale):
             raise ValidationError("covariance matrix is not symmetric within 1e-12")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -274,8 +285,10 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     ------
     NumericalDomainError
         If delta_tilde^2 < 4*I1 beyond tolerance, which signals an
-        unphysical input matrix, or if an invariant of the pair route is
-        not finite.
+        unphysical input matrix, if an invariant of the pair route is
+        not finite, or if the generic route's estimated E_N error
+        eps * max|sigma|^2 / sqrt(I1) exceeds GENERIC_EN_TOL (always for
+        I1 <= 0).
     """
     if cm.pair is not None:
         return _pair_invariants(cm.pair)
@@ -285,6 +298,15 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     det_beta = _det2(sigma[2:, 2:])
     det_gamma = _det2(sigma[:2, 2:])
     i1 = _det4(sigma)
+    eps = np.finfo(np.result_type(cm.entries.dtype, 1.0)).eps
+    scale = np.max(np.abs(sigma))
+    allowed = GENERIC_EN_TOL * np.sqrt(i1) if i1 > 0.0 else 0.0
+    if not eps * scale * scale <= allowed:
+        raise NumericalDomainError(
+            "generic route cannot resolve this matrix: estimated E_N error "
+            f"eps*max|sigma|^2/sqrt(det) exceeds {GENERIC_EN_TOL} (eps={eps:.1e}, "
+            f"max|sigma|={float(scale):.3e}, det={float(i1):.3e})"
+        )
     i2 = det_alpha + det_beta + 2.0 * det_gamma
     s0 = i1 - i2 / 4.0 + 1.0 / 16.0
     s = s0 + (det_gamma - np.abs(det_gamma)) / 2.0

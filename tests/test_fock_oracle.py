@@ -13,6 +13,12 @@ from pdc_entanglement import (
     physicality_check,
     thermal_init,
 )
+from pdc_entanglement.fock_oracle import (
+    _matrix_power,
+    _mode_rotation,
+    _rk4_step_matrix,
+    _sector_blocks,
+)
 
 # temperatures giving small occupations at the reference frequencies:
 # nbar1(1.2 K) ~ 0.40, nbar1(0.8 K) ~ 0.18
@@ -89,6 +95,45 @@ class TestMomentsOde:
             err.append(float(np.max(np.abs(traj.final().entries - ref_entries))))
         ratio = err[0] / err[1]
         assert 12.0 < ratio < 21.0
+
+    @pytest.mark.parametrize(
+        "y,tau,temp,count", [(0.5, 1.234, 80.0, 26), (0.9, 1.5, 300.0, 31)]
+    )
+    def test_samples_match_per_sample_matrix_powers(
+        self, make_params, y, tau, temp, count
+    ):
+        # the integrator carries the moment vector from sample to sample;
+        # each sample must equal R^k v0 formed afresh, as it was before.
+        # tau = 1.234 ends on a short gap (12340 = 24 * 500 + 340 steps),
+        # tau = 1.5 on a full stride
+        params = make_params(y=y)
+        init = thermal_init(params, temp)
+        ld = np.longdouble
+        v0 = np.diag(
+            np.array([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2, dtype=ld)
+        ).reshape(16)
+        drift = np.array(
+            [[0, -y, 0, 1], [y, 0, 1, 0], [0, 1, 0, -y], [1, 0, y, 0]], dtype=ld
+        )
+        eye4 = np.eye(4, dtype=ld)
+        n_steps = int(np.ceil(tau / 1e-4))
+        h = ld(tau) / n_steps
+        step_matrix = _rk4_step_matrix(
+            np.kron(drift, eye4) + np.kron(eye4, drift), h
+        )
+        samples = evolve_moments_ode(params, tau, temp).samples
+        assert len(samples) == count
+        for tau_k, cm in samples:
+            k = int(round(tau_k / float(h)))
+            sig = (_matrix_power(step_matrix, k) @ v0).reshape(4, 4)
+            sig = ((sig + sig.T) / 2.0).astype(np.float64)
+            rot = _mode_rotation(
+                (params.omega1_bar + y) * tau_k, (params.omega2_bar + y) * tau_k
+            )
+            lab = rot @ sig @ rot.T
+            expected = (lab + lab.T) / 2.0
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(cm.entries - expected)) <= 1e-14 * scale
 
     def test_rejects_oversized_step(self, reference_params):
         with pytest.raises(ValidationError):
@@ -343,3 +388,31 @@ def test_fock_state_rejects_non_hermitian_rho():
     rho[0, 1] = 1e-6
     with pytest.raises(ValidationError):
         FockState(rho=rho, n_cut=1, leakage=0.0)
+
+
+class TestFockStateHermiticity:
+    """FockState reads the Hermiticity defect tile by tile; at n_cut = 15
+    the 256 x 256 rho spans two tiles per side."""
+
+    @pytest.mark.parametrize("where", [(10, 200), (255, 3), (255, 255)])
+    def test_rejects_one_anti_hermitian_entry(self, where):
+        rho = random_density_matrix(15, np.random.default_rng(3)).rho.copy()
+        i, j = where
+        rho[i, j] += 1e-11j  # its partner rho[j, i] stays as it was
+        with pytest.raises(ValidationError):
+            FockState(rho=rho, n_cut=15, leakage=0.0)
+
+    def test_accepts_random_hermitian_state(self):
+        state = random_density_matrix(15, np.random.default_rng(4))
+        assert state.rho.shape == (256, 256)
+
+
+def test_sector_blocks_single_coupling_merges_all_labels():
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    matrix = np.diag(np.arange(1.0, 7.0))
+    blocks = _sector_blocks(matrix, labels)
+    assert [list(b) for b in blocks] == [[0, 1], [2, 3], [4, 5]]
+    matrix[1, 4] = 1e-300  # the only entry coupling two labels
+    blocks = _sector_blocks(matrix, labels)
+    assert len(blocks) == 1
+    assert list(blocks[0]) == list(range(6))

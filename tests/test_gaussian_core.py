@@ -52,6 +52,17 @@ class TestCovarianceMatrix:
         with pytest.raises(ValidationError):
             CovarianceMatrix(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.longdouble("1e400")])
+    def test_rejects_entries_not_finite_as_float64(self, value):
+        bad = 0.5 * np.eye(4, dtype=np.longdouble)
+        bad[1, 1] = value
+        with pytest.raises(ValidationError, match="finite"):
+            CovarianceMatrix(bad)
+
+    def test_accepts_large_finite_longdouble(self):
+        big = np.longdouble("1e300") * np.eye(4, dtype=np.longdouble)
+        assert CovarianceMatrix(big).entries[3, 3] == big[3, 3]
+
     def test_entries_read_only(self):
         cm = CovarianceMatrix.vacuum()
         with pytest.raises(ValueError):
@@ -261,3 +272,44 @@ class TestPairRoute:
         for measure in (symplectic_invariants, entanglement_report, log_negativity):
             with pytest.raises(NumericalDomainError):
                 measure(cm)
+
+
+class TestGenericRouteGuard:
+    """A matrix built from entries alone takes the generic route, which
+    refuses once the rounding of its entries can move E_N by more than
+    GENERIC_EN_TOL."""
+
+    @pytest.mark.parametrize("y", [0.0, 0.5])
+    @pytest.mark.parametrize("temp", [0.0, 300.0])
+    def test_refuses_at_large_tau(self, make_params, y, temp):
+        # here the generic route used to report E_N = 0 and "separable"
+        # for states with E_N between 29 and 40
+        cm = covariance_matrix(make_params(y=y), 20.0, temp)
+        generic = CovarianceMatrix(cm.entries)
+        for measure in (symplectic_invariants, entanglement_report, log_negativity):
+            with pytest.raises(NumericalDomainError, match="generic route"):
+                measure(generic)
+
+    def test_right_or_refused(self, make_params):
+        # float64 entries: every answer the generic route gives agrees with
+        # the pair route within a few GENERIC_EN_TOL; it answers every tau
+        # up to 4 and starts refusing at tau = 4.25 (y = 0) to 7.75 (y = 0.9)
+        refused = 0
+        for y in (0.0, 0.5, 0.9):
+            params = make_params(y=y)
+            for temp in (0.0, 50.0, 300.0):
+                for tau in np.arange(0.0, 12.01, 0.25):
+                    cm = covariance_matrix(params, float(tau), temp)
+                    try:
+                        e_n = log_negativity(CovarianceMatrix(cm.entries))
+                    except NumericalDomainError:
+                        assert tau > 4.0
+                        refused += 1
+                        continue
+                    assert abs(e_n - log_negativity(cm)) <= 1e-8
+        assert refused > 0
+
+    def test_refuses_non_positive_determinant(self):
+        # det(sigma) <= 0 is no physical state; the route no longer returns NaN
+        with pytest.raises(NumericalDomainError):
+            symplectic_invariants(CovarianceMatrix(np.diag([1.0, -0.5, 0.5, 0.5])))
