@@ -7,13 +7,18 @@ state is entangled exactly when
     |det gamma(tau)| > S0,      S0 = nbar1 nbar2 (nbar1+1)(nbar2+1),
 
 with |det gamma| = m(m+1)K^2, m = sinh^2(x tau)/x^2, K = nbar1+nbar2+1.
-Every quantity here reads the occupations and m from the scalar core of
+Every quantity here reads the occupations and m from the core of
 ``pdc_dynamics``.  The birth time solves the equality in closed form
 (quadratic in m, then arcsinh); a bracketed bisection in tau on the same
 condition, with the occupations fixed outside its loop, is kept as an
 independent verification route.  The critical temperature is the root in
 T of the separability indicator at fixed interaction time, found by
 bisection with m computed once.
+
+The closed-form birth time and the witness also take numpy arrays of T,
+tau and y (the mismatch then given next to them, in place of
+``params.y``) and return arrays of their broadcast shape; the bisections
+take scalars.
 """
 
 from __future__ import annotations
@@ -22,10 +27,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import NumericalDomainError, ValidationError
+from .gaussian_core import _every, _first, _pointwise, _working
 from .pdc_dynamics import (
     PdcParams,
-    X_DEGENERATE,
+    _check_mismatch,
     _occupations,
     _pair_state,
     _stretch,
@@ -64,9 +72,11 @@ def s0_threshold(nbar1, nbar2):
     """Entanglement threshold S0 = nbar1 nbar2 (nbar1+1)(nbar2+1).
 
     This equals I1 - I2/4 + 1/16 evaluated on the initial thermal product
-    state; it vanishes only for vacuum input.
+    state; it vanishes only for vacuum input.  Arrays are taken point by
+    point.
     """
-    if nbar1 < 0.0 or nbar2 < 0.0:
+    ok = (nbar1 >= 0.0) & (nbar2 >= 0.0)
+    if ok is not True and not _every(ok):
         raise ValidationError("occupations must be >= 0")
     return nbar1 * nbar2 * (nbar1 + 1.0) * (nbar2 + 1.0)
 
@@ -84,11 +94,13 @@ def _bisect(f, lo, hi, *, abs_tol=0.0, rel_tol=0.0, max_iter=200):
     return 0.5 * (lo + hi)
 
 
+@_pointwise
 def birth_time(
     params: PdcParams,
     temperature,
     method: str = "closed_form",
     tau_max: float = 60.0,
+    y=None,
 ) -> BteResult:
     """Minimum interaction time before the output state is entangled.
 
@@ -101,27 +113,42 @@ def birth_time(
         and inverts it; "bisection" brackets the same condition and
         bisects to 1e-10 absolute, serving as the independent check.
     tau_max : cap for the bisection bracket expansion.
+    y : mismatch in place of ``params.y``.  With the closed form, T and y
+        may be numpy arrays; tau_e then has their broadcast shape.  It is
+        computed in the working precision of the inputs: a Python float
+        for float inputs.
+
+    Raises NumericalDomainError where S0 leaves the float range (T above
+    about 1e77 K at the default frequencies).
     """
     if method not in ("closed_form", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
-    pair = _pair_state(params, 0.0, temperature)
+    pair = _pair_state(params, 0.0, temperature, y)
     s0 = s0_threshold(pair.nbar1, pair.nbar2)
-    if s0 == 0.0:
-        return BteResult(tau_e=0.0, method=method)
     k_sq = pair.big_k * pair.big_k
+    x = pair.x
 
     if method == "closed_form":
+        _, lib = _working(s0, x)
         c = 4.0 * s0 / k_sq
-        m_star = c / (2.0 * (1.0 + math.sqrt(1.0 + c)))  # (-1+sqrt(1+c))/2, stable
-        x = float(pair.x)
-        if x < X_DEGENERATE:
-            tau_e = math.sqrt(m_star)
-        else:
-            tau_e = math.asinh(x * math.sqrt(m_star)) / x
-        return BteResult(tau_e=float(tau_e), method=method)
+        m_star = c / (2.0 * (1.0 + lib.sqrt(1.0 + c)))  # (-1+sqrt(1+c))/2, stable
+        tau_e = lib.asinh(x * lib.sqrt(m_star)) / x
+        finite = tau_e < math.inf
+        if finite is not True and not _every(finite):
+            raise NumericalDomainError(
+                f"S0 overflows at T={float(_first(temperature, finite))!r}: "
+                "no birth time in the float range"
+            )
+        return BteResult(tau_e=tau_e, method=method)
+
+    if np.ndim(s0) or np.ndim(x):
+        raise ValidationError("the bisection route takes a scalar T and y")
+    if s0 == 0.0:
+        return BteResult(tau_e=0.0, method=method)
+    y = params.y if y is None else y
 
     def f(tau):
-        _, ratio, _ = _stretch(params.y, tau)
+        _, ratio, _ = _stretch(y, tau)
         m = ratio * ratio
         return m * (m + 1.0) * k_sq - s0
 
@@ -180,23 +207,28 @@ def phase_boundary(
     """
     points = []
     for y in y_grid:
-        if not (0.0 <= y < 1.0):
-            raise ValidationError(f"mismatch y must lie in [0, 1), got {y}")
+        _check_mismatch(y)
         t_c = critical_temperature(replace(params, y=float(y)), tau_i, t_max=t_max)
         if t_c is not None:
             points.append(PhasePoint(y=float(y), t_c=t_c))
     return points
 
 
-def witness(params: PdcParams, tau, temperature) -> WitnessValue:
+@_pointwise
+def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
     """Measurable witness w = sqrt(S0(T)) - (n1 + n2)/2 at time tau.
 
     Negative w certifies entanglement from the produced photon numbers
     and the medium temperature alone.  Its zero crossing in T sits close
-    to (but not algebraically at) the critical temperature.
+    to (but not algebraically at) the critical temperature.  tau, T and
+    y (the mismatch, in place of ``params.y``) may be numpy arrays; each
+    field then has their broadcast shape.  The fields are Python floats
+    for float inputs, and carry the working precision otherwise.
     """
-    pair = _pair_state(params, tau, temperature)
-    threshold = float(math.sqrt(s0_threshold(pair.nbar1, pair.nbar2)))
+    pair = _pair_state(params, tau, temperature, y)
+    s0 = s0_threshold(pair.nbar1, pair.nbar2)
+    _, lib = _working(s0, pair.m)
+    threshold = lib.sqrt(s0)
     gain = pair.m * pair.big_k
-    mean = float((pair.nbar1 + gain + pair.nbar2 + gain) / 2.0)
+    mean = (pair.nbar1 + gain + pair.nbar2 + gain) / 2.0
     return WitnessValue(w=threshold - mean, mean_pair_photons=mean, threshold=threshold)

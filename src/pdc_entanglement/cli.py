@@ -8,6 +8,7 @@ parameter points and runs the oracle equivalence suites:
     fig3   logarithmic negativity vs mismatch, one curve per temperature
     fig4   critical temperature vs mismatch (phase boundary)
     fig5   sqrt(S0) and mean photon number vs temperature
+    map    E_N, S, birth time and witness on a (y, T) grid at fixed tau
     eval   single-point report, exit code encodes the verdict
     oracle-check   closed form vs ODE moments and vs Fock negativity,
            one line per case
@@ -18,17 +19,20 @@ is reserved for eval's "separable" verdict and a failed oracle-check.
 
 CSV output has a one-line header, comma separators, LF line endings and
 12 significant digits; identical configurations produce byte-identical
-files.  Flags win over --config file entries, which win over built-in
-defaults.  Temperatures are kelvin, nu1 is Hz, the coupling rate is
-rad/s, and everything else is dimensionless.
+files.  Every dataset but fig4 is one array call into the closed forms
+over its whole grid; fig4 bisects each mismatch and reports on stderr
+the points it skips.  Flags win over --config file entries, which win
+over built-in defaults.  Temperatures are kelvin, nu1 is Hz, the
+coupling rate is rad/s, and everything else is dimensionless.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +60,10 @@ FIG4_TAU = 2.881
 FIG5_TEMP_GRID = "0:600:121"
 FIG5_Y_SET = "0,0.5,0.7"
 FIG5_TAU = 2.881
+MAP_Y_GRID = "0:0.99:100"
+MAP_TEMP_GRID = "0:600:121"
+MAP_TAU = 2.881
+CSV_BLOCK_ROWS = 8192  # rows formatted per write, which bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -112,7 +120,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, num)
 
 
-def _parse_set(spec: str) -> list[float]:
+def _parse_set(spec: str) -> np.ndarray:
     """Parse a comma-separated list of values."""
     try:
         values = [float(tok) for tok in spec.split(",") if tok.strip()]
@@ -120,96 +128,111 @@ def _parse_set(spec: str) -> list[float]:
         raise ValidationError(f"bad value list {spec!r}: {exc}") from None
     if not values:
         raise ValidationError(f"empty value list {spec!r}")
-    return values
+    return np.array(values)
 
 
-def _fmt(value: float) -> str:
-    """12 significant digits, '.' decimal separator."""
-    return f"{float(value):.11e}"
+def _write_csv(out: Optional[str], header: Sequence[str], columns) -> None:
+    """One row per point of the broadcast columns, 12 significant digits
+    ('.' decimal separator) per value, written a block of rows at a time."""
+    table = np.column_stack([np.ravel(c) for c in np.broadcast_arrays(*columns)])
+    line = ",".join(["%.11e"] * len(header)) + "\n"
+    with contextlib.ExitStack() as stack:
+        fh = sys.stdout if out is None else stack.enter_context(
+            open(out, "w", newline="\n")
+        )
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([line % tuple(row) for row in block]))
 
 
-def _write_csv(out: Optional[str], header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+# Each dataset builder takes the parameters, the run configuration and its
+# parsed axes, and returns the CSV header and the columns.  An axis of n
+# values feeds the closed forms as an (n, 1) or (1, n) array, so one call
+# covers the whole grid.
 
 
-def cmd_fig1(config: RunConfig) -> int:
-    """BTE vs temperature for each mismatch in the y set."""
-    temps = _parse_grid(config.temp_grid or FIG1_TEMP_GRID)
-    y_values = _parse_set(config.y_set or FIG1_Y_SET)
-    rows = []
-    for temp in temps:
-        for y in y_values:
-            res = analysis.birth_time(build_params(config, y), float(temp))
-            rows.append((temp, y, res.tau_e))
-    _write_csv(config.out, ["temperature_K", "y", "tau_e"], rows)
-    return 0
+def _fig1(params, config, temps, ys):
+    """Birth time vs temperature, one curve per mismatch."""
+    temps, ys = temps[:, None], ys[None, :]
+    tau_e = analysis.birth_time(params, temps, y=ys).tau_e
+    return ["temperature_K", "y", "tau_e"], [temps, ys, tau_e]
 
 
-def cmd_fig2(config: RunConfig) -> int:
-    """BTE vs mismatch for each temperature in the set."""
-    y_values = _parse_grid(config.y_grid or FIG2_Y_GRID)
-    temps = _parse_set(config.temp_set or FIG2_TEMP_SET)
-    rows = []
-    for y in y_values:
-        for temp in temps:
-            res = analysis.birth_time(build_params(config, y), float(temp))
-            rows.append((y, temp, res.tau_e))
-    _write_csv(config.out, ["y", "temperature_K", "tau_e"], rows)
-    return 0
+def _fig2(params, config, ys, temps):
+    """Birth time vs mismatch, one curve per temperature."""
+    ys, temps = ys[:, None], temps[None, :]
+    tau_e = analysis.birth_time(params, temps, y=ys).tau_e
+    return ["y", "temperature_K", "tau_e"], [ys, temps, tau_e]
 
 
-def cmd_fig3(config: RunConfig) -> int:
+def _fig3(params, config, ys, temps):
     """Logarithmic negativity vs mismatch at fixed interaction time."""
-    y_values = _parse_grid(config.y_grid or FIG3_Y_GRID)
-    temps = _parse_set(config.temp_set or FIG3_TEMP_SET)
-    tau = config.tau
-    rows = []
-    for y in y_values:
-        for temp in temps:
-            cm = pdc_dynamics.covariance_matrix(build_params(config, y), tau, float(temp))
-            rows.append((y, temp, gaussian_core.log_negativity(cm)))
-    _write_csv(config.out, ["y", "temperature_K", "log_negativity"], rows)
-    return 0
+    ys, temps = ys[:, None], temps[None, :]
+    inv = pdc_dynamics.pair_invariants(params, config.tau, temps, y=ys)
+    return ["y", "temperature_K", "log_negativity"], [ys, temps, inv.log_negativity]
 
 
-def cmd_fig4(config: RunConfig) -> int:
-    """Critical temperature vs mismatch (the phase boundary)."""
-    y_values = _parse_grid(config.y_grid or FIG4_Y_GRID)
-    for y in y_values:
-        if not (0.0 <= y < 1.0):
-            raise ValidationError(f"mismatch grid must stay in [0, 1), got {y}")
-    tau = config.tau
-    points = analysis.phase_boundary(
-        build_params(config), tau, [float(y) for y in y_values], t_max=config.t_max
-    )
-    _write_csv(config.out, ["y", "t_c_kelvin"], [(p.y, p.t_c) for p in points])
-    return 0
+def _fig4(params, config, ys):
+    """Critical temperature vs mismatch (the phase boundary); mismatches
+    with no sign change of S in [0, t_max] are reported on stderr."""
+    points = analysis.phase_boundary(params, config.tau, ys.tolist(), t_max=config.t_max)
+    found = {p.y for p in points}
+    for y in ys.tolist():
+        if y not in found:
+            print(
+                f"fig4: skipped y={y:.12g}: S has no sign change for T in "
+                f"[0, {config.t_max:g}] K (never entangled, or still "
+                f"entangled at {config.t_max:g} K)",
+                file=sys.stderr,
+            )
+    return ["y", "t_c_kelvin"], [[p.y for p in points], [p.t_c for p in points]]
 
 
-def cmd_fig5(config: RunConfig) -> int:
-    """sqrt(S0) and per-mismatch mean photon number vs temperature."""
-    temps = _parse_grid(config.temp_grid or FIG5_TEMP_GRID)
-    y_values = _parse_set(config.y_set or FIG5_Y_SET)
-    tau = config.tau
-    header = ["temperature_K", "sqrt_s0"] + [f"n_mean_y{y:g}" for y in y_values]
-    rows = []
-    for temp in temps:
-        row = [float(temp)]
-        first = analysis.witness(build_params(config, y_values[0]), tau, float(temp))
-        row.append(first.threshold)
-        row.append(first.mean_pair_photons)
-        for y in y_values[1:]:
-            wit = analysis.witness(build_params(config, y), tau, float(temp))
-            row.append(wit.mean_pair_photons)
-        rows.append(row)
-    _write_csv(config.out, header, rows)
+def _fig5(params, config, temps, ys):
+    """sqrt(S0) and the mean photon number per mismatch vs temperature."""
+    wit = analysis.witness(params, config.tau, temps[:, None], y=ys[None, :])
+    header = ["temperature_K", "sqrt_s0"] + [f"n_mean_y{y:g}" for y in ys]
+    return header, [temps, wit.threshold[:, 0], *wit.mean_pair_photons.T]
+
+
+def _map(params, config, ys, temps):
+    """E_N, S, birth time and witness on the (y, T) grid at fixed tau."""
+    ys, temps = ys[:, None], temps[None, :]
+    inv = pdc_dynamics.pair_invariants(params, config.tau, temps, y=ys)
+    tau_e = analysis.birth_time(params, temps, y=ys).tau_e
+    w = analysis.witness(params, config.tau, temps, y=ys).w
+    header = ["y", "temperature_K", "log_negativity", "s", "tau_e", "w"]
+    return header, [ys, temps, inv.log_negativity, inv.s, tau_e, w]
+
+
+class Dataset(NamedTuple):
+    """A CSV subcommand: its builder, its axes as (config field, default
+    spec) pairs, and its default interaction time."""
+
+    build: Callable
+    axes: tuple
+    tau: Optional[float] = None
+
+
+DATASETS = {
+    "fig1": Dataset(_fig1, (("temp_grid", FIG1_TEMP_GRID), ("y_set", FIG1_Y_SET))),
+    "fig2": Dataset(_fig2, (("y_grid", FIG2_Y_GRID), ("temp_set", FIG2_TEMP_SET))),
+    "fig3": Dataset(_fig3, (("y_grid", FIG3_Y_GRID), ("temp_set", FIG3_TEMP_SET)), FIG3_TAU),
+    "fig4": Dataset(_fig4, (("y_grid", FIG4_Y_GRID),), FIG4_TAU),
+    "fig5": Dataset(_fig5, (("temp_grid", FIG5_TEMP_GRID), ("y_set", FIG5_Y_SET)), FIG5_TAU),
+    "map": Dataset(_map, (("y_grid", MAP_Y_GRID), ("temp_grid", MAP_TEMP_GRID)), MAP_TAU),
+}
+
+
+def cmd_dataset(config: RunConfig, dataset: Dataset) -> int:
+    """Parse the dataset's axes ('a:b:n' grids, comma sets) and write its CSV."""
+    axes = []
+    for field, default in dataset.axes:
+        spec = getattr(config, field) or default
+        axes.append(_parse_grid(spec) if field.endswith("_grid") else _parse_set(spec))
+    header, columns = dataset.build(build_params(config), config, *axes)
+    _write_csv(config.out, header, columns)
     return 0
 
 
@@ -338,11 +361,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 ) from None
         elif key in file_values:
             merged[key] = file_values[key]
-    defaults = RunConfig()
-    tau_fallbacks = {"fig3": FIG3_TAU, "fig4": FIG4_TAU, "fig5": FIG5_TAU}
-    if "tau" not in merged and args.command in tau_fallbacks:
-        merged["tau"] = tau_fallbacks[args.command]
-    return replace(defaults, **merged)
+    dataset = DATASETS.get(args.command)
+    if "tau" not in merged and dataset is not None and dataset.tau is not None:
+        merged["tau"] = dataset.tau
+    return replace(RunConfig(), **merged)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -372,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="critical-temperature bracket upper bound, K")
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--config", help="key=value config file; flags win")
-    for name in ("fig1", "fig2", "fig3", "fig4", "fig5", "eval"):
+    for name in (*DATASETS, "eval"):
         sub.add_parser(name, parents=[common])
     oracle = sub.add_parser("oracle-check", parents=[common])
     oracle.add_argument("--skip-fock", action="store_true",
@@ -384,21 +406,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        if args.command == "fig1":
-            return cmd_fig1(config)
-        if args.command == "fig2":
-            return cmd_fig2(config)
-        if args.command == "fig3":
-            return cmd_fig3(config)
-        if args.command == "fig4":
-            return cmd_fig4(config)
-        if args.command == "fig5":
-            return cmd_fig5(config)
         if args.command == "eval":
             return cmd_eval(config)
         if args.command == "oracle-check":
             return cmd_oracle_check(config, skip_fock=args.skip_fock)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return cmd_dataset(config, DATASETS[args.command])
     except (
         ValidationError,
         NumericalDomainError,

@@ -93,8 +93,9 @@ class FockState:
             raise ValidationError(
                 f"rho must be {dim}x{dim} for n_cut={self.n_cut}, got {rho.shape}"
             )
-        if _hermitian_defect(rho) > 1e-12:
-            raise ValidationError("rho is not Hermitian within 1e-12")
+        # a NaN entry makes the defect NaN, which fails this test too
+        if not _hermitian_defect(rho) <= 1e-12:
+            raise ValidationError("rho is not Hermitian within 1e-12, or holds NaN")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 

@@ -20,7 +20,9 @@ The invariants have two routes:
   and every invariant has a closed form with no subtraction of large
   terms.  It runs in the precision of the pair state and is exact until
   the invariants leave the float range, where it raises
-  NumericalDomainError;
+  NumericalDomainError.  A pair state whose fields are numpy arrays
+  gives arrays of invariants, one per point of their broadcast, and
+  raises if any point leaves the float range;
 * the generic route, for any other matrix.  It computes determinants of
   the 4x4 entries in extended precision; at strong squeezing the
   combinations cancel, so it loses digits once sinh(x tau) is large.
@@ -35,6 +37,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,6 +56,56 @@ DOMAIN_TOL = 1e-9
 # covariance_matrix overflows) every E_N it then gave was within 2e-9 of
 # the pair route
 GENERIC_EN_TOL = 1e-9
+
+
+def _working(*values):
+    """(scalar type, math module) of a closed-form evaluation.
+
+    Python floats with ``math``.  numpy when any input is an array, in
+    float64 or in the wider dtype of the inputs, or when any input is an
+    ``np.longdouble`` scalar.
+    """
+    for value in values:
+        if type(value) is not float and isinstance(value, (np.ndarray, np.longdouble)):
+            return np.result_type(float, *values).type, np
+    return float, math
+
+
+def _every(ok):
+    """Whether a check holds at every point: ``ok`` itself for a scalar
+    check, ``ok.all()`` for an array of them.  Call sites on the scalar
+    path test ``ok is not True`` first, so a check on Python floats costs
+    no call."""
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
+def _first(value, ok):
+    """The value a failed check reports: ``value`` itself for a scalar
+    check, else its first point where ``ok`` is False."""
+    if isinstance(ok, np.ndarray):
+        return np.broadcast_to(value, ok.shape)[~ok][0]
+    return value
+
+
+def _pointwise(closed_form):
+    """Let ``closed_form`` take numpy arrays.
+
+    On Python floats an overflow gives inf (and inf - inf gives NaN)
+    without a word, and the finiteness checks of the closed forms then
+    raise.  numpy warns on the same operations, so a call with an array
+    argument runs with those warnings off: any point of an array past
+    the float range then raises the error that point alone would.
+    """
+
+    @functools.wraps(closed_form)
+    def call(*args, **kwargs):
+        for value in (*args, *kwargs.values()):
+            if isinstance(value, np.ndarray):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return closed_form(*args, **kwargs)
+        return closed_form(*args, **kwargs)
+
+    return call
 
 
 def _det2(m) -> float:
@@ -105,6 +158,8 @@ class PairState(NamedTuple):
     nbar1, nbar2 are the initial thermal occupations, m = sinh^2(x tau)/x^2
     the pair gain and big_k = nbar1 + nbar2 + 1; x, ratio = sinh(x tau)/x
     and ch = cosh(x tau) are kept for the covariance-matrix entries.
+    Each field is a scalar or a numpy array; fields of different shapes
+    broadcast against each other.
     """
 
     nbar1: float
@@ -181,6 +236,14 @@ class SymplecticInvariants:
     nu_minus_pt: float
     nu_plus_pt: float
 
+    @property
+    def log_negativity(self):
+        """E_N = max(0, -ln 2*nu_minus_pt), natural log, per point."""
+        _, lib = _working(self.nu_minus_pt)
+        e_n = -lib.log(2.0 * self.nu_minus_pt)
+        # max(0, e_n) for a scalar and an array alike, and +0.0 at nu = 1/2
+        return (e_n + abs(e_n)) / 2.0
+
 
 @dataclass(frozen=True)
 class EntanglementReport:
@@ -241,9 +304,10 @@ def _pair_invariants(pair: PairState) -> SymplecticInvariants:
     D = K(1+2m) + sqrt((nbar1-nbar2)^2 + 4K^2 m(m+1)), so that
     E_N = ln(D/((2nbar1+1)(2nbar2+1))).  D is formed from sqrt(m)
     sqrt(m+1), not from |det gamma|, so it stays finite while m does.
+    Array fields give arrays of invariants.
     """
-    lib = np if isinstance(pair.m, np.longdouble) else math
     n1, n2, m, big_k = pair.nbar1, pair.nbar2, pair.m, pair.big_k
+    _, lib = _working(n1, m)
     a = n1 + 0.5
     b = n2 + 0.5
     i1 = a * b * a * b
@@ -256,9 +320,11 @@ def _pair_invariants(pair: PairState) -> SymplecticInvariants:
     delta_tilde = i2 + 4.0 * correlation
     # every term but -s is >= 0 and s0 - s >= 0, so the sum is finite
     # exactly when every invariant is
-    if not i1 + i2 + s0 - s + delta_tilde + nu_plus < math.inf:
+    finite = i1 + i2 + s0 - s + delta_tilde + nu_plus < math.inf
+    if finite is not True and not _every(finite):
         raise NumericalDomainError(
-            f"invariants overflow the {type(m).__name__} range at m={float(m)!r}"
+            f"invariants overflow the {np.asarray(m).dtype} range at "
+            f"m={float(_first(m, finite))!r}"
         )
     return SymplecticInvariants(
         i1=i1,
@@ -334,15 +400,14 @@ def log_negativity(cm: CovarianceMatrix) -> float:
     The factor 2 matches the vacuum-variance-1/2 convention used
     throughout the package.
     """
-    nu_minus = symplectic_invariants(cm).nu_minus_pt
-    return float(max(0.0, -np.log(2.0 * nu_minus)))
+    return float(symplectic_invariants(cm).log_negativity)
 
 
 def entanglement_report(cm: CovarianceMatrix) -> EntanglementReport:
     """Bundle E_N, S and the verdict for one covariance matrix."""
     inv = symplectic_invariants(cm)
     return EntanglementReport(
-        log_negativity=float(max(0.0, -np.log(2.0 * inv.nu_minus_pt))),
+        log_negativity=float(inv.log_negativity),
         s=float(inv.s),
         entangled=bool(inv.s < 0.0),
         nu_minus_pt=float(inv.nu_minus_pt),

@@ -8,24 +8,38 @@ omega_j_bar = omega_j/g.  The two-mode state generated from a thermal
 input stays Gaussian at all times, and every second moment has a closed
 form built from
 
-    x = sqrt(1 - y^2),  A = cosh(x tau) + i (y/x) sinh(x tau),
+    x = sqrt((1 - y)(1 + y)),  A = cosh(x tau) + i (y/x) sinh(x tau),
     B = (i/x) sinh(x tau),
 
 with |A|^2 - |B|^2 = 1.  The mode amplitudes grow like sinh(x tau), so a
 mismatch only slows the pair production down (y < 1 regime); the
-oscillatory regime y >= 1 is out of scope.
+oscillatory regime y >= 1 is out of scope.  Written as a product, x is
+exact to rounding for every float y < 1 (where x >= 1.5e-8), so
+sinh(x tau)/x needs no series branch near y = 1.
 
 Every closed form reads one core, ``_pair_state``.  It validates tau and
 T once and returns the four numbers that fix the state: the initial
 occupations nbar1 and nbar2, the pair gain m = sinh^2(x tau)/x^2 and
 K = nbar1 + nbar2 + 1, plus x, sinh(x tau)/x and cosh(x tau) for the
-covariance-matrix entries.  Float inputs are evaluated on Python floats
-with ``math``; when any input is ``np.longdouble`` the same formulas run
-in extended precision with numpy (the invariant-conservation checks use
-this).  ``covariance_matrix`` attaches the pair state to the matrix it
-returns, so ``gaussian_core`` takes E_N and S from (nbar1, nbar2, m, K)
-without cancellation (the pair route); a matrix built from entries
-alone goes through the generic 4x4 route.
+covariance-matrix entries.  The same formulas run on three kinds of
+input (``gaussian_core._working`` picks the kind):
+
+* Python floats, evaluated with ``math``;
+* ``np.longdouble`` scalars, evaluated in extended precision with numpy
+  (the invariant-conservation checks use this);
+* numpy arrays of y, tau and T, evaluated with numpy and broadcast
+  against each other, so a whole (y, T) map is one call.  The mismatch
+  then travels as an argument next to tau and T and is checked point by
+  point against the rule of ``PdcParams``.  A point that fails a check
+  or leaves the float range makes the whole call raise the error the
+  same scalar input would.
+
+``covariance_matrix`` attaches the pair state to the matrix it returns,
+so ``gaussian_core`` takes E_N and S from (nbar1, nbar2, m, K) without
+cancellation (the pair route); a matrix built from entries alone goes
+through the generic 4x4 route.  ``pair_invariants`` gives the pair-route
+invariants of array inputs directly; ``covariance_matrix`` stays a
+scalar 4x4.
 """
 
 from __future__ import annotations
@@ -37,20 +51,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDomainError, ValidationError
-from .gaussian_core import CovarianceMatrix, PairState
+from .gaussian_core import (
+    CovarianceMatrix,
+    PairState,
+    SymplecticInvariants,
+    _every,
+    _first,
+    _pair_invariants,
+    _pointwise,
+    _working,
+)
 
 # CODATA 2018 exact values
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J/K
 
-# below this x = sqrt(1-y^2) the sinh(x tau)/x forms switch to their series
-X_DEGENERATE = 1e-6
-
 # largest argument of exp (and so of sinh, cosh, expm1) per scalar type
 _EXP_MAX = {
     float: math.log(sys.float_info.max),
+    np.float64: math.log(sys.float_info.max),
     np.longdouble: float(np.log(np.finfo(np.longdouble).max)),
 }
+
+
+def _check_mismatch(y):
+    """Refuse any y outside [0, 1); y may be an array, checked point by point."""
+    inside = (0.0 <= y) & (y < 1.0)
+    if not _every(inside):
+        raise ValidationError(
+            f"mismatch y must lie in [0, 1), got {_first(y, inside)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,8 +107,7 @@ class PdcParams:
             raise ValidationError("mode frequencies must be positive")
         if not self.g > 0.0:
             raise ValidationError("coupling rate g must be positive")
-        if not (0.0 <= self.y < 1.0):
-            raise ValidationError(f"mismatch y must lie in [0, 1), got {self.y}")
+        _check_mismatch(self.y)
 
 
 @dataclass(frozen=True)
@@ -110,37 +139,33 @@ class ThermalInit:
             raise ValidationError("zero temperature forces zero occupation")
 
 
-def _working(*values):
-    """(scalar type, math module) of a closed-form evaluation: Python
-    floats with ``math``, or ``np.longdouble`` with numpy when any input is
-    extended precision."""
-    for value in values:
-        if isinstance(value, np.longdouble):
-            return np.longdouble, np
-    return float, math
-
-
 def _bose(omega, temperature, num, lib):
     """1/(exp(beta) - 1) at beta = hbar omega/(k_B T) for a validated T.
 
-    Exactly 0 at T = 0, and also once exp(beta) leaves the range of the
-    scalar type, where the occupation is below its smallest normal value.
+    Exactly 0 at T = 0, and also once exp(beta) reaches the end of the
+    range of the scalar type, where the occupation is below its smallest
+    normal value.  Those cold points divide by k_B T + hbar omega in
+    place of k_B T, which keeps beta below 1, and are then multiplied by
+    False, so no point of an array divides by zero or overflows.
     """
-    if temperature == 0.0:
-        return num(0.0)
-    beta = num(HBAR) * num(omega) / (num(K_B) * num(temperature))
-    if beta > _EXP_MAX[num]:
-        return num(0.0)
-    return 1.0 / lib.expm1(beta)
+    hw = num(HBAR) * omega
+    kt = num(K_B) * temperature
+    # hot points have beta = hw/kt below the exp range, a few ulps to spare
+    scaled = kt * _EXP_MAX[num]
+    limit = hw * (1.0 + 2.0**-50)
+    beta = hw / (kt + hw * (scaled <= limit))
+    return (scaled > limit) * (1.0 / lib.expm1(beta))
 
 
 def _check_temperature(temperature):
-    if not 0.0 <= temperature < math.inf:
+    ok = (0.0 <= temperature) & (temperature < math.inf)
+    if ok is not True and not _every(ok):
         raise ValidationError("temperature must be finite and >= 0")
 
 
 def _check_tau(tau):
-    if not 0.0 <= tau < math.inf:
+    ok = (0.0 <= tau) & (tau < math.inf)
+    if ok is not True and not _every(ok):
         raise ValidationError("tau must be finite and >= 0")
 
 
@@ -154,9 +179,10 @@ def thermal_occupation(omega, temperature):
 
     Returns
     -------
-    1 / (exp(hbar*omega/(k_B*T)) - 1): a Python float, or ``np.longdouble``
-    for extended-precision input.  Exactly 0 once hbar*omega/(k_B*T)
-    exceeds the exponent range of that type.
+    1 / (exp(hbar*omega/(k_B*T)) - 1): a Python float, ``np.longdouble``
+    for extended-precision input, or an array for an array of T.  Exactly
+    0 once hbar*omega/(k_B*T) reaches the end of the exponent range of
+    that type.
     """
     if not omega > 0.0:
         raise ValidationError("omega must be positive")
@@ -182,40 +208,43 @@ def thermal_init(params: PdcParams, temperature) -> ThermalInit:
 
 
 def _stretch(y, tau):
-    """Return (x, sinh(x tau)/x, cosh(x tau)) with the degenerate branch.
-
-    For x < X_DEGENERATE the ratio sinh(x tau)/x is evaluated by its
-    series tau*(1 + z^2/6) with z = x*tau (and cosh by 1 + z^2/2), which
-    avoids the 0/0 at y -> 1 with branch error far below 1e-12.
+    """Return (x, sinh(x tau)/x, cosh(x tau)), x = sqrt((1 - y)(1 + y)).
 
     Raises NumericalDomainError once x*tau leaves the exponent range.
     """
     num, lib = _working(y, tau)
     y = num(y)
     tau = num(tau)
-    x = lib.sqrt(1.0 - y * y)
+    x = lib.sqrt((1.0 - y) * (1.0 + y))
     z = x * tau
-    if z > _EXP_MAX[num]:
+    fits = z <= _EXP_MAX[num]
+    if fits is not True and not _every(fits):
         raise NumericalDomainError(
-            f"x*tau = {float(z)!r} overflows sinh(x*tau) in {num.__name__}"
+            f"x*tau = {float(_first(z, fits))!r} overflows sinh(x*tau) "
+            f"in {num.__name__}"
         )
-    if x < X_DEGENERATE:
-        return x, tau * (1.0 + z * z / 6.0), 1.0 + z * z / 2.0
     return x, lib.sinh(z) / x, lib.cosh(z)
 
 
-def _pair_state(params: PdcParams, tau, temperature) -> PairState:
-    """The scalar core every closed form reads: (nbar1, nbar2, m, K) at
+def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
+    """The core every closed form reads: (nbar1, nbar2, m, K) at
     (tau, T), plus the (x, sinh(x tau)/x, cosh(x tau)) of the entries.
 
-    Validates tau and T once.  m = sinh^2(x tau)/x^2 is the pair gain and
-    K = nbar1 + nbar2 + 1.
+    Validates tau and T once, and y when it is given in place of
+    ``params.y``.  m = sinh^2(x tau)/x^2 is the pair gain and
+    K = nbar1 + nbar2 + 1.  Array inputs broadcast against each other.
     """
     _check_tau(tau)
     _check_temperature(temperature)
-    num, _ = _working(params.y, tau, temperature)
-    nbar1, nbar2 = _occupations(params, num(temperature))
-    x, ratio, ch = _stretch(num(params.y), num(tau))
+    if y is None:
+        y = params.y
+    else:
+        _check_mismatch(y)
+    num, lib = _working(y, tau, temperature)
+    temperature = num(temperature)
+    nbar1 = _bose(params.omega1_bar * params.g, temperature, num, lib)
+    nbar2 = _bose(params.omega2_bar * params.g, temperature, num, lib)
+    x, ratio, ch = _stretch(num(y), num(tau))
     return PairState(
         nbar1=nbar1,
         nbar2=nbar2,
@@ -227,26 +256,44 @@ def _pair_state(params: PdcParams, tau, temperature) -> PairState:
     )
 
 
+@_pointwise
+def pair_invariants(
+    params: PdcParams, tau, temperature, y=None
+) -> SymplecticInvariants:
+    """Pair-route invariants (I1, I2, S0, S, PT spectrum) at (y, tau, T).
+
+    The same numbers ``symplectic_invariants(covariance_matrix(...))``
+    gives for scalars, without building the matrix.  tau, T and y (which
+    replaces ``params.y`` when given) may be numpy arrays; they broadcast
+    against each other and every field of the result has their broadcast
+    shape.  ``.log_negativity`` gives E_N.
+
+    Raises NumericalDomainError if an invariant leaves the float range at
+    any point.
+    """
+    return _pair_invariants(_pair_state(params, tau, temperature, y))
+
+
 def ab_coefficients(y, tau) -> ModeCoefficients:
     """Bogoliubov coefficients A(x tau), B(x tau) of the mode evolution.
 
     A = cosh(x tau) + i (y/x) sinh(x tau), B = (i/x) sinh(x tau); at
     tau = 0 this is the identity (A, B) = (1, 0).
     """
-    if not (0.0 <= y < 1.0):
-        raise ValidationError(f"mismatch y must lie in [0, 1), got {y}")
+    _check_mismatch(y)
     _check_tau(tau)
     _, ratio, ch = _stretch(y, tau)
     return ModeCoefficients(a_coef=ch + 1j * y * ratio, b_coef=1j * ratio)
 
 
 def squeezing_parameter(y, tau):
-    """Effective squeezing r = tau*sqrt(1 - y^2); reduces to r = tau at y=0."""
-    if not (0.0 <= y < 1.0):
-        raise ValidationError(f"mismatch y must lie in [0, 1), got {y}")
+    """Effective squeezing r = x tau, x = sqrt((1 - y)(1 + y)); reduces to
+    r = tau at y = 0."""
+    _check_mismatch(y)
     _check_tau(tau)
     num, lib = _working(y, tau)
-    return num(tau) * lib.sqrt(1.0 - num(y) ** 2)
+    y = num(y)
+    return num(tau) * lib.sqrt((1.0 - y) * (1.0 + y))
 
 
 def mean_photon_numbers(params: PdcParams, tau, temperature):

@@ -1,0 +1,262 @@
+"""Array inputs to the closed forms, and the y -> 1 edge of the core.
+
+The closed-form birth time, the witness and the pair-route invariants take
+numpy arrays of y, tau and T.  They must agree with the scalar API point by
+point, refuse an array when any one of its points would be refused alone,
+and give the figure datasets the bytes a scalar loop gives.  The y -> 1
+points are checked against a test-owned `decimal` reference.
+"""
+
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+
+from pdc_entanglement import (
+    HBAR,
+    K_B,
+    NumericalDomainError,
+    PdcParams,
+    ValidationError,
+    birth_time,
+    covariance_matrix,
+    entanglement_report,
+    log_negativity,
+    pair_invariants,
+    witness,
+)
+from pdc_entanglement.cli import main
+from conftest import G_COUPLING
+
+
+def params_at(y):
+    return PdcParams(omega1_bar=200.0, omega2_bar=400.0, g=G_COUPLING, y=y)
+
+
+# ---------------------------------------------------------------- reference
+
+
+def ref_occupations(params, temperature):
+    """(nbar1, nbar2) in Decimal from the same float omegas as the package."""
+    if temperature == 0.0:
+        return Decimal(0), Decimal(0)
+    out = []
+    for omega_bar in (params.omega1_bar, params.omega2_bar):
+        beta = Decimal(HBAR) * Decimal(omega_bar * params.g) / (
+            Decimal(K_B) * Decimal(temperature)
+        )
+        out.append(1 / (beta.exp() - 1))
+    return tuple(out)
+
+
+def ref_pair_gain(y, tau):
+    """(x, m) with x = sqrt(1 - y^2) of the exact float y, m = sinh^2(x tau)/x^2."""
+    y = Decimal(y)
+    x = (1 - y * y).sqrt()
+    z = x * Decimal(tau)
+    sinh = (z.exp() - (-z).exp()) / 2
+    return x, (sinh / x) ** 2
+
+
+def ref_log_negativity(n1, n2, m):
+    k = n1 + n2 + 1
+    d = k * (1 + 2 * m) + ((n1 - n2) ** 2 + 4 * k * k * m * (m + 1)).sqrt()
+    return max(Decimal(0), (d / ((2 * n1 + 1) * (2 * n2 + 1))).ln())
+
+
+def ref_birth_time(n1, n2, x):
+    s0 = n1 * n2 * (n1 + 1) * (n2 + 1)
+    k = n1 + n2 + 1
+    m_star = ((1 + 4 * s0 / (k * k)).sqrt() - 1) / 2
+    u = x * m_star.sqrt()
+    return (u + (u * u + 1).sqrt()).ln() / x
+
+
+# ---------------------------------------------------------------- y -> 1
+
+
+@pytest.mark.parametrize("temp", [0.0, 300.0])
+@pytest.mark.parametrize(
+    "y, tau", [(1.0 - 5e-15, 1e6), (1.0 - 5e-15, 1e7), (1.0 - 5e-15, 3e7), (1.0 - 1e-10, 1e7)]
+)
+def test_log_negativity_near_unit_mismatch(y, tau, temp):
+    # at y = 1 - 5e-15, x ~ 1e-7 and x*tau runs from 0.1 to 3: the retired
+    # series branch for x < 1e-6 was off by up to 0.58 there.  At
+    # y = 1 - 1e-10, sqrt(1 - y*y) loses the (1 - y)^2 term, which moves m
+    # by 7e-9 relative at tau = 1e7; the product form keeps it
+    params = params_at(y)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        _, m = ref_pair_gain(y, tau)
+        want = ref_log_negativity(*ref_occupations(params, temp), m)
+    for got in (
+        log_negativity(covariance_matrix(params, tau, temp)),
+        float(pair_invariants(params, np.array([tau]), temp).log_negativity[0]),
+    ):
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * max(1, want)
+
+
+def test_birth_time_near_unit_mismatch():
+    # x ~ 4.5e-8 and m* ~ 1e7: the retired sqrt(m*) branch dropped the
+    # x^2 m*/6 term, 7.4e-9 relative
+    y = 1.0 - 1e-15
+    params = params_at(y)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, _ = ref_pair_gain(y, 0.0)
+        want = ref_birth_time(*ref_occupations(params, 1e8), x)
+    for got in (
+        birth_time(params, 1e8).tau_e,
+        float(birth_time(params, np.array([1e8])).tau_e[0]),
+    ):
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * want
+
+
+# ---------------------------------------------------------------- arrays
+
+
+def test_array_matches_scalar_on_random_points(reference_params):
+    rng = np.random.default_rng(20261018)
+    ys = 0.99 * rng.random(300)
+    temps = 600.0 * rng.random(300)
+    taus = 20.0 * rng.random(300)
+    inv = pair_invariants(reference_params, taus, temps, y=ys)
+    e_n = inv.log_negativity
+    tau_e = birth_time(reference_params, temps, y=ys).tau_e
+    wit = witness(reference_params, taus, temps, y=ys)
+    assert e_n.shape == inv.s.shape == tau_e.shape == wit.w.shape == (300,)
+    for i in range(300):
+        params = params_at(float(ys[i]))
+        report = entanglement_report(covariance_matrix(params, taus[i], temps[i]))
+        one = witness(params, taus[i], temps[i])
+        # S and W are differences of terms that can be far larger than
+        # themselves, so they are compared against those terms
+        s_scale = inv.s0[i] + (inv.s0[i] - inv.s[i])
+        w_scale = one.threshold + one.mean_pair_photons
+        assert abs(e_n[i] - report.log_negativity) <= 1e-14 * max(1.0, report.log_negativity)
+        assert abs(inv.s[i] - report.s) <= 1e-14 * s_scale
+        assert abs(tau_e[i] - birth_time(params, temps[i]).tau_e) <= 1e-14 * tau_e[i]
+        assert abs(wit.w[i] - one.w) <= 1e-14 * w_scale
+
+
+def test_arrays_broadcast_over_a_grid(reference_params):
+    ys = np.linspace(0.0, 0.9, 4)[:, None]
+    temps = np.array([[0.0, 50.0, 300.0]])
+    assert pair_invariants(reference_params, 2.881, temps, y=ys).s.shape == (4, 3)
+    assert birth_time(reference_params, temps, y=ys).tau_e.shape == (4, 3)
+    assert witness(reference_params, 2.881, temps, y=ys).w.shape == (4, 3)
+
+
+def csv_text(header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(f"{float(v):.11e}" for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def scalar_figure(name):
+    """A default figure dataset from a loop over the public scalar API."""
+    if name == "fig1":
+        rows = [
+            (t, y, birth_time(params_at(y), float(t)).tau_e)
+            for t in np.linspace(0.0, 400.0, 81)
+            for y in (0.0, 0.5, 0.9)
+        ]
+        return csv_text(["temperature_K", "y", "tau_e"], rows)
+    if name == "fig2":
+        rows = [
+            (y, t, birth_time(params_at(float(y)), t).tau_e)
+            for y in np.linspace(0.0, 0.99, 100)
+            for t in (50.0, 150.0, 300.0)
+        ]
+        return csv_text(["y", "temperature_K", "tau_e"], rows)
+    if name == "fig3":
+        rows = [
+            (y, t, log_negativity(covariance_matrix(params_at(float(y)), 4.543, t)))
+            for y in np.linspace(0.0, 0.99, 100)
+            for t in (0.0, 50.0, 300.0)
+        ]
+        return csv_text(["y", "temperature_K", "log_negativity"], rows)
+    rows = []
+    for t in np.linspace(0.0, 600.0, 121):
+        wits = [witness(params_at(y), 2.881, float(t)) for y in (0.0, 0.5, 0.7)]
+        rows.append([t, wits[0].threshold] + [w.mean_pair_photons for w in wits])
+    header = ["temperature_K", "sqrt_s0", "n_mean_y0", "n_mean_y0.5", "n_mean_y0.7"]
+    return csv_text(header, rows)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig5"])
+def test_default_figures_equal_scalar_loop(name, capsys):
+    assert main([name]) == 0
+    assert capsys.readouterr().out == scalar_figure(name)
+
+
+def test_point_past_float_range_raises(reference_params):
+    # y = 0, T = 0: m(m+1)K^2 overflows from tau ~ 177, x*tau leaves the
+    # exp range at tau ~ 710, and S0 overflows from T ~ 1e77 K
+    with pytest.raises(NumericalDomainError):
+        pair_invariants(reference_params, np.array([1.0, 2.0, 200.0]), 0.0)
+    with pytest.raises(NumericalDomainError):
+        pair_invariants(reference_params, np.array([1.0, 800.0]), 0.0)
+    with pytest.raises(NumericalDomainError):
+        witness(reference_params, np.array([1.0, 800.0]), 0.0)
+    for temps in (1e80, np.array([300.0, 1e80])):
+        with pytest.raises(NumericalDomainError):
+            birth_time(reference_params, temps)
+
+
+@pytest.mark.parametrize(
+    "tau, temps, ys",
+    [
+        (1.0, np.array([1.0, -1.0, 2.0]), 0.5),
+        (1.0, np.array([1.0, np.nan]), 0.5),
+        (1.0, 300.0, np.array([0.2, 1.0])),
+        (np.array([1.0, -0.5]), 300.0, 0.5),
+    ],
+    ids=["negative_T", "nan_T", "unit_y", "negative_tau"],
+)
+def test_one_invalid_point_raises(reference_params, tau, temps, ys):
+    with pytest.raises(ValidationError):
+        pair_invariants(reference_params, tau, temps, y=ys)
+    with pytest.raises(ValidationError):
+        witness(reference_params, tau, temps, y=ys)
+    if np.ndim(tau) == 0:
+        with pytest.raises(ValidationError):
+            birth_time(reference_params, temps, y=ys)
+
+
+def test_mismatch_array_message_matches_params():
+    with pytest.raises(ValidationError, match=r"mismatch y must lie in \[0, 1\), got 1\.0"):
+        params_at(1.0)
+    with pytest.raises(ValidationError, match=r"mismatch y must lie in \[0, 1\), got 1\.0"):
+        birth_time(params_at(0.0), 300.0, y=np.array([0.5, 1.0, 0.2]))
+
+
+def test_bisection_refuses_arrays(reference_params):
+    with pytest.raises(ValidationError):
+        birth_time(reference_params, np.array([50.0, 300.0]), method="bisection")
+
+
+# ---------------------------------------------------------------- pdc-ent map
+
+
+def test_map_command(capsys, tmp_path):
+    out = tmp_path / "map.csv"
+    argv = ["map", "--y-grid", "0:0.9:4", "--temp-grid", "0:300:3", "--tau", "2.881"]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "y,temperature_K,log_negativity,s,tau_e,w"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 4 * 3
+    assert [(r[0], r[1]) for r in rows[:3]] == [(0.0, 0.0), (0.0, 150.0), (0.0, 300.0)]
+    for y, temp, e_n, s, tau_e, w in rows[1::4]:
+        main(["eval", "--y", repr(y), "--tau", "2.881", "--temp-k", repr(temp)])
+        report = dict(line.split("=") for line in capsys.readouterr().out.split())
+        assert float(report["E_N"]) == pytest.approx(e_n, rel=1e-10, abs=1e-12)
+        assert float(report["S"]) == pytest.approx(s, rel=1e-10)
+        assert float(report["W"]) == pytest.approx(w, rel=1e-10)
+        assert birth_time(params_at(y), temp).tau_e == pytest.approx(tau_e, rel=1e-11)
+
+
+def test_map_default_grid(capsys):
+    assert main(["map"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 100 * 121

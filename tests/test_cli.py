@@ -128,6 +128,20 @@ class TestFig4:
         code, _, _ = run_cli(["fig4", "--y-grid", "0:1.0:5"], capsys)
         assert code == 2
 
+    def test_skipped_points_reported_on_stderr(self, capsys):
+        # at tau = 20 the state is still entangled at t_max for both y
+        code, out, err = run_cli(["fig4", "--tau", "20", "--y-grid", "0:0.5:2"], capsys)
+        assert code == 0
+        assert out == "y,t_c_kelvin\n"
+        skipped = err.strip().split("\n")
+        assert len(skipped) == 2
+        assert "skipped y=0:" in skipped[0] and "skipped y=0.5:" in skipped[1]
+
+    def test_default_grid_skips_nothing(self, capsys):
+        code, out, err = run_cli(["fig4"], capsys)
+        assert code == 0 and err == ""
+        assert len(out.strip().split("\n")) == 1 + 19
+
 
 class TestFig5:
     def test_columns_and_zero_temperature_row(self, capsys, tmp_path):

@@ -406,6 +406,14 @@ class TestFockStateHermiticity:
         state = random_density_matrix(15, np.random.default_rng(4))
         assert state.rho.shape == (256, 256)
 
+    def test_rejects_nan_entry(self):
+        # a NaN defect compares False with any bound; such a state used to
+        # pass and give fock_log_negativity = 0.0, a silent "separable"
+        rho = random_density_matrix(1, np.random.default_rng(5)).rho.copy()
+        rho[0, 0] = np.nan
+        with pytest.raises(ValidationError):
+            FockState(rho=rho, n_cut=1, leakage=0.0)
+
 
 def test_sector_blocks_single_coupling_merges_all_labels():
     labels = np.array([0, 0, 1, 1, 2, 2])
