@@ -27,11 +27,9 @@ from .fock_oracle import (
     moments_from_fock,
 )
 from .gaussian_core import (
-    BlockDecomposition,
     CovarianceMatrix,
     EntanglementReport,
     SymplecticInvariants,
-    block_decompose,
     entanglement_report,
     log_negativity,
     physicality_check,
@@ -41,10 +39,8 @@ from .gaussian_core import (
 from .pdc_dynamics import (
     HBAR,
     K_B,
-    ModeCoefficients,
     PdcParams,
     ThermalInit,
-    ab_coefficients,
     covariance_matrix,
     det_gamma_closed_form,
     mean_photon_numbers,
@@ -57,7 +53,6 @@ from .pdc_dynamics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition",
     "BteResult",
     "CovarianceMatrix",
     "EntanglementReport",
@@ -65,7 +60,6 @@ __all__ = [
     "HBAR",
     "IntegrationError",
     "K_B",
-    "ModeCoefficients",
     "MomentTrajectory",
     "NumericalDomainError",
     "PdcParams",
@@ -75,9 +69,7 @@ __all__ = [
     "TruncationError",
     "ValidationError",
     "WitnessValue",
-    "ab_coefficients",
     "birth_time",
-    "block_decompose",
     "covariance_matrix",
     "critical_temperature",
     "det_gamma_closed_form",

@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalDomainError, ValidationError
-from .gaussian_core import _every, _first, _pointwise, _working
+from .errors import ValidationError
+from .gaussian_core import _check_finite, _every, _pointwise, _working
 from .pdc_dynamics import (
     PdcParams,
     _check_mismatch,
@@ -99,7 +99,6 @@ def birth_time(
     params: PdcParams,
     temperature,
     method: str = "closed_form",
-    tau_max: float = 60.0,
     y=None,
 ) -> BteResult:
     """Minimum interaction time before the output state is entangled.
@@ -110,16 +109,16 @@ def birth_time(
     Parameters
     ----------
     method : "closed_form" solves the quadratic in m = sinh^2(x tau)/x^2
-        and inverts it; "bisection" brackets the same condition and
-        bisects to 1e-10 absolute, serving as the independent check.
-    tau_max : cap for the bisection bracket expansion.
+        and inverts it; "bisection" doubles its bracket from tau = 1 until
+        it holds the onset and bisects to 1e-10 absolute, serving as the
+        independent check.
     y : mismatch in place of ``params.y``.  With the closed form, T and y
         may be numpy arrays; tau_e then has their broadcast shape.  It is
         computed in the working precision of the inputs: a Python float
         for float inputs.
 
-    Raises NumericalDomainError where S0 leaves the float range (T above
-    about 1e77 K at the default frequencies).
+    Raises NumericalDomainError where S0 or K^2 leaves the float range (T
+    above about 1e77 K at the default frequencies), by either method.
     """
     if method not in ("closed_form", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
@@ -127,18 +126,15 @@ def birth_time(
     s0 = s0_threshold(pair.nbar1, pair.nbar2)
     k_sq = pair.big_k * pair.big_k
     x = pair.x
+    # their sum, not their product: S0 K^2 overflows long before either
+    _check_finite(s0 + k_sq, "S0 or K^2", "T", temperature)
 
     if method == "closed_form":
         _, lib = _working(s0, x)
-        c = 4.0 * s0 / k_sq
+        # 4 S0/K^2 <= K^2/4, so this stays finite with S0 and K^2
+        c = 4.0 * (s0 / k_sq)
         m_star = c / (2.0 * (1.0 + lib.sqrt(1.0 + c)))  # (-1+sqrt(1+c))/2, stable
         tau_e = lib.asinh(x * lib.sqrt(m_star)) / x
-        finite = tau_e < math.inf
-        if finite is not True and not _every(finite):
-            raise NumericalDomainError(
-                f"S0 overflows at T={float(_first(temperature, finite))!r}: "
-                "no birth time in the float range"
-            )
         return BteResult(tau_e=tau_e, method=method)
 
     if np.ndim(s0) or np.ndim(x):
@@ -152,13 +148,11 @@ def birth_time(
         m = ratio * ratio
         return m * (m + 1.0) * k_sq - s0
 
+    # f grows without bound, so the doubling ends; past the float range
+    # _stretch refuses
     hi = 1.0
     while f(hi) <= 0.0:
         hi *= 2.0
-        if hi > tau_max:
-            raise ValidationError(
-                f"no entanglement onset below tau_max={tau_max}; raise tau_max"
-            )
     return BteResult(
         tau_e=float(_bisect(f, 0.0, hi, abs_tol=BTE_ABS_TOL)), method=method
     )
@@ -223,7 +217,8 @@ def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
     to (but not algebraically at) the critical temperature.  tau, T and
     y (the mismatch, in place of ``params.y``) may be numpy arrays; each
     field then has their broadcast shape.  The fields are Python floats
-    for float inputs, and carry the working precision otherwise.
+    for float inputs, and carry the working precision otherwise.  Raises
+    NumericalDomainError where a field leaves the float range.
     """
     pair = _pair_state(params, tau, temperature, y)
     s0 = s0_threshold(pair.nbar1, pair.nbar2)
@@ -231,4 +226,5 @@ def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
     threshold = lib.sqrt(s0)
     gain = pair.m * pair.big_k
     mean = (pair.nbar1 + gain + pair.nbar2 + gain) / 2.0
+    _check_finite(threshold + mean, "witness", "tau, T", tau, temperature)
     return WitnessValue(w=threshold - mean, mean_pair_photons=mean, threshold=threshold)

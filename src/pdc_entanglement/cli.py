@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -88,11 +89,6 @@ class RunConfig:
     def g(self) -> float:
         """Coupling rate: g = pi*1e-2*nu1 unless overridden."""
         return self.g_hz if self.g_hz is not None else np.pi * 1e-2 * self.nu1_hz
-
-    @property
-    def derived_omega1_bar(self) -> float:
-        """2*pi*nu1/g; equals omega1_bar (= 200) under the default rule."""
-        return 2.0 * np.pi * self.nu1_hz / self.g
 
 
 def build_params(config: RunConfig, y: Optional[float] = None) -> pdc_dynamics.PdcParams:
@@ -243,7 +239,7 @@ def cmd_eval(config: RunConfig) -> int:
     n1, n2 = pdc_dynamics.mean_photon_numbers(params, config.tau, config.temp_k)
     cm = pdc_dynamics.covariance_matrix(params, config.tau, config.temp_k)
     inv = gaussian_core.symplectic_invariants(cm)
-    report = gaussian_core.entanglement_report(cm)
+    entangled = bool(inv.s < 0.0)
     wit = analysis.witness(params, config.tau, config.temp_k)
     det_gamma = pdc_dynamics.det_gamma_closed_form(params, config.tau, config.temp_k)
     pairs = [
@@ -258,13 +254,13 @@ def cmd_eval(config: RunConfig) -> int:
         ("S", float(inv.s)),
         ("det_gamma", float(det_gamma)),
         ("nu_minus_pt", float(inv.nu_minus_pt)),
-        ("E_N", report.log_negativity),
+        ("E_N", float(inv.log_negativity)),
         ("W", wit.w),
     ]
     for key, value in pairs:
         print(f"{key}={value:.12g}")
-    print(f"verdict={'entangled' if report.entangled else 'separable'}")
-    return 0 if report.entangled else 1
+    print(f"verdict={'entangled' if entangled else 'separable'}")
+    return 0 if entangled else 1
 
 
 def cmd_oracle_check(config: RunConfig, skip_fock: bool = False) -> int:
@@ -367,7 +363,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return replace(RunConfig(), **merged)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a whole ``eval``."""
     parser = argparse.ArgumentParser(
         prog="pdc-ent",
         description="Entanglement of mismatched parametric down-conversion "

@@ -49,7 +49,6 @@ import numpy as np
 from .errors import NumericalDomainError, ValidationError
 
 SYMMETRY_TOL = 1e-12
-PHYSICALITY_SLACK = 1e-9
 DOMAIN_TOL = 1e-9
 # largest estimated E_N error the generic route answers with.  On float64
 # entries (y in [0, 0.99], T in [0, 2000] K, tau from 4 until
@@ -87,6 +86,17 @@ def _first(value, ok):
     return value
 
 
+def _check_finite(value, what, names, *points):
+    """Raise NumericalDomainError unless ``value`` is finite at every
+    point; the message gives the ``points`` (called ``names``) of the
+    first failing one.  Positional, since keywords cost more than the
+    check on the scalar path."""
+    ok = abs(value) < math.inf
+    if ok is not True and not _every(ok):
+        at = ", ".join(repr(float(_first(v, ok))) for v in points)
+        raise NumericalDomainError(f"{what} overflows the float range at ({names}) = ({at})")
+
+
 def _pointwise(closed_form):
     """Let ``closed_form`` take numpy arrays.
 
@@ -114,42 +124,34 @@ def _det2(m) -> float:
 
 
 def _det4(sigma) -> float:
-    """Determinant of a 4x4 covariance matrix.
+    """Determinant of a 4x4 covariance matrix with det(alpha) > 0.
 
     Uses the Schur-complement factorization det(sigma) =
     det(alpha) * det(beta - gamma^T alpha^{-1} gamma), which keeps the
     large hyperbolic terms from cancelling catastrophically at strong
-    squeezing (a naive cofactor expansion loses ~16 digits there).  Falls
-    back to cofactor expansion when the upper block is near singular,
-    which cannot happen for a physical state (alpha >= id/2).
+    squeezing (a naive cofactor expansion loses ~16 digits there).  Every
+    covariance matrix has det(alpha) >= 1/4; callers refuse the others
+    before calling.
     """
     al = sigma[:2, :2]
     be = sigma[2:, 2:]
     ga = sigma[:2, 2:]
     det_al = _det2(al)
-    scale = np.max(np.abs(sigma))
-    if np.abs(det_al) > 1e-100 * max(1.0, float(scale)) ** 2:
-        adj = np.array([[al[1, 1], -al[0, 1]], [-al[1, 0], al[0, 0]]])
-        schur = be - (ga.T @ adj @ ga) / det_al
-        return det_al * _det2(schur)
-    return _det4_cofactor(sigma)
+    adj = np.array([[al[1, 1], -al[0, 1]], [-al[1, 0], al[0, 0]]])
+    schur = be - (ga.T @ adj @ ga) / det_al
+    return det_al * _det2(schur)
 
 
-def _det4_cofactor(m) -> float:
-    """Plain first-row cofactor expansion (generic fallback)."""
+def _spectrum_at_least(sigma, i1, t_sq) -> bool:
+    """Whether both symplectic eigenvalues of a positive-definite CM
+    sigma with I1 = det(sigma) are >= t, given t^2.
 
-    def det3(a):
-        return (
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
-
-    total = m[0, 0] * det3(m[1:, [1, 2, 3]])
-    total = total - m[0, 1] * det3(m[1:, [0, 2, 3]])
-    total = total + m[0, 2] * det3(m[1:, [0, 1, 3]])
-    total = total - m[0, 3] * det3(m[1:, [0, 1, 2]])
-    return total
+    nu^2 are the roots of q(z) = z^2 - I2 z + I1, so "both nu >= t" is
+    equivalent to the sign conditions q(t^2) >= 0 and I2 >= 2 t^2: no
+    square root, no clamp, exact for rationals.
+    """
+    i2 = _det2(sigma[:2, :2]) + _det2(sigma[2:, 2:]) + 2 * _det2(sigma[:2, 2:])
+    return t_sq * t_sq - i2 * t_sq + i1 >= 0 and i2 >= 2 * t_sq
 
 
 class PairState(NamedTuple):
@@ -209,15 +211,6 @@ class CovarianceMatrix:
 
 
 @dataclass(frozen=True)
-class BlockDecomposition:
-    """2x2 blocks of a two-mode CM: local CMs alpha/beta, correlations gamma."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True)
 class SymplecticInvariants:
     """Scalar invariants of a two-mode CM and its partial transpose.
 
@@ -253,21 +246,6 @@ class EntanglementReport:
     s: float
     entangled: bool
     nu_minus_pt: float
-
-
-def block_decompose(cm: CovarianceMatrix) -> BlockDecomposition:
-    """Split a CM into its mode-local blocks and the correlation block.
-
-    alpha is rows/cols (1,2), beta rows/cols (3,4), gamma the upper-right
-    2x2 block.  Stacking them back reproduces the source matrix bit for
-    bit.
-    """
-    sigma = cm.entries
-    return BlockDecomposition(
-        alpha=sigma[:2, :2].copy(),
-        beta=sigma[2:, 2:].copy(),
-        gamma=sigma[:2, 2:].copy(),
-    )
 
 
 def _pt_eigenvalue_pair(delta, i1):
@@ -320,12 +298,7 @@ def _pair_invariants(pair: PairState) -> SymplecticInvariants:
     delta_tilde = i2 + 4.0 * correlation
     # every term but -s is >= 0 and s0 - s >= 0, so the sum is finite
     # exactly when every invariant is
-    finite = i1 + i2 + s0 - s + delta_tilde + nu_plus < math.inf
-    if finite is not True and not _every(finite):
-        raise NumericalDomainError(
-            f"invariants overflow the {np.asarray(m).dtype} range at "
-            f"m={float(_first(m, finite))!r}"
-        )
+    _check_finite(i1 + i2 + s0 - s + delta_tilde + nu_plus, "invariants", "m", m)
     return SymplecticInvariants(
         i1=i1,
         i2=i2,
@@ -352,15 +325,18 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     NumericalDomainError
         If delta_tilde^2 < 4*I1 beyond tolerance, which signals an
         unphysical input matrix, if an invariant of the pair route is
-        not finite, or if the generic route's estimated E_N error
-        eps * max|sigma|^2 / sqrt(I1) exceeds GENERIC_EN_TOL (always for
-        I1 <= 0).
+        not finite, if the generic route gets a matrix with
+        det alpha <= 0 (no CM has det alpha < 1/4), or if its estimated
+        E_N error eps * max|sigma|^2 / sqrt(I1) exceeds GENERIC_EN_TOL
+        (always for I1 <= 0).
     """
     if cm.pair is not None:
         return _pair_invariants(cm.pair)
     out = cm.entries.dtype.type
     sigma = cm.entries.astype(np.longdouble)
     det_alpha = _det2(sigma[:2, :2])
+    if not det_alpha > 0.0:
+        raise NumericalDomainError(f"det alpha = {float(det_alpha)!r}: not a CM")
     det_beta = _det2(sigma[2:, 2:])
     det_gamma = _det2(sigma[:2, 2:])
     i1 = _det4(sigma)
@@ -453,10 +429,9 @@ def physicality_check(cm: CovarianceMatrix) -> bool:
     The decision is computed in exact rational arithmetic.  Vacuum-seeded
     states have an exactly degenerate spectrum, where any floating-point
     route through the discriminant square root amplifies rounding noise
-    far past the 1e-9 slack at strong squeezing.  With nu^2 the roots of
-    z^2 - I2 z + I1, "both nu >= t" is equivalent to the sign conditions
-    q(t^2) >= 0 and I2 >= 2 t^2 with q(z) = z^2 - I2 z + I1, which
-    rationals decide exactly.
+    far past the 1e-9 slack at strong squeezing; the sign test of
+    ``_spectrum_at_least`` needs no square root, so rationals decide it
+    exactly.
     """
     rows = [
         [_exact_fraction(cm.entries[i, j]) for j in range(4)] for i in range(4)
@@ -465,11 +440,6 @@ def physicality_check(cm: CovarianceMatrix) -> bool:
     for k in range(1, 5):
         if _exact_det([row[:k] for row in rows[:k]]) <= 0:
             return False
-    det_alpha = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det_beta = rows[2][2] * rows[3][3] - rows[2][3] * rows[3][2]
-    det_gamma = rows[0][2] * rows[1][3] - rows[0][3] * rows[1][2]
-    i2 = det_alpha + det_beta + 2 * det_gamma
-    i1 = _exact_det(rows)
     threshold = Fraction(1, 2) - Fraction(1, 10**9)
-    t_sq = threshold * threshold
-    return t_sq * t_sq - i2 * t_sq + i1 >= 0 and i2 >= 2 * t_sq
+    exact = np.array(rows, dtype=object)
+    return _spectrum_at_least(exact, _exact_det(rows), threshold * threshold)

@@ -55,6 +55,7 @@ from .gaussian_core import (
     CovarianceMatrix,
     PairState,
     SymplecticInvariants,
+    _check_finite,
     _every,
     _first,
     _pair_invariants,
@@ -91,16 +92,12 @@ class PdcParams:
     g : coupling rate in rad/s (sets the absolute frequency scale used
         for thermal occupations, omega_j = omega_j_bar * g)
     y : dimensionless mismatch delta/g, 0 <= y < 1
-    phi : pump phase in rad; a local phase that cannot change any
-        determinant-based quantity, accepted for completeness and not
-        threaded into the covariance matrix
     """
 
     omega1_bar: float
     omega2_bar: float
     g: float
     y: float = 0.0
-    phi: float = 0.0
 
     def __post_init__(self):
         if not (self.omega1_bar > 0.0 and self.omega2_bar > 0.0):
@@ -108,18 +105,6 @@ class PdcParams:
         if not self.g > 0.0:
             raise ValidationError("coupling rate g must be positive")
         _check_mismatch(self.y)
-
-
-@dataclass(frozen=True)
-class ModeCoefficients:
-    """Bogoliubov pair (A, B) of the time-dependent mode transformation.
-
-    Canonical commutation preservation requires |A|^2 - |B|^2 = 1 (to
-    rounding; verify in extended precision at large tau).
-    """
-
-    a_coef: complex
-    b_coef: complex
 
 
 @dataclass(frozen=True)
@@ -274,18 +259,6 @@ def pair_invariants(
     return _pair_invariants(_pair_state(params, tau, temperature, y))
 
 
-def ab_coefficients(y, tau) -> ModeCoefficients:
-    """Bogoliubov coefficients A(x tau), B(x tau) of the mode evolution.
-
-    A = cosh(x tau) + i (y/x) sinh(x tau), B = (i/x) sinh(x tau); at
-    tau = 0 this is the identity (A, B) = (1, 0).
-    """
-    _check_mismatch(y)
-    _check_tau(tau)
-    _, ratio, ch = _stretch(y, tau)
-    return ModeCoefficients(a_coef=ch + 1j * y * ratio, b_coef=1j * ratio)
-
-
 def squeezing_parameter(y, tau):
     """Effective squeezing r = x tau, x = sqrt((1 - y)(1 + y)); reduces to
     r = tau at y = 0."""
@@ -296,15 +269,20 @@ def squeezing_parameter(y, tau):
     return num(tau) * lib.sqrt((1.0 - y) * (1.0 + y))
 
 
+@_pointwise
 def mean_photon_numbers(params: PdcParams, tau, temperature):
     """Mean photon numbers (n1, n2) after interaction time tau.
 
     With m = sinh^2(x tau)/x^2 and K = nbar1 + nbar2 + 1 both modes gain
     the same m*K pairs, so n1 - n2 is conserved (integral of motion).
+    Raises NumericalDomainError where a photon number leaves the float
+    range.
     """
     pair = _pair_state(params, tau, temperature)
     gain = pair.m * pair.big_k
-    return pair.nbar1 + gain, pair.nbar2 + gain
+    n1, n2 = pair.nbar1 + gain, pair.nbar2 + gain
+    _check_finite(n1 + n2, "mean photon number", "tau, T", tau, temperature)
+    return n1, n2
 
 
 def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
@@ -321,8 +299,7 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
         sigma_24 = -sigma_13
 
     The sign of sigma_24 follows from the dimensionless quadrature
-    convention; it flips nothing that a determinant can see.  The pump
-    phase phi is a local rotation and is not threaded through.  The
+    convention; it flips nothing that a determinant can see.  The
     returned matrix carries the pair state, so its invariants take the
     pair route.
     """
@@ -342,10 +319,7 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     s14 = big_k * ratio * (cs * ch + sn * y * ratio)
     d1 = pair.nbar1 + gain + 0.5
     d2 = pair.nbar2 + gain + 0.5
-    if not abs(s13) + abs(s14) + d1 + d2 < math.inf:
-        raise NumericalDomainError(
-            f"covariance matrix entries overflow {num.__name__} at tau={float(tau)!r}"
-        )
+    _check_finite(abs(s13) + abs(s14) + d1 + d2, "covariance matrix", "tau", tau)
     sigma = np.array(
         [
             [d1, 0.0, s13, s14],
@@ -358,12 +332,16 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     return CovarianceMatrix(sigma, pair=pair)
 
 
+@_pointwise
 def det_gamma_closed_form(params: PdcParams, tau, temperature):
     """det of the correlation block without building the matrix.
 
     Equals -m(m+1)K^2 with m = sinh^2(x tau)/x^2; always <= 0 and
-    strictly decreasing in tau for tau > 0.
+    strictly decreasing in tau for tau > 0.  Raises NumericalDomainError
+    where it leaves the float range.
     """
     pair = _pair_state(params, tau, temperature)
     m, big_k = pair.m, pair.big_k
-    return -m * (m + 1.0) * big_k * big_k
+    det_gamma = -m * (m + 1.0) * big_k * big_k
+    _check_finite(det_gamma, "det gamma", "tau, T", tau, temperature)
+    return det_gamma

@@ -11,10 +11,8 @@ G_COUPLING = np.pi * 1e-2 * NU1_HZ
 
 @pytest.fixture
 def make_params():
-    def _make(y=0.0, omega1_bar=200.0, omega2_bar=400.0, g=G_COUPLING, phi=0.0):
-        return PdcParams(
-            omega1_bar=omega1_bar, omega2_bar=omega2_bar, g=g, y=y, phi=phi
-        )
+    def _make(y=0.0, omega1_bar=200.0, omega2_bar=400.0, g=G_COUPLING):
+        return PdcParams(omega1_bar=omega1_bar, omega2_bar=omega2_bar, g=g, y=y)
 
     return _make
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdc_entanglement import (
+    NumericalDomainError,
     ValidationError,
     birth_time,
     covariance_matrix,
@@ -215,3 +216,33 @@ class TestNonFiniteInput:
     def test_critical_temperature_non_finite(self, reference_params, tau_i, t_max):
         with pytest.raises(ValidationError):
             critical_temperature(reference_params, tau_i, t_max=t_max)
+
+
+class TestFloatRange:
+    """Past the float range every route refuses; up to it the two birth-time
+    routes agree, however late the onset."""
+
+    @pytest.mark.parametrize("method", ["closed_form", "bisection"])
+    def test_birth_time_refused_where_s0_overflows(self, reference_params, method):
+        # S0 = K^2 = inf at 1e160 K; the bisection used to bisect a NaN
+        # condition and return tau_E = 0.99999999997
+        with pytest.raises(NumericalDomainError):
+            birth_time(reference_params, 1e160, method=method)
+
+    @pytest.mark.parametrize(
+        "y, temp", [(0.0, 1e70), (0.0, 1e76), (1.0 - 1e-15, 1e5)]
+    )
+    def test_routes_agree_at_late_onsets(self, make_params, y, temp):
+        # tau_E = 80.5, 87.4 and 149.2, past the old bisection cap of 60;
+        # at 1e70 K S0 K^2 overflows while S0 and K^2 do not
+        params = make_params(y=y)
+        closed = birth_time(params, temp).tau_e
+        bisected = birth_time(params, temp, method="bisection").tau_e
+        assert closed > 60.0
+        assert abs(closed - bisected) <= 1e-9
+
+    def test_witness_refused_where_s0_overflows(self, reference_params):
+        # sqrt(S0) = inf used to give w = inf
+        for temps in (1e80, np.array([300.0, 1e80])):
+            with pytest.raises(NumericalDomainError):
+                witness(reference_params, 1.0, temps)

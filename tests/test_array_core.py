@@ -20,8 +20,10 @@ from pdc_entanglement import (
     ValidationError,
     birth_time,
     covariance_matrix,
+    det_gamma_closed_form,
     entanglement_report,
     log_negativity,
+    mean_photon_numbers,
     pair_invariants,
     witness,
 )
@@ -202,6 +204,20 @@ def test_point_past_float_range_raises(reference_params):
     for temps in (1e80, np.array([300.0, 1e80])):
         with pytest.raises(NumericalDomainError):
             birth_time(reference_params, temps)
+
+
+@pytest.mark.parametrize(
+    "closed_form, tau",
+    [(witness, 400.0), (mean_photon_numbers, 400.0), (det_gamma_closed_form, 200.0)],
+    ids=["witness", "mean_photon_numbers", "det_gamma_closed_form"],
+)
+def test_overflowing_result_raises(reference_params, closed_form, tau):
+    # x*tau is inside the exp range, but m = sinh^2(tau) (witness, photon numbers)
+    # or m^2 (det gamma) is not; these used to return inf, and an array
+    # used to warn as well
+    for taus in (tau, np.array([1.0, tau])):
+        with pytest.raises(NumericalDomainError, match="float range"):
+            closed_form(reference_params, taus, 0.0)
 
 
 @pytest.mark.parametrize(

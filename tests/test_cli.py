@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import pdc_entanglement
 from pdc_entanglement import (
     IntegrationError,
     NumericalDomainError,
@@ -11,7 +13,7 @@ from pdc_entanglement import (
     fock_oracle,
     gaussian_core,
 )
-from pdc_entanglement.cli import RunConfig, main
+from pdc_entanglement.cli import RunConfig, _build_parser, main
 
 
 def run_cli(args, capsys):
@@ -28,8 +30,32 @@ def parse_csv(text):
 
 
 def test_default_config_consistency():
+    # omega1_bar = 2 pi nu1/g under the default coupling rule
     cfg = RunConfig()
-    assert cfg.derived_omega1_bar == pytest.approx(cfg.omega1_bar, rel=1e-9)
+    assert 2.0 * np.pi * cfg.nu1_hz / cfg.g == pytest.approx(cfg.omega1_bar, rel=1e-9)
+
+
+def test_parser_reused_across_calls(capsys):
+    # one process: the parser is built once, and each command prints the
+    # bytes it prints as a process of its own
+    sequence = [
+        ["eval", "--y", "0.5", "--tau", "2.881", "--temp-k", "300"],
+        ["fig1", "--temp-grid", "0:300:4"],
+        ["eval", "--y", "0.9", "--tau", "20", "--temp-k", "50"],
+    ]
+    _build_parser.cache_clear()
+    together = [run_cli(argv, capsys)[:2] for argv in sequence]
+    assert _build_parser.cache_info().misses == 1
+    src = os.path.dirname(os.path.dirname(pdc_entanglement.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv, (code, out) in zip(sequence, together):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdc_entanglement.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)
 
 
 class TestFig1:

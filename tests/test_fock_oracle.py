@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pdc_entanglement import (
     thermal_init,
 )
 from pdc_entanglement.fock_oracle import (
+    _above_ode_floor,
     _matrix_power,
     _mode_rotation,
     _rk4_step_matrix,
@@ -414,6 +417,15 @@ class TestFockStateHermiticity:
         with pytest.raises(ValidationError):
             FockState(rho=rho, n_cut=1, leakage=0.0)
 
+    def test_rejects_infinite_entry(self):
+        # inf - inf in the defect used to warn before the state was refused
+        rho = random_density_matrix(1, np.random.default_rng(5)).rho.copy()
+        rho[0, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                FockState(rho=rho, n_cut=1, leakage=0.0)
+
 
 def test_sector_blocks_single_coupling_merges_all_labels():
     labels = np.array([0, 0, 1, 1, 2, 2])
@@ -424,3 +436,18 @@ def test_sector_blocks_single_coupling_merges_all_labels():
     blocks = _sector_blocks(matrix, labels)
     assert len(blocks) == 1
     assert list(blocks[0]) == list(range(6))
+
+
+def test_ode_gate_matches_symplectic_spectrum():
+    # the gate's sign test against a direct reference: the symplectic
+    # eigenvalues of sigma are the moduli of the eigenvalues of i Omega sigma
+    omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    rng = np.random.default_rng(11)
+    passed = 0
+    for _ in range(2000):
+        m = rng.normal(size=(4, 4)) * rng.uniform(0.2, 1.2)
+        sigma = m @ m.T + rng.uniform(0.01, 0.3) * np.eye(4)
+        nu_min = np.abs(np.linalg.eigvals(1j * omega @ sigma)).min()
+        assert _above_ode_floor(sigma.astype(np.longdouble)) == (nu_min >= 0.45)
+        passed += nu_min >= 0.45
+    assert 200 < passed < 1800  # both verdicts are exercised

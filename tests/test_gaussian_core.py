@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from pdc_entanglement import (
     CovarianceMatrix,
     NumericalDomainError,
     ValidationError,
-    block_decompose,
     covariance_matrix,
     entanglement_report,
     log_negativity,
@@ -73,34 +74,6 @@ class TestCovarianceMatrix:
         assert cm.entries.dtype == np.longdouble
 
 
-class TestBlockDecompose:
-    def test_vacuum(self):
-        blocks = block_decompose(CovarianceMatrix.vacuum())
-        assert np.array_equal(blocks.alpha, 0.5 * np.eye(2))
-        assert np.array_equal(blocks.beta, 0.5 * np.eye(2))
-        assert np.array_equal(blocks.gamma, np.zeros((2, 2)))
-
-    def test_product_state_has_zero_gamma(self):
-        blocks = block_decompose(thermal_product_cm(0.7, 2.3))
-        assert np.array_equal(blocks.gamma, np.zeros((2, 2)))
-
-    def test_reassembly_bit_exact(self, make_params):
-        cm = covariance_matrix(make_params(y=0.4), 1.3, 77.0)
-        blocks = block_decompose(cm)
-        rebuilt = np.block(
-            [[blocks.alpha, blocks.gamma], [blocks.gamma.T, blocks.beta]]
-        )
-        assert np.array_equal(rebuilt, cm.entries)
-
-    def test_pdc_gamma_determinant(self, reference_params):
-        # oracle: |det gamma| = sinh^2 cosh^2 at y=0, tau=1, T=0
-        blocks = block_decompose(covariance_matrix(reference_params, 1.0, 0.0))
-        det = np.linalg.det(blocks.gamma)
-        expected = -np.sinh(1.0) ** 2 * np.cosh(1.0) ** 2
-        assert det == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(-3.28853, abs=1e-5)
-
-
 class TestSymplecticInvariants:
     def test_vacuum_boundary_exact(self):
         inv = symplectic_invariants(CovarianceMatrix.vacuum())
@@ -132,7 +105,7 @@ class TestSymplecticInvariants:
     def test_s_definition_matches_stated_combination(self, make_params):
         cm = covariance_matrix(make_params(y=0.3), 1.7, 120.0)
         inv = symplectic_invariants(cm)
-        det_gamma = np.linalg.det(block_decompose(cm).gamma)
+        det_gamma = np.linalg.det(cm.entries[:2, 2:])
         assert inv.s == pytest.approx(
             inv.s0 + (det_gamma - abs(det_gamma)) / 2.0, rel=1e-12
         )
@@ -313,3 +286,19 @@ class TestGenericRouteGuard:
         # det(sigma) <= 0 is no physical state; the route no longer returns NaN
         with pytest.raises(NumericalDomainError):
             symplectic_invariants(CovarianceMatrix(np.diag([1.0, -0.5, 0.5, 0.5])))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]]),
+            np.block([[np.ones((2, 2)), np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]),
+        ],
+        ids=["mode_swap", "singular_alpha"],
+    )
+    def test_refuses_non_positive_det_alpha_up_front(self, entries):
+        # no CM has det alpha < 1/4; the Schur determinant would divide by
+        # det alpha = 0, so these are refused before it, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError, match="det alpha"):
+                symplectic_invariants(CovarianceMatrix(entries))

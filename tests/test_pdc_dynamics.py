@@ -9,8 +9,6 @@ from pdc_entanglement import (
     PdcParams,
     ThermalInit,
     ValidationError,
-    ab_coefficients,
-    block_decompose,
     covariance_matrix,
     det_gamma_closed_form,
     log_negativity,
@@ -21,6 +19,7 @@ from pdc_entanglement import (
     thermal_init,
     thermal_occupation,
 )
+from pdc_entanglement.pdc_dynamics import _stretch
 from conftest import G_COUPLING
 
 
@@ -77,50 +76,50 @@ class TestThermalOccupation:
         assert init.nbar1 >= init.nbar2  # omega1 < omega2
 
 
-class TestAbCoefficients:
+class TestStretch:
+    """_stretch gives (x, sinh(x tau)/x, cosh(x tau)); the Bogoliubov pair
+    of the mode evolution is A = ch + i y ratio, B = i ratio."""
+
     def test_identity_at_tau_zero(self):
+        # (A, B) = (1, 0)
         for y in (0.0, 0.5, 0.999):
-            coef = ab_coefficients(y, 0.0)
-            assert coef.a_coef == 1.0 + 0.0j
-            assert coef.b_coef == 0.0 + 0.0j
+            _, ratio, ch = _stretch(y, 0.0)
+            assert ratio == 0.0
+            assert ch == 1.0
 
     def test_matched_case(self):
-        coef = ab_coefficients(0.0, 1.0)
-        assert coef.a_coef == pytest.approx(np.cosh(1.0), rel=1e-14)
-        assert coef.b_coef == pytest.approx(1j * np.sinh(1.0), rel=1e-14)
+        x, ratio, ch = _stretch(0.0, 1.0)
+        assert x == 1.0
+        assert ratio == pytest.approx(np.sinh(1.0), rel=1e-14)
+        assert ch == pytest.approx(np.cosh(1.0), rel=1e-14)
 
-    def test_degenerate_series_branch(self):
-        # x = sqrt(2e-14) ~ 1.4e-7 < 1e-6 forces the series limit
-        coef = ab_coefficients(1.0 - 1e-14, 2.0)
-        assert coef.a_coef == pytest.approx(1.0 + 2.0j, abs=1e-7)
-        assert coef.b_coef == pytest.approx(2.0j, abs=1e-7)
+    def test_near_unit_mismatch_limit(self):
+        # x = sqrt(2e-14) ~ 1.4e-7: ratio -> tau and ch -> 1, so
+        # A -> 1 + 2i and B -> 2i at tau = 2
+        _, ratio, ch = _stretch(1.0 - 1e-14, 2.0)
+        assert ratio == pytest.approx(2.0, abs=1e-7)
+        assert ch == pytest.approx(1.0, abs=1e-7)
 
     def test_branch_continuity(self):
-        # y values straddling the x = 1e-6 switch differ by ~1e-19, so any
-        # visible jump is a branch artifact
+        # y values straddling x = 1e-6 differ by ~1e-19, so any visible
+        # jump would be an artifact of the evaluation
         x_lo, x_hi = 1e-6 * (1 - 1e-7), 1e-6 * (1 + 1e-7)
         y_lo = np.sqrt(1.0 - x_lo * x_lo)
         y_hi = np.sqrt(1.0 - x_hi * x_hi)
         for tau in (0.5, 3.0, 10.0):
-            lo = ab_coefficients(y_lo, tau)
-            hi = ab_coefficients(y_hi, tau)
-            assert abs(lo.a_coef - hi.a_coef) < 1e-9
-            assert abs(lo.b_coef - hi.b_coef) < 1e-9
+            _, ratio_lo, ch_lo = _stretch(y_lo, tau)
+            _, ratio_hi, ch_hi = _stretch(y_hi, tau)
+            assert abs(ratio_lo - ratio_hi) < 1e-9
+            assert abs(ch_lo - ch_hi) < 1e-9
 
     def test_canonical_invariant_on_grid(self):
-        # |A|^2 - |B|^2 = 1; extended precision, since at tau = 10 the
-        # difference of ~1e8 hyperbolics is below float64 resolution
+        # |A|^2 - |B|^2 = ch^2 - x^2 ratio^2 = 1; extended precision, since
+        # at tau = 10 the difference of ~1e8 hyperbolics is below float64
+        # resolution
         for y in np.linspace(0.0, 0.99, 12):
             for tau in np.linspace(0.0, 10.0, 11):
-                coef = ab_coefficients(np.longdouble(y), np.longdouble(tau))
-                mod = np.abs(coef.a_coef) ** 2 - np.abs(coef.b_coef) ** 2
-                assert abs(float(mod) - 1.0) < 1e-10
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValidationError):
-            ab_coefficients(1.0, 1.0)
-        with pytest.raises(ValidationError):
-            ab_coefficients(0.5, -0.1)
+                x, ratio, ch = _stretch(np.longdouble(y), np.longdouble(tau))
+                assert abs(float(ch * ch - (x * ratio) ** 2) - 1.0) < 1e-10
 
 
 class TestSqueezingParameter:
@@ -157,13 +156,16 @@ class TestMeanPhotonNumbers:
                     assert abs(float(n1 - n2) - (init.nbar1 - init.nbar2)) < 1e-9
 
     def test_agreement_with_bogoliubov_route(self, make_params):
-        # n1 = |A|^2 nbar1 + |B|^2 (nbar2 + 1) must match the m*K form
+        # n1 = |A|^2 nbar1 + |B|^2 (nbar2 + 1) must match the m*K form,
+        # with A = cosh(x tau) + i (y/x) sinh(x tau), B = (i/x) sinh(x tau)
         params = make_params(y=0.4)
         init = thermal_init(params, 80.0)
+        y = np.longdouble(params.y)
+        x = np.sqrt(1 - y * y)
         for tau in (0.5, 2.0):
-            coef = ab_coefficients(np.longdouble(params.y), np.longdouble(tau))
-            a2 = float(np.abs(coef.a_coef) ** 2)
-            b2 = float(np.abs(coef.b_coef) ** 2)
+            sh, ch = np.sinh(x * tau), np.cosh(x * tau)
+            a2 = float(ch**2 + (y * sh / x) ** 2)
+            b2 = float((sh / x) ** 2)
             n1_alt = a2 * init.nbar1 + b2 * (init.nbar2 + 1.0)
             n2_alt = b2 * (init.nbar1 + 1.0) + a2 * init.nbar2
             n1, n2 = mean_photon_numbers(params, tau, 80.0)
@@ -190,16 +192,14 @@ class TestCovarianceMatrix:
     def test_det_gamma_independent_of_local_phase(self, make_params):
         # |det gamma| = |A|^2 |B|^2 K^2 regardless of theta
         cm = covariance_matrix(make_params(y=0.0), 1.0, 0.0)
-        det = np.linalg.det(block_decompose(cm).gamma)
+        det = np.linalg.det(cm.entries[:2, 2:])
         assert det == pytest.approx(-np.sinh(1.0) ** 2 * np.cosh(1.0) ** 2, rel=1e-12)
 
     def test_closed_form_det_gamma_matches_block(self, make_params):
         params = make_params(y=0.5)
         for tau, temp in [(2.0, 50.0), (0.7, 300.0), (4.0, 0.0)]:
             closed = det_gamma_closed_form(params, tau, temp)
-            block = np.linalg.det(
-                block_decompose(covariance_matrix(params, tau, temp)).gamma
-            )
+            block = np.linalg.det(covariance_matrix(params, tau, temp).entries[:2, 2:])
             assert block == pytest.approx(closed, rel=1e-10)
 
     def test_det_gamma_nonpositive_and_increasing(self, make_params):
@@ -231,12 +231,6 @@ class TestCovarianceMatrix:
             for a, b in zip(ref, other):
                 assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
 
-    def test_pump_phase_does_not_change_output(self, make_params):
-        base = covariance_matrix(make_params(y=0.2), 1.5, 40.0)
-        shifted = covariance_matrix(make_params(y=0.2, phi=1.3), 1.5, 40.0)
-        assert np.array_equal(base.entries, shifted.entries)
-        assert log_negativity(base) == log_negativity(shifted)
-
     def test_degenerate_branch_continuity(self):
         x_lo, x_hi = 1e-6 * (1 - 1e-7), 1e-6 * (1 + 1e-7)
         params_lo = PdcParams(
@@ -263,8 +257,6 @@ def test_closed_forms_reject_non_finite_tau(reference_params, tau):
             closed_form(reference_params, tau, 10.0)
     with pytest.raises(ValidationError):
         squeezing_parameter(0.5, tau)
-    with pytest.raises(ValidationError):
-        ab_coefficients(0.5, tau)
 
 
 class TestOccupationUnderflow:
