@@ -34,6 +34,7 @@ from .gaussian_core import _check_finite, _every, _pointwise, _working
 from .pdc_dynamics import (
     PdcParams,
     _check_mismatch,
+    _check_nonnegative,
     _occupations,
     _pair_state,
     _stretch,
@@ -113,9 +114,8 @@ def birth_time(
         it holds the onset and bisects to 1e-10 absolute, serving as the
         independent check.
     y : mismatch in place of ``params.y``.  With the closed form, T and y
-        may be numpy arrays; tau_e then has their broadcast shape.  It is
-        computed in the working precision of the inputs: a Python float
-        for float inputs.
+        may be numpy arrays; tau_e then has their broadcast shape, and is
+        a Python float for scalar inputs.
 
     Raises NumericalDomainError where S0 or K^2 leaves the float range (T
     above about 1e77 K at the default frequencies), by either method.
@@ -168,8 +168,8 @@ def critical_temperature(
     (tau_i = 0) or it is still entangled at t_max.  S is checked by sign
     at both bracket ends rather than assumed monotone.
     """
-    if not 0.0 <= tau_i < math.inf:
-        raise ValidationError("tau_i must be finite and >= 0")
+    tau_i, t_max = float(tau_i), float(t_max)
+    _check_nonnegative(tau_i, "tau_i")
     if not 0.0 < t_max < math.inf:
         raise ValidationError("t_max must be finite and positive")
     if tau_i == 0.0:
@@ -217,7 +217,7 @@ def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
     to (but not algebraically at) the critical temperature.  tau, T and
     y (the mismatch, in place of ``params.y``) may be numpy arrays; each
     field then has their broadcast shape.  The fields are Python floats
-    for float inputs, and carry the working precision otherwise.  Raises
+    for scalar inputs, and float64 arrays otherwise.  Raises
     NumericalDomainError where a field leaves the float range.
     """
     pair = _pair_state(params, tau, temperature, y)

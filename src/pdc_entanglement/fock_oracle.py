@@ -58,6 +58,8 @@ from .pdc_dynamics import PdcParams, thermal_init
 MAX_MOMENT_STEP = 1e-3
 LEAKAGE_LIMIT = 1e-4
 MAX_ORACLE_OCCUPATION = 2.0
+# 63 for the x86 80-bit long double, 52 where it is a plain double
+_LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,9 @@ def _above_ode_floor(sigma) -> bool:
     )
 
 
-def _mode_rotation(angle1, angle2, dtype=np.float64) -> np.ndarray:
+def _mode_rotation(angle1, angle2) -> np.ndarray:
     """Block-diagonal phase-space rotation, one angle per mode."""
-    rot = np.zeros((4, 4), dtype=dtype)
+    rot = np.zeros((4, 4))
     for k, ang in enumerate((angle1, angle2)):
         c, s = np.cos(ang), np.sin(ang)
         rot[2 * k, 2 * k] = c
@@ -205,20 +207,24 @@ def evolve_moments_ode(
     Raises
     ------
     IntegrationError
-        If any sampled matrix fails the physicality check, the signature
-        of an unstable step.
+        If long double has fewer than 63 mantissa bits, or if a sampled
+        matrix fails the physicality check (the sign of an unstable step).
 
     Notes
     -----
     Internals run in extended precision: the propagator norm grows like
     exp(2 x tau) and double-precision rounding amplified by that growth
     would show up above the 1e-8 absolute agreement this oracle is held
-    to at high temperature.
+    to at high temperature (8.2e-8 on the ``oracle-check`` grid).
     """
     if not 0.0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
     if not 0.0 < step <= MAX_MOMENT_STEP:
         raise ValidationError(f"step must lie in (0, {MAX_MOMENT_STEP}]")
+    if _LONGDOUBLE_NMANT < 63:
+        raise IntegrationError(
+            f"the moment ODE needs 63 mantissa bits of long double, not {_LONGDOUBLE_NMANT}"
+        )
     ld = np.longdouble
     init = thermal_init(params, temperature)
     diag0 = np.array(

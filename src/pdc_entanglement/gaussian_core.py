@@ -18,18 +18,17 @@ The invariants have two routes:
   thermally seeded two-mode squeezed state, fixed by its initial
   occupations nbar1, nbar2, the pair gain m and K = nbar1 + nbar2 + 1,
   and every invariant has a closed form with no subtraction of large
-  terms.  It runs in the precision of the pair state and is exact until
-  the invariants leave the float range, where it raises
-  NumericalDomainError.  A pair state whose fields are numpy arrays
-  gives arrays of invariants, one per point of their broadcast, and
-  raises if any point leaves the float range;
+  terms.  It is exact until the invariants leave the float range, where
+  it raises NumericalDomainError.  A pair state whose fields are numpy
+  arrays gives arrays of invariants, one per point of their broadcast,
+  and raises if any point leaves the float range;
 * the generic route, for any other matrix.  It computes determinants of
-  the 4x4 entries in extended precision; at strong squeezing the
-  combinations cancel, so it loses digits once sinh(x tau) is large.
-  The rounding of the entries themselves (relative eps of their dtype)
-  then reaches E_N as an error of about eps * max|sigma|^2 / sqrt(I1);
-  once that estimate passes GENERIC_EN_TOL the route raises
-  NumericalDomainError instead of returning a verdict.
+  the 4x4 entries in float64; at strong squeezing the combinations
+  cancel, so it loses digits once sinh(x tau) is large.  The rounding of
+  the entries themselves (relative eps of float64) then reaches E_N as an
+  error of about eps * max|sigma|^2 / sqrt(I1); once that estimate passes
+  GENERIC_EN_TOL the route raises NumericalDomainError instead of
+  returning a verdict.
 
 Every function is pure and the value types are frozen; instances can be
 shared freely across threads.
@@ -50,24 +49,27 @@ from .errors import NumericalDomainError, ValidationError
 
 SYMMETRY_TOL = 1e-12
 DOMAIN_TOL = 1e-9
-# largest estimated E_N error the generic route answers with.  On float64
-# entries (y in [0, 0.99], T in [0, 2000] K, tau from 4 until
-# covariance_matrix overflows) every E_N it then gave was within 2e-9 of
-# the pair route
+# largest estimated E_N error the generic route answers with.  On a grid of
+# 12 y in [0, 0.99], 7 T in [0, 2000] K and tau from 4 in steps of 0.05
+# until covariance_matrix overflows, every E_N it then gave was within
+# 3.2e-9 of the pair route
 GENERIC_EN_TOL = 1e-9
 
 
-def _working(*values):
-    """(scalar type, math module) of a closed-form evaluation.
-
-    Python floats with ``math``.  numpy when any input is an array, in
-    float64 or in the wider dtype of the inputs, or when any input is an
-    ``np.longdouble`` scalar.
-    """
+def _has_array(values):
+    """Whether any value is a numpy array, which sends a closed form to numpy."""
     for value in values:
-        if type(value) is not float and isinstance(value, (np.ndarray, np.longdouble)):
-            return np.result_type(float, *values).type, np
-    return float, math
+        if type(value) is not float and isinstance(value, np.ndarray):
+            return True
+    return False
+
+
+def _working(*values):
+    """(conversion, math module) of a closed-form evaluation:
+    ``np.float64`` with numpy when any input is an array, else ``float``
+    with ``math``.  Callers convert their inputs before they check them,
+    so a numpy scalar of any width enters as a Python float."""
+    return (np.float64, np) if _has_array(values) else (float, math)
 
 
 def _every(ok):
@@ -109,10 +111,9 @@ def _pointwise(closed_form):
 
     @functools.wraps(closed_form)
     def call(*args, **kwargs):
-        for value in (*args, *kwargs.values()):
-            if isinstance(value, np.ndarray):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return closed_form(*args, **kwargs)
+        if _has_array(args) or kwargs and _has_array(kwargs.values()):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return closed_form(*args, **kwargs)
         return closed_form(*args, **kwargs)
 
     return call
@@ -180,8 +181,8 @@ class CovarianceMatrix:
     The entries array is copied and frozen at construction.  Symmetry is
     enforced within ``SYMMETRY_TOL`` (scaled by the matrix magnitude);
     physicality is *not* enforced here, use :func:`physicality_check`.
-    The dtype of the input is preserved, so extended-precision pipelines
-    (``np.longdouble``) pass through untouched.
+    The entries are stored as float64; an entry past the float64 range is
+    refused like any other entry that is not finite.
 
     ``pair`` is set by ``pdc_dynamics.covariance_matrix`` to the pair
     state the entries were built from; the invariants then take the pair
@@ -192,7 +193,7 @@ class CovarianceMatrix:
     pair: Optional[PairState] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.entries, copy=True)
+        arr = np.asarray(self.entries)
         if arr.shape != (4, 4):
             raise ValidationError(f"covariance matrix must be 4x4, got {arr.shape}")
         # one pass finds both: the max is NaN if any entry is, and float()
@@ -200,6 +201,7 @@ class CovarianceMatrix:
         scale = float(np.abs(arr).max())
         if not scale < math.inf:
             raise ValidationError("covariance matrix entries must be finite")
+        arr = arr.astype(np.float64)
         if float(np.abs(arr - arr.T).max()) > SYMMETRY_TOL * max(1.0, scale):
             raise ValidationError("covariance matrix is not symmetric within 1e-12")
         arr.setflags(write=False)
@@ -313,12 +315,10 @@ def _pair_invariants(pair: PairState) -> SymplecticInvariants:
 def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     """Compute the invariant set (I1, I2, S0, S, PT symplectic spectrum).
 
-    A matrix that carries its pair state takes the pair route, in the
-    precision of the pair state.  Any other matrix takes the generic
-    route: arithmetic runs in extended precision and the results are cast
-    back to the entry dtype, because the determinant combinations cancel
-    digits at strong squeezing (there even extended precision misses
-    E_N = 2 tau by more than 1e-9 from tau ~ 6.5 on).
+    A matrix that carries its pair state takes the pair route.  Any other
+    matrix takes the generic route in float64, whose determinant
+    combinations cancel digits at strong squeezing; it refuses the
+    matrices where that can move E_N by more than GENERIC_EN_TOL.
 
     Raises
     ------
@@ -326,23 +326,26 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
         If delta_tilde^2 < 4*I1 beyond tolerance, which signals an
         unphysical input matrix, if an invariant of the pair route is
         not finite, if the generic route gets a matrix with
-        det alpha <= 0 (no CM has det alpha < 1/4), or if its estimated
-        E_N error eps * max|sigma|^2 / sqrt(I1) exceeds GENERIC_EN_TOL
-        (always for I1 <= 0).
+        det alpha <= 0 (no CM has det alpha < 1/4) or with entries whose
+        determinants overflow float64, or if its estimated E_N error
+        eps * max|sigma|^2 / sqrt(I1) exceeds GENERIC_EN_TOL (always for
+        I1 <= 0).
     """
     if cm.pair is not None:
         return _pair_invariants(cm.pair)
-    out = cm.entries.dtype.type
-    sigma = cm.entries.astype(np.longdouble)
+    sigma = cm.entries
+    scale = np.max(np.abs(sigma))
+    # a positive-definite sigma keeps every intermediate below 64 max|sigma|^4 <= 2^1018
+    if not scale <= 2.0**253:
+        raise NumericalDomainError(f"max|sigma| = {scale:.3e} overflows the generic route")
     det_alpha = _det2(sigma[:2, :2])
     if not det_alpha > 0.0:
         raise NumericalDomainError(f"det alpha = {float(det_alpha)!r}: not a CM")
     det_beta = _det2(sigma[2:, 2:])
     det_gamma = _det2(sigma[:2, 2:])
     i1 = _det4(sigma)
-    eps = np.finfo(np.result_type(cm.entries.dtype, 1.0)).eps
-    scale = np.max(np.abs(sigma))
-    allowed = GENERIC_EN_TOL * np.sqrt(i1) if i1 > 0.0 else 0.0
+    eps = np.finfo(np.float64).eps
+    allowed = GENERIC_EN_TOL * np.sqrt(i1) if 0.0 < i1 < math.inf else 0.0
     if not eps * scale * scale <= allowed:
         raise NumericalDomainError(
             "generic route cannot resolve this matrix: estimated E_N error "
@@ -355,13 +358,13 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     delta_tilde = det_alpha + det_beta - 2.0 * det_gamma
     nu_minus, nu_plus = _pt_eigenvalue_pair(delta_tilde, i1)
     return SymplecticInvariants(
-        i1=out(i1),
-        i2=out(i2),
-        s0=out(s0),
-        s=out(s),
-        delta_tilde=out(delta_tilde),
-        nu_minus_pt=out(nu_minus),
-        nu_plus_pt=out(nu_plus),
+        i1=i1,
+        i2=i2,
+        s0=s0,
+        s=s,
+        delta_tilde=delta_tilde,
+        nu_minus_pt=nu_minus,
+        nu_plus_pt=nu_plus,
     )
 
 
@@ -390,18 +393,6 @@ def entanglement_report(cm: CovarianceMatrix) -> EntanglementReport:
     )
 
 
-def _exact_fraction(value) -> Fraction:
-    """Lossless rational image of a float64 or longdouble scalar.
-
-    An 80-bit extended float splits exactly into two float64 values
-    (64-bit mantissa <= 53 + 53), each of which Fraction represents
-    exactly.
-    """
-    hi = float(value)
-    lo = float(value - type(value)(hi)) if not isinstance(value, float) else 0.0
-    return Fraction(hi) + Fraction(lo)
-
-
 def _exact_det(matrix: list) -> Fraction:
     """Leibniz determinant over exact rationals (n <= 4 here)."""
     n = len(matrix)
@@ -426,16 +417,16 @@ def physicality_check(cm: CovarianceMatrix) -> bool:
     This checks the state, not its partial transpose; it never raises and
     returns False for anything below the vacuum noise floor.
 
-    The decision is computed in exact rational arithmetic.  Vacuum-seeded
-    states have an exactly degenerate spectrum, where any floating-point
-    route through the discriminant square root amplifies rounding noise
-    far past the 1e-9 slack at strong squeezing; the sign test of
-    ``_spectrum_at_least`` needs no square root, so rationals decide it
-    exactly.
+    A matrix that carries its pair state is physical by construction (its
+    symplectic eigenvalues are nbar_j + 1/2), though its rounded float64
+    entries alone can miss the 1e-9 slack at strong squeezing.  Any other
+    matrix is decided in exact rational arithmetic on its entries: the
+    sign test of ``_spectrum_at_least`` needs no square root, so
+    rationals decide it exactly even on a degenerate spectrum.
     """
-    rows = [
-        [_exact_fraction(cm.entries[i, j]) for j in range(4)] for i in range(4)
-    ]
+    if cm.pair is not None:
+        return True
+    rows = [[Fraction(v) for v in row] for row in cm.entries.tolist()]
     # positive definiteness via leading principal minors
     for k in range(1, 5):
         if _exact_det([row[:k] for row in rows[:k]]) <= 0:

@@ -21,12 +21,11 @@ Every closed form reads one core, ``_pair_state``.  It validates tau and
 T once and returns the four numbers that fix the state: the initial
 occupations nbar1 and nbar2, the pair gain m = sinh^2(x tau)/x^2 and
 K = nbar1 + nbar2 + 1, plus x, sinh(x tau)/x and cosh(x tau) for the
-covariance-matrix entries.  The same formulas run on three kinds of
-input (``gaussian_core._working`` picks the kind):
+covariance-matrix entries.  The same formulas run in float64 on two
+kinds of input (``gaussian_core._working`` picks the kind):
 
-* Python floats, evaluated with ``math``;
-* ``np.longdouble`` scalars, evaluated in extended precision with numpy
-  (the invariant-conservation checks use this);
+* Python floats, evaluated with ``math``; a numpy scalar of any width
+  enters as a Python float, and is checked after that;
 * numpy arrays of y, tau and T, evaluated with numpy and broadcast
   against each other, so a whole (y, T) map is one call.  The mismatch
   then travels as an argument next to tau and T and is checked point by
@@ -67,18 +66,14 @@ from .gaussian_core import (
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J/K
 
-# largest argument of exp (and so of sinh, cosh, expm1) per scalar type
-_EXP_MAX = {
-    float: math.log(sys.float_info.max),
-    np.float64: math.log(sys.float_info.max),
-    np.longdouble: float(np.log(np.finfo(np.longdouble).max)),
-}
+# largest argument of exp (and so of sinh, cosh, expm1) in float64
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 def _check_mismatch(y):
     """Refuse any y outside [0, 1); y may be an array, checked point by point."""
     inside = (0.0 <= y) & (y < 1.0)
-    if not _every(inside):
+    if inside is not True and not _every(inside):
         raise ValidationError(
             f"mismatch y must lie in [0, 1), got {_first(y, inside)}"
         )
@@ -124,34 +119,28 @@ class ThermalInit:
             raise ValidationError("zero temperature forces zero occupation")
 
 
-def _bose(omega, temperature, num, lib):
+def _bose(omega, temperature, lib):
     """1/(exp(beta) - 1) at beta = hbar omega/(k_B T) for a validated T.
 
     Exactly 0 at T = 0, and also once exp(beta) reaches the end of the
-    range of the scalar type, where the occupation is below its smallest
-    normal value.  Those cold points divide by k_B T + hbar omega in
-    place of k_B T, which keeps beta below 1, and are then multiplied by
+    float range, where the occupation is below its smallest normal
+    value.  Those cold points divide by k_B T + hbar omega in place of
+    k_B T, which keeps beta below 1, and are then multiplied by
     False, so no point of an array divides by zero or overflows.
     """
-    hw = num(HBAR) * omega
-    kt = num(K_B) * temperature
+    hw = HBAR * omega
+    kt = K_B * temperature
     # hot points have beta = hw/kt below the exp range, a few ulps to spare
-    scaled = kt * _EXP_MAX[num]
+    scaled = kt * _EXP_MAX
     limit = hw * (1.0 + 2.0**-50)
     beta = hw / (kt + hw * (scaled <= limit))
     return (scaled > limit) * (1.0 / lib.expm1(beta))
 
 
-def _check_temperature(temperature):
-    ok = (0.0 <= temperature) & (temperature < math.inf)
+def _check_nonnegative(value, name):
+    ok = (0.0 <= value) & (value < math.inf)
     if ok is not True and not _every(ok):
-        raise ValidationError("temperature must be finite and >= 0")
-
-
-def _check_tau(tau):
-    ok = (0.0 <= tau) & (tau < math.inf)
-    if ok is not True and not _every(ok):
-        raise ValidationError("tau must be finite and >= 0")
+        raise ValidationError(f"{name} must be finite and >= 0")
 
 
 def thermal_occupation(omega, temperature):
@@ -164,32 +153,32 @@ def thermal_occupation(omega, temperature):
 
     Returns
     -------
-    1 / (exp(hbar*omega/(k_B*T)) - 1): a Python float, ``np.longdouble``
-    for extended-precision input, or an array for an array of T.  Exactly
-    0 once hbar*omega/(k_B*T) reaches the end of the exponent range of
-    that type.
+    1 / (exp(hbar*omega/(k_B*T)) - 1): a Python float, or a float64 array
+    for an array of T.  Exactly 0 once hbar*omega/(k_B*T) reaches the end
+    of the float exponent range.
     """
     if not omega > 0.0:
         raise ValidationError("omega must be positive")
-    _check_temperature(temperature)
     num, lib = _working(omega, temperature)
-    return _bose(omega, temperature, num, lib)
+    temperature = num(temperature)
+    _check_nonnegative(temperature, "temperature")
+    return _bose(num(omega), temperature, lib)
 
 
-def _occupations(params: PdcParams, temperature):
+def _occupations(params: PdcParams, temperature, lib=math):
     """Initial occupations (nbar1, nbar2) of both modes at a validated T."""
-    num, lib = _working(temperature)
     return (
-        _bose(params.omega1_bar * params.g, temperature, num, lib),
-        _bose(params.omega2_bar * params.g, temperature, num, lib),
+        _bose(params.omega1_bar * params.g, temperature, lib),
+        _bose(params.omega2_bar * params.g, temperature, lib),
     )
 
 
 def thermal_init(params: PdcParams, temperature) -> ThermalInit:
     """Initial occupations for both modes of a parameter set."""
-    _check_temperature(temperature)
+    temperature = float(temperature)
+    _check_nonnegative(temperature, "temperature")
     n1, n2 = _occupations(params, temperature)
-    return ThermalInit(temperature=float(temperature), nbar1=float(n1), nbar2=float(n2))
+    return ThermalInit(temperature=temperature, nbar1=n1, nbar2=n2)
 
 
 def _stretch(y, tau):
@@ -198,15 +187,13 @@ def _stretch(y, tau):
     Raises NumericalDomainError once x*tau leaves the exponent range.
     """
     num, lib = _working(y, tau)
-    y = num(y)
-    tau = num(tau)
+    y, tau = num(y), num(tau)
     x = lib.sqrt((1.0 - y) * (1.0 + y))
     z = x * tau
-    fits = z <= _EXP_MAX[num]
+    fits = z <= _EXP_MAX
     if fits is not True and not _every(fits):
         raise NumericalDomainError(
-            f"x*tau = {float(_first(z, fits))!r} overflows sinh(x*tau) "
-            f"in {num.__name__}"
+            f"x*tau = {float(_first(z, fits))!r} overflows sinh(x*tau) in float64"
         )
     return x, lib.sinh(z) / x, lib.cosh(z)
 
@@ -215,21 +202,19 @@ def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
     """The core every closed form reads: (nbar1, nbar2, m, K) at
     (tau, T), plus the (x, sinh(x tau)/x, cosh(x tau)) of the entries.
 
-    Validates tau and T once, and y when it is given in place of
-    ``params.y``.  m = sinh^2(x tau)/x^2 is the pair gain and
+    Converts and validates tau, T and y (``params.y`` unless given)
+    once.  m = sinh^2(x tau)/x^2 is the pair gain and
     K = nbar1 + nbar2 + 1.  Array inputs broadcast against each other.
     """
-    _check_tau(tau)
-    _check_temperature(temperature)
     if y is None:
         y = params.y
-    else:
-        _check_mismatch(y)
     num, lib = _working(y, tau, temperature)
-    temperature = num(temperature)
-    nbar1 = _bose(params.omega1_bar * params.g, temperature, num, lib)
-    nbar2 = _bose(params.omega2_bar * params.g, temperature, num, lib)
-    x, ratio, ch = _stretch(num(y), num(tau))
+    y, tau, temperature = num(y), num(tau), num(temperature)
+    _check_nonnegative(tau, "tau")
+    _check_nonnegative(temperature, "temperature")
+    _check_mismatch(y)
+    nbar1, nbar2 = _occupations(params, temperature, lib)
+    x, ratio, ch = _stretch(y, tau)
     return PairState(
         nbar1=nbar1,
         nbar2=nbar2,
@@ -262,11 +247,11 @@ def pair_invariants(
 def squeezing_parameter(y, tau):
     """Effective squeezing r = x tau, x = sqrt((1 - y)(1 + y)); reduces to
     r = tau at y = 0."""
-    _check_mismatch(y)
-    _check_tau(tau)
     num, lib = _working(y, tau)
-    y = num(y)
-    return num(tau) * lib.sqrt((1.0 - y) * (1.0 + y))
+    y, tau = num(y), num(tau)
+    _check_mismatch(y)
+    _check_nonnegative(tau, "tau")
+    return tau * lib.sqrt((1.0 - y) * (1.0 + y))
 
 
 @_pointwise
@@ -301,20 +286,18 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     The sign of sigma_24 follows from the dimensionless quadrature
     convention; it flips nothing that a determinant can see.  The
     returned matrix carries the pair state, so its invariants take the
-    pair route.
+    pair route.  tau and T are scalars.
     """
+    tau, y = float(tau), float(params.y)
     pair = _pair_state(params, tau, temperature)
-    num, lib = _working(params.y, tau, temperature)
-    y = num(params.y)
-    tau = num(tau)
     ratio, ch, big_k = pair.ratio, pair.ch, pair.big_k
     gain = pair.m * big_k
     # phase accumulated per mode; summed this way it matches the local
     # rotations used by the moment-ODE oracle to the last ulp
-    alpha1 = (num(params.omega1_bar) + y) * tau
-    alpha2 = (num(params.omega2_bar) + y) * tau
+    alpha1 = (params.omega1_bar + y) * tau
+    alpha2 = (params.omega2_bar + y) * tau
     phase = alpha1 + alpha2
-    sn, cs = lib.sin(phase), lib.cos(phase)
+    sn, cs = math.sin(phase), math.cos(phase)
     s13 = big_k * ratio * (sn * ch - cs * y * ratio)
     s14 = big_k * ratio * (cs * ch + sn * y * ratio)
     d1 = pair.nbar1 + gain + 0.5
@@ -326,8 +309,7 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
             [0.0, d1, s14, -s13],
             [s13, s14, d2, 0.0],
             [s14, -s13, 0.0, d2],
-        ],
-        dtype=num,
+        ]
     )
     return CovarianceMatrix(sigma, pair=pair)
 

@@ -4,9 +4,11 @@ The closed-form birth time, the witness and the pair-route invariants take
 numpy arrays of y, tau and T.  They must agree with the scalar API point by
 point, refuse an array when any one of its points would be refused alone,
 and give the figure datasets the bytes a scalar loop gives.  The y -> 1
-points are checked against a test-owned `decimal` reference.
+points, and a seeded sweep over the whole domain, are checked against a
+test-owned `decimal` reference.
 """
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -51,13 +53,21 @@ def ref_occupations(params, temperature):
     return tuple(out)
 
 
-def ref_pair_gain(y, tau):
-    """(x, m) with x = sqrt(1 - y^2) of the exact float y, m = sinh^2(x tau)/x^2."""
+def ref_stretch(y, tau):
+    """(x, sinh(x tau)/x, cosh(x tau)) with x = sqrt(1 - y^2) of the exact
+    float y."""
     y = Decimal(y)
     x = (1 - y * y).sqrt()
     z = x * Decimal(tau)
     sinh = (z.exp() - (-z).exp()) / 2
-    return x, (sinh / x) ** 2
+    cosh = (z.exp() + (-z).exp()) / 2
+    return x, sinh / x, cosh
+
+
+def ref_pair_gain(y, tau):
+    """(x, m) with x = sqrt(1 - y^2) of the exact float y, m = sinh^2(x tau)/x^2."""
+    x, ratio, _ = ref_stretch(y, tau)
+    return x, ratio * ratio
 
 
 def ref_log_negativity(n1, n2, m):
@@ -69,9 +79,14 @@ def ref_log_negativity(n1, n2, m):
 def ref_birth_time(n1, n2, x):
     s0 = n1 * n2 * (n1 + 1) * (n2 + 1)
     k = n1 + n2 + 1
-    m_star = ((1 + 4 * s0 / (k * k)).sqrt() - 1) / 2
+    c = 4 * s0 / (k * k)
+    # (sqrt(1 + c) - 1)/2, rationalized: no cancellation at tiny S0
+    m_star = c / (2 * (1 + (1 + c).sqrt()))
     u = x * m_star.sqrt()
-    return (u + (u * u + 1).sqrt()).ln() / x
+    with localcontext() as ctx:
+        # ln(u + sqrt(u^2 + 1)) = asinh(u) loses about -log10(u) digits
+        ctx.prec += max(0, -u.adjusted())
+        return (u + (u * u + 1).sqrt()).ln() / x
 
 
 # ---------------------------------------------------------------- y -> 1
@@ -112,6 +127,84 @@ def test_birth_time_near_unit_mismatch():
         float(birth_time(params, np.array([1e8])).tau_e[0]),
     ):
         assert abs(Decimal(got) - want) <= Decimal("1e-12") * want
+
+
+# ---------------------------------------------------------------- domain
+
+
+def sweep_points(count, seed=20261018):
+    """Seeded (y, T, tau): y up to 1 - 1e-15, T from 0 to 1e8 K, tau from 0
+    to the float range.  Most times are tau = z/x with z = x*tau spread
+    over [1e-3, 1e3] in log and, for a quarter of them, over [0, 800] in
+    line, across the end of the exp range at z = 709.8; an eighth of the
+    times reach 1e300."""
+    rng = np.random.default_rng(seed)
+    ys = 1.0 - 10.0 ** rng.uniform(-15.0, 0.0, count)
+    ys[::16] = 0.0
+    temps = 10.0 ** rng.uniform(-2.0, 8.0, count)
+    temps[::8] = 0.0
+    xs = np.sqrt((1.0 - ys) * (1.0 + ys))
+    zs = np.where(rng.random(count) < 0.25, 800.0 * rng.random(count),
+                  10.0 ** rng.uniform(-3.0, 3.0, count))
+    taus = zs / xs
+    taus[3::8] = 10.0 ** rng.uniform(0.0, 300.0, count // 8)
+    taus[5::16] = 0.0
+    return list(zip(ys.tolist(), temps.tolist(), taus.tolist()))
+
+
+def near_float_range(y, temp, tau):
+    """Whether the point lies where an answer can leave the float range: x*tau
+    near the end of the exp range, or the correlation 4 m(m+1)K^2 near
+    the largest float."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = (1 - Decimal(y) ** 2).sqrt()
+        if x * Decimal(tau) > 700:
+            return True
+        _, m = ref_pair_gain(y, tau)
+        n1, n2 = ref_occupations(params_at(y), temp)
+        return 4 * m * (m + 1) * (n1 + n2 + 1) ** 2 > Decimal("1e300")
+
+
+def test_domain_sweep_right_or_refused():
+    # every E_N, verdict and closed-form tau_E is within 1e-9 of the
+    # reference, by the scalar and the array path alike, or the call
+    # refuses; and refuses only near the end of the float range
+    answered = refused = 0
+    for y, temp, tau in sweep_points(512):
+        params = params_at(y)
+        try:
+            report = entanglement_report(covariance_matrix(params, tau, temp))
+            inv = pair_invariants(params, np.array([tau]), temp)
+            e_n = (report.log_negativity, float(inv.log_negativity[0]))
+            entangled = (report.entangled, bool(inv.s[0] < 0.0))
+        except (NumericalDomainError, ValidationError):
+            assert near_float_range(y, temp, tau), (y, temp, tau)
+            refused += 1
+            continue
+        tau_e = (
+            birth_time(params, temp).tau_e,
+            float(birth_time(params, np.array([temp])).tau_e[0]),
+        )
+        with localcontext() as ctx:
+            # the reference S = S0 - m(m+1)K^2 cancels about 2 z/ln(10) digits
+            ctx.prec = int(0.87 * math.sqrt((1.0 - y) * (1.0 + y)) * tau) + 40
+            n1, n2 = ref_occupations(params, temp)
+            x, m = ref_pair_gain(y, tau)
+            want_e_n = ref_log_negativity(n1, n2, m)
+            want_tau_e = ref_birth_time(n1, n2, x)
+            k = n1 + n2 + 1
+            s0 = n1 * n2 * (n1 + 1) * (n2 + 1)
+            want_s = s0 - m * (m + 1) * k * k
+        on_boundary = abs(want_s) <= Decimal("1e-9") * (s0 + 1)
+        for got in e_n:
+            assert abs(Decimal(got) - want_e_n) <= Decimal("1e-9") * max(1, want_e_n)
+        for got in entangled:
+            assert got == (want_s < 0) or on_boundary, (y, temp, tau)
+        for got in tau_e:
+            assert abs(Decimal(got) - want_tau_e) <= Decimal("1e-9") * want_tau_e
+        answered += 1
+    assert answered > 300 and refused > 50
 
 
 # ---------------------------------------------------------------- arrays

@@ -315,6 +315,13 @@ class TestPackageErrorsExit2:
         assert code == 2
         assert "error: injected" in err
 
+    def test_long_double_without_63_mantissa_bits(self, capsys, monkeypatch):
+        monkeypatch.setattr(fock_oracle, "_LONGDOUBLE_NMANT", 52)
+        code, out, err = run_cli(["oracle-check", "--skip-fock"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "63 mantissa bits" in err
+
 
 class TestCsvFormat:
     def test_lf_endings_and_digit_count(self, capsys, tmp_path):

@@ -5,11 +5,13 @@ import pytest
 
 from pdc_entanglement import (
     FockState,
+    IntegrationError,
     ValidationError,
     covariance_matrix,
     evolve_fock,
     evolve_moments_ode,
     fock_log_negativity,
+    fock_oracle,
     log_negativity,
     moments_from_fock,
     physicality_check,
@@ -145,6 +147,15 @@ class TestMomentsOde:
     def test_rejects_negative_time(self, reference_params):
         with pytest.raises(ValidationError):
             evolve_moments_ode(reference_params, -1.0, 0.0)
+
+    def test_refuses_long_double_without_63_mantissa_bits(
+        self, reference_params, monkeypatch
+    ):
+        # where long double is a plain double (52 bits) the moments miss the
+        # 1e-8 tolerance, so the integrator refuses before it starts
+        monkeypatch.setattr(fock_oracle, "_LONGDOUBLE_NMANT", 52)
+        with pytest.raises(IntegrationError, match="63 mantissa bits"):
+            evolve_moments_ode(reference_params, 1.0, 10.0)
 
 
 class TestEvolveFock:

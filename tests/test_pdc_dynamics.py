@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,18 +10,23 @@ from pdc_entanglement import (
     PdcParams,
     ThermalInit,
     ValidationError,
+    birth_time,
     covariance_matrix,
+    critical_temperature,
     det_gamma_closed_form,
     log_negativity,
     mean_photon_numbers,
     separability_indicator,
     squeezing_parameter,
     symplectic_invariants,
+    pair_invariants,
     thermal_init,
     thermal_occupation,
+    witness,
 )
 from pdc_entanglement.pdc_dynamics import _stretch
 from conftest import G_COUPLING
+from test_array_core import ref_stretch
 
 
 class TestParams:
@@ -113,13 +119,15 @@ class TestStretch:
             assert abs(ch_lo - ch_hi) < 1e-9
 
     def test_canonical_invariant_on_grid(self):
-        # |A|^2 - |B|^2 = ch^2 - x^2 ratio^2 = 1; extended precision, since
-        # at tau = 10 the difference of ~1e8 hyperbolics is below float64
-        # resolution
-        for y in np.linspace(0.0, 0.99, 12):
-            for tau in np.linspace(0.0, 10.0, 11):
-                x, ratio, ch = _stretch(np.longdouble(y), np.longdouble(tau))
-                assert abs(float(ch * ch - (x * ratio) ** 2) - 1.0) < 1e-10
+        # |A|^2 - |B|^2 = ch^2 - x^2 ratio^2 = 1 cancels ~1e8 hyperbolics at
+        # tau = 10, below float64 resolution; so each of x, ratio and ch is
+        # held to the decimal reference instead, to a few ulps
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for y in np.linspace(0.0, 0.99, 12).tolist():
+                for tau in np.linspace(0.0, 10.0, 11).tolist():
+                    for got, want in zip(_stretch(y, tau), ref_stretch(y, tau)):
+                        assert abs(Decimal(got) - want) <= Decimal("1e-14") * want
 
 
 class TestSqueezingParameter:
@@ -259,6 +267,52 @@ def test_closed_forms_reject_non_finite_tau(reference_params, tau):
         squeezing_parameter(0.5, tau)
 
 
+HUGE = np.longdouble("1e400")  # finite in long double, past the float range
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: thermal_occupation(1e10, HUGE),
+        lambda p: covariance_matrix(p, 1.0, HUGE),
+        lambda p: covariance_matrix(p, HUGE, 10.0),
+        lambda p: birth_time(p, HUGE),
+        lambda p: witness(p, 1.0, HUGE),
+        lambda p: witness(p, HUGE, 10.0),
+        lambda p: pair_invariants(p, 1.0, HUGE),
+        lambda p: pair_invariants(p, HUGE, 10.0),
+        lambda p: critical_temperature(p, HUGE),
+    ],
+    ids=[
+        "thermal_occupation_T",
+        "covariance_matrix_T",
+        "covariance_matrix_tau",
+        "birth_time_T",
+        "witness_T",
+        "witness_tau",
+        "pair_invariants_T",
+        "pair_invariants_tau",
+        "critical_temperature_tau",
+    ],
+)
+def test_numpy_scalar_past_float_range_is_refused(reference_params, call):
+    # a numpy scalar enters as a Python float, so 1e400 arrives as inf and
+    # is refused like inf; it used to divide by zero or give an answer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            call(reference_params)
+
+
+def test_longdouble_tau_gives_float_answers(reference_params):
+    # a long double input gives the same Python floats a float input gives
+    ld = witness(reference_params, np.longdouble(2.881), np.longdouble(300.0))
+    assert ld == witness(reference_params, 2.881, 300.0)
+    assert all(type(value) is float for value in vars(ld).values())
+    cm = covariance_matrix(reference_params, np.longdouble(2.881), np.longdouble(300.0))
+    assert np.array_equal(cm.entries, covariance_matrix(reference_params, 2.881, 300.0).entries)
+
+
 class TestOccupationUnderflow:
     def test_float_beta_past_exp_range_is_exact_zero(self):
         # beta = hbar*omega/(k_B T) ~ 748 at omega2 = 400 g, T = 4 mK:
@@ -268,7 +322,7 @@ class TestOccupationUnderflow:
             assert thermal_occupation(400 * G_COUPLING, 0.004) == 0.0
 
     def test_longdouble_beta_past_exp_range_is_exact_zero(self):
-        # beta ~ 3e5, far past the extended-precision limit of ~11356
+        # a long double T enters as a float: beta ~ 3e5, far past the exp range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = thermal_occupation(400 * G_COUPLING, np.longdouble(1e-8))
