@@ -300,7 +300,9 @@ def cmd_oracle_check(config: RunConfig, skip_fock: bool = False) -> int:
             print(
                 f"fock y={y:g} T={temp:g} K tau={tau:g} n_cut={n_cut}: "
                 f"|Fock - Gaussian| = {dev:.3e}, leakage = {state.leakage:.3e}, "
-                f"edge_population = {state.edge_population:.3e}"
+                f"edge_population = {state.edge_population:.3e}, "
+                f"blocks = {len(state.blocks)} "
+                f"(largest {max(idx.size for idx, _ in state.blocks)})"
             )
             worst_en = max(worst_en, dev)
         print(f"negativity: max |Fock - Gaussian| = {worst_en:.3e} (tolerance 1e-3)")

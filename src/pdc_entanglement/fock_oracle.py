@@ -6,7 +6,7 @@ Two independent routes certify the covariance-matrix pipeline:
   equations d sigma/d tau = F sigma + sigma F^T with classical
   fixed-step 4th-order stepping and compares entrywise against the
   closed form.
-* :func:`evolve_fock` evolves the full density matrix in a truncated
+* :func:`evolve_fock` evolves the density matrix in a truncated
   two-mode Fock basis; :func:`fock_log_negativity` takes the partial
   transpose and its trace norm, giving an entanglement measure that
   knows nothing about Gaussian states.
@@ -23,24 +23,30 @@ resolving ~10^2-10^3 rad frequencies to absolute 1e-8 in the presence of
 
 For the linear autonomous systems here, classical RK4 is exactly
 multiplication by its one-step stability matrix R = E4(h*L) with
-E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as the
-matrix power R^n (square-and-multiply).  The moment samples lie a fixed
-stride of steps apart, except for a shorter last gap, so the ODE forms
-R^stride once (and R^rest for the last gap) and carries the moment
-vector from sample to sample, v <- R^gap v.  The composition is
-associative, hence identical (up to rounding) to stepping one by one,
-and the error retains the O(h^4) signature checked by the step-halving
-test.
+E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as R^n.
+The moment ODE forms the matrix power by square-and-multiply.  Its
+samples lie a fixed stride of steps apart, except for a shorter last
+gap, so it forms R^stride once (and R^rest for the last gap) and
+carries the moment vector from sample to sample, v <- R^gap v.  The
+composition is associative, hence identical (up to rounding) to
+stepping one by one, and the error retains the O(h^4) signature checked
+by the step-halving test.  The Fock generator is Hermitian, so there
+R^n is taken in its eigenbasis, V E4(-i h E)^n V^T, the same integrator.
 
-The Fock stages work sector by sector.  The generator conserves the
-photon difference n1 - n2 (the model's integral of motion), so the
-propagator and the evolved state split into one block per difference
-sector, and the partial transpose of such a state splits into one block
-per total-number sector n1 + n2.  Blocks are found from the matrix
-itself (:func:`_sector_blocks`): a matrix that couples two sectors is
-treated as one block, so a state without the structure still gets the
-exact dense answer.  The blocking rests on a symmetry of the generator,
-not on the Gaussian closed form, so the oracle stays independent of it.
+The Fock stages work sector by sector; on a state from evolve_fock none
+of them forms a matrix over the whole (n_cut+1)^2 basis.  The generator
+conserves the photon difference n1 - n2 (the model's integral of
+motion), so the propagator and the evolved state split into one block
+per difference sector, and :class:`FockState` stores those blocks
+alone.  The partial transpose of
+such a state splits into one block per total-number sector n1 + n2,
+assembled straight from the stored blocks, and the second moments are
+read from the diagonal and the ladder coherences.  Sectors are checked
+against a matrix's own entries (:func:`_label_groups`): a matrix that
+couples two sectors is treated as one block, so a state without the
+structure still gets the exact answer.  The blocking rests on a
+symmetry of the generator, not on the Gaussian closed form, so the
+oracle stays independent of it.
 """
 
 from __future__ import annotations
@@ -72,9 +78,18 @@ class MomentTrajectory:
         return self.samples[-1][1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FockState:
     """Two-mode density matrix over |n1> x |n2>, truncated at n_cut per mode.
+
+    rho is stored as diagonal blocks: ``blocks`` holds (indices, block)
+    pairs, the basis indices n1*(n_cut + 1) + n2 of one group and the
+    Hermitian block of rho on them; every entry outside the blocks is
+    zero.  A state from :func:`evolve_fock` has one block per difference
+    sector n1 - n2.  A dense ``rho`` passed in is split by the same
+    sectors (:func:`_sector_blocks`), so one that couples them becomes a
+    single block.  Reading ``rho`` builds the dense matrix afresh; the
+    oracle's own stages never do.
 
     leakage reports 1 - trace(rho): the thermal weight dropped at
     truncation (the geometric distribution is normalized over the full
@@ -84,22 +99,54 @@ class FockState:
     shows in edge_population.
     """
 
-    rho: np.ndarray
     n_cut: int
     leakage: float
+    blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
-    def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex, copy=True)
-        dim = (self.n_cut + 1) ** 2
-        if rho.shape != (dim, dim):
-            raise ValidationError(
-                f"rho must be {dim}x{dim} for n_cut={self.n_cut}, got {rho.shape}"
-            )
-        # a NaN or inf entry makes the defect NaN or inf, which fails this test too
-        if not _hermitian_defect(rho) <= 1e-12:
+    def __init__(self, rho=None, *, n_cut: int, leakage: float, blocks=None):
+        size = (n_cut + 1) ** 2
+        if (rho is None) == (blocks is None):
+            raise ValidationError("give exactly one of rho and blocks")
+        if rho is not None:
+            rho = np.asarray(rho, dtype=complex)
+            if rho.shape != (size, size):
+                raise ValidationError(
+                    f"rho must be {size}x{size} for n_cut={n_cut}, got {rho.shape}"
+                )
+            n1, n2 = np.divmod(np.arange(size), n_cut + 1)
+            blocks = [(idx, rho[np.ix_(idx, idx)]) for idx in _sector_blocks(rho, n1 - n2)]
+        blocks = [(np.asarray(idx, dtype=np.intp), np.asarray(b, dtype=complex)) for idx, b in blocks]
+        if not blocks or any(b.shape != (idx.size, idx.size) for idx, b in blocks):
+            raise ValidationError("blocks must be square over their indices, at least one")
+        # one packed copy of every index and entry, which the stored blocks view
+        indices = np.concatenate([idx for idx, _ in blocks])
+        values = np.concatenate([b.ravel() for _, b in blocks])
+        if np.any((indices < 0) | (indices >= size)) or np.unique(indices).size < indices.size:
+            raise ValidationError(f"block indices must be distinct and below {size}")
+        # max |rho - rho^dag|, in place to spare memory; a NaN or inf entry
+        # makes its own defect NaN or inf, which fails this test too
+        defect = np.concatenate([b.T.ravel() for _, b in blocks]).conj()
+        with np.errstate(invalid="ignore"):
+            defect -= values
+        if not np.abs(defect).max() <= 1e-12:
             raise ValidationError("rho is not Hermitian within 1e-12, or not finite")
+        sizes = np.array([idx.size for idx, _ in blocks])
+        indices.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "n_cut", n_cut)
+        object.__setattr__(self, "leakage", leakage)
+        object.__setattr__(self, "blocks", _unpack(indices, values, sizes))
+        object.__setattr__(self, "_packed", (indices, values, sizes))
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The dense (n_cut+1)^2 x (n_cut+1)^2 rho, built on each read."""
+        size = (self.n_cut + 1) ** 2
+        rows, cols, values = _entries(self)
+        rho = np.zeros((size, size), dtype=complex)
+        rho[rows, cols] = values
         rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
+        return rho
 
     @property
     def edge_population(self) -> float:
@@ -108,29 +155,41 @@ class FockState:
         A state that has not reached the cutoff leaves this near zero;
         a sizable value means the truncated dynamics has been distorted.
         """
-        dim = self.n_cut + 1
-        diag = np.real(np.diagonal(self.rho)).reshape(dim, dim)
-        return float(diag[-1, :].sum() + diag[:-1, -1].sum())
+        n1, n2, diag = _diagonal(self)
+        return float(diag[(n1 == self.n_cut) | (n2 == self.n_cut)].sum())
 
 
-def _hermitian_defect(rho: np.ndarray) -> float:
-    """max |rho - rho^dag|, read tile by tile.
+# Packed block storage: blocks of sizes m_0, m_1, ... lie one after
+# another in one array of values, each in row-major order, and their
+# basis indices one after another in another array.
 
-    The transposed read of a whole large matrix strides across memory;
-    tile pairs (i, j) and (j, i) stay in cache.  The defect is symmetric
-    under the pair swap, so only tiles on and above the diagonal are
-    visited.  A NaN or infinite entry gives a NaN or inf result, as a
-    single whole-matrix max would, and without a warning.
-    """
-    tile = 128
-    size = rho.shape[0]
-    maxima = []
-    with np.errstate(invalid="ignore"):
-        for i in range(0, size, tile):
-            for j in range(i, size, tile):
-                defect = rho[i:i + tile, j:j + tile] - rho[j:j + tile, i:i + tile].conj().T
-                maxima.append(np.max(np.abs(defect)))
-    return float(np.max(maxima))
+
+def _unpack(indices, values, sizes):
+    """(indices, block) views, one pair per packed block."""
+    ends, value_ends = np.cumsum(sizes), np.cumsum(sizes * sizes)
+    return tuple(
+        (indices[end - m:end], values[value_end - m * m:value_end].reshape(m, m))
+        for m, end, value_end in zip(sizes.tolist(), ends.tolist(), value_ends.tolist())
+    )
+
+
+def _entries(state: FockState):
+    """(rows, cols, values) of every stored entry of rho, in packed order."""
+    indices, values, sizes = state._packed
+    width = np.repeat(sizes, sizes)  # per stored row: its block's size
+    rows = np.repeat(indices, width)
+    # an entry's column: its block's first slot plus its place in the row
+    row_start = np.repeat(np.cumsum(width) - width, width)
+    block_first = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), width)
+    cols = indices[block_first + np.arange(rows.size) - row_start]
+    return rows, cols, values
+
+
+def _diagonal(state: FockState):
+    """(n1, n2, real rho[n, n]) over the stored diagonal."""
+    indices, _, _ = state._packed
+    n1, n2 = np.divmod(indices, state.n_cut + 1)
+    return n1, n2, np.concatenate([np.diagonal(b) for _, b in state.blocks]).real
 
 
 def _matrix_power(base: np.ndarray, n: int) -> np.ndarray:
@@ -159,16 +218,60 @@ def _rk4_step_matrix(generator: np.ndarray, h) -> np.ndarray:
 
 
 def _sector_blocks(matrix: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """:func:`_label_groups` of a dense matrix's nonzero entries."""
+    return _label_groups(*np.nonzero(matrix), labels)
+
+
+def _label_groups(rows, cols, labels) -> list[np.ndarray]:
     """Basis indices grouped by an integer label, one group per label.
 
-    If any nonzero entry of matrix couples two different labels, the
-    matrix does not split and a single group holding every index is
-    returned, so callers treat the dense case as one block.
+    (rows, cols) are the positions of a matrix's entries.  If any of them
+    couples two different labels, the matrix does not split and a single
+    group holding every index is returned, so callers treat the dense
+    case as one block.
     """
     labels = np.asarray(labels)
-    if np.any((matrix != 0) & (labels[:, None] != labels[None, :])):
+    if np.any(labels[rows] != labels[cols]):
         return [np.arange(labels.size)]
     return [np.flatnonzero(labels == value) for value in np.unique(labels)]
+
+
+def _group_blocks(rows, cols, values, groups) -> tuple:
+    """Dense block on each index group of a matrix given by its entries,
+    as (indices, block) views of one packed array.
+
+    groups partition the basis, and every entry has its row and column
+    in one group (as :func:`_label_groups` returns them).
+    """
+    indices = np.concatenate(groups)
+    sizes = np.array([idx.size for idx in groups])
+    # per basis index: its block's size, its place in the block, and
+    # where the block starts in the packed values
+    width = np.empty(indices.size, dtype=np.intp)
+    place = np.empty(indices.size, dtype=np.intp)
+    start = np.empty(indices.size, dtype=np.intp)
+    width[indices] = np.repeat(sizes, sizes)
+    place[indices] = np.arange(indices.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    start[indices] = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
+    packed = np.zeros(int((sizes * sizes).sum()), dtype=values.dtype)
+    packed[start[rows] + place[rows] * width[rows] + place[cols]] = values
+    return _unpack(indices, packed, sizes)
+
+
+def _rk4_propagator(ham: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """RK4's n-step propagator E4(-i h H)^n for dx/dt = -i H x, H real
+    symmetric, formed in H's eigenbasis as V E4(-i h E)^n V^T.
+
+    On the imaginary axis E4(-i t) = 1 - t^2/2 + t^4/24 - i t (1 - t^2/6),
+    whose squared modulus is exactly 1 - t^6/72 + t^8/576, so the n-th
+    power is taken as modulus and phase without forming the product.
+    """
+    energies, vecs = np.linalg.eigh(ham)
+    t = h * energies
+    t2 = t * t
+    phase = np.arctan2(-t * (1.0 - t2 / 6.0), 1.0 - t2 / 2.0 + t2 * t2 / 24.0)
+    log_modulus = 0.5 * np.log1p(t2**3 * (t2 / 576.0 - 1.0 / 72.0))
+    return (vecs * np.exp(n_steps * (log_modulus + 1j * phase))) @ vecs.T
 
 
 def _above_ode_floor(sigma) -> bool:
@@ -283,10 +386,6 @@ def evolve_moments_ode(
     return MomentTrajectory(samples=tuple(samples))
 
 
-def _destroy(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     """Truncated geometric distribution; deliberately not renormalized
     after the cut so that 1 - sum(weights) is the dropped tail mass."""
@@ -312,9 +411,13 @@ def evolve_fock(
     afterwards, so the returned state is lab-frame and its moments match
     the closed-form covariance matrix directly.
 
-    H conserves n1 - n2, so the RK4 propagator is built and applied per
-    difference sector (dimension <= n_cut + 1); RK4 is a polynomial in
-    H, so this is the same integrator as the dense product.
+    H conserves n1 - n2, so H is assembled from its nonzeros alone, split
+    into its difference sectors (real tridiagonal, dimension <= n_cut + 1)
+    and the state is returned as one block per sector; no matrix over the
+    whole (n_cut+1)^2 basis is formed.  RK4 is a polynomial in H, so its
+    n-step propagator is taken in each sector's eigenbasis
+    (:func:`_rk4_propagator`): the same integrator as the power of the
+    one-step matrix, with ``step`` fixing h and n as before.
 
     The oracle is restricted to small occupation (nbar <= 2) and demands
     n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError.
@@ -349,13 +452,17 @@ def evolve_fock(
 
     basis = np.arange(dim * dim)
     n1, n2 = np.divmod(basis, dim)  # basis index n1*dim + n2
-    ham = np.zeros((dim * dim, dim * dim))
-    ham[basis, basis] = -params.y * (n1 + n2)
-    # c1 c2 |n1, n2> = sqrt(n1) sqrt(n2) |n1 - 1, n2 - 1>, whose basis
-    # index is dim + 1 lower; H holds -(c1 c2 + its adjoint)
+    # H by its entries: the diagonal, then c1 c2 |n1, n2> = sqrt(n1)
+    # sqrt(n2) |n1 - 1, n2 - 1>, whose basis index is dim + 1 lower, and
+    # its adjoint; H holds -(c1 c2 + c1^dag c2^dag)
     upper = np.flatnonzero((n1 > 0) & (n2 > 0))
     lower = upper - (dim + 1)
-    ham[lower, upper] = ham[upper, lower] = -(np.sqrt(n1[upper]) * np.sqrt(n2[upper]))
+    pair = -(np.sqrt(n1[upper]) * np.sqrt(n2[upper]))
+    rows = np.concatenate([basis, lower, upper])
+    cols = np.concatenate([basis, upper, lower])
+    ham = np.concatenate([-params.y * (n1 + n2), pair, pair])
+    # the sectors are checked against every entry of H, not assumed
+    sectors = _label_groups(rows, cols, n1 - n2)
 
     n_steps = max(1, int(np.ceil(float(tau_end) / step)))
     h = float(tau_end) / n_steps
@@ -365,46 +472,66 @@ def evolve_fock(
     phases = np.exp(-1j * (a1 * n1 + a2 * n2))
 
     # the thermal input is diagonal, so each sector evolves on its own:
-    # rho_d = (P U_d) diag(w_d) (P U_d)^dag with P the lab-frame phases
-    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for idx in _sector_blocks(ham, n1 - n2):
-        block = np.ix_(idx, idx)
-        step_matrix = _rk4_step_matrix(-1j * ham[block], h)
-        lab = phases[idx, None] * _matrix_power(step_matrix, n_steps)
-        sector = (lab * weights[idx]) @ lab.conj().T
-        rho[block] = (sector + sector.conj().T) / 2.0
+    # rho_d = (P U_d) diag(w_d) (P U_d)^dag with P the lab-frame phases.
+    # Sectors with equal H (d and -d, by the mode-swap symmetry of H)
+    # share one propagator and are evolved together.
+    shared = {}
+    for idx, ham_d in _group_blocks(rows, cols, ham, sectors):
+        shared.setdefault(ham_d.tobytes(), (ham_d, []))[1].append(idx)
+    blocks, trace = [], 0.0
+    for ham_d, members in shared.values():
+        idx = np.stack(members)
+        lab = phases[idx][:, :, None] * _rk4_propagator(ham_d, h, n_steps)
+        sector = (lab * weights[idx][:, None, :]) @ lab.conj().transpose(0, 2, 1)
+        sector = (sector + sector.conj().transpose(0, 2, 1)) / 2.0
+        trace += float(np.trace(sector, axis1=1, axis2=2).real.sum())
+        blocks.extend(zip(members, sector))
 
-    leakage = float(1.0 - np.real(np.trace(rho)))
+    leakage = 1.0 - trace
     if leakage > LEAKAGE_LIMIT:
         raise TruncationError(
             f"basis leakage {leakage:.2e} exceeds {LEAKAGE_LIMIT}; raise n_cut"
         )
-    return FockState(rho=rho, n_cut=n_cut, leakage=leakage)
+    return FockState(n_cut=n_cut, leakage=leakage, blocks=blocks)
 
 
 def fock_log_negativity(state: FockState) -> float:
     """ln of the trace norm of the partial transpose over mode 2, >= 0.
 
-    The spectrum comes from a Hermitian eigensolver per total-number
-    sector n1 + n2 of the partial transpose (one dense solve when the
-    partial transpose couples sectors); the result is normalized by
-    trace(rho) so a truncated product state gives exactly 0.
+    The partial transpose is assembled from the stored blocks.  A state
+    whose blocks conserve n1 - n2 gives one partial-transpose block per
+    total-number sector n1 + n2, each diagonalized on its own by a
+    Hermitian eigensolver (one dense solve when the partial transpose
+    couples sectors).  The result is normalized by trace(rho) so a
+    truncated product state gives exactly 0.
     """
     dim = state.n_cut + 1
-    rho = state.rho  # Hermitian: FockState checks it before freezing rho
-    pt = (
-        rho.reshape(dim, dim, dim, dim)
-        .transpose(0, 3, 2, 1)
-        .reshape(dim * dim, dim * dim)
-    )
+    rows, cols, values = _entries(state)
+    # the partial transpose moves rho[(a1, a2), (b1, b2)] to
+    # [(a1, b2), (b1, a2)]: it swaps the n2 digits of row and column
+    swap = cols % dim - rows % dim
+    rows += swap
+    cols -= swap
     n1, n2 = np.divmod(np.arange(dim * dim), dim)
-    blocks = _sector_blocks(pt, n1 + n2)
-    eigs = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(b, b)]) for b in blocks])
-    trace = float(np.real(np.trace(rho)))
+    sectors = _label_groups(rows, cols, n1 + n2)
+    eigs = np.concatenate(
+        [np.linalg.eigvalsh(b) for _, b in _group_blocks(rows, cols, values, sectors)]
+    )
     # ||pt||_1 = trace - 2 * (negative mass); log1p keeps a PT-positive
     # state at exactly zero
     negative_mass = float(eigs[eigs < 0.0].sum())
+    trace = float(_diagonal(state)[2].sum())
     return float(max(0.0, np.log1p(-2.0 * negative_mass / trace)))
+
+
+def _mode_moments(number, number_up, square) -> np.ndarray:
+    """Symmetrized (q, p) second moments of one mode from <c^dag c>,
+    <c c^dag> and <c c>, with q = (c + c^dag)/sqrt 2 and
+    p = -i (c - c^dag)/sqrt 2."""
+    half = (number + number_up) / 2.0
+    return np.array(
+        [[half + square.real, square.imag], [square.imag, half - square.real]]
+    )
 
 
 def moments_from_fock(state: FockState) -> CovarianceMatrix:
@@ -414,28 +541,48 @@ def moments_from_fock(state: FockState) -> CovarianceMatrix:
     produces carries only pair coherences.  Expectations are normalized
     by trace(rho) to remove the truncation-tail bias.
 
-    Single-mode moments come from the reduced density matrices and the
-    cross-mode moments from one contraction of the four-index rho, so
-    the cost is O(dim^4) and no block structure is assumed.
+    Every moment is a ladder expectation tr(O rho) with O |a> = w(a)
+    |a - s>, the sum of w(a) rho[a, a - s] over the stored entries whose
+    row and column differ by the shift s: the diagonal for the numbers,
+    and the coherences one or two steps off it for <c_j>, <c_j c_j>,
+    <c1 c2> and <c1 c2^dag>.  The operators are the truncated ones, so
+    <c c^dag> drops the top level n = n_cut, as the truncated matrices do.
     """
     dim = state.n_cut + 1
-    lower = _destroy(dim)
-    # local quadratures (q, p), the same operators on either mode
-    quads = np.stack(
-        [(lower + lower.T) / np.sqrt(2.0), -1j * (lower - lower.T) / np.sqrt(2.0)]
-    )
-    r = state.rho.reshape(dim, dim, dim, dim)  # r[i1, i2, j1, j2]
-    trace = float(np.real(np.trace(state.rho)))
-    reduced = (np.einsum("ajbj->ab", r), np.einsum("jajb->ab", r))
-    means = np.concatenate(
-        [np.einsum("xab,ba->x", quads, red) for red in reduced]
-    ) / trace
+    n1, n2, diag = _diagonal(state)
+    trace = float(diag.sum())
+    rows, cols, values = _entries(state)
+    a1, a2 = np.divmod(rows, dim)
+    b1, b2 = np.divmod(cols, dim)
+    # one code per shift (a1 - b1, a2 - b2): |a2 - b2| < dim, so a base
+    # of 2 dim keeps distinct shifts apart
+    shift = (a1 - b1) * (2 * dim) + (a2 - b2)
+
+    def ladder(s1, s2, weight):
+        on = shift == s1 * (2 * dim) + s2
+        return complex(np.dot(weight(a1[on], a2[on]), values[on])) / trace
+
+    def numbers(n):
+        """<c^dag c> and <c c^dag> of one mode"""
+        return float(n @ diag) / trace, float(((n + 1.0) * (n < state.n_cut)) @ diag) / trace
+
+    m1 = ladder(1, 0, lambda k1, k2: np.sqrt(k1))
+    m2 = ladder(0, 1, lambda k1, k2: np.sqrt(k2))
+    means = np.sqrt(2.0) * np.array([m1.real, m1.imag, m2.real, m2.imag])
     if float(np.max(np.abs(means))) > 1e-9:
         raise ValidationError("state has nonzero first moments")
-    # tr(X Y rho) for X, Y on one mode, and tr((X (x) Y) rho) across modes
-    local = [np.einsum("xab,ybc,ca->xy", quads, quads, red) for red in reduced]
-    cross = np.einsum("xab,ycd,bdac->xy", quads, quads, r, optimize=True)
-    second = np.block([[local[0], cross], [cross.T, local[1]]]) / trace
-    # symmetrized products (X_i X_j + X_j X_i) / 2 of the Hermitian quadratures
-    sigma = np.real(second + second.T) / 2.0 - np.real(np.outer(means, means))
+    local = [
+        _mode_moments(*numbers(n1), ladder(2, 0, lambda k1, k2: np.sqrt(k1 * (k1 - 1.0)))),
+        _mode_moments(*numbers(n2), ladder(0, 2, lambda k1, k2: np.sqrt(k2 * (k2 - 1.0)))),
+    ]
+    pair = ladder(1, 1, lambda k1, k2: np.sqrt(k1 * k2))  # <c1 c2>
+    swap = ladder(1, -1, lambda k1, k2: np.sqrt(k1 * (k2 + 1.0)))  # <c1 c2^dag>
+    # modes commute, so the cross products need no symmetrizing
+    cross = np.array(
+        [
+            [pair.real + swap.real, pair.imag - swap.imag],
+            [pair.imag + swap.imag, swap.real - pair.real],
+        ]
+    )
+    sigma = np.block([[local[0], cross], [cross.T, local[1]]]) - np.outer(means, means)
     return CovarianceMatrix(sigma)

@@ -95,6 +95,13 @@ class PdcParams:
     y: float = 0.0
 
     def __post_init__(self):
+        # stored as Python floats, so a numpy scalar of any width computes
+        # in float64 like the rest of the closed forms
+        for name in ("omega1_bar", "omega2_bar", "g", "y"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not (self.omega1_bar > 0.0 and self.omega2_bar > 0.0):
             raise ValidationError("mode frequencies must be positive")
         if not self.g > 0.0:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -386,6 +387,9 @@ def test_oracle_check_reports_each_case(capsys):
     for line in fock:
         for field in ("n_cut=", "|Fock - Gaussian| = ", "leakage = ", "edge_population = "):
             assert field in line
+        # one block per difference sector n1 - n2, the largest at n1 = n2
+        n_cut = int(re.search(r"n_cut=(\d+)", line).group(1))
+        assert line.endswith(f", blocks = {2 * n_cut + 1} (largest {n_cut + 1})")
     assert lines[-1] == "oracle-check: PASS"
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from pdc_entanglement.fock_oracle import (
     _above_ode_floor,
     _matrix_power,
     _mode_rotation,
+    _rk4_propagator,
     _rk4_step_matrix,
     _sector_blocks,
 )
@@ -288,13 +290,26 @@ def dense_operators(n_cut):
     return lower, number, eye
 
 
-def dense_reference_state(params, tau, temp, n_cut):
+def dense_hamiltonian(y, n_cut):
     lower, number, eye = dense_operators(n_cut)
-    ham = -params.y * (np.kron(number, eye) + np.kron(eye, number)) - (
+    return -y * (np.kron(number, eye) + np.kron(eye, number)) - (
         np.kron(lower.T, lower.T) + np.kron(lower, lower)
     )
-    energies, vecs = np.linalg.eigh(ham)
-    propagator = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
+
+
+def dense_reference_state(params, tau, temp, n_cut, rk4_step=None):
+    """The evolved state from the exact propagator, or with rk4_step from
+    classical RK4 applied as one dense matrix power."""
+    _, number, _ = dense_operators(n_cut)
+    ham = dense_hamiltonian(params.y, n_cut)
+    if rk4_step is None:
+        energies, vecs = np.linalg.eigh(ham)
+        propagator = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
+    else:
+        n_steps = int(np.ceil(tau / rk4_step))
+        propagator = _matrix_power(
+            _rk4_step_matrix(-1j * ham, tau / n_steps), n_steps
+        )
     init = thermal_init(params, temp)
     weights = []
     for nbar in (init.nbar1, init.nbar2):
@@ -405,8 +420,9 @@ def test_fock_state_rejects_non_hermitian_rho():
 
 
 class TestFockStateHermiticity:
-    """FockState reads the Hermiticity defect tile by tile; at n_cut = 15
-    the 256 x 256 rho spans two tiles per side."""
+    """FockState reads the Hermiticity defect over every stored entry; at
+    n_cut = 15 a random 256 x 256 rho couples all sectors, so it is
+    stored as one block."""
 
     @pytest.mark.parametrize("where", [(10, 200), (255, 3), (255, 255)])
     def test_rejects_one_anti_hermitian_entry(self, where):
@@ -462,3 +478,71 @@ def test_ode_gate_matches_symplectic_spectrum():
         assert _above_ode_floor(sigma.astype(np.longdouble)) == (nu_min >= 0.45)
         passed += nu_min >= 0.45
     assert 200 < passed < 1800  # both verdicts are exercised
+
+
+# step 1e-3 keeps RK4 3e-9 to 4e-8 away from the exact propagator on these
+# cases, so agreement to 1e-12 tells the two integrators apart (at 1e-4 the
+# gap falls to a few 1e-13 and could not)
+RK4_CASES = [(0.0, 0.7), (0.5, 1.0), (0.9, 0.4)]
+RK4_STEP = 1e-3
+
+
+@pytest.mark.parametrize("y,tau", RK4_CASES)
+def test_sector_propagator_is_the_rk4_matrix_power(y, tau):
+    n_cut = 10
+    ham = dense_hamiltonian(y, n_cut)
+    n_steps = int(np.ceil(tau / RK4_STEP))
+    h = tau / n_steps
+    n1, n2 = np.divmod(np.arange((n_cut + 1) ** 2), n_cut + 1)
+    for d in range(-n_cut, n_cut + 1):
+        idx = np.flatnonzero(n1 - n2 == d)
+        ham_d = ham[np.ix_(idx, idx)]
+        expected = _matrix_power(_rk4_step_matrix(-1j * ham_d, h), n_steps)
+        assert np.max(np.abs(_rk4_propagator(ham_d, h, n_steps) - expected)) <= 1e-12
+        if d == 0:  # the largest sector, where the integrators differ most
+            e, v = np.linalg.eigh(ham_d)
+            exact = (v * np.exp(-1j * e * tau)) @ v.T
+            assert np.max(np.abs(exact - expected)) > 1e-9
+
+
+@pytest.mark.parametrize("y,tau", RK4_CASES)
+def test_evolve_fock_step_selects_rk4(make_params, y, tau):
+    # the whole state against one dense RK4 matrix power over all sectors;
+    # in the state the integrators differ less than in the propagator, so
+    # a coarser step keeps them apart
+    params, n_cut, step = make_params(y=y), 10, 1e-2
+    state = evolve_fock(params, tau, T_TINY, n_cut=n_cut, step=step)
+    expected = dense_reference_state(params, tau, T_TINY, n_cut, rk4_step=step)
+    assert np.max(np.abs(state.rho - expected)) < 1e-12
+    exact = dense_reference_state(params, tau, T_TINY, n_cut)
+    assert np.max(np.abs(state.rho - exact)) > 1e-9
+
+
+def test_block_storage_peak_memory_at_n_cut_60(reference_params):
+    # the three stages never form a (n_cut+1)^2 x (n_cut+1)^2 matrix: a
+    # dense rho alone would take 3721^2 x 16 B = 221 MB here
+    tracemalloc.start()
+    try:
+        state = evolve_fock(reference_params, 0.5, 0.0, n_cut=60)
+        e_fock = fock_log_negativity(state)
+        cm = moments_from_fock(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert len(state.blocks) == 121
+    # matched vacuum: E_N = 2 tau and <n1> = sinh(tau)^2
+    assert e_fock == pytest.approx(1.0, abs=1e-8)
+    assert cm.entries[0, 0] == pytest.approx(np.sinh(0.5) ** 2 + 0.5, abs=1e-8)
+
+
+def test_moments_of_parity_diagonal_state():
+    # a state block-diagonal in the parity of n1 + n2 has no first moments
+    # but coherences at every even shift, among them (0, n_cut) next to
+    # (1, -1) and (1, 2 - dim) next to (0, 2): each ladder expectation
+    # must read its own shift only
+    n_cut = 8
+    n1, n2 = np.divmod(np.arange((n_cut + 1) ** 2), n_cut + 1)
+    state = random_density_matrix(n_cut, np.random.default_rng(7), (n1 + n2) % 2)
+    cm = moments_from_fock(state)
+    assert np.max(np.abs(cm.entries - dense_moments(state))) < 1e-12

@@ -41,6 +41,33 @@ class TestParams:
         with pytest.raises(ValidationError):
             PdcParams(omega1_bar=200, omega2_bar=400, g=0.0)
 
+    def test_numpy_scalar_fields_become_python_floats(self):
+        # a long-double field used to carry long double into _bose and come
+        # back as np.float64 occupations and witness fields
+        params = PdcParams(
+            omega1_bar=np.longdouble(200.0),
+            omega2_bar=np.float32(400.0),
+            g=np.int64(98017690),
+            y=np.longdouble(0.5),
+        )
+        for name in ("omega1_bar", "omega2_bar", "g", "y"):
+            assert type(getattr(params, name)) is float
+        init = thermal_init(params, 300.0)
+        assert type(init.nbar1) is float and type(init.nbar2) is float
+        wit = witness(params, 2.881, 300.0)
+        assert type(wit.w) is float
+
+    @pytest.mark.parametrize("field", ["omega1_bar", "omega2_bar", "g", "y"])
+    @pytest.mark.parametrize(
+        "value", [np.inf, -np.inf, np.nan, np.longdouble("1e400")]
+    )
+    def test_rejects_non_finite_field(self, field, value):
+        # inf used to pass and fail later as "occupations must be >= 0"
+        kwargs = dict(omega1_bar=200.0, omega2_bar=400.0, g=G_COUPLING, y=0.5)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            PdcParams(**kwargs)
+
     def test_thermal_init_consistency(self):
         with pytest.raises(ValidationError):
             ThermalInit(temperature=0.0, nbar1=1.0, nbar2=0.0)
