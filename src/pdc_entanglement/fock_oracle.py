@@ -24,14 +24,19 @@ resolving ~10^2-10^3 rad frequencies to absolute 1e-8 in the presence of
 For the linear autonomous systems here, classical RK4 is exactly
 multiplication by its one-step stability matrix R = E4(h*L) with
 E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as R^n.
-The moment ODE forms the matrix power by square-and-multiply.  Its
-samples lie a fixed stride of steps apart, except for a shorter last
-gap, so it forms R^stride once (and R^rest for the last gap) and
+The moment ODE integrates only the 10 independent moments sigma[i, j],
+i <= j: the Lyapunov operator maps symmetric matrices to symmetric
+ones, so it restricts to them, and R is 10 x 10.  Its samples lie a
+fixed stride of steps apart, except for a shorter last gap, so it forms
+R^stride once by square-and-multiply (and R^rest for the last gap) and
 carries the moment vector from sample to sample, v <- R^gap v.  The
 composition is associative, hence identical (up to rounding) to
 stepping one by one, and the error retains the O(h^4) signature checked
-by the step-halving test.  The Fock generator is Hermitian, so there
-R^n is taken in its eigenbasis, V E4(-i h E)^n V^T, the same integrator.
+by the step-halving test.  The samples are then gated, rotated to the
+lab frame and checked all at once, as one (n, 4, 4) stack, which
+:class:`MomentTrajectory` stores as it is.  The Fock generator is
+Hermitian, so there R^n is taken in its eigenbasis, V E4(-i h E)^n V^T,
+the same integrator.
 
 The Fock stages work sector by sector; on a state from evolve_fock none
 of them forms a matrix over the whole (n_cut+1)^2 basis.  The generator
@@ -58,7 +63,13 @@ from typing import Tuple
 import numpy as np
 
 from .errors import IntegrationError, TruncationError, ValidationError
-from .gaussian_core import CovarianceMatrix, _det2, _det4, _spectrum_at_least
+from .gaussian_core import (
+    CovarianceMatrix,
+    _checked_entries,
+    _det2,
+    _det4,
+    _spectrum_at_least,
+)
 from .pdc_dynamics import PdcParams, thermal_init
 
 MAX_MOMENT_STEP = 1e-3
@@ -66,16 +77,49 @@ LEAKAGE_LIMIT = 1e-4
 MAX_ORACLE_OCCUPATION = 2.0
 # 63 for the x86 80-bit long double, 52 where it is a plain double
 _LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
+# The moment ODE carries the 10 independent entries sigma[i, j], i <= j,
+# in np.triu_indices(4) order; _MOMENT_PLACE[i, j] is the place of
+# sigma[i, j] = sigma[j, i] among them.
+_UPPER = np.triu_indices(4)
+_MOMENT_PLACE = np.zeros((4, 4), dtype=np.intp)
+_MOMENT_PLACE[_UPPER] = _MOMENT_PLACE.T[_UPPER] = np.arange(10)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTrajectory:
-    """Ordered (tau, CovarianceMatrix) samples of a moment integration."""
+    """Lab-frame samples of a moment integration, stored as arrays.
 
-    samples: Tuple[Tuple[float, CovarianceMatrix], ...]
+    ``taus`` are the sample times in increasing order and ``entries`` the
+    (len(taus), 4, 4) stack of covariance matrices at them, both
+    read-only float64.  Every matrix passes the finiteness and symmetry
+    checks of CovarianceMatrix at construction; ``samples`` and
+    ``final()`` build CovarianceMatrix objects when they are read.
+    """
+
+    taus: np.ndarray
+    entries: np.ndarray
+
+    def __post_init__(self):
+        taus = np.array(self.taus, dtype=np.float64)
+        entries = np.asarray(self.entries)
+        if taus.ndim != 1 or entries.shape != (taus.size, 4, 4):
+            raise ValidationError(
+                f"entries must be (len(taus), 4, 4), got {entries.shape} for {taus.shape} taus"
+            )
+        taus.setflags(write=False)
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "entries", _checked_entries(entries))
+
+    @property
+    def samples(self) -> Tuple[Tuple[float, CovarianceMatrix], ...]:
+        """(tau, CovarianceMatrix) pairs, built on each read."""
+        return tuple(
+            (tau, CovarianceMatrix(sigma))
+            for tau, sigma in zip(self.taus.tolist(), self.entries)
+        )
 
     def final(self) -> CovarianceMatrix:
-        return self.samples[-1][1]
+        return CovarianceMatrix(self.entries[-1])
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -274,26 +318,29 @@ def _rk4_propagator(ham: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     return (vecs * np.exp(n_steps * (log_modulus + 1j * phase))) @ vecs.T
 
 
-def _above_ode_floor(sigma) -> bool:
+def _above_ode_floor(sigma):
     """The moment ODE's instability gate: det alpha > 0 and both symplectic
-    eigenvalues >= 0.45.  A blown-up step violates the vacuum floor 1/2 by
-    orders of magnitude, while rounding noise on the degenerate spectrum
-    stays tiny against this margin, so the gate is deliberately coarser
-    than physicality_check.  It reads signs only and raises nothing."""
-    return bool(
-        _det2(sigma[:2, :2]) > 0.0 and _spectrum_at_least(sigma, _det4(sigma), 0.45**2)
+    eigenvalues >= 0.45, per matrix for a stack (..., 4, 4).  A blown-up
+    step violates the vacuum floor 1/2 by orders of magnitude, while
+    rounding noise on the degenerate spectrum stays tiny against this
+    margin, so the gate is deliberately coarser than physicality_check.
+    It reads signs only; a matrix with det alpha <= 0 (or not finite)
+    fails whatever _det4 gives for it, so call it under np.errstate."""
+    return (_det2(sigma[..., :2, :2]) > 0.0) & _spectrum_at_least(
+        sigma, _det4(sigma), 0.45**2
     )
 
 
 def _mode_rotation(angle1, angle2) -> np.ndarray:
-    """Block-diagonal phase-space rotation, one angle per mode."""
-    rot = np.zeros((4, 4))
+    """Block-diagonal phase-space rotation, one angle per mode; array
+    angles give a stack of rotations, one per point."""
+    rot = np.zeros(np.shape(angle1) + (4, 4))
     for k, ang in enumerate((angle1, angle2)):
         c, s = np.cos(ang), np.sin(ang)
-        rot[2 * k, 2 * k] = c
-        rot[2 * k, 2 * k + 1] = s
-        rot[2 * k + 1, 2 * k] = -s
-        rot[2 * k + 1, 2 * k + 1] = c
+        rot[..., 2 * k, 2 * k] = c
+        rot[..., 2 * k, 2 * k + 1] = s
+        rot[..., 2 * k + 1, 2 * k] = -s
+        rot[..., 2 * k + 1, 2 * k + 1] = c
     return rot
 
 
@@ -301,6 +348,11 @@ def evolve_moments_ode(
     params: PdcParams, tau_end, temperature, step: float = 1e-4
 ) -> MomentTrajectory:
     """Integrate the second-moment equations and return lab-frame samples.
+
+    The 10 independent moments are carried from sample to sample (every
+    0.05 in tau, and tau_end) by powers of the RK4 step matrix; the
+    samples then pass the instability gate, are cast to float64 and
+    rotated to the lab frame together, as one stack.
 
     Parameters
     ----------
@@ -311,7 +363,8 @@ def evolve_moments_ode(
     ------
     IntegrationError
         If long double has fewer than 63 mantissa bits, or if a sampled
-        matrix fails the physicality check (the sign of an unstable step).
+        matrix fails the instability gate (the sign of an unstable step);
+        the message names the first such sample's tau.
 
     Notes
     -----
@@ -333,7 +386,7 @@ def evolve_moments_ode(
     diag0 = np.array(
         [init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2, dtype=ld
     )
-    v0 = np.diag(diag0).reshape(16)
+    vec = np.diag(diag0)[_UPPER]
 
     y = ld(params.y)
     drift = np.zeros((4, 4), dtype=ld)
@@ -343,7 +396,17 @@ def evolve_moments_ode(
     drift[3, 2] = y
     drift[0, 3] = drift[1, 2] = drift[2, 1] = drift[3, 0] = ld(1.0)
     eye4 = np.eye(4, dtype=ld)
-    lyap = np.kron(drift, eye4) + np.kron(eye4, drift)
+    # d sigma[i, j] = sum over (k, l) of lyap[i, j, k, l] sigma[k, l], the
+    # Lyapunov operator kron(F, 1) + kron(1, F) with its four indices apart.
+    # It maps symmetric sigma to symmetric sigma, so on the 10 moments it is
+    # its rows for i <= j applied to the 16 x 10 duplication matrix that
+    # spreads the moments over sigma (row-major).
+    lyap = (
+        drift[:, None, :, None] * eye4[None, :, None, :]
+        + eye4[:, None, :, None] * drift[None, :, None, :]
+    )
+    duplication = np.eye(10, dtype=ld)[_MOMENT_PLACE.ravel()]
+    lyap = lyap[_UPPER].reshape(10, 16) @ duplication
 
     n_steps = max(1, int(np.ceil(float(tau_end) / step)))
     h = ld(tau_end) / n_steps
@@ -354,36 +417,40 @@ def evolve_moments_ode(
     else:
         stride = max(1, int(round(0.05 / float(h))))
         indices = sorted(set(range(0, n_steps, stride)) | {n_steps})
+    taus = float(h) * np.array(indices, dtype=np.float64)
+    taus[-1] = float(tau_end)  # the last sample is step n_steps, or tau 0
 
-    # R^gap for each distinct gap between samples: the stride, and the
-    # shorter last gap
-    powers = {}
-    vec, done = v0, 0
-    samples = []
-    for k in indices:
-        gap = k - done
-        if gap:
-            if gap not in powers:
-                powers[gap] = _matrix_power(step_matrix, gap)
-            vec = powers[gap] @ vec
-            done = k
-        sig_ld = vec.reshape(4, 4)
-        sig_ld = (sig_ld + sig_ld.T) / 2.0
-        tau_k = float(h) * k if k < n_steps else float(tau_end)
-        if not _above_ode_floor(sig_ld):
+    # overflow or NaN in a blown-up vector fails the gate, which raises
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # R^gap for each distinct gap between samples: the stride, and the
+        # shorter last gap
+        powers = {}
+        moments = np.empty((len(indices), 10), dtype=ld)
+        done = 0
+        for row, k in enumerate(indices):
+            gap = k - done
+            if gap:
+                if gap not in powers:
+                    powers[gap] = _matrix_power(step_matrix, gap)
+                vec = powers[gap] @ vec
+                done = k
+            moments[row] = vec
+        sig_ld = moments[:, _MOMENT_PLACE]  # (n, 4, 4), exactly symmetric
+        stable = _above_ode_floor(sig_ld)
+        if not stable.all():
             raise IntegrationError(
-                f"unphysical covariance matrix at tau={tau_k}: step too large"
+                f"unphysical covariance matrix at tau={float(taus[np.argmin(stable)])}:"
+                " step too large"
             )
-        sig = sig_ld.astype(np.float64)
         # float64 angle arithmetic deliberately mirrors covariance_matrix:
         # at |angle| ~ 1e3 rad a one-ulp angle difference already moves
         # 1e4-scale entries by ~1e-9
-        a1 = (params.omega1_bar + params.y) * tau_k
-        a2 = (params.omega2_bar + params.y) * tau_k
-        rot = _mode_rotation(a1, a2)
-        lab = rot @ sig @ rot.T
-        samples.append((tau_k, CovarianceMatrix((lab + lab.T) / 2.0)))
-    return MomentTrajectory(samples=tuple(samples))
+        rot = _mode_rotation(
+            (params.omega1_bar + params.y) * taus, (params.omega2_bar + params.y) * taus
+        )
+        lab = rot @ sig_ld.astype(np.float64) @ rot.swapaxes(-1, -2)
+        lab = (lab + lab.swapaxes(-1, -2)) / 2.0
+    return MomentTrajectory(taus=taus, entries=lab)
 
 
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
@@ -422,7 +489,10 @@ def evolve_fock(
     The oracle is restricted to small occupation (nbar <= 2) and demands
     n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError.
     TruncationError is raised when the initial thermal tail dropped at
-    the cut (plus integrator drift) exceeds LEAKAGE_LIMIT.  Population
+    the cut (plus integrator drift) exceeds LEAKAGE_LIMIT, and
+    IntegrationError when the trace grew by more than LEAKAGE_LIMIT (or
+    is not finite): RK4 amplifies every eigenmode with |h E| > 2 sqrt 2,
+    so a step too large for the spectrum of H makes the state blow up.  Population
     driven against the cutoff during the evolution is not caught by that
     check, because truncated evolution conserves the trace; read
     FockState.edge_population to see it.
@@ -491,6 +561,10 @@ def evolve_fock(
     if leakage > LEAKAGE_LIMIT:
         raise TruncationError(
             f"basis leakage {leakage:.2e} exceeds {LEAKAGE_LIMIT}; raise n_cut"
+        )
+    if not leakage >= -LEAKAGE_LIMIT:
+        raise IntegrationError(
+            f"trace grew to {trace:.3e}: step {step} is past the RK4 stability limit"
         )
     return FockState(n_cut=n_cut, leakage=leakage, blocks=blocks)
 

@@ -40,7 +40,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -119,40 +118,48 @@ def _pointwise(closed_form):
     return call
 
 
-def _det2(m) -> float:
-    """Determinant of a 2x2 block, written out explicitly."""
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _det2(m):
+    """Determinant of a 2x2 block, written out explicitly; of each block
+    for a stack (..., 2, 2)."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def _det4(sigma) -> float:
-    """Determinant of a 4x4 covariance matrix with det(alpha) > 0.
+def _det4(sigma):
+    """Determinant of a 4x4 covariance matrix with det(alpha) > 0; of each
+    matrix for a stack (..., 4, 4).
 
     Uses the Schur-complement factorization det(sigma) =
     det(alpha) * det(beta - gamma^T alpha^{-1} gamma), which keeps the
     large hyperbolic terms from cancelling catastrophically at strong
     squeezing (a naive cofactor expansion loses ~16 digits there).  Every
     covariance matrix has det(alpha) >= 1/4; callers refuse the others
-    before calling.
+    before calling, or discard their results.
     """
-    al = sigma[:2, :2]
-    be = sigma[2:, 2:]
-    ga = sigma[:2, 2:]
+    al = sigma[..., :2, :2]
+    ga = sigma[..., :2, 2:]
     det_al = _det2(al)
-    adj = np.array([[al[1, 1], -al[0, 1]], [-al[1, 0], al[0, 0]]])
-    schur = be - (ga.T @ adj @ ga) / det_al
+    adj = np.stack(
+        [al[..., 1, 1], -al[..., 0, 1], -al[..., 1, 0], al[..., 0, 0]], axis=-1
+    ).reshape(al.shape)
+    schur = sigma[..., 2:, 2:] - (ga.swapaxes(-1, -2) @ adj @ ga) / det_al[..., None, None]
     return det_al * _det2(schur)
 
 
-def _spectrum_at_least(sigma, i1, t_sq) -> bool:
+def _spectrum_at_least(sigma, i1, t_sq):
     """Whether both symplectic eigenvalues of a positive-definite CM
-    sigma with I1 = det(sigma) are >= t, given t^2.
+    sigma with I1 = det(sigma) are >= t, given t^2; per matrix for a
+    stack (..., 4, 4) with one I1 each.
 
     nu^2 are the roots of q(z) = z^2 - I2 z + I1, so "both nu >= t" is
     equivalent to the sign conditions q(t^2) >= 0 and I2 >= 2 t^2: no
     square root, no clamp, exact for rationals.
     """
-    i2 = _det2(sigma[:2, :2]) + _det2(sigma[2:, 2:]) + 2 * _det2(sigma[:2, 2:])
-    return t_sq * t_sq - i2 * t_sq + i1 >= 0 and i2 >= 2 * t_sq
+    i2 = (
+        _det2(sigma[..., :2, :2])
+        + _det2(sigma[..., 2:, 2:])
+        + 2 * _det2(sigma[..., :2, 2:])
+    )
+    return (t_sq * t_sq - i2 * t_sq + i1 >= 0) & (i2 >= 2 * t_sq)
 
 
 class PairState(NamedTuple):
@@ -172,6 +179,33 @@ class PairState(NamedTuple):
     x: float
     ratio: float
     ch: float
+
+
+_FLOAT64_MAX = float(np.finfo(np.float64).max)
+
+
+def _checked_entries(arr: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of a 4x4 matrix or a stack (..., 4, 4) of
+    them, once every matrix is finite and symmetric within
+    ``SYMMETRY_TOL`` times max(1, its largest |entry|); ValidationError
+    if not.
+    """
+    # one pass finds both: the max is NaN if any entry is, and an entry
+    # past the float64 range (of a long double input) exceeds its max
+    if not np.abs(arr).max() <= _FLOAT64_MAX:
+        raise ValidationError("covariance matrix entries must be finite")
+    arr = arr.astype(np.float64)
+    defect = np.abs(arr - arr.swapaxes(-1, -2))
+    # a defect within SYMMETRY_TOL passes every matrix's bound, so the
+    # per-matrix scales are read only past it: one matrix costs no more
+    # than one global pass
+    if defect.max() > SYMMETRY_TOL and not (
+        defect.max(axis=(-2, -1))
+        <= SYMMETRY_TOL * np.abs(arr).max(axis=(-2, -1), initial=1.0)
+    ).all():
+        raise ValidationError("covariance matrix is not symmetric within 1e-12")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -196,16 +230,7 @@ class CovarianceMatrix:
         arr = np.asarray(self.entries)
         if arr.shape != (4, 4):
             raise ValidationError(f"covariance matrix must be 4x4, got {arr.shape}")
-        # one pass finds both: the max is NaN if any entry is, and float()
-        # turns an entry past the float64 range into inf
-        scale = float(np.abs(arr).max())
-        if not scale < math.inf:
-            raise ValidationError("covariance matrix entries must be finite")
-        arr = arr.astype(np.float64)
-        if float(np.abs(arr - arr.T).max()) > SYMMETRY_TOL * max(1.0, scale):
-            raise ValidationError("covariance matrix is not symmetric within 1e-12")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _checked_entries(arr))
 
     @classmethod
     def vacuum(cls) -> "CovarianceMatrix":
@@ -393,23 +418,6 @@ def entanglement_report(cm: CovarianceMatrix) -> EntanglementReport:
     )
 
 
-def _exact_det(matrix: list) -> Fraction:
-    """Leibniz determinant over exact rationals (n <= 4 here)."""
-    n = len(matrix)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Fraction(sign)
-        for i in range(n):
-            term *= matrix[i][perm[i]]
-        total += term
-    return total
-
-
 def physicality_check(cm: CovarianceMatrix) -> bool:
     """True iff both symplectic eigenvalues of the CM itself are >= 1/2 - 1e-9
     and the matrix is positive definite.
@@ -420,17 +428,28 @@ def physicality_check(cm: CovarianceMatrix) -> bool:
     A matrix that carries its pair state is physical by construction (its
     symplectic eigenvalues are nbar_j + 1/2), though its rounded float64
     entries alone can miss the 1e-9 slack at strong squeezing.  Any other
-    matrix is decided in exact rational arithmetic on its entries: the
+    matrix is decided exactly on its entries: scaled by one power-of-two
+    denominator den they are integers, and Bareiss' fraction-free
+    elimination of those gives the leading principal minors times
+    den^(k+1) as its pivots, the last one being det(sigma) den^4.  The
     sign test of ``_spectrum_at_least`` needs no square root, so
     rationals decide it exactly even on a degenerate spectrum.
     """
     if cm.pair is not None:
         return True
-    rows = [[Fraction(v) for v in row] for row in cm.entries.tolist()]
-    # positive definiteness via leading principal minors
-    for k in range(1, 5):
-        if _exact_det([row[:k] for row in rows[:k]]) <= 0:
+    ratios = [v.as_integer_ratio() for v in cm.entries.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    a = [[n * (den // d) for n, d in ratios[4 * i:4 * i + 4]] for i in range(4)]
+    # positive definite iff every leading principal minor is positive
+    previous = 1
+    for k in range(4):
+        pivot = a[k][k]
+        if pivot <= 0:
             return False
+        for i in range(k + 1, 4):
+            for j in range(k + 1, 4):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // previous
+        previous = pivot
+    exact = np.array([Fraction(n, d) for n, d in ratios], dtype=object).reshape(4, 4)
     threshold = Fraction(1, 2) - Fraction(1, 10**9)
-    exact = np.array(rows, dtype=object)
-    return _spectrum_at_least(exact, _exact_det(rows), threshold * threshold)
+    return _spectrum_at_least(exact, Fraction(previous, den**4), threshold * threshold)

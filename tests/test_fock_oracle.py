@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from pdc_entanglement import (
+    CovarianceMatrix,
     FockState,
     IntegrationError,
     ValidationError,
@@ -159,6 +161,71 @@ class TestMomentsOde:
         with pytest.raises(IntegrationError, match="63 mantissa bits"):
             evolve_moments_ode(reference_params, 1.0, 10.0)
 
+    def test_trajectory_is_stored_as_one_array(self, reference_params, monkeypatch):
+        # the samples are checked as one stack, so the only CovarianceMatrix
+        # built is the one final() returns
+        built = []
+        post_init = CovarianceMatrix.__post_init__
+
+        def counting(cm):
+            built.append(cm)
+            post_init(cm)
+
+        monkeypatch.setattr(CovarianceMatrix, "__post_init__", counting)
+        traj = evolve_moments_ode(reference_params, 2.881, 300.0)
+        final = traj.final()
+        assert len(built) == 1
+        assert traj.entries.shape == (59, 4, 4)
+        assert traj.entries.dtype == np.float64 and traj.taus.dtype == np.float64
+        assert not traj.entries.flags.writeable and not traj.taus.flags.writeable
+        with pytest.raises(ValueError):
+            traj.entries[0, 0, 0] = 0.0
+        assert np.array_equal(final.entries, traj.entries[-1])
+        samples = traj.samples
+        assert [tau for tau, _ in samples] == traj.taus.tolist()
+        for (_, cm), sigma in zip(samples, traj.entries):
+            assert np.array_equal(cm.entries, sigma)
+
+    def test_trajectory_refuses_what_covariance_matrix_refuses(self):
+        sigma = np.stack([0.5 * np.eye(4)] * 3)
+        sigma[1, 0, 2] = 1e-3  # no symmetric partner
+        with pytest.raises(ValidationError, match="not symmetric"):
+            fock_oracle.MomentTrajectory(taus=[0.0, 0.1, 0.2], entries=sigma)
+        sigma[1, 0, 2] = np.nan
+        with pytest.raises(ValidationError, match="must be finite"):
+            fock_oracle.MomentTrajectory(taus=[0.0, 0.1, 0.2], entries=sigma)
+        with pytest.raises(ValidationError):
+            fock_oracle.MomentTrajectory(taus=[0.0, 0.1], entries=sigma)
+
+    def test_trajectory_scales_the_symmetry_bound_per_matrix(self):
+        # each matrix may be off by 1e-12 max(1, its largest |entry|), as a
+        # CovarianceMatrix of its own: 5e-9 passes at 1e4, not at 1
+        big, small = 1e4 * np.eye(4), 0.5 * np.eye(4)
+        big[0, 2] = small[0, 2] = 5e-9
+        CovarianceMatrix(big)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            CovarianceMatrix(small)
+        fock_oracle.MomentTrajectory(taus=[0.0, 0.1], entries=[big, big])
+        with pytest.raises(ValidationError, match="not symmetric"):
+            fock_oracle.MomentTrajectory(taus=[0.0, 0.1], entries=[big, small])
+
+    @pytest.mark.parametrize("failing", [0, 7, 30])
+    def test_gate_failure_names_the_first_failing_tau(
+        self, reference_params, monkeypatch, failing
+    ):
+        # sample `failing` fails the gate, and so does the last one
+        gate = fock_oracle._above_ode_floor
+
+        def failing_gate(sigma):
+            verdicts = gate(sigma)
+            verdicts[[failing, -1]] = False
+            return verdicts
+
+        tau = evolve_moments_ode(reference_params, 1.5, 80.0).taus[failing]
+        monkeypatch.setattr(fock_oracle, "_above_ode_floor", failing_gate)
+        with pytest.raises(IntegrationError, match=re.escape(f"at tau={tau}:")):
+            evolve_moments_ode(reference_params, 1.5, 80.0)
+
 
 class TestEvolveFock:
     def test_zero_time_vacuum(self, reference_params):
@@ -211,6 +278,13 @@ class TestEvolveFock:
     def test_rejects_undersized_cutoff(self, make_params):
         with pytest.raises(ValidationError):
             evolve_fock(make_params(), 0.5, T_SMALL, n_cut=8)
+
+    @pytest.mark.parametrize("step", [0.2, 0.5])
+    def test_refuses_a_grown_trace(self, make_params, step):
+        # RK4 amplifies the modes with |h E| > 2 sqrt 2: at step 0.2 the
+        # trace grows to 4.9e56, and the state would give E_N = 1.44
+        with pytest.raises(IntegrationError, match="trace grew"):
+            evolve_fock(make_params(y=0.5), 3.0, 1.0, n_cut=20, step=step)
 
 
 class TestFockLogNegativity:
@@ -465,19 +539,31 @@ def test_sector_blocks_single_coupling_merges_all_labels():
     assert list(blocks[0]) == list(range(6))
 
 
+def gate_matrices():
+    """2000 seeded positive-definite matrices around the gate's floor."""
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        m = rng.normal(size=(4, 4)) * rng.uniform(0.2, 1.2)
+        yield m @ m.T + rng.uniform(0.01, 0.3) * np.eye(4)
+
+
 def test_ode_gate_matches_symplectic_spectrum():
     # the gate's sign test against a direct reference: the symplectic
     # eigenvalues of sigma are the moduli of the eigenvalues of i Omega sigma
     omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    rng = np.random.default_rng(11)
     passed = 0
-    for _ in range(2000):
-        m = rng.normal(size=(4, 4)) * rng.uniform(0.2, 1.2)
-        sigma = m @ m.T + rng.uniform(0.01, 0.3) * np.eye(4)
+    for sigma in gate_matrices():
         nu_min = np.abs(np.linalg.eigvals(1j * omega @ sigma)).min()
         assert _above_ode_floor(sigma.astype(np.longdouble)) == (nu_min >= 0.45)
         passed += nu_min >= 0.45
     assert 200 < passed < 1800  # both verdicts are exercised
+
+
+def test_ode_gate_on_a_stack_matches_per_matrix_verdicts():
+    stack = np.stack(list(gate_matrices())).astype(np.longdouble)
+    verdicts = _above_ode_floor(stack)
+    assert verdicts.shape == (2000,)
+    assert verdicts.tolist() == [bool(_above_ode_floor(sigma)) for sigma in stack]
 
 
 # step 1e-3 keeps RK4 3e-9 to 4e-8 away from the exact propagator on these

@@ -1,4 +1,6 @@
 import warnings
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -180,6 +182,75 @@ class TestPhysicality:
                         params, np.longdouble(tau), np.longdouble(temp)
                     )
                     assert physicality_check(cm)
+
+
+def leibniz_det(rows):
+    """Determinant over exact rationals by the Leibniz sum."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def reference_physicality(entries):
+    """Positive definite (every leading minor > 0) and both symplectic
+    eigenvalues >= 1/2 - 1e-9, in Fractions: nu^2 are the roots of
+    z^2 - I2 z + I1, so with t^2 = (1/2 - 1e-9)^2 that is q(t^2) >= 0
+    and I2 >= 2 t^2."""
+    rows = [[Fraction(v) for v in row] for row in entries.tolist()]
+    if any(leibniz_det([row[:k] for row in rows[:k]]) <= 0 for k in range(1, 5)):
+        return False
+
+    def block(r, c):
+        return leibniz_det([row[c:c + 2] for row in rows[r:r + 2]])
+
+    i2 = block(0, 0) + block(2, 2) + 2 * block(0, 2)
+    t_sq = (Fraction(1, 2) - Fraction(1, 10**9)) ** 2
+    return t_sq * t_sq - i2 * t_sq + leibniz_det(rows) >= 0 and i2 >= 2 * t_sq
+
+
+def two_mode_squeezer(r):
+    c, s = np.cosh(r), np.sinh(r)
+    return np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
+
+
+def physicality_cases():
+    rng = np.random.default_rng(23)
+    cases = [0.5 * np.eye(4), 0.25 * np.eye(4), -np.eye(4), np.zeros((4, 4))]
+    # exactly singular: equal first rows (second minor 0), and a rank-3
+    # integer Gram matrix whose first three minors are positive
+    cases.append(np.array([[1.0, 1.0, 0, 0], [1.0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]))
+    vecs = np.array([[1.0, 0, 0, 1.0], [0, 1.0, 0, 2.0], [0, 0, 1.0, 3.0]])
+    cases.append(vecs.T @ vecs)
+    # on the 1/2 - 1e-9 threshold and one ulp to either side, thermal and
+    # squeezed
+    nu = 0.5 - 1e-9
+    for value in (np.nextafter(nu, 0.0), nu, np.nextafter(nu, 1.0)):
+        for r in (0.0, 0.3, 1.5):
+            sq = two_mode_squeezer(r)
+            cases.append(value * sq @ sq.T)
+    # seeded: positive definite around the floor, and indefinite
+    for _ in range(150):
+        m = rng.normal(size=(4, 4)) * rng.uniform(0.2, 1.2)
+        cases.append(m @ m.T + rng.uniform(0.01, 0.3) * np.eye(4))
+    for _ in range(30):
+        m = rng.normal(size=(4, 4))
+        cases.append(m + m.T)
+    return [CovarianceMatrix(c) for c in cases]
+
+
+def test_physicality_check_matches_leibniz_reference():
+    verdicts = []
+    for cm in physicality_cases():
+        verdict = physicality_check(cm)
+        assert verdict is reference_physicality(cm.entries)
+        verdicts.append(verdict)
+    assert 20 < sum(verdicts) < len(verdicts) - 20  # both verdicts are exercised
 
 
 class TestEntanglementReport:
