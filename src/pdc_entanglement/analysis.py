@@ -10,10 +10,11 @@ with |det gamma| = m(m+1)K^2, m = sinh^2(x tau)/x^2, K = nbar1+nbar2+1.
 Every quantity here reads the occupations and m from the core of
 ``pdc_dynamics``.  The birth time solves the equality in closed form
 (quadratic in m, then arcsinh); a bracketed bisection in tau on the same
-condition, with the occupations fixed outside its loop, is kept as an
-independent verification route.  The critical temperature is the root in
-T of the separability indicator at fixed interaction time, found by
-bisection with m computed once.
+condition is kept as an independent verification route.  The occupations
+and x are fixed outside its loop, so each evaluation is sinh(x tau)/x and
+one comparison that refuses an x*tau past the float range.  The critical
+temperature is the root in T of the separability indicator at fixed
+interaction time, found by bisection with m computed once.
 
 The closed-form birth time and the witness also take numpy arrays of T,
 tau and y (the mismatch then given next to them, in place of
@@ -32,11 +33,13 @@ import numpy as np
 from .errors import ValidationError
 from .gaussian_core import _check_finite, _every, _pointwise, _working
 from .pdc_dynamics import (
+    _EXP_MAX,
     PdcParams,
     _check_mismatch,
     _check_nonnegative,
     _occupations,
     _pair_state,
+    _sinh_overflow,
     _stretch,
 )
 
@@ -141,15 +144,19 @@ def birth_time(
         raise ValidationError("the bisection route takes a scalar T and y")
     if s0 == 0.0:
         return BteResult(tau_e=0.0, method=method)
-    y = params.y if y is None else y
+    # the library _stretch(y, tau) would pick: numpy for a 0-d array y
+    _, lib = _working(y)
 
     def f(tau):
-        _, ratio, _ = _stretch(y, tau)
+        z = x * tau
+        if not z <= _EXP_MAX:
+            raise _sinh_overflow(z)
+        ratio = lib.sinh(z) / x
         m = ratio * ratio
         return m * (m + 1.0) * k_sq - s0
 
     # f grows without bound, so the doubling ends; past the float range
-    # _stretch refuses
+    # f refuses
     hi = 1.0
     while f(hi) <= 0.0:
         hi *= 2.0

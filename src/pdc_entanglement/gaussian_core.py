@@ -30,6 +30,14 @@ The invariants have two routes:
   GENERIC_EN_TOL the route raises NumericalDomainError instead of
   returning a verdict.
 
+A ``CovarianceMatrix`` built from entries is checked (finite, symmetric)
+and copied to a read-only float64 array.  The matrices of
+``pdc_dynamics.covariance_matrix`` skip those checks: that function has
+already refused entries that are not finite, and the private constructor
+it calls builds the array itself from the four distinct entries in a
+layout that is symmetric by construction, so the checks could only copy
+it.  Every other construction keeps them.
+
 Every function is pure and the value types are frozen; instances can be
 shared freely across threads.
 """
@@ -103,15 +111,17 @@ def _pointwise(closed_form):
 
     On Python floats an overflow gives inf (and inf - inf gives NaN)
     without a word, and the finiteness checks of the closed forms then
-    raise.  numpy warns on the same operations, so a call with an array
-    argument runs with those warnings off: any point of an array past
-    the float range then raises the error that point alone would.
+    raise.  numpy warns on the same operations, and on a division by
+    zero, which the thermal occupation turns into inf for Python floats
+    as well.  So a call with an array argument runs with those warnings
+    off: any point of an array past the float range then raises the
+    error that point alone would.
     """
 
     @functools.wraps(closed_form)
     def call(*args, **kwargs):
         if _has_array(args) or kwargs and _has_array(kwargs.values()):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 return closed_form(*args, **kwargs)
         return closed_form(*args, **kwargs)
 
@@ -220,7 +230,9 @@ class CovarianceMatrix:
 
     ``pair`` is set by ``pdc_dynamics.covariance_matrix`` to the pair
     state the entries were built from; the invariants then take the pair
-    route.  It takes no part in equality or repr.
+    route.  It takes no part in equality or repr.  Those matrices come
+    from ``_of_pair``, which stores the same read-only float64 entries
+    without re-running the checks (see the module docstring).
     """
 
     entries: np.ndarray
@@ -231,6 +243,25 @@ class CovarianceMatrix:
         if arr.shape != (4, 4):
             raise ValidationError(f"covariance matrix must be 4x4, got {arr.shape}")
         object.__setattr__(self, "entries", _checked_entries(arr))
+
+    @classmethod
+    def _of_pair(cls, d1, d2, s13, s14, pair: PairState) -> "CovarianceMatrix":
+        """The matrix of a pair state from its four distinct entries, which
+        the caller has checked to be finite, without ``__post_init__``
+        (see the module docstring).  The layout is the one documented at
+        ``pdc_dynamics.covariance_matrix``, its only caller.
+        """
+        flat = np.array([
+            d1, 0.0, s13, s14,
+            0.0, d1, s14, -s13,
+            s13, s14, d2, 0.0,
+            s14, -s13, 0.0, d2,
+        ])
+        flat.setflags(write=False)
+        cm = object.__new__(cls)
+        object.__setattr__(cm, "entries", flat.reshape(4, 4))
+        object.__setattr__(cm, "pair", pair)
+        return cm
 
     @classmethod
     def vacuum(cls) -> "CovarianceMatrix":

@@ -57,6 +57,7 @@ from .gaussian_core import (
     _check_finite,
     _every,
     _first,
+    _has_array,
     _pair_invariants,
     _pointwise,
     _working,
@@ -76,6 +77,16 @@ def _check_mismatch(y):
     if inside is not True and not _every(inside):
         raise ValidationError(
             f"mismatch y must lie in [0, 1), got {_first(y, inside)}"
+        )
+
+
+def _check_frequency(omega, name):
+    """Refuse an angular frequency unless hbar*omega is a positive float:
+    besides 0, negatives, NaN and inf, this refuses an omega so small that
+    hbar*omega underflows to 0 and the occupation would divide by it."""
+    if not 0.0 < HBAR * omega < math.inf:
+        raise ValidationError(
+            f"{name} must be finite and > 0, with hbar*{name} > 0 in float64, got {omega}"
         )
 
 
@@ -102,10 +113,10 @@ class PdcParams:
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        if not (self.omega1_bar > 0.0 and self.omega2_bar > 0.0):
-            raise ValidationError("mode frequencies must be positive")
         if not self.g > 0.0:
             raise ValidationError("coupling rate g must be positive")
+        _check_frequency(self.omega1_bar * self.g, "omega1_bar*g")
+        _check_frequency(self.omega2_bar * self.g, "omega2_bar*g")
         _check_mismatch(self.y)
 
 
@@ -118,6 +129,10 @@ class ThermalInit:
     nbar2: float
 
     def __post_init__(self):
+        for name in ("temperature", "nbar1", "nbar2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.temperature < 0.0:
             raise ValidationError("temperature must be >= 0")
         if self.nbar1 < 0.0 or self.nbar2 < 0.0:
@@ -133,7 +148,9 @@ def _bose(omega, temperature, lib):
     float range, where the occupation is below its smallest normal
     value.  Those cold points divide by k_B T + hbar omega in place of
     k_B T, which keeps beta below 1, and are then multiplied by
-    False, so no point of an array divides by zero or overflows.
+    False, so no point of an array divides by zero or overflows.  A hot
+    beta that underflows to 0 gives inf, as numpy does, for the callers'
+    finiteness checks to refuse.
     """
     hw = HBAR * omega
     kt = K_B * temperature
@@ -141,7 +158,10 @@ def _bose(omega, temperature, lib):
     scaled = kt * _EXP_MAX
     limit = hw * (1.0 + 2.0**-50)
     beta = hw / (kt + hw * (scaled <= limit))
-    return (scaled > limit) * (1.0 / lib.expm1(beta))
+    try:
+        return (scaled > limit) * (1.0 / lib.expm1(beta))
+    except ZeroDivisionError:  # Python floats divide by zero with an error
+        return math.inf
 
 
 def _check_nonnegative(value, name):
@@ -150,12 +170,13 @@ def _check_nonnegative(value, name):
         raise ValidationError(f"{name} must be finite and >= 0")
 
 
+@_pointwise
 def thermal_occupation(omega, temperature):
     """Bose-Einstein mean photon number of a mode at temperature T.
 
     Parameters
     ----------
-    omega : angular frequency, rad/s (> 0)
+    omega : angular frequency, rad/s (finite, > 0)
     temperature : kelvin (finite, >= 0); T = 0 returns exactly 0
 
     Returns
@@ -163,13 +184,17 @@ def thermal_occupation(omega, temperature):
     1 / (exp(hbar*omega/(k_B*T)) - 1): a Python float, or a float64 array
     for an array of T.  Exactly 0 once hbar*omega/(k_B*T) reaches the end
     of the float exponent range.
+
+    Raises NumericalDomainError where the occupation leaves the float
+    range (k_B T/(hbar omega) past about 1.8e308).
     """
-    if not omega > 0.0:
-        raise ValidationError("omega must be positive")
     num, lib = _working(omega, temperature)
-    temperature = num(temperature)
+    omega, temperature = num(omega), num(temperature)
+    _check_frequency(omega, "omega")
     _check_nonnegative(temperature, "temperature")
-    return _bose(num(omega), temperature, lib)
+    nbar = _bose(omega, temperature, lib)
+    _check_finite(nbar, "thermal occupation", "T", temperature)
+    return nbar
 
 
 def _occupations(params: PdcParams, temperature, lib=math):
@@ -181,11 +206,21 @@ def _occupations(params: PdcParams, temperature, lib=math):
 
 
 def thermal_init(params: PdcParams, temperature) -> ThermalInit:
-    """Initial occupations for both modes of a parameter set."""
+    """Initial occupations for both modes of a parameter set.
+
+    Raises NumericalDomainError where an occupation, or their sum, leaves
+    the float range.
+    """
     temperature = float(temperature)
     _check_nonnegative(temperature, "temperature")
     n1, n2 = _occupations(params, temperature)
+    _check_finite(n1 + n2, "thermal occupation", "T", temperature)
     return ThermalInit(temperature=temperature, nbar1=n1, nbar2=n2)
+
+
+def _sinh_overflow(z):
+    """The error for an x*tau = z past ``_EXP_MAX``."""
+    return NumericalDomainError(f"x*tau = {float(z)!r} overflows sinh(x*tau) in float64")
 
 
 def _stretch(y, tau):
@@ -199,9 +234,7 @@ def _stretch(y, tau):
     z = x * tau
     fits = z <= _EXP_MAX
     if fits is not True and not _every(fits):
-        raise NumericalDomainError(
-            f"x*tau = {float(_first(z, fits))!r} overflows sinh(x*tau) in float64"
-        )
+        raise _sinh_overflow(_first(z, fits))
     return x, lib.sinh(z) / x, lib.cosh(z)
 
 
@@ -295,6 +328,10 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     returned matrix carries the pair state, so its invariants take the
     pair route.  tau and T are scalars.
     """
+    if _has_array((tau, temperature)) and (np.ndim(tau) or np.ndim(temperature)):
+        raise ValidationError(
+            "covariance_matrix takes a scalar tau and T; pair_invariants takes arrays"
+        )
     tau, y = float(tau), float(params.y)
     pair = _pair_state(params, tau, temperature)
     ratio, ch, big_k = pair.ratio, pair.ch, pair.big_k
@@ -310,15 +347,7 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     d1 = pair.nbar1 + gain + 0.5
     d2 = pair.nbar2 + gain + 0.5
     _check_finite(abs(s13) + abs(s14) + d1 + d2, "covariance matrix", "tau", tau)
-    sigma = np.array(
-        [
-            [d1, 0.0, s13, s14],
-            [0.0, d1, s14, -s13],
-            [s13, s14, d2, 0.0],
-            [s14, -s13, 0.0, d2],
-        ]
-    )
-    return CovarianceMatrix(sigma, pair=pair)
+    return CovarianceMatrix._of_pair(d1, d2, s13, s14, pair)
 
 
 @_pointwise

@@ -15,6 +15,9 @@ from pdc_entanglement import (
     thermal_init,
     witness,
 )
+from pdc_entanglement import analysis
+from pdc_entanglement.analysis import BTE_ABS_TOL
+from pdc_entanglement.pdc_dynamics import _pair_state, _stretch
 
 
 class TestS0Threshold:
@@ -97,6 +100,58 @@ class TestBirthTime:
     def test_rejects_unknown_method(self, reference_params):
         with pytest.raises(ValidationError):
             birth_time(reference_params, 10.0, method="newton")
+
+
+def stretch_bisection(params, temperature, y=None):
+    """The bisection birth time that re-derives (x, sinh(x tau)/x) from y
+    with ``_stretch`` at every evaluation."""
+    pair = _pair_state(params, 0.0, temperature, y)
+    s0 = s0_threshold(pair.nbar1, pair.nbar2)
+    k_sq = pair.big_k * pair.big_k
+    if s0 == 0.0:
+        return 0.0
+    y = params.y if y is None else y
+
+    def f(tau):
+        _, ratio, _ = _stretch(y, tau)
+        m = ratio * ratio
+        return m * (m + 1.0) * k_sq - s0
+
+    lo, hi = 0.0, 1.0
+    while f(hi) <= 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        if hi - lo <= BTE_ABS_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return float(0.5 * (lo + hi))
+
+
+class TestBisectionRoute:
+    """The bisection takes x from the pair state, outside its loop, and
+    returns exactly what re-deriving it at every evaluation returns."""
+
+    def test_matches_stretch_at_every_evaluation(self, make_params):
+        rng = np.random.default_rng(1102)
+        cases = [(0.0, 1e70, None), (0.0, 1e76, None), (1.0 - 1e-15, 1e5, None)]
+        cases += [(0.5, 0.0, None), (0.5, 300.0, np.array(0.5)), (0.3, 77.0, 0.8)]
+        for _ in range(60):
+            cases.append((0.99 * rng.random(), 10.0 ** rng.uniform(-1.0, 5.0), None))
+        for y, temp, y_arg in cases:
+            params = make_params(y=y)
+            got = birth_time(params, temp, method="bisection", y=y_arg).tau_e
+            assert got == stretch_bisection(params, temp, y_arg), (y, temp, y_arg)
+
+    def test_refuses_past_the_exp_range(self, reference_params, monkeypatch):
+        # tau_E = 2.79 at 300 K: with the range cut to x*tau <= 2 the
+        # doubling reaches tau = 4 before it brackets the onset
+        monkeypatch.setattr(analysis, "_EXP_MAX", 2.0)
+        with pytest.raises(NumericalDomainError, match="overflows sinh"):
+            birth_time(reference_params, 300.0, method="bisection")
 
 
 class TestCriticalTemperature:

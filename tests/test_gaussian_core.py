@@ -1,10 +1,13 @@
+import ast
 import warnings
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pdc_entanglement import gaussian_core
 from pdc_entanglement import (
     CovarianceMatrix,
     NumericalDomainError,
@@ -294,6 +297,64 @@ class TestPairRoute:
         for measure in (symplectic_invariants, entanglement_report, log_negativity):
             with pytest.raises(NumericalDomainError):
                 measure(cm)
+
+
+class TestPairConstructor:
+    """covariance_matrix builds its matrix without the checks of the public
+    constructor; the entries are the ones those checks would store."""
+
+    def sweep(self, make_params):
+        rng = np.random.default_rng(1101)
+        points = [(0.0, 20.0, 0.0), (1.0 - 1e-15, 20.0, 600.0), (1.0 - 1e-15, 1.0, 0.0)]
+        for _ in range(200):
+            points.append((0.99 * rng.random(), 20.0 * rng.random(), 600.0 * rng.random()))
+        for y, tau, temp in points:
+            yield covariance_matrix(make_params(y=y), tau, temp)
+
+    def test_entries_are_what_the_checks_would_store(self, make_params):
+        for cm in self.sweep(make_params):
+            checked = CovarianceMatrix(cm.entries).entries
+            assert cm.entries.dtype == np.float64 and cm.entries.shape == (4, 4)
+            assert cm.entries.tobytes() == checked.tobytes()
+            assert not cm.entries.flags.writeable
+            assert cm.entries.base is None or not cm.entries.base.flags.writeable
+            with pytest.raises(ValueError):
+                cm.entries[0, 0] = 0.0
+
+    def test_covariance_matrix_skips_the_checks(self, reference_params, monkeypatch):
+        calls = []
+        checked_entries = gaussian_core._checked_entries
+
+        def counting(arr):
+            calls.append(arr)
+            return checked_entries(arr)
+
+        monkeypatch.setattr(gaussian_core, "_checked_entries", counting)
+        cm = covariance_matrix(reference_params, 2.881, 300.0)
+        assert calls == []
+        CovarianceMatrix(cm.entries)  # the counter sees the public constructor
+        assert len(calls) == 1
+
+    def test_only_covariance_matrix_calls_it(self):
+        # every reference to the private constructor in the package source
+        # sits inside pdc_dynamics.covariance_matrix
+        package = Path(gaussian_core.__file__).parent
+        sites = [
+            (path.name, function)
+            for path in sorted(package.glob("*.py"))
+            for function in enclosing_functions(ast.parse(path.read_text()), "_of_pair")
+        ]
+        assert sites == [("pdc_dynamics.py", "covariance_matrix")]
+
+
+def enclosing_functions(node, attr, function=None):
+    """Name of the innermost function around each ``.attr`` in the tree."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Attribute) and node.attr == attr:
+        yield function
+    for child in ast.iter_child_nodes(node):
+        yield from enclosing_functions(child, attr, function)
 
 
 class TestGenericRouteGuard:

@@ -7,6 +7,7 @@ import pytest
 from pdc_entanglement import (
     HBAR,
     K_B,
+    NumericalDomainError,
     PdcParams,
     ThermalInit,
     ValidationError,
@@ -74,6 +75,22 @@ class TestParams:
         with pytest.raises(ValidationError):
             ThermalInit(temperature=10.0, nbar1=-0.5, nbar2=0.0)
 
+    @pytest.mark.parametrize("field", ["temperature", "nbar1", "nbar2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_thermal_init_rejects_non_finite_field(self, field, value):
+        # NaN used to pass every comparison and construct
+        kwargs = dict(temperature=1.0, nbar1=1.0, nbar2=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            ThermalInit(**kwargs)
+
+    @pytest.mark.parametrize("omega_bar, g", [(1e-200, 1e-200), (1e200, 1e200)])
+    def test_mode_frequency_must_be_a_float(self, omega_bar, g):
+        # omega1_bar*g past the float range, or hbar*omega1_bar*g below
+        # it: the occupations used to be NaN or divide by zero
+        with pytest.raises(ValidationError, match="omega1_bar\\*g must be finite"):
+            PdcParams(omega1_bar=omega_bar, omega2_bar=400.0, g=g)
+
 
 class TestThermalOccupation:
     def test_zero_temperature_exact(self):
@@ -103,6 +120,41 @@ class TestThermalOccupation:
     def test_rejects_non_finite_temperature(self, temp):
         with pytest.raises(ValidationError):
             thermal_occupation(1e10, temp)
+
+    @pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan, 1e-300])
+    @pytest.mark.parametrize("temp", [300.0, 0.0, np.array([0.0, 300.0])])
+    def test_rejects_non_finite_omega(self, omega, temp):
+        # inf gave NaN; 1e-300 has hbar*omega = 0 and divided by zero
+        with pytest.raises(ValidationError, match="^omega must be finite"):
+            thermal_occupation(omega, temp)
+
+    @pytest.mark.parametrize(
+        "omega, temp",
+        [
+            (1.0, 1e300),  # 1/expm1(beta) overflows
+            (1.0, np.array([300.0, 1e300])),
+            (1e-5, 1.7e308),  # beta underflows to 0: a division by zero
+            (1e-5, np.array([0.0, 1.7e308])),
+        ],
+    )
+    def test_occupation_past_float_range_is_refused(self, omega, temp):
+        # these returned inf, with a RuntimeWarning for the arrays
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError, match="thermal occupation overflows"):
+                thermal_occupation(omega, temp)
+
+    def test_zero_temperature_exact_in_arrays(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nbar = thermal_occupation(1e-5, np.array([0.0, 1.0, 0.0]))
+        assert nbar[0] == 0.0 and nbar[2] == 0.0 and nbar[1] > 0.0
+        assert thermal_occupation(1e-5, 0.0) == 0.0
+
+    def test_thermal_init_past_float_range_is_refused(self):
+        params = PdcParams(omega1_bar=1.0, omega2_bar=1.0, g=1.0)
+        with pytest.raises(NumericalDomainError, match="thermal occupation overflows"):
+            thermal_init(params, 1.7e308)
 
     def test_thermal_init_ordering(self, reference_params):
         init = thermal_init(reference_params, 150.0)
@@ -216,6 +268,24 @@ class TestCovarianceMatrix:
             [init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2
         )
         assert np.allclose(cm.entries, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "tau, temp", [(1.0, np.array([300.0])), (np.array([1.0]), 300.0)]
+    )
+    def test_refuses_array_inputs(self, reference_params, tau, temp):
+        # a T of shape (1,) used to fail in numpy with "inhomogeneous shape"
+        with pytest.raises(ValidationError, match="scalar tau and T"):
+            covariance_matrix(reference_params, tau, temp)
+
+    def test_zero_dim_and_numpy_scalar_inputs(self, reference_params):
+        want = covariance_matrix(reference_params, 2.881, 300.0).entries
+        for temp in (np.float64(300.0), np.float32(300.0), np.longdouble(300.0)):
+            got = covariance_matrix(reference_params, np.float32(2.881), temp).entries
+            assert np.array_equal(got, covariance_matrix(
+                reference_params, float(np.float32(2.881)), float(temp)).entries)
+        got = covariance_matrix(reference_params, np.array(2.881), np.array(300.0))
+        assert got.entries.dtype == np.float64
+        assert np.allclose(got.entries, want, rtol=1e-14, atol=0.0)
 
     def test_entry_symmetry_structure(self, make_params):
         cm = covariance_matrix(make_params(y=0.3), 1.1, 60.0).entries
