@@ -85,11 +85,14 @@ def s0_threshold(nbar1, nbar2):
     return nbar1 * nbar2 * (nbar1 + 1.0) * (nbar2 + 1.0)
 
 
-def _bisect(f, lo, hi, *, abs_tol=0.0, rel_tol=0.0, max_iter=200):
-    """Sign-change bisection; assumes f(lo) <= 0 < f(hi)."""
-    for _ in range(max_iter):
-        if hi - lo <= abs_tol + rel_tol * max(abs(hi), 1.0):
-            break
+def _bisect(f, lo, hi, *, abs_tol=0.0, rel_tol=0.0):
+    """Sign-change bisection; assumes f(lo) <= 0 < f(hi).
+
+    It stops only when the bracket is within the tolerance, however wide
+    it was at the start: each step halves hi - lo, so a positive
+    tolerance is always met.
+    """
+    while hi - lo > abs_tol + rel_tol * max(abs(hi), 1.0):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             hi = mid
@@ -173,7 +176,10 @@ def critical_temperature(
     Bisects S(T) = 0 over [0, t_max] to 1e-6 relative.  Returns None when
     there is no root in the bracket: either the state is never entangled
     (tau_i = 0) or it is still entangled at t_max.  S is checked by sign
-    at both bracket ends rather than assumed monotone.
+    at both bracket ends rather than assumed monotone.  Raises
+    NumericalDomainError where S0 or K^2 leaves the float range in the
+    bracket (a t_max above about 1e77 K at the default frequencies), as
+    the birth time does.
     """
     tau_i, t_max = float(tau_i), float(t_max)
     _check_nonnegative(tau_i, "tau_i")
@@ -193,6 +199,13 @@ def critical_temperature(
 
     if indicator(0.0) >= 0.0:
         return None
+    # S0 and K^2 grow with T, so finite at t_max they are finite in the
+    # whole bracket.  Past the float range S(t_max) = inf - inf = NaN would
+    # pass both sign tests and move every midpoint's lo up; an infinite
+    # m(m+1) alone gives S = -inf, whose sign holds.
+    n1, n2 = _occupations(params, t_max)
+    big_k = n1 + n2 + 1.0
+    _check_finite(s0_threshold(n1, n2) + big_k * big_k, "S0 or K^2", "T", t_max)
     if indicator(t_max) < 0.0:
         return None  # still entangled at t_max: no root in bracket
     return float(_bisect(indicator, 0.0, t_max, rel_tol=TC_REL_TOL))

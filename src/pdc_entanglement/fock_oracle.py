@@ -26,17 +26,21 @@ multiplication by its one-step stability matrix R = E4(h*L) with
 E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as R^n.
 The moment ODE integrates only the 10 independent moments sigma[i, j],
 i <= j: the Lyapunov operator maps symmetric matrices to symmetric
-ones, so it restricts to them, and R is 10 x 10.  Its samples lie a
-fixed stride of steps apart, except for a shorter last gap, so it forms
-R^stride once by square-and-multiply (and R^rest for the last gap) and
-carries the moment vector from sample to sample, v <- R^gap v.  The
-composition is associative, hence identical (up to rounding) to
-stepping one by one, and the error retains the O(h^4) signature checked
-by the step-halving test.  The samples are then gated, rotated to the
-lab frame and checked all at once, as one (n, 4, 4) stack, which
-:class:`MomentTrajectory` stores as it is.  The Fock generator is
-Hermitian, so there R^n is taken in its eigenbasis, V E4(-i h E)^n V^T,
-the same integrator.
+ones, so it restricts to them, and R is 10 x 10.  It works in float64
+on increments over the identity: D = R - I is formed from its Taylor
+terms, R^n - I by square-and-multiply on increments, and a moment
+vector moves as v + (R^n - I) v, so the O(h) step is never added to 1
+and rounded.  The samples lie a fixed stride of steps apart, except for
+a shorter last gap.  The stride samples are made by doubling: the block
+of the first 2^k of them, times I + P with P = R^(2^k stride) - I,
+gives the next 2^k, and P is then squared; the last gap takes its own
+increment power.  The composition is associative, hence identical (up
+to rounding) to stepping one by one, and the error retains the O(h^4)
+signature checked by the step-halving test.  The samples are then
+gated, rotated to the lab frame and checked all at once, as one
+(n, 4, 4) stack, which :class:`MomentTrajectory` stores as it is.  The
+Fock generator is Hermitian, so there R^n is taken in its eigenbasis,
+V E4(-i h E)^n V^T, the same integrator.
 
 The Fock stages work sector by sector; on a state from evolve_fock none
 of them forms a matrix over the whole (n_cut+1)^2 basis.  The generator
@@ -75,14 +79,42 @@ from .pdc_dynamics import PdcParams, thermal_init
 MAX_MOMENT_STEP = 1e-3
 LEAKAGE_LIMIT = 1e-4
 MAX_ORACLE_OCCUPATION = 2.0
-# 63 for the x86 80-bit long double, 52 where it is a plain double
-_LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
 # The moment ODE carries the 10 independent entries sigma[i, j], i <= j,
 # in np.triu_indices(4) order; _MOMENT_PLACE[i, j] is the place of
 # sigma[i, j] = sigma[j, i] among them.
 _UPPER = np.triu_indices(4)
 _MOMENT_PLACE = np.zeros((4, 4), dtype=np.intp)
 _MOMENT_PLACE[_UPPER] = _MOMENT_PLACE.T[_UPPER] = np.arange(10)
+
+
+def _moment_lyapunov(drift) -> np.ndarray:
+    """The Lyapunov operator sigma -> F sigma + sigma F^T on the 10 moments.
+
+    d sigma[i, j] = sum over (k, l) of lyap[i, j, k, l] sigma[k, l], the
+    operator kron(F, 1) + kron(1, F) with its four indices apart.  It maps
+    symmetric sigma to symmetric sigma, so on the 10 moments it is its
+    rows for i <= j applied to the 16 x 10 duplication matrix that spreads
+    the moments over sigma (row-major).
+    """
+    drift, eye4 = np.asarray(drift, dtype=np.float64), np.eye(4)
+    lyap = (
+        drift[:, None, :, None] * eye4[None, :, None, :]
+        + eye4[:, None, :, None] * drift[None, :, None, :]
+    )
+    duplication = np.eye(10)[_MOMENT_PLACE.ravel()]
+    # the product summed elementwise: a matrix product at import would
+    # set up BLAS buffers in every process that imports the package
+    return (lyap[_UPPER].reshape(10, 16, 1) * duplication).sum(axis=1)
+
+
+# The drift F is linear in y, and so is its Lyapunov operator:
+# L = _LYAP_COUPLING + y * _LYAP_MISMATCH.
+_LYAP_COUPLING = _moment_lyapunov(
+    [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+)
+_LYAP_MISMATCH = _moment_lyapunov(
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,29 +268,27 @@ def _diagonal(state: FockState):
     return n1, n2, np.concatenate([np.diagonal(b) for _, b in state.blocks]).real
 
 
-def _matrix_power(base: np.ndarray, n: int) -> np.ndarray:
-    """base**n by square-and-multiply (n >= 0)."""
-    result = np.eye(base.shape[0], dtype=base.dtype)
-    while n:
-        if n & 1:
-            result = result @ base
-        n >>= 1
-        if n:
-            base = base @ base
-    return result
-
-
-def _rk4_step_matrix(generator: np.ndarray, h) -> np.ndarray:
-    """One-step matrix of classical RK4 for dx/dt = generator @ x."""
+def _rk4_increment(generator: np.ndarray, h: float) -> np.ndarray:
+    """R - I for classical RK4's one-step matrix R = E4(h generator),
+    formed from its terms alone: the h-sized increment kept apart from
+    the identity keeps its low digits, which I + D would round away."""
     hm = h * generator
     hm2 = hm @ hm
-    return (
-        np.eye(generator.shape[0], dtype=generator.dtype)
-        + hm
-        + hm2 / 2.0
-        + (hm2 @ hm) / 6.0
-        + (hm2 @ hm2) / 24.0
-    )
+    return hm + hm2 / 2.0 + (hm2 @ hm) / 6.0 + (hm2 @ hm2) / 24.0
+
+
+def _increment_power(increment: np.ndarray, n: int) -> np.ndarray:
+    """(I + increment)^n - I by square-and-multiply on increments (n >= 0):
+    a square is (I + D)^2 - I = 2 D + D D, a product
+    (I + P)(I + D) - I = P + D + P D."""
+    result = np.zeros_like(increment)
+    while n:
+        if n & 1:
+            result = result + increment + result @ increment
+        n >>= 1
+        if n:
+            increment = 2.0 * increment + increment @ increment
+    return result
 
 
 def _sector_blocks(matrix: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
@@ -349,9 +379,9 @@ def evolve_moments_ode(
 ) -> MomentTrajectory:
     """Integrate the second-moment equations and return lab-frame samples.
 
-    The 10 independent moments are carried from sample to sample (every
-    0.05 in tau, and tau_end) by powers of the RK4 step matrix; the
-    samples then pass the instability gate, are cast to float64 and
+    The 10 independent moments are carried to the samples (every 0.05 in
+    tau, and tau_end) by powers of the RK4 step matrix, kept as increments
+    over the identity; the samples then pass the instability gate and are
     rotated to the lab frame together, as one stack.
 
     Parameters
@@ -362,81 +392,64 @@ def evolve_moments_ode(
     Raises
     ------
     IntegrationError
-        If long double has fewer than 63 mantissa bits, or if a sampled
-        matrix fails the instability gate (the sign of an unstable step);
-        the message names the first such sample's tau.
+        If a sampled matrix fails the instability gate (the sign of an
+        unstable step, or of moments past the float range); the message
+        names the first such sample's tau.
 
     Notes
     -----
-    Internals run in extended precision: the propagator norm grows like
-    exp(2 x tau) and double-precision rounding amplified by that growth
-    would show up above the 1e-8 absolute agreement this oracle is held
-    to at high temperature (8.2e-8 on the ``oracle-check`` grid).
+    Everything runs in float64.  The step matrix R = I + D has D of order
+    h, and a float64 I + D would round away all but about 12 digits of D;
+    compounded over 10^4 steps and amplified by the propagator's
+    exp(2 x tau) growth, that loss would show above the 1e-8 absolute
+    agreement this oracle is held to at high temperature.  So D is formed
+    from its Taylor terms directly, powers are taken on increments,
+    (I + D)^2 - I = 2 D + D D and (I + P)(I + D) - I = P + D + P D, and a
+    moment vector moves as v + P v (N. J. Higham, *Functions of
+    Matrices*, SIAM 2008, ch. 10).  The stride samples are made by
+    doubling, block <- [block, block + block P^T] and then P <- 2 P + P P;
+    the last, possibly shorter gap takes its own increment power.
+
+    The gate reads float64 matrices, so it fails a little earlier in tau
+    than on long-double moments.  First failing sample at the default
+    step, tau_end = 16 (long-double moments and gate in brackets): 8.70
+    at y = 0, T = 0 (9.05); 9.2 at y = 0, T = 50 or 300 K (9.5); 9.8 at
+    y = 0.5, T = 0 (10.05); none at y = 0.9.  Long-double moments put
+    through the float64 gate fail at 8.55 at y = 0, T = 0, so the reach
+    is set by the gate's arithmetic, not by the integration.
     """
     if not 0.0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
     if not 0.0 < step <= MAX_MOMENT_STEP:
         raise ValidationError(f"step must lie in (0, {MAX_MOMENT_STEP}]")
-    if _LONGDOUBLE_NMANT < 63:
-        raise IntegrationError(
-            f"the moment ODE needs 63 mantissa bits of long double, not {_LONGDOUBLE_NMANT}"
-        )
-    ld = np.longdouble
     init = thermal_init(params, temperature)
-    diag0 = np.array(
-        [init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2, dtype=ld
-    )
-    vec = np.diag(diag0)[_UPPER]
-
-    y = ld(params.y)
-    drift = np.zeros((4, 4), dtype=ld)
-    drift[0, 1] = -y
-    drift[1, 0] = y
-    drift[2, 3] = -y
-    drift[3, 2] = y
-    drift[0, 3] = drift[1, 2] = drift[2, 1] = drift[3, 0] = ld(1.0)
-    eye4 = np.eye(4, dtype=ld)
-    # d sigma[i, j] = sum over (k, l) of lyap[i, j, k, l] sigma[k, l], the
-    # Lyapunov operator kron(F, 1) + kron(1, F) with its four indices apart.
-    # It maps symmetric sigma to symmetric sigma, so on the 10 moments it is
-    # its rows for i <= j applied to the 16 x 10 duplication matrix that
-    # spreads the moments over sigma (row-major).
-    lyap = (
-        drift[:, None, :, None] * eye4[None, :, None, :]
-        + eye4[:, None, :, None] * drift[None, :, None, :]
-    )
-    duplication = np.eye(10, dtype=ld)[_MOMENT_PLACE.ravel()]
-    lyap = lyap[_UPPER].reshape(10, 16) @ duplication
-
-    n_steps = max(1, int(np.ceil(float(tau_end) / step)))
-    h = ld(tau_end) / n_steps
-    step_matrix = _rk4_step_matrix(lyap, h)
-
-    if tau_end == 0.0:
-        indices = [0]
-    else:
-        stride = max(1, int(round(0.05 / float(h))))
-        indices = sorted(set(range(0, n_steps, stride)) | {n_steps})
-    taus = float(h) * np.array(indices, dtype=np.float64)
-    taus[-1] = float(tau_end)  # the last sample is step n_steps, or tau 0
+    moments = np.diag([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)[_UPPER][None]
+    taus = np.zeros(1)
 
     # overflow or NaN in a blown-up vector fails the gate, which raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # R^gap for each distinct gap between samples: the stride, and the
-        # shorter last gap
-        powers = {}
-        moments = np.empty((len(indices), 10), dtype=ld)
-        done = 0
-        for row, k in enumerate(indices):
-            gap = k - done
-            if gap:
-                if gap not in powers:
-                    powers[gap] = _matrix_power(step_matrix, gap)
-                vec = powers[gap] @ vec
-                done = k
-            moments[row] = vec
-        sig_ld = moments[:, _MOMENT_PLACE]  # (n, 4, 4), exactly symmetric
-        stable = _above_ode_floor(sig_ld)
+        if tau_end != 0.0:
+            n_steps = math.ceil(float(tau_end) / step)
+            h = float(tau_end) / n_steps
+            # a stride past the end gives the same samples, 0 and the end;
+            # the cap keeps 0.05 / h = inf at a subnormal tau_end out
+            stride = round(min(0.05 / h, n_steps))
+            count = -(-n_steps // stride)  # samples at 0, stride, ... below n_steps
+            increment = _rk4_increment(_LYAP_COUPLING + params.y * _LYAP_MISMATCH, h)
+            power = _increment_power(increment, stride)
+            gap = n_steps - (count - 1) * stride
+            last = power if gap == stride else _increment_power(increment, gap)
+            while len(moments) < count:
+                head = moments[: count - len(moments)]
+                moments = np.concatenate([moments, head + head @ power.T])
+                if len(moments) < count:
+                    power = 2.0 * power + power @ power
+            end = moments[-1] + last @ moments[-1]
+            moments = np.concatenate([moments, end[None]])
+            taus = h * np.append(stride * np.arange(count, dtype=np.float64), n_steps)
+            taus[-1] = float(tau_end)  # the last sample is step n_steps
+        sigma = moments[:, _MOMENT_PLACE]  # (n, 4, 4), exactly symmetric
+        stable = _above_ode_floor(sigma)
         if not stable.all():
             raise IntegrationError(
                 f"unphysical covariance matrix at tau={float(taus[np.argmin(stable)])}:"
@@ -448,7 +461,7 @@ def evolve_moments_ode(
         rot = _mode_rotation(
             (params.omega1_bar + params.y) * taus, (params.omega2_bar + params.y) * taus
         )
-        lab = rot @ sig_ld.astype(np.float64) @ rot.swapaxes(-1, -2)
+        lab = rot @ sigma @ rot.swapaxes(-1, -2)
         lab = (lab + lab.swapaxes(-1, -2)) / 2.0
     return MomentTrajectory(taus=taus, entries=lab)
 

@@ -356,7 +356,9 @@ def _pair_invariants(pair: PairState) -> SymplecticInvariants:
     delta_tilde = i2 + 4.0 * correlation
     # every term but -s is >= 0 and s0 - s >= 0, so the sum is finite
     # exactly when every invariant is
-    _check_finite(i1 + i2 + s0 - s + delta_tilde + nu_plus, "invariants", "m", m)
+    _check_finite(
+        i1 + i2 + s0 - s + delta_tilde + nu_plus, "invariants", "nbar1, nbar2, m", n1, n2, m
+    )
     return SymplecticInvariants(
         i1=i1,
         i2=i2,

@@ -296,6 +296,30 @@ class TestFloatRange:
         assert closed > 60.0
         assert abs(closed - bisected) <= 1e-9
 
+    @pytest.mark.parametrize("t_max", [1e78, 1e200, 1e300])
+    def test_critical_temperature_refused_where_s0_overflows(
+        self, reference_params, t_max
+    ):
+        # S(t_max) = inf - inf = NaN used to pass both bracket-sign tests:
+        # t_max = 1e200 gave T_c = 9.999995e199
+        with pytest.raises(NumericalDomainError, match=r"S0 or K\^2 overflows"):
+            critical_temperature(reference_params, 2.881, t_max=t_max)
+        with pytest.raises(NumericalDomainError, match=r"S0 or K\^2 overflows"):
+            phase_boundary(reference_params, 2.881, [0.0, 0.5], t_max=t_max)
+
+    @pytest.mark.parametrize("t_max", [1e60, 1e70, 1e76])
+    def test_critical_temperature_in_a_wide_bracket(self, reference_params, t_max):
+        # the bisection used to stop after 200 halvings, with these brackets
+        # still open: t_max = 1e70 gave T_c = 3.1e9 K
+        expected = critical_temperature(reference_params, 2.881)
+        t_c = critical_temperature(reference_params, 2.881, t_max=t_max)
+        assert t_c == pytest.approx(expected, rel=1e-6)
+
+    def test_critical_temperature_where_m_overflows(self, reference_params):
+        # m(m+1) = inf at tau_i = 400 makes S = -inf, which keeps its sign:
+        # still entangled at t_max
+        assert critical_temperature(reference_params, 400.0) is None
+
     def test_witness_refused_where_s0_overflows(self, reference_params):
         # sqrt(S0) = inf used to give w = inf
         for temps in (1e80, np.array([300.0, 1e80])):

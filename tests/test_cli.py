@@ -316,12 +316,25 @@ class TestPackageErrorsExit2:
         assert code == 2
         assert "error: injected" in err
 
-    def test_long_double_without_63_mantissa_bits(self, capsys, monkeypatch):
-        monkeypatch.setattr(fock_oracle, "_LONGDOUBLE_NMANT", 52)
-        code, out, err = run_cli(["oracle-check", "--skip-fock"], capsys)
+
+    def test_critical_temperature_past_the_float_range(self, capsys):
+        # S0 and K^2 overflow at the bracket end; fig4 used to print
+        # T_c = 1e200 K for every mismatch
+        code, out, err = run_cli(["fig4", "--t-max", "1e200"], capsys)
         assert code == 2
         assert out == ""
-        assert "63 mantissa bits" in err
+        assert "error: S0 or K^2 overflows the float range at (T) = (1e+200)" in err
+
+    def test_overflow_names_the_occupations(self, capsys):
+        # m is finite at 1e160 K; the occupations make S0 and K^2 overflow
+        code, out, err = run_cli(["eval", "--temp-k", "1e160"], capsys)
+        assert code == 2
+        assert out == ""
+        assert re.search(
+            r"invariants overflows the float range at \(nbar1, nbar2, m\) = "
+            r"\(6\.6\d*e\+159, 3\.3\d*e\+159, 1\.38\d*\)",
+            err,
+        )
 
 
 class TestCsvFormat:

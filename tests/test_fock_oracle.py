@@ -22,10 +22,8 @@ from pdc_entanglement import (
 )
 from pdc_entanglement.fock_oracle import (
     _above_ode_floor,
-    _matrix_power,
     _mode_rotation,
     _rk4_propagator,
-    _rk4_step_matrix,
     _sector_blocks,
 )
 
@@ -33,6 +31,58 @@ from pdc_entanglement.fock_oracle import (
 # nbar1(1.2 K) ~ 0.40, nbar1(0.8 K) ~ 0.18
 T_SMALL = 1.2
 T_TINY = 0.8
+
+
+def _matrix_power(base, n):
+    """base**n by square-and-multiply (n >= 0)."""
+    result = np.eye(base.shape[0], dtype=base.dtype)
+    while n:
+        if n & 1:
+            result = result @ base
+        n >>= 1
+        if n:
+            base = base @ base
+    return result
+
+
+def _rk4_step_matrix(generator, h):
+    """One-step matrix of classical RK4 for dx/dt = generator @ x."""
+    hm = h * generator
+    hm2 = hm @ hm
+    return (
+        np.eye(generator.shape[0], dtype=generator.dtype)
+        + hm
+        + hm2 / 2.0
+        + (hm2 @ hm) / 6.0
+        + (hm2 @ hm2) / 24.0
+    )
+
+
+def lab_moments_by_step_powers(params, temp, tau_end, tau_k):
+    """The lab-frame moment ODE sample at tau_k as R^k v0, with R the RK4
+    step matrix of the full 16-entry Lyapunov operator, formed afresh in
+    long double at the default step."""
+    y = params.y
+    init = thermal_init(params, temp)
+    ld = np.longdouble
+    v0 = np.diag(
+        np.array([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2, dtype=ld)
+    ).reshape(16)
+    drift = np.array(
+        [[0, -y, 0, 1], [y, 0, 1, 0], [0, 1, 0, -y], [1, 0, y, 0]], dtype=ld
+    )
+    eye4 = np.eye(4, dtype=ld)
+    n_steps = max(1, int(np.ceil(tau_end / 1e-4)))
+    h = ld(tau_end) / n_steps
+    k = int(round(tau_k / float(h))) if tau_end else 0
+    step_matrix = _rk4_step_matrix(np.kron(drift, eye4) + np.kron(eye4, drift), h)
+    sig = (_matrix_power(step_matrix, k) @ v0).reshape(4, 4)
+    sig = ((sig + sig.T) / 2.0).astype(np.float64)
+    rot = _mode_rotation(
+        (params.omega1_bar + y) * tau_k, (params.omega2_bar + y) * tau_k
+    )
+    lab = rot @ sig @ rot.T
+    return (lab + lab.T) / 2.0
 
 
 def number_expectation(state, mode):
@@ -152,14 +202,41 @@ class TestMomentsOde:
         with pytest.raises(ValidationError):
             evolve_moments_ode(reference_params, -1.0, 0.0)
 
-    def test_refuses_long_double_without_63_mantissa_bits(
-        self, reference_params, monkeypatch
+    @pytest.mark.parametrize(
+        "y,temp,tau,count",
+        [
+            (0.0, 0.0, 0.0, 1),  # tau = 0: the initial state alone
+            (0.3, 300.0, 0.03, 2),  # below one stride: sample 0 and the end
+            (0.3, 300.0, 5e-324, 2),  # one subnormal step, 0.05 / h = inf
+            (0.9, 50.0, 0.05, 2),  # one stride, ending on it
+            (0.0, 300.0, 1.55, 32),  # 31 stride samples, full last gap
+            (0.5, 80.0, 1.58, 33),  # 32 = 2^5 stride samples, short last gap
+            (0.0, 0.0, 1.6, 33),  # 32 stride samples, full last gap
+            (0.3, 300.0, 1.62, 34),  # 33 = 2^5 + 1 stride samples, short last gap
+        ],
+    )
+    def test_doubled_samples_match_per_sample_matrix_powers(
+        self, make_params, y, temp, tau, count
     ):
-        # where long double is a plain double (52 bits) the moments miss the
-        # 1e-8 tolerance, so the integrator refuses before it starts
-        monkeypatch.setattr(fock_oracle, "_LONGDOUBLE_NMANT", 52)
-        with pytest.raises(IntegrationError, match="63 mantissa bits"):
-            evolve_moments_ode(reference_params, 1.0, 10.0)
+        # the stride samples are made by doubling a block of them, the end
+        # by its own gap; each sample must equal R^k v0 formed afresh
+        params = make_params(y=y)
+        samples = evolve_moments_ode(params, tau, temp).samples
+        assert len(samples) == count
+        assert samples[-1][0] == tau
+        for tau_k, cm in samples:
+            expected = lab_moments_by_step_powers(params, temp, tau, tau_k)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(cm.entries - expected)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("tau", [300.0, 400.0])
+    def test_long_tau_fails_the_gate_without_a_warning(self, reference_params, tau):
+        # the moments overflow long before tau = 300; the blown-up samples
+        # must reach the gate quietly and be refused there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="unphysical covariance matrix at tau="):
+                evolve_moments_ode(reference_params, tau, 300.0, step=1e-3)
 
     def test_trajectory_is_stored_as_one_array(self, reference_params, monkeypatch):
         # the samples are checked as one stack, so the only CovarianceMatrix
@@ -554,13 +631,13 @@ def test_ode_gate_matches_symplectic_spectrum():
     passed = 0
     for sigma in gate_matrices():
         nu_min = np.abs(np.linalg.eigvals(1j * omega @ sigma)).min()
-        assert _above_ode_floor(sigma.astype(np.longdouble)) == (nu_min >= 0.45)
+        assert _above_ode_floor(sigma) == (nu_min >= 0.45)
         passed += nu_min >= 0.45
     assert 200 < passed < 1800  # both verdicts are exercised
 
 
 def test_ode_gate_on_a_stack_matches_per_matrix_verdicts():
-    stack = np.stack(list(gate_matrices())).astype(np.longdouble)
+    stack = np.stack(list(gate_matrices()))
     verdicts = _above_ode_floor(stack)
     assert verdicts.shape == (2000,)
     assert verdicts.tolist() == [bool(_above_ode_floor(sigma)) for sigma in stack]

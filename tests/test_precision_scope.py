@@ -1,12 +1,13 @@
-"""Only the moment-ODE oracle names an extended-precision type.
+"""No module of the package names an extended-precision type.
 
-The closed forms, the generic route and ``CovarianceMatrix`` work in
-float64: Python floats for scalars, float64 numpy arrays for arrays.  The
-moment ODE is the one place that integrates in long double, so
-``fock_oracle.py`` is the one module of ``src/pdc_entanglement/`` whose
-code may name ``longdouble`` (or its sized aliases), as a name, an
-attribute, an import or a dtype string.  Only the standard library's
-``ast`` reads the source; prose in docstrings and comments is not code.
+The closed forms, the generic route, ``CovarianceMatrix`` and both
+oracles work in float64: Python floats for scalars, float64 numpy arrays
+for arrays.  So no module of ``src/pdc_entanglement/`` may name
+``longdouble`` (or its sized aliases) in its code, as a name, an
+attribute, an import or a dtype string, and the package gives the same
+answers where long double is a plain double.  Only the standard
+library's ``ast`` reads the source; prose in docstrings and comments is
+not code.  Tests may still use long double for their own references.
 """
 
 import ast
@@ -16,7 +17,6 @@ import pdc_entanglement
 
 PACKAGE = Path(pdc_entanglement.__file__).parent
 EXTENDED = {"longdouble", "float96", "float128"}
-ALLOWED = {"fock_oracle.py"}
 
 
 def extended_uses(tree):
@@ -43,7 +43,20 @@ def uses_by_module(package_dir):
     }
 
 
-def test_only_the_moment_ode_names_longdouble():
+def test_no_module_names_an_extended_precision_type():
     uses = uses_by_module(PACKAGE)
-    assert uses["fock_oracle.py"]  # the detector sees the one allowed use
-    assert {name: lines for name, lines in uses.items() if lines and name not in ALLOWED} == {}
+    assert "fock_oracle.py" in uses  # the scan reads the package's modules
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_detector_sees_each_form_of_use():
+    source = '''"""np.longdouble in a docstring is prose."""
+import numpy as np
+from numpy import float128
+# np.float96 in a comment is prose too
+a = np.longdouble(1)
+b = np.zeros(3, dtype="float96")
+c = longdouble
+d = np.float64(1)
+'''
+    assert sorted(extended_uses(ast.parse(source))) == [3, 5, 6, 7]
