@@ -88,12 +88,15 @@ def s0_threshold(nbar1, nbar2):
 def _bisect(f, lo, hi, *, abs_tol=0.0, rel_tol=0.0):
     """Sign-change bisection; assumes f(lo) <= 0 < f(hi).
 
-    It stops only when the bracket is within the tolerance, however wide
-    it was at the start: each step halves hi - lo, so a positive
-    tolerance is always met.
+    It stops when the bracket is within the tolerance, however wide it
+    was at the start, or when lo and hi are neighbouring floats: past
+    that the midpoint rounds to an end and the bracket cannot shrink, as
+    with a tolerance below the float spacing at the root.
     """
     while hi - lo > abs_tol + rel_tol * max(abs(hi), 1.0):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if f(mid) > 0.0:
             hi = mid
         else:

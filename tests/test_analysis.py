@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,17 @@ class TestFloatRange:
         bisected = birth_time(params, temp, method="bisection").tau_e
         assert closed > 60.0
         assert abs(closed - bisected) <= 1e-9
+
+    @pytest.mark.parametrize("temp", [1e12, 1e13])
+    def test_bisection_ends_below_the_float_spacing(self, make_params, temp):
+        # tau_E = 4.7e5 and 1.5e6, where neighbouring floats lie 5.8e-11 and
+        # 2.3e-10 apart: with the 1e-10 tolerance unreachable at 1e13 K the
+        # bracket stops shrinking, and the bisection must end there
+        params = make_params(y=1.0 - 1e-15)
+        closed = birth_time(params, temp).tau_e
+        bisected = birth_time(params, temp, method="bisection").tau_e
+        assert closed > 4e5
+        assert abs(closed - bisected) <= 2.0 * math.ulp(closed)
 
     @pytest.mark.parametrize("t_max", [1e78, 1e200, 1e300])
     def test_critical_temperature_refused_where_s0_overflows(
