@@ -21,8 +21,9 @@ CSV output has a one-line header, comma separators, LF line endings and
 12 significant digits; identical configurations produce byte-identical
 files.  Every dataset but fig4 is one array call into the closed forms
 over its whole grid; fig4 bisects each mismatch and reports on stderr
-the points it skips.  Flags win over --config file entries, which win
-over built-in defaults.  Temperatures are kelvin, nu1 is Hz, the
+the points it skips.  Each subcommand takes only the flags it reads;
+a --config file may set any key, and flags win over its entries, which
+win over built-in defaults.  Temperatures are kelvin, nu1 is Hz, the
 coupling rate is rad/s, and everything else is dimensionless.
 """
 
@@ -204,18 +205,20 @@ def _map(params, config, ys, temps):
 
 class Dataset(NamedTuple):
     """A CSV subcommand: its builder, its axes as (config field, default
-    spec) pairs, and its default interaction time."""
+    spec) pairs, its default interaction time (None if it reads none) and
+    any further config fields its builder reads."""
 
     build: Callable
     axes: tuple
     tau: Optional[float] = None
+    reads: tuple = ()
 
 
 DATASETS = {
     "fig1": Dataset(_fig1, (("temp_grid", FIG1_TEMP_GRID), ("y_set", FIG1_Y_SET))),
     "fig2": Dataset(_fig2, (("y_grid", FIG2_Y_GRID), ("temp_set", FIG2_TEMP_SET))),
     "fig3": Dataset(_fig3, (("y_grid", FIG3_Y_GRID), ("temp_set", FIG3_TEMP_SET)), FIG3_TAU),
-    "fig4": Dataset(_fig4, (("y_grid", FIG4_Y_GRID),), FIG4_TAU),
+    "fig4": Dataset(_fig4, (("y_grid", FIG4_Y_GRID),), FIG4_TAU, ("t_max",)),
     "fig5": Dataset(_fig5, (("temp_grid", FIG5_TEMP_GRID), ("y_set", FIG5_Y_SET)), FIG5_TAU),
     "map": Dataset(_map, (("y_grid", MAP_Y_GRID), ("temp_grid", MAP_TEMP_GRID)), MAP_TAU),
 }
@@ -327,26 +330,47 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_FLOAT_KEYS = {
-    "nu1_hz",
-    "g_hz",
-    "omega1_bar",
-    "omega2_bar",
-    "y",
-    "tau",
-    "temp_k",
-    "t_max",
+# Every config key, with the help text of the flag that sets it: --key,
+# with '-' for '_'.  A config file may set any of them, since one file
+# can serve several subcommands; a subcommand takes the flags it reads.
+_KEY_HELP = {
+    "nu1_hz": f"signal frequency in Hz (default {DEFAULT_NU1_HZ:g})",
+    "g_hz": "coupling rate override in rad/s (default pi*1e-2*nu1)",
+    "omega1_bar": "dimensionless signal frequency (default 200)",
+    "omega2_bar": "dimensionless idler frequency (default 400)",
+    "y": "mismatch, 0 <= y < 1",
+    "tau": "dimensionless interaction time",
+    "temp_k": "temperature, K",
+    "y_grid": "mismatch grid a:b:n",
+    "temp_grid": "temperature grid a:b:n",
+    "y_set": "comma list of mismatches",
+    "temp_set": "comma list of temperatures",
+    "t_max": "critical-temperature bracket upper bound, K",
+    "out": "output path (default stdout)",
 }
-_STR_KEYS = {"y_grid", "temp_grid", "y_set", "temp_set", "out"}
+_FLOAT_KEYS = {"nu1_hz", "g_hz", "omega1_bar", "omega2_bar", "y", "tau", "temp_k", "t_max"}
+_PHYSICS_KEYS = ("nu1_hz", "g_hz", "omega1_bar", "omega2_bar")
+
+
+def _command_keys(name: str) -> tuple:
+    """The config keys a subcommand reads, which are the flags it takes
+    (besides --config, and --skip-fock for oracle-check)."""
+    if name == "eval":
+        return _PHYSICS_KEYS + ("y", "tau", "temp_k")
+    if name == "oracle-check":
+        return _PHYSICS_KEYS
+    dataset = DATASETS[name]
+    tau = () if dataset.tau is None else ("tau",)
+    return _PHYSICS_KEYS + ("out",) + tuple(f for f, _ in dataset.axes) + tau + dataset.reads
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = _read_config_file(args.config) if args.config else {}
     for key in file_values:
-        if key not in _FLOAT_KEYS | _STR_KEYS:
+        if key not in _KEY_HELP:
             raise ValidationError(f"unknown config key {key!r}")
     merged = {}
-    for key in _FLOAT_KEYS | _STR_KEYS:
+    for key in _KEY_HELP:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -375,31 +399,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "at finite temperature: figure datasets, point evaluation, oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--nu1-hz", type=float, dest="nu1_hz",
-                        help=f"signal frequency in Hz (default {DEFAULT_NU1_HZ:g})")
-    common.add_argument("--g-hz", type=float, dest="g_hz",
-                        help="coupling rate override in rad/s (default pi*1e-2*nu1)")
-    common.add_argument("--omega1-bar", type=float, dest="omega1_bar",
-                        help="dimensionless signal frequency (default 200)")
-    common.add_argument("--omega2-bar", type=float, dest="omega2_bar",
-                        help="dimensionless idler frequency (default 400)")
-    common.add_argument("--y", type=float, help="mismatch, 0 <= y < 1")
-    common.add_argument("--tau", type=float, help="dimensionless interaction time")
-    common.add_argument("--temp-k", type=float, dest="temp_k", help="temperature, K")
-    common.add_argument("--y-grid", dest="y_grid", help="mismatch grid a:b:n")
-    common.add_argument("--temp-grid", dest="temp_grid", help="temperature grid a:b:n")
-    common.add_argument("--y-set", dest="y_set", help="comma list of mismatches")
-    common.add_argument("--temp-set", dest="temp_set", help="comma list of temperatures")
-    common.add_argument("--t-max", type=float, dest="t_max",
-                        help="critical-temperature bracket upper bound, K")
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--config", help="key=value config file; flags win")
-    for name in (*DATASETS, "eval"):
-        sub.add_parser(name, parents=[common])
-    oracle = sub.add_parser("oracle-check", parents=[common])
-    oracle.add_argument("--skip-fock", action="store_true",
-                        help="run only the (fast) moment-ODE equivalence")
+    for name in (*DATASETS, "eval", "oracle-check"):
+        # no abbreviations: fig1 would otherwise read --y as --y-set
+        command = sub.add_parser(name, allow_abbrev=False)
+        for key in _command_keys(name):
+            command.add_argument(
+                "--" + key.replace("_", "-"), dest=key, help=_KEY_HELP[key],
+                type=float if key in _FLOAT_KEYS else None,
+            )
+        command.add_argument("--config", help="key=value config file; flags win")
+        if name == "oracle-check":
+            command.add_argument("--skip-fock", action="store_true",
+                                 help="run only the (fast) moment-ODE equivalence")
     return parser
 
 

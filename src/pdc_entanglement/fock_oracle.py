@@ -123,9 +123,10 @@ class MomentTrajectory:
 
     ``taus`` are the sample times in increasing order and ``entries`` the
     (len(taus), 4, 4) stack of covariance matrices at them, both
-    read-only float64.  Every matrix passes the finiteness and symmetry
-    checks of CovarianceMatrix at construction; ``samples`` and
-    ``final()`` build CovarianceMatrix objects when they are read.
+    read-only float64, with at least one sample.  Every matrix passes the
+    finiteness and symmetry checks of CovarianceMatrix at construction;
+    ``final()`` builds the CovarianceMatrix of the last sample when it is
+    read.
     """
 
     taus: np.ndarray
@@ -138,17 +139,11 @@ class MomentTrajectory:
             raise ValidationError(
                 f"entries must be (len(taus), 4, 4), got {entries.shape} for {taus.shape} taus"
             )
+        if not taus.size:
+            raise ValidationError("a trajectory needs at least one sample")
         taus.setflags(write=False)
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "entries", _checked_entries(entries))
-
-    @property
-    def samples(self) -> Tuple[Tuple[float, CovarianceMatrix], ...]:
-        """(tau, CovarianceMatrix) pairs, built on each read."""
-        return tuple(
-            (tau, CovarianceMatrix(sigma))
-            for tau, sigma in zip(self.taus.tolist(), self.entries)
-        )
 
     def final(self) -> CovarianceMatrix:
         return CovarianceMatrix(self.entries[-1])
@@ -162,10 +157,10 @@ class FockState:
     pairs, the basis indices n1*(n_cut + 1) + n2 of one group and the
     Hermitian block of rho on them; every entry outside the blocks is
     zero.  A state from :func:`evolve_fock` has one block per difference
-    sector n1 - n2.  A dense ``rho`` passed in is split by the same
-    sectors (:func:`_sector_blocks`), so one that couples them becomes a
-    single block.  Reading ``rho`` builds the dense matrix afresh; the
-    oracle's own stages never do.
+    sector n1 - n2; a dense rho is one block over every index,
+    ``blocks=[(np.arange((n_cut + 1) ** 2), rho)]``.  Each block must be
+    finite and Hermitian within 1e-12, and trace(rho), the sum of the
+    stored diagonal, positive and finite; ValidationError if not.
 
     leakage reports 1 - trace(rho): the thermal weight dropped at
     truncation (the geometric distribution is normalized over the full
@@ -179,18 +174,8 @@ class FockState:
     leakage: float
     blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
-    def __init__(self, rho=None, *, n_cut: int, leakage: float, blocks=None):
+    def __init__(self, *, n_cut: int, leakage: float, blocks):
         size = (n_cut + 1) ** 2
-        if (rho is None) == (blocks is None):
-            raise ValidationError("give exactly one of rho and blocks")
-        if rho is not None:
-            rho = np.asarray(rho, dtype=complex)
-            if rho.shape != (size, size):
-                raise ValidationError(
-                    f"rho must be {size}x{size} for n_cut={n_cut}, got {rho.shape}"
-                )
-            n1, n2 = np.divmod(np.arange(size), n_cut + 1)
-            blocks = [(idx, rho[np.ix_(idx, idx)]) for idx in _sector_blocks(rho, n1 - n2)]
         blocks = [(np.asarray(idx, dtype=np.intp), np.asarray(b, dtype=complex)) for idx, b in blocks]
         if not blocks or any(b.shape != (idx.size, idx.size) for idx, b in blocks):
             raise ValidationError("blocks must be square over their indices, at least one")
@@ -207,22 +192,15 @@ class FockState:
         if not np.abs(defect).max() <= 1e-12:
             raise ValidationError("rho is not Hermitian within 1e-12, or not finite")
         sizes = np.array([idx.size for idx, _ in blocks])
+        trace = float(values[_diagonal_places(sizes)].real.sum())
+        if not 0.0 < trace < math.inf:
+            raise ValidationError(f"trace of rho must be positive and finite, got {trace}")
         indices.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "n_cut", n_cut)
         object.__setattr__(self, "leakage", leakage)
         object.__setattr__(self, "blocks", _unpack(indices, values, sizes))
         object.__setattr__(self, "_packed", (indices, values, sizes))
-
-    @property
-    def rho(self) -> np.ndarray:
-        """The dense (n_cut+1)^2 x (n_cut+1)^2 rho, built on each read."""
-        size = (self.n_cut + 1) ** 2
-        rows, cols, values = _entries(self)
-        rho = np.zeros((size, size), dtype=complex)
-        rho[rows, cols] = values
-        rho.setflags(write=False)
-        return rho
 
     @property
     def edge_population(self) -> float:
@@ -261,11 +239,19 @@ def _entries(state: FockState):
     return rows, cols, values
 
 
+def _diagonal_places(sizes):
+    """Places of the diagonal entries in the packed values, in the order
+    of the packed indices: a block's first value plus (m + 1) per step."""
+    first = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
+    place = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return first + place * (np.repeat(sizes, sizes) + 1)
+
+
 def _diagonal(state: FockState):
     """(n1, n2, real rho[n, n]) over the stored diagonal."""
-    indices, _, _ = state._packed
+    indices, values, sizes = state._packed
     n1, n2 = np.divmod(indices, state.n_cut + 1)
-    return n1, n2, np.concatenate([np.diagonal(b) for _, b in state.blocks]).real
+    return n1, n2, values[_diagonal_places(sizes)].real
 
 
 def _rk4_increment(generator: np.ndarray, h: float) -> np.ndarray:
@@ -289,11 +275,6 @@ def _increment_power(increment: np.ndarray, n: int) -> np.ndarray:
         if n:
             increment = 2.0 * increment + increment @ increment
     return result
-
-
-def _sector_blocks(matrix: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
-    """:func:`_label_groups` of a dense matrix's nonzero entries."""
-    return _label_groups(*np.nonzero(matrix), labels)
 
 
 def _label_groups(rows, cols, labels) -> list[np.ndarray]:
@@ -500,7 +481,8 @@ def evolve_fock(
     one-step matrix, with ``step`` fixing h and n as before.
 
     The oracle is restricted to small occupation (nbar <= 2) and demands
-    n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError.
+    n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError, as
+    do a step outside (0, inf) and an n_cut that is not an integer.
     TruncationError is raised when the initial thermal tail dropped at
     the cut (plus integrator drift) exceeds LEAKAGE_LIMIT, and
     IntegrationError when the trace grew by more than LEAKAGE_LIMIT (or
@@ -512,10 +494,10 @@ def evolve_fock(
     """
     if not 0.0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
-    if step <= 0.0:
-        raise ValidationError("step must be positive")
-    if n_cut < 1:
-        raise ValidationError("n_cut must be >= 1")
+    if not 0.0 < step < math.inf:
+        raise ValidationError("step must be positive and finite")
+    if not isinstance(n_cut, (int, np.integer)) or n_cut < 1:
+        raise ValidationError(f"n_cut must be an integer >= 1, got {n_cut!r}")
     init = thermal_init(params, temperature)
     nbar_max = max(init.nbar1, init.nbar2)
     if nbar_max > MAX_ORACLE_OCCUPATION:

@@ -3,7 +3,7 @@
 All states are described by the 4x4 real symmetric matrix of symmetrized
 second moments of the quadratures (q1, p1, q2, p2) with the convention
 q = (a + a^dag)/sqrt(2), p = -i(a - a^dag)/sqrt(2), so the vacuum
-covariance matrix is identity/2.
+covariance matrix is identity/2, ``CovarianceMatrix(0.5 * np.eye(4))``.
 
 Entanglement is decided from the two scalar symplectic invariants of the
 partially transposed state; no generic eigensolver is involved.  The
@@ -262,10 +262,6 @@ class CovarianceMatrix:
         object.__setattr__(cm, "entries", flat.reshape(4, 4))
         object.__setattr__(cm, "pair", pair)
         return cm
-
-    @classmethod
-    def vacuum(cls) -> "CovarianceMatrix":
-        return cls(0.5 * np.eye(4))
 
 
 @dataclass(frozen=True)

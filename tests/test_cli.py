@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -280,6 +281,70 @@ class TestConfigFile:
         code, _, err = run_cli(["eval", "--config", str(cfg)], capsys)
         assert code == 2
         assert "error" in err and "'y'" in err
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand takes the flags it reads and no other; a config
+    file may still set any key, as one file can serve several."""
+
+    COMMON = {"--nu1-hz", "--g-hz", "--omega1-bar", "--omega2-bar", "--config"}
+    OWN = {
+        "fig1": {"--out", "--temp-grid", "--y-set"},
+        "fig2": {"--out", "--y-grid", "--temp-set"},
+        "fig3": {"--out", "--y-grid", "--temp-set", "--tau"},
+        "fig4": {"--out", "--y-grid", "--tau", "--t-max"},
+        "fig5": {"--out", "--temp-grid", "--y-set", "--tau"},
+        "map": {"--out", "--y-grid", "--temp-grid", "--tau"},
+        "eval": {"--y", "--tau", "--temp-k"},
+        "oracle-check": {"--skip-fock"},
+    }
+
+    def test_each_subcommand_takes_its_own_flags(self):
+        commands = next(
+            action.choices for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = {
+            name: {
+                option for action in command._actions for option in action.option_strings
+            } - {"-h", "--help"}
+            for name, command in commands.items()
+        }
+        assert flags == {name: self.COMMON | own for name, own in self.OWN.items()}
+        assert sum(map(len, flags.values())) == 66
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--t-max", "1e200"],
+            ["eval", "--out", "f"],
+            ["fig1", "--y", "0.5"],  # not an abbreviation of --y-set
+            ["fig1", "--tau", "1"],
+            ["oracle-check", "--tau", "1"],
+            ["oracle-check", "--out", "f"],
+            ["fig3", "--temp-k", "5"],
+        ],
+    )
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_file_may_set_keys_the_subcommand_does_not_read(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("y = 0.5\ntau = 1.0\ntemp_k = 0\nt_max = 500\nout = eval.csv\n")
+        code, out, _ = run_cli(["eval", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "verdict=entangled" in out
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestPackageErrorsExit2:

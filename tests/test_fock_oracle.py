@@ -22,9 +22,10 @@ from pdc_entanglement import (
 )
 from pdc_entanglement.fock_oracle import (
     _above_ode_floor,
+    _entries,
+    _label_groups,
     _mode_rotation,
     _rk4_propagator,
-    _sector_blocks,
 )
 
 # temperatures giving small occupations at the reference frequencies:
@@ -85,14 +86,27 @@ def lab_moments_by_step_powers(params, temp, tau_end, tau_k):
     return (lab + lab.T) / 2.0
 
 
+def dense_rho(state):
+    """The dense (n_cut+1)^2 x (n_cut+1)^2 rho of a block-stored state."""
+    size = (state.n_cut + 1) ** 2
+    rows, cols, values = _entries(state)
+    rho = np.zeros((size, size), dtype=complex)
+    rho[rows, cols] = values
+    return rho
+
+
+def dense_state(rho, n_cut):
+    """A FockState holding a dense rho as one block over every index."""
+    return FockState(n_cut=n_cut, leakage=0.0, blocks=[(np.arange(len(rho)), rho)])
+
+
 def number_expectation(state, mode):
     dim = state.n_cut + 1
     n_op = np.diag(np.arange(dim, dtype=float))
     eye = np.eye(dim)
     full = np.kron(n_op, eye) if mode == 1 else np.kron(eye, n_op)
-    return float(np.real(np.trace(full @ state.rho))) / float(
-        np.real(np.trace(state.rho))
-    )
+    rho = dense_rho(state)
+    return float(np.real(np.trace(full @ rho))) / float(np.real(np.trace(rho)))
 
 
 class TestMomentsOde:
@@ -102,7 +116,7 @@ class TestMomentsOde:
         init = thermal_init(params, 120.0)
         expected = np.diag([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)
         assert np.allclose(traj.final().entries, expected, rtol=0, atol=1e-12)
-        assert len(traj.samples) == 1
+        assert len(traj.taus) == 1
 
     def test_matched_vacuum_growth(self, reference_params):
         traj = evolve_moments_ode(reference_params, 1.0, 0.0)
@@ -127,20 +141,20 @@ class TestMomentsOde:
 
     def test_trajectory_is_ordered_and_physical(self, make_params):
         traj = evolve_moments_ode(make_params(y=0.5), 1.5, 80.0)
-        taus = [t for t, _ in traj.samples]
+        taus = traj.taus.tolist()
         assert taus == sorted(taus)
         assert len(set(taus)) == len(taus)
         assert taus[-1] == 1.5
-        for _, cm in traj.samples:
-            assert physicality_check(cm)
+        for sigma in traj.entries:
+            assert physicality_check(CovarianceMatrix(sigma))
 
     def test_photon_difference_conserved_along_trajectory(self, make_params):
         params = make_params(y=0.4)
         init = thermal_init(params, 200.0)
         diff0 = init.nbar1 - init.nbar2
-        for _, cm in evolve_moments_ode(params, 2.0, 200.0).samples:
-            n1 = cm.entries[0, 0] - 0.5
-            n2 = cm.entries[2, 2] - 0.5
+        for sigma in evolve_moments_ode(params, 2.0, 200.0).entries:
+            n1 = sigma[0, 0] - 0.5
+            n2 = sigma[2, 2] - 0.5
             assert (n1 - n2) == pytest.approx(diff0, abs=1e-8)
 
     def test_step_halving_fourth_order(self, reference_params):
@@ -180,9 +194,9 @@ class TestMomentsOde:
         step_matrix = _rk4_step_matrix(
             np.kron(drift, eye4) + np.kron(eye4, drift), h
         )
-        samples = evolve_moments_ode(params, tau, temp).samples
-        assert len(samples) == count
-        for tau_k, cm in samples:
+        traj = evolve_moments_ode(params, tau, temp)
+        assert len(traj.taus) == count
+        for tau_k, sigma_k in zip(traj.taus, traj.entries):
             k = int(round(tau_k / float(h)))
             sig = (_matrix_power(step_matrix, k) @ v0).reshape(4, 4)
             sig = ((sig + sig.T) / 2.0).astype(np.float64)
@@ -192,7 +206,7 @@ class TestMomentsOde:
             lab = rot @ sig @ rot.T
             expected = (lab + lab.T) / 2.0
             scale = np.max(np.abs(expected))
-            assert np.max(np.abs(cm.entries - expected)) <= 1e-14 * scale
+            assert np.max(np.abs(sigma_k - expected)) <= 1e-14 * scale
 
     def test_rejects_oversized_step(self, reference_params):
         with pytest.raises(ValidationError):
@@ -221,13 +235,13 @@ class TestMomentsOde:
         # the stride samples are made by doubling a block of them, the end
         # by its own gap; each sample must equal R^k v0 formed afresh
         params = make_params(y=y)
-        samples = evolve_moments_ode(params, tau, temp).samples
-        assert len(samples) == count
-        assert samples[-1][0] == tau
-        for tau_k, cm in samples:
+        traj = evolve_moments_ode(params, tau, temp)
+        assert len(traj.taus) == count
+        assert traj.taus[-1] == tau
+        for tau_k, sigma_k in zip(traj.taus, traj.entries):
             expected = lab_moments_by_step_powers(params, temp, tau, tau_k)
             scale = np.max(np.abs(expected))
-            assert np.max(np.abs(cm.entries - expected)) <= 1e-14 * scale
+            assert np.max(np.abs(sigma_k - expected)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("tau", [300.0, 400.0])
     def test_long_tau_fails_the_gate_without_a_warning(self, reference_params, tau):
@@ -258,10 +272,6 @@ class TestMomentsOde:
         with pytest.raises(ValueError):
             traj.entries[0, 0, 0] = 0.0
         assert np.array_equal(final.entries, traj.entries[-1])
-        samples = traj.samples
-        assert [tau for tau, _ in samples] == traj.taus.tolist()
-        for (_, cm), sigma in zip(samples, traj.entries):
-            assert np.array_equal(cm.entries, sigma)
 
     def test_trajectory_refuses_what_covariance_matrix_refuses(self):
         sigma = np.stack([0.5 * np.eye(4)] * 3)
@@ -273,6 +283,11 @@ class TestMomentsOde:
             fock_oracle.MomentTrajectory(taus=[0.0, 0.1, 0.2], entries=sigma)
         with pytest.raises(ValidationError):
             fock_oracle.MomentTrajectory(taus=[0.0, 0.1], entries=sigma)
+
+    def test_trajectory_refuses_no_samples(self):
+        # the empty stack used to reach numpy's max and raise its ValueError
+        with pytest.raises(ValidationError, match="at least one sample"):
+            fock_oracle.MomentTrajectory(taus=[], entries=np.zeros((0, 4, 4)))
 
     def test_trajectory_scales_the_symmetry_bound_per_matrix(self):
         # each matrix may be off by 1e-12 max(1, its largest |entry|), as a
@@ -309,7 +324,7 @@ class TestEvolveFock:
         state = evolve_fock(reference_params, 0.0, 0.0, n_cut=8)
         expected = np.zeros((81, 81), dtype=complex)
         expected[0, 0] = 1.0
-        assert np.allclose(state.rho, expected, atol=1e-15)
+        assert np.allclose(dense_rho(state), expected, atol=1e-15)
         assert state.leakage == pytest.approx(0.0, abs=1e-12)
 
     def test_matched_vacuum_mean_photons(self, reference_params):
@@ -329,10 +344,11 @@ class TestEvolveFock:
 
     def test_trace_hermiticity_positivity(self, make_params):
         state = evolve_fock(make_params(y=0.5), 1.0, T_SMALL, n_cut=24, step=1e-4)
-        trace = float(np.real(np.trace(state.rho)))
+        rho = dense_rho(state)
+        trace = float(np.real(np.trace(rho)))
         assert 1.0 - 1e-6 <= trace <= 1.0 + 1e-10
-        assert np.max(np.abs(state.rho - state.rho.conj().T)) < 1e-12
-        assert np.linalg.eigvalsh(state.rho).min() > -1e-10
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_leakage_reports_truncated_tail(self, make_params):
         # thermal tail beyond n_cut: (nbar/(nbar+1))^(n_cut+1) per mode
@@ -356,6 +372,18 @@ class TestEvolveFock:
         with pytest.raises(ValidationError):
             evolve_fock(make_params(), 0.5, T_SMALL, n_cut=8)
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf])
+    def test_rejects_a_step_that_is_not_finite(self, make_params, step):
+        # NaN used to reach math.ceil and raise its ValueError; inf ran one
+        # RK4 step of length tau_end
+        with pytest.raises(ValidationError, match="step must be positive and finite"):
+            evolve_fock(make_params(), 0.5, T_SMALL, n_cut=20, step=step)
+
+    def test_rejects_a_cutoff_that_is_not_an_integer(self, make_params):
+        # 8.5 used to reach np.zeros and raise numpy's TypeError
+        with pytest.raises(ValidationError, match="n_cut must be an integer"):
+            evolve_fock(make_params(), 0.5, T_SMALL, n_cut=8.5)
+
     @pytest.mark.parametrize("step", [0.2, 0.5])
     def test_refuses_a_grown_trace(self, make_params, step):
         # RK4 amplifies the modes with |h E| > 2 sqrt 2: at step 0.2 the
@@ -378,13 +406,6 @@ class TestFockLogNegativity:
         state = evolve_fock(params, 1.0, T_SMALL, n_cut=30, step=1e-4)
         gauss = log_negativity(covariance_matrix(params, 1.0, T_SMALL))
         assert fock_log_negativity(state) == pytest.approx(gauss, abs=1e-3)
-
-    def test_rejects_non_hermitian(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        rho[0, 1] = 1e-3  # no conjugate partner
-        with pytest.raises(ValidationError):
-            FockState(rho=rho, n_cut=1, leakage=0.0)
 
 
 class TestMomentsFromFock:
@@ -479,13 +500,10 @@ def dense_reference_state(params, tau, temp, n_cut, rk4_step=None):
 
 def dense_log_negativity(state):
     dim = state.n_cut + 1
-    pt = (
-        state.rho.reshape(dim, dim, dim, dim)
-        .transpose(0, 3, 2, 1)
-        .reshape(dim * dim, dim * dim)
-    )
+    rho = dense_rho(state)
+    pt = rho.reshape(dim, dim, dim, dim).transpose(0, 3, 2, 1).reshape(dim * dim, dim * dim)
     eigs = np.linalg.eigvalsh(pt)
-    return float(np.log(np.abs(eigs).sum() / np.real(np.trace(state.rho))))
+    return float(np.log(np.abs(eigs).sum() / np.real(np.trace(rho))))
 
 
 def dense_moments(state):
@@ -493,7 +511,7 @@ def dense_moments(state):
     q = (lower + lower.T) / np.sqrt(2.0)
     p = -1j * (lower - lower.T) / np.sqrt(2.0)
     quads = [np.kron(q, eye), np.kron(p, eye), np.kron(eye, q), np.kron(eye, p)]
-    rho = state.rho
+    rho = dense_rho(state)
     trace = np.real(np.trace(rho))
     sigma = np.empty((4, 4))
     for i in range(4):
@@ -504,18 +522,22 @@ def dense_moments(state):
 
 
 def random_density_matrix(n_cut, rng, sector_labels=None):
-    """Random full-rank state; block-diagonal in the given labels if any."""
+    """Random full-rank state, stored as one block per label (one block
+    over every index if no labels are given)."""
     size = (n_cut + 1) ** 2
     labels = np.zeros(size, dtype=int) if sector_labels is None else sector_labels
-    rho = np.zeros((size, size), dtype=complex)
+    blocks = []
     for value in np.unique(labels):
         idx = np.flatnonzero(labels == value)
         a = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(
             size=(idx.size, idx.size)
         )
-        rho[np.ix_(idx, idx)] = a @ a.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return FockState(rho=rho / np.real(np.trace(rho)), n_cut=n_cut, leakage=0.0)
+        block = a @ a.conj().T
+        blocks.append((idx, (block + block.conj().T) / 2.0))
+    trace = sum(np.real(np.trace(block)) for _, block in blocks)
+    return FockState(
+        n_cut=n_cut, leakage=0.0, blocks=[(idx, block / trace) for idx, block in blocks]
+    )
 
 
 class TestDenseReference:
@@ -524,7 +546,7 @@ class TestDenseReference:
         params = make_params(y=y)
         state = evolve_fock(params, tau, T_TINY, n_cut=10, step=1e-4)
         expected = dense_reference_state(params, tau, T_TINY, 10)
-        assert np.max(np.abs(state.rho - expected)) < 1e-10
+        assert np.max(np.abs(dense_rho(state) - expected)) < 1e-10
 
     def test_negativity_of_evolved_state(self, make_params):
         state = evolve_fock(make_params(y=0.5), 1.0, T_TINY, n_cut=10, step=1e-4)
@@ -562,56 +584,82 @@ def test_edge_population_exposes_dynamical_truncation(reference_params):
     assert resolved.edge_population < 1e-10
 
 
-def test_fock_state_rejects_non_hermitian_rho():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    rho[0, 1] = 1e-6
-    with pytest.raises(ValidationError):
-        FockState(rho=rho, n_cut=1, leakage=0.0)
-
-
 class TestFockStateHermiticity:
     """FockState reads the Hermiticity defect over every stored entry; at
     n_cut = 15 a random 256 x 256 rho couples all sectors, so it is
     stored as one block."""
 
+    @pytest.mark.parametrize("defect", [1e-3, 1e-6])
+    def test_rejects_non_hermitian_block(self, defect):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        rho[0, 1] = defect  # no conjugate partner
+        with pytest.raises(ValidationError):
+            dense_state(rho, n_cut=1)
+
     @pytest.mark.parametrize("where", [(10, 200), (255, 3), (255, 255)])
     def test_rejects_one_anti_hermitian_entry(self, where):
-        rho = random_density_matrix(15, np.random.default_rng(3)).rho.copy()
+        rho = dense_rho(random_density_matrix(15, np.random.default_rng(3)))
         i, j = where
         rho[i, j] += 1e-11j  # its partner rho[j, i] stays as it was
         with pytest.raises(ValidationError):
-            FockState(rho=rho, n_cut=15, leakage=0.0)
+            dense_state(rho, n_cut=15)
 
     def test_accepts_random_hermitian_state(self):
         state = random_density_matrix(15, np.random.default_rng(4))
-        assert state.rho.shape == (256, 256)
+        assert dense_rho(state).shape == (256, 256)
 
     def test_rejects_nan_entry(self):
         # a NaN defect compares False with any bound; such a state used to
         # pass and give fock_log_negativity = 0.0, a silent "separable"
-        rho = random_density_matrix(1, np.random.default_rng(5)).rho.copy()
+        rho = dense_rho(random_density_matrix(1, np.random.default_rng(5)))
         rho[0, 0] = np.nan
         with pytest.raises(ValidationError):
-            FockState(rho=rho, n_cut=1, leakage=0.0)
+            dense_state(rho, n_cut=1)
 
     def test_rejects_infinite_entry(self):
         # inf - inf in the defect used to warn before the state was refused
-        rho = random_density_matrix(1, np.random.default_rng(5)).rho.copy()
+        rho = dense_rho(random_density_matrix(1, np.random.default_rng(5)))
         rho[0, 0] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError):
-                FockState(rho=rho, n_cut=1, leakage=0.0)
+                dense_state(rho, n_cut=1)
+
+
+class TestFockStateTrace:
+    """trace(rho) must be positive and finite: the negativity and the
+    moments divide by it."""
+
+    def test_rejects_a_negative_trace(self):
+        # trace -0.8 passed the Hermiticity check, and fock_log_negativity
+        # then returned 0.0 after a RuntimeWarning: a silent "separable"
+        with pytest.raises(ValidationError, match="trace of rho must be positive"):
+            FockState(n_cut=1, leakage=0.0, blocks=[([0, 1], [[-1.0, 0.0], [0.0, 0.2]])])
+
+    def test_rejects_a_zero_trace(self):
+        # both stages used to raise ZeroDivisionError on it
+        with pytest.raises(ValidationError, match="trace of rho must be positive"):
+            dense_state(np.zeros((4, 4)), n_cut=1)
+
+    def test_reads_the_diagonal_of_every_block(self):
+        # blocks of sizes 1, 2 and 1, stored out of index order, whose
+        # diagonals sum to 1; an off-diagonal entry read as diagonal would
+        # make the trace negative
+        blocks = [([3], [[0.5]]), ([0, 2], [[0.2, -5.0], [-5.0, 0.05]]), ([1], [[0.25]])]
+        state = FockState(n_cut=1, leakage=0.0, blocks=blocks)
+        assert np.real(np.trace(dense_rho(state))) == 1.0
+        # n_cut = 1: every index but 0, (n1, n2) = (0, 0), is on the edge
+        assert state.edge_population == pytest.approx(0.8, abs=1e-15)
 
 
 def test_sector_blocks_single_coupling_merges_all_labels():
     labels = np.array([0, 0, 1, 1, 2, 2])
     matrix = np.diag(np.arange(1.0, 7.0))
-    blocks = _sector_blocks(matrix, labels)
+    blocks = _label_groups(*np.nonzero(matrix), labels)
     assert [list(b) for b in blocks] == [[0, 1], [2, 3], [4, 5]]
     matrix[1, 4] = 1e-300  # the only entry coupling two labels
-    blocks = _sector_blocks(matrix, labels)
+    blocks = _label_groups(*np.nonzero(matrix), labels)
     assert len(blocks) == 1
     assert list(blocks[0]) == list(range(6))
 
@@ -676,9 +724,10 @@ def test_evolve_fock_step_selects_rk4(make_params, y, tau):
     params, n_cut, step = make_params(y=y), 10, 1e-2
     state = evolve_fock(params, tau, T_TINY, n_cut=n_cut, step=step)
     expected = dense_reference_state(params, tau, T_TINY, n_cut, rk4_step=step)
-    assert np.max(np.abs(state.rho - expected)) < 1e-12
+    rho = dense_rho(state)
+    assert np.max(np.abs(rho - expected)) < 1e-12
     exact = dense_reference_state(params, tau, T_TINY, n_cut)
-    assert np.max(np.abs(state.rho - exact)) > 1e-9
+    assert np.max(np.abs(rho - exact)) > 1e-9
 
 
 def test_block_storage_peak_memory_at_n_cut_60(reference_params):

@@ -70,7 +70,7 @@ class TestCovarianceMatrix:
         assert CovarianceMatrix(big).entries[3, 3] == float(big[3, 3])
 
     def test_entries_read_only(self):
-        cm = CovarianceMatrix.vacuum()
+        cm = CovarianceMatrix(0.5 * np.eye(4))
         with pytest.raises(ValueError):
             cm.entries[0, 0] = 1.0
 
@@ -87,7 +87,7 @@ class TestCovarianceMatrix:
 
 class TestSymplecticInvariants:
     def test_vacuum_boundary_exact(self):
-        inv = symplectic_invariants(CovarianceMatrix.vacuum())
+        inv = symplectic_invariants(CovarianceMatrix(0.5 * np.eye(4)))
         assert inv.i1 == 1.0 / 16.0
         assert inv.i2 == 0.5
         assert inv.s0 == 0.0
@@ -138,7 +138,7 @@ class TestSymplecticInvariants:
 
 class TestSeparabilityIndicator:
     def test_vacuum_boundary(self):
-        assert separability_indicator(CovarianceMatrix.vacuum()) == 0.0
+        assert separability_indicator(CovarianceMatrix(0.5 * np.eye(4))) == 0.0
 
     def test_pdc_point(self, reference_params):
         s = separability_indicator(covariance_matrix(reference_params, 1.0, 0.0))
@@ -155,7 +155,7 @@ class TestSeparabilityIndicator:
 
 class TestLogNegativity:
     def test_vacuum_zero(self):
-        assert log_negativity(CovarianceMatrix.vacuum()) == 0.0
+        assert log_negativity(CovarianceMatrix(0.5 * np.eye(4))) == 0.0
 
     def test_tmsv_r1(self):
         assert log_negativity(tmsv_cm(1.0)) == pytest.approx(2.0, rel=1e-12)
@@ -166,7 +166,7 @@ class TestLogNegativity:
 
 class TestPhysicality:
     def test_vacuum(self):
-        assert physicality_check(CovarianceMatrix.vacuum())
+        assert physicality_check(CovarianceMatrix(0.5 * np.eye(4)))
 
     def test_below_vacuum_noise(self):
         assert not physicality_check(CovarianceMatrix(0.25 * np.eye(4)))
