@@ -73,7 +73,6 @@ class RunConfig:
     """Resolved configuration of one CLI invocation."""
 
     nu1_hz: float = DEFAULT_NU1_HZ
-    g_hz: Optional[float] = None  # coupling rate override, rad/s
     omega1_bar: float = DEFAULT_OMEGA1_BAR
     omega2_bar: float = DEFAULT_OMEGA2_BAR
     y: float = 0.0
@@ -88,8 +87,8 @@ class RunConfig:
 
     @property
     def g(self) -> float:
-        """Coupling rate: g = pi*1e-2*nu1 unless overridden."""
-        return self.g_hz if self.g_hz is not None else np.pi * 1e-2 * self.nu1_hz
+        """Coupling rate: g = pi*1e-2*nu1."""
+        return np.pi * 1e-2 * self.nu1_hz
 
 
 def build_params(config: RunConfig, y: Optional[float] = None) -> pdc_dynamics.PdcParams:
@@ -335,7 +334,6 @@ def _read_config_file(path: str) -> dict:
 # can serve several subcommands; a subcommand takes the flags it reads.
 _KEY_HELP = {
     "nu1_hz": f"signal frequency in Hz (default {DEFAULT_NU1_HZ:g})",
-    "g_hz": "coupling rate override in rad/s (default pi*1e-2*nu1)",
     "omega1_bar": "dimensionless signal frequency (default 200)",
     "omega2_bar": "dimensionless idler frequency (default 400)",
     "y": "mismatch, 0 <= y < 1",
@@ -348,8 +346,8 @@ _KEY_HELP = {
     "t_max": "critical-temperature bracket upper bound, K",
     "out": "output path (default stdout)",
 }
-_FLOAT_KEYS = {"nu1_hz", "g_hz", "omega1_bar", "omega2_bar", "y", "tau", "temp_k", "t_max"}
-_PHYSICS_KEYS = ("nu1_hz", "g_hz", "omega1_bar", "omega2_bar")
+_FLOAT_KEYS = {"nu1_hz", "omega1_bar", "omega2_bar", "y", "tau", "temp_k", "t_max"}
+_PHYSICS_KEYS = ("nu1_hz", "omega1_bar", "omega2_bar")
 
 
 def _command_keys(name: str) -> tuple:

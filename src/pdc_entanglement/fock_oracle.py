@@ -28,17 +28,13 @@ The moment ODE integrates only the 10 independent moments sigma[i, j],
 i <= j: the Lyapunov operator maps symmetric matrices to symmetric
 ones, so it restricts to them, and R is 10 x 10.  It works in float64
 on increments over the identity: D = R - I is formed from its Taylor
-terms, R^n - I by square-and-multiply on increments, and a moment
-vector moves as v + (R^n - I) v, so the O(h) step is never added to 1
-and rounded.  The samples lie a fixed stride of steps apart, except for
-a shorter last gap.  The stride samples are made by doubling: the block
-of the first 2^k of them, times I + P with P = R^(2^k stride) - I,
-gives the next 2^k, and P is then squared; the last gap takes its own
-increment power.  The composition is associative, hence identical (up
+terms, R^n - I by square-and-multiply on increments, and the initial
+moment vector moves as v + (R^n - I) v, so the O(h) step is never added
+to 1 and rounded.  The composition is associative, hence identical (up
 to rounding) to stepping one by one, and the error retains the O(h^4)
-signature checked by the step-halving test.  The samples are then
-gated, rotated to the lab frame and checked all at once, as one
-(n, 4, 4) stack, which :class:`MomentTrajectory` stores as it is.  The
+signature checked by the step-halving test.  Only the end point is
+formed: it is gated, rotated to the lab frame and returned, so a call
+costs O(log n) matrix products and constant memory in tau_end.  The
 Fock generator is Hermitian, so there R^n is taken in its eigenbasis,
 V E4(-i h E)^n V^T, the same integrator.
 
@@ -69,7 +65,6 @@ import numpy as np
 from .errors import IntegrationError, TruncationError, ValidationError
 from .gaussian_core import (
     CovarianceMatrix,
-    _checked_entries,
     _det2,
     _det4,
     _spectrum_at_least,
@@ -119,34 +114,14 @@ _LYAP_MISMATCH = _moment_lyapunov(
 
 @dataclass(frozen=True, eq=False)
 class MomentTrajectory:
-    """Lab-frame samples of a moment integration, stored as arrays.
+    """The lab-frame end point of a moment integration: ``cm``, the
+    checked covariance matrix at time ``tau``, which ``final()`` returns."""
 
-    ``taus`` are the sample times in increasing order and ``entries`` the
-    (len(taus), 4, 4) stack of covariance matrices at them, both
-    read-only float64, with at least one sample.  Every matrix passes the
-    finiteness and symmetry checks of CovarianceMatrix at construction;
-    ``final()`` builds the CovarianceMatrix of the last sample when it is
-    read.
-    """
-
-    taus: np.ndarray
-    entries: np.ndarray
-
-    def __post_init__(self):
-        taus = np.array(self.taus, dtype=np.float64)
-        entries = np.asarray(self.entries)
-        if taus.ndim != 1 or entries.shape != (taus.size, 4, 4):
-            raise ValidationError(
-                f"entries must be (len(taus), 4, 4), got {entries.shape} for {taus.shape} taus"
-            )
-        if not taus.size:
-            raise ValidationError("a trajectory needs at least one sample")
-        taus.setflags(write=False)
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "entries", _checked_entries(entries))
+    tau: float
+    cm: CovarianceMatrix
 
     def final(self) -> CovarianceMatrix:
-        return CovarianceMatrix(self.entries[-1])
+        return self.cm
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -159,8 +134,11 @@ class FockState:
     zero.  A state from :func:`evolve_fock` has one block per difference
     sector n1 - n2; a dense rho is one block over every index,
     ``blocks=[(np.arange((n_cut + 1) ** 2), rho)]``.  Each block must be
-    finite and Hermitian within 1e-12, and trace(rho), the sum of the
-    stored diagonal, positive and finite; ValidationError if not.
+    finite and Hermitian within 1e-12, every population (stored diagonal
+    entry) at least -1e-12, and trace(rho), the sum of the stored
+    diagonal, positive and finite; ValidationError if not.  The
+    populations of a state that is not positive semidefinite can still
+    all be >= 0, so this is a cheap necessary check, not a full one.
 
     leakage reports 1 - trace(rho): the thermal weight dropped at
     truncation (the geometric distribution is normalized over the full
@@ -192,9 +170,12 @@ class FockState:
         if not np.abs(defect).max() <= 1e-12:
             raise ValidationError("rho is not Hermitian within 1e-12, or not finite")
         sizes = np.array([idx.size for idx, _ in blocks])
-        trace = float(values[_diagonal_places(sizes)].real.sum())
+        diag = values[_diagonal_places(sizes)].real
+        trace = float(diag.sum())
         if not 0.0 < trace < math.inf:
             raise ValidationError(f"trace of rho must be positive and finite, got {trace}")
+        if diag.min() < -1e-12:
+            raise ValidationError(f"rho has a negative population {diag.min():.3e}")
         indices.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "n_cut", n_cut)
@@ -343,27 +324,27 @@ def _above_ode_floor(sigma):
 
 
 def _mode_rotation(angle1, angle2) -> np.ndarray:
-    """Block-diagonal phase-space rotation, one angle per mode; array
-    angles give a stack of rotations, one per point."""
-    rot = np.zeros(np.shape(angle1) + (4, 4))
+    """Block-diagonal phase-space rotation, one angle per mode."""
+    rot = np.zeros((4, 4))
     for k, ang in enumerate((angle1, angle2)):
         c, s = np.cos(ang), np.sin(ang)
-        rot[..., 2 * k, 2 * k] = c
-        rot[..., 2 * k, 2 * k + 1] = s
-        rot[..., 2 * k + 1, 2 * k] = -s
-        rot[..., 2 * k + 1, 2 * k + 1] = c
+        rot[2 * k, 2 * k] = c
+        rot[2 * k, 2 * k + 1] = s
+        rot[2 * k + 1, 2 * k] = -s
+        rot[2 * k + 1, 2 * k + 1] = c
     return rot
 
 
 def evolve_moments_ode(
     params: PdcParams, tau_end, temperature, step: float = 1e-4
 ) -> MomentTrajectory:
-    """Integrate the second-moment equations and return lab-frame samples.
+    """Integrate the second-moment equations to tau_end and return the
+    lab-frame end point.
 
-    The 10 independent moments are carried to the samples (every 0.05 in
-    tau, and tau_end) by powers of the RK4 step matrix, kept as increments
-    over the identity; the samples then pass the instability gate and are
-    rotated to the lab frame together, as one stack.
+    The 10 independent moments are carried from 0 to tau_end by one power
+    of the RK4 step matrix, kept as an increment over the identity; the
+    end point then passes the instability gate and is rotated to the lab
+    frame.
 
     Parameters
     ----------
@@ -373,9 +354,11 @@ def evolve_moments_ode(
     Raises
     ------
     IntegrationError
-        If a sampled matrix fails the instability gate (the sign of an
-        unstable step, or of moments past the float range); the message
-        names the first such sample's tau.
+        If the end point fails the instability gate; the message names
+        tau_end.  With step <= 1e-3, |h lambda| <= 2e-3 for every
+        eigenvalue of this generator, well inside RK4's stability region,
+        so a refusal means the moments left the float range or the
+        gate's float64 arithmetic could no longer resolve them.
 
     Notes
     -----
@@ -385,66 +368,50 @@ def evolve_moments_ode(
     exp(2 x tau) growth, that loss would show above the 1e-8 absolute
     agreement this oracle is held to at high temperature.  So D is formed
     from its Taylor terms directly, powers are taken on increments,
-    (I + D)^2 - I = 2 D + D D and (I + P)(I + D) - I = P + D + P D, and a
-    moment vector moves as v + P v (N. J. Higham, *Functions of
-    Matrices*, SIAM 2008, ch. 10).  The stride samples are made by
-    doubling, block <- [block, block + block P^T] and then P <- 2 P + P P;
-    the last, possibly shorter gap takes its own increment power.
+    (I + D)^2 - I = 2 D + D D and (I + P)(I + D) - I = P + D + P D, and
+    the moment vector moves as v + P v (N. J. Higham, *Functions of
+    Matrices*, SIAM 2008, ch. 10).
 
-    The gate reads float64 matrices, so it fails a little earlier in tau
-    than on long-double moments.  First failing sample at the default
-    step, tau_end = 16 (long-double moments and gate in brackets): 8.70
-    at y = 0, T = 0 (9.05); 9.2 at y = 0, T = 50 or 300 K (9.5); 9.8 at
-    y = 0.5, T = 0 (10.05); none at y = 0.9.  Long-double moments put
-    through the float64 gate fail at 8.55 at y = 0, T = 0, so the reach
-    is set by the gate's arithmetic, not by the integration.
+    The gate reads float64 matrices, so its arithmetic, not the
+    integration, sets the reach.  First refused tau_end at the default
+    step, over tau_end = 0.05 k up to 16: 8.55 at y = 0, T = 0; 9.2 at
+    y = 0, T = 50 or 300 K; 9.9 at y = 0.5, T = 0; none at y = 0.9.  Past
+    that point refusals are intermittent, since they come from rounding
+    in the gate, and the first one moves by a grid point or two when tau
+    differs in its last bits; the matrices returned there are within
+    5e-13 relative of the closed form.
     """
     if not 0.0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
     if not 0.0 < step <= MAX_MOMENT_STEP:
         raise ValidationError(f"step must lie in (0, {MAX_MOMENT_STEP}]")
+    tau = float(tau_end)
     init = thermal_init(params, temperature)
-    moments = np.diag([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)[_UPPER][None]
-    taus = np.zeros(1)
+    moments = np.diag([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)[_UPPER]
 
     # overflow or NaN in a blown-up vector fails the gate, which raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if tau_end != 0.0:
-            n_steps = math.ceil(float(tau_end) / step)
-            h = float(tau_end) / n_steps
-            # a stride past the end gives the same samples, 0 and the end;
-            # the cap keeps 0.05 / h = inf at a subnormal tau_end out
-            stride = round(min(0.05 / h, n_steps))
-            count = -(-n_steps // stride)  # samples at 0, stride, ... below n_steps
-            increment = _rk4_increment(_LYAP_COUPLING + params.y * _LYAP_MISMATCH, h)
-            power = _increment_power(increment, stride)
-            gap = n_steps - (count - 1) * stride
-            last = power if gap == stride else _increment_power(increment, gap)
-            while len(moments) < count:
-                head = moments[: count - len(moments)]
-                moments = np.concatenate([moments, head + head @ power.T])
-                if len(moments) < count:
-                    power = 2.0 * power + power @ power
-            end = moments[-1] + last @ moments[-1]
-            moments = np.concatenate([moments, end[None]])
-            taus = h * np.append(stride * np.arange(count, dtype=np.float64), n_steps)
-            taus[-1] = float(tau_end)  # the last sample is step n_steps
-        sigma = moments[:, _MOMENT_PLACE]  # (n, 4, 4), exactly symmetric
-        stable = _above_ode_floor(sigma)
-        if not stable.all():
+        if tau != 0.0:
+            n_steps = math.ceil(tau / step)
+            increment = _rk4_increment(
+                _LYAP_COUPLING + params.y * _LYAP_MISMATCH, tau / n_steps
+            )
+            moments = moments + _increment_power(increment, n_steps) @ moments
+        sigma = moments[_MOMENT_PLACE]  # exactly symmetric
+        if not _above_ode_floor(sigma):
             raise IntegrationError(
-                f"unphysical covariance matrix at tau={float(taus[np.argmin(stable)])}:"
-                " step too large"
+                f"unphysical covariance matrix at tau={tau}: the moments left"
+                " the float range, or the gate's float64 arithmetic lost them"
             )
         # float64 angle arithmetic deliberately mirrors covariance_matrix:
         # at |angle| ~ 1e3 rad a one-ulp angle difference already moves
         # 1e4-scale entries by ~1e-9
         rot = _mode_rotation(
-            (params.omega1_bar + params.y) * taus, (params.omega2_bar + params.y) * taus
+            (params.omega1_bar + params.y) * tau, (params.omega2_bar + params.y) * tau
         )
-        lab = rot @ sigma @ rot.swapaxes(-1, -2)
-        lab = (lab + lab.swapaxes(-1, -2)) / 2.0
-    return MomentTrajectory(taus=taus, entries=lab)
+        lab = rot @ sigma @ rot.T
+        lab = (lab + lab.T) / 2.0
+    return MomentTrajectory(tau=tau, cm=CovarianceMatrix(lab))
 
 
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:

@@ -195,24 +195,17 @@ _FLOAT64_MAX = float(np.finfo(np.float64).max)
 
 
 def _checked_entries(arr: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of a 4x4 matrix or a stack (..., 4, 4) of
-    them, once every matrix is finite and symmetric within
-    ``SYMMETRY_TOL`` times max(1, its largest |entry|); ValidationError
-    if not.
+    """A read-only float64 copy of a 4x4 matrix, once it is finite and
+    symmetric within ``SYMMETRY_TOL`` times max(1, its largest |entry|);
+    ValidationError if not.
     """
     # one pass finds both: the max is NaN if any entry is, and an entry
     # past the float64 range (of a long double input) exceeds its max
-    if not np.abs(arr).max() <= _FLOAT64_MAX:
+    scale = float(np.abs(arr).max())
+    if not scale <= _FLOAT64_MAX:
         raise ValidationError("covariance matrix entries must be finite")
     arr = arr.astype(np.float64)
-    defect = np.abs(arr - arr.swapaxes(-1, -2))
-    # a defect within SYMMETRY_TOL passes every matrix's bound, so the
-    # per-matrix scales are read only past it: one matrix costs no more
-    # than one global pass
-    if defect.max() > SYMMETRY_TOL and not (
-        defect.max(axis=(-2, -1))
-        <= SYMMETRY_TOL * np.abs(arr).max(axis=(-2, -1), initial=1.0)
-    ).all():
+    if not np.abs(arr - arr.T).max() <= SYMMETRY_TOL * max(1.0, scale):
         raise ValidationError("covariance matrix is not symmetric within 1e-12")
     arr.setflags(write=False)
     return arr

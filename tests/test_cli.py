@@ -269,11 +269,13 @@ class TestConfigFile:
         report = dict(line.split("=") for line in out.strip().split("\n"))
         assert float(report["r"]) == pytest.approx(1.0, rel=1e-12)
 
-    def test_unknown_key_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["frobnicate", "g_hz"])
+    def test_unknown_key_rejected(self, capsys, tmp_path, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("frobnicate = 3\n")
+        cfg.write_text(f"{key} = 3\n")
         code, _, err = run_cli(["eval", "--config", str(cfg)], capsys)
         assert code == 2
+        assert f"unknown config key {key!r}" in err
 
     def test_non_numeric_value_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -287,7 +289,7 @@ class TestFlagsPerSubcommand:
     """Each subcommand takes the flags it reads and no other; a config
     file may still set any key, as one file can serve several."""
 
-    COMMON = {"--nu1-hz", "--g-hz", "--omega1-bar", "--omega2-bar", "--config"}
+    COMMON = {"--nu1-hz", "--omega1-bar", "--omega2-bar", "--config"}
     OWN = {
         "fig1": {"--out", "--temp-grid", "--y-set"},
         "fig2": {"--out", "--y-grid", "--temp-set"},
@@ -311,7 +313,7 @@ class TestFlagsPerSubcommand:
             for name, command in commands.items()
         }
         assert flags == {name: self.COMMON | own for name, own in self.OWN.items()}
-        assert sum(map(len, flags.values())) == 66
+        assert sum(map(len, flags.values())) == 58
 
     @pytest.mark.parametrize(
         "argv",
@@ -323,6 +325,7 @@ class TestFlagsPerSubcommand:
             ["oracle-check", "--tau", "1"],
             ["oracle-check", "--out", "f"],
             ["fig3", "--temp-k", "5"],
+            ["eval", "--g-hz", "1e9"],  # removed: --nu1-hz sets g
         ],
     )
     def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
@@ -420,6 +423,11 @@ class TestCsvFormat:
 
 
 def test_module_entry_point_runs():
+    # the child finds the package where this process found it, with or
+    # without PYTHONPATH set
+    src = os.path.dirname(os.path.dirname(pdc_entanglement.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -435,6 +443,7 @@ def test_module_entry_point_runs():
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "verdict=entangled" in proc.stdout

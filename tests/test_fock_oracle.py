@@ -59,10 +59,10 @@ def _rk4_step_matrix(generator, h):
     )
 
 
-def lab_moments_by_step_powers(params, temp, tau_end, tau_k):
-    """The lab-frame moment ODE sample at tau_k as R^k v0, with R the RK4
-    step matrix of the full 16-entry Lyapunov operator, formed afresh in
-    long double at the default step."""
+def lab_moments_by_step_powers(params, temp, tau_end):
+    """The lab-frame moment ODE end point at tau_end as R^n v0, with R the
+    RK4 step matrix of the full 16-entry Lyapunov operator, formed afresh
+    in long double at the default step."""
     y = params.y
     init = thermal_init(params, temp)
     ld = np.longdouble
@@ -73,14 +73,13 @@ def lab_moments_by_step_powers(params, temp, tau_end, tau_k):
         [[0, -y, 0, 1], [y, 0, 1, 0], [0, 1, 0, -y], [1, 0, y, 0]], dtype=ld
     )
     eye4 = np.eye(4, dtype=ld)
-    n_steps = max(1, int(np.ceil(tau_end / 1e-4)))
-    h = ld(tau_end) / n_steps
-    k = int(round(tau_k / float(h))) if tau_end else 0
+    n_steps = int(np.ceil(tau_end / 1e-4))
+    h = ld(tau_end) / max(1, n_steps)
     step_matrix = _rk4_step_matrix(np.kron(drift, eye4) + np.kron(eye4, drift), h)
-    sig = (_matrix_power(step_matrix, k) @ v0).reshape(4, 4)
+    sig = (_matrix_power(step_matrix, n_steps) @ v0).reshape(4, 4)
     sig = ((sig + sig.T) / 2.0).astype(np.float64)
     rot = _mode_rotation(
-        (params.omega1_bar + y) * tau_k, (params.omega2_bar + y) * tau_k
+        (params.omega1_bar + y) * tau_end, (params.omega2_bar + y) * tau_end
     )
     lab = rot @ sig @ rot.T
     return (lab + lab.T) / 2.0
@@ -116,7 +115,7 @@ class TestMomentsOde:
         init = thermal_init(params, 120.0)
         expected = np.diag([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)
         assert np.allclose(traj.final().entries, expected, rtol=0, atol=1e-12)
-        assert len(traj.taus) == 1
+        assert traj.tau == 0.0
 
     def test_matched_vacuum_growth(self, reference_params):
         traj = evolve_moments_ode(reference_params, 1.0, 0.0)
@@ -139,20 +138,19 @@ class TestMomentsOde:
                     worst = max(worst, float(dev))
         assert worst < 1e-8
 
-    def test_trajectory_is_ordered_and_physical(self, make_params):
-        traj = evolve_moments_ode(make_params(y=0.5), 1.5, 80.0)
-        taus = traj.taus.tolist()
-        assert taus == sorted(taus)
-        assert len(set(taus)) == len(taus)
-        assert taus[-1] == 1.5
-        for sigma in traj.entries:
-            assert physicality_check(CovarianceMatrix(sigma))
+    def test_end_point_is_physical_along_tau(self, make_params):
+        params = make_params(y=0.5)
+        for tau in (0.0, 0.05, 0.3, 1.234, 1.5, 2.881):
+            traj = evolve_moments_ode(params, tau, 80.0)
+            assert traj.tau == tau
+            assert physicality_check(traj.final())
 
     def test_photon_difference_conserved_along_trajectory(self, make_params):
         params = make_params(y=0.4)
         init = thermal_init(params, 200.0)
         diff0 = init.nbar1 - init.nbar2
-        for sigma in evolve_moments_ode(params, 2.0, 200.0).entries:
+        for tau in (0.0, 0.05, 0.5, 1.0, 2.0):
+            sigma = evolve_moments_ode(params, tau, 200.0).final().entries
             n1 = sigma[0, 0] - 0.5
             n2 = sigma[2, 2] - 0.5
             assert (n1 - n2) == pytest.approx(diff0, abs=1e-8)
@@ -170,43 +168,25 @@ class TestMomentsOde:
         assert 12.0 < ratio < 21.0
 
     @pytest.mark.parametrize(
-        "y,tau,temp,count", [(0.5, 1.234, 80.0, 26), (0.9, 1.5, 300.0, 31)]
+        "y,temp,tau",
+        [
+            (0.0, 0.0, 0.0),  # the initial state alone
+            (0.3, 300.0, 5e-324),  # one subnormal step
+            (0.3, 300.0, 0.03),
+            (0.9, 50.0, 0.05),
+            (0.5, 80.0, 1.234),
+            (0.9, 300.0, 1.5),
+            (0.3, 300.0, 2.881),
+        ],
     )
-    def test_samples_match_per_sample_matrix_powers(
-        self, make_params, y, tau, temp, count
-    ):
-        # the integrator carries the moment vector from sample to sample;
-        # each sample must equal R^k v0 formed afresh, as it was before.
-        # tau = 1.234 ends on a short gap (12340 = 24 * 500 + 340 steps),
-        # tau = 1.5 on a full stride
+    def test_end_point_matches_step_matrix_power(self, make_params, y, temp, tau):
+        # the integrator takes R^n - I by square-and-multiply on increments;
+        # the end point must equal R^n v0 formed afresh in long double
         params = make_params(y=y)
-        init = thermal_init(params, temp)
-        ld = np.longdouble
-        v0 = np.diag(
-            np.array([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2, dtype=ld)
-        ).reshape(16)
-        drift = np.array(
-            [[0, -y, 0, 1], [y, 0, 1, 0], [0, 1, 0, -y], [1, 0, y, 0]], dtype=ld
-        )
-        eye4 = np.eye(4, dtype=ld)
-        n_steps = int(np.ceil(tau / 1e-4))
-        h = ld(tau) / n_steps
-        step_matrix = _rk4_step_matrix(
-            np.kron(drift, eye4) + np.kron(eye4, drift), h
-        )
-        traj = evolve_moments_ode(params, tau, temp)
-        assert len(traj.taus) == count
-        for tau_k, sigma_k in zip(traj.taus, traj.entries):
-            k = int(round(tau_k / float(h)))
-            sig = (_matrix_power(step_matrix, k) @ v0).reshape(4, 4)
-            sig = ((sig + sig.T) / 2.0).astype(np.float64)
-            rot = _mode_rotation(
-                (params.omega1_bar + y) * tau_k, (params.omega2_bar + y) * tau_k
-            )
-            lab = rot @ sig @ rot.T
-            expected = (lab + lab.T) / 2.0
-            scale = np.max(np.abs(expected))
-            assert np.max(np.abs(sigma_k - expected)) <= 1e-14 * scale
+        sigma = evolve_moments_ode(params, tau, temp).final().entries
+        expected = lab_moments_by_step_powers(params, temp, tau)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(sigma - expected)) <= 1e-14 * scale
 
     def test_rejects_oversized_step(self, reference_params):
         with pytest.raises(ValidationError):
@@ -216,45 +196,31 @@ class TestMomentsOde:
         with pytest.raises(ValidationError):
             evolve_moments_ode(reference_params, -1.0, 0.0)
 
-    @pytest.mark.parametrize(
-        "y,temp,tau,count",
-        [
-            (0.0, 0.0, 0.0, 1),  # tau = 0: the initial state alone
-            (0.3, 300.0, 0.03, 2),  # below one stride: sample 0 and the end
-            (0.3, 300.0, 5e-324, 2),  # one subnormal step, 0.05 / h = inf
-            (0.9, 50.0, 0.05, 2),  # one stride, ending on it
-            (0.0, 300.0, 1.55, 32),  # 31 stride samples, full last gap
-            (0.5, 80.0, 1.58, 33),  # 32 = 2^5 stride samples, short last gap
-            (0.0, 0.0, 1.6, 33),  # 32 stride samples, full last gap
-            (0.3, 300.0, 1.62, 34),  # 33 = 2^5 + 1 stride samples, short last gap
-        ],
-    )
-    def test_doubled_samples_match_per_sample_matrix_powers(
-        self, make_params, y, temp, tau, count
-    ):
-        # the stride samples are made by doubling a block of them, the end
-        # by its own gap; each sample must equal R^k v0 formed afresh
-        params = make_params(y=y)
-        traj = evolve_moments_ode(params, tau, temp)
-        assert len(traj.taus) == count
-        assert traj.taus[-1] == tau
-        for tau_k, sigma_k in zip(traj.taus, traj.entries):
-            expected = lab_moments_by_step_powers(params, temp, tau, tau_k)
-            scale = np.max(np.abs(expected))
-            assert np.max(np.abs(sigma_k - expected)) <= 1e-14 * scale
-
     @pytest.mark.parametrize("tau", [300.0, 400.0])
     def test_long_tau_fails_the_gate_without_a_warning(self, reference_params, tau):
-        # the moments overflow long before tau = 300; the blown-up samples
+        # the moments overflow long before tau = 300; the blown-up end point
         # must reach the gate quietly and be refused there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match="unphysical covariance matrix at tau="):
                 evolve_moments_ode(reference_params, tau, 300.0, step=1e-3)
 
-    def test_trajectory_is_stored_as_one_array(self, reference_params, monkeypatch):
-        # the samples are checked as one stack, so the only CovarianceMatrix
-        # built is the one final() returns
+    def test_refusal_at_long_tau_takes_constant_memory(self, make_params):
+        # only the end point is formed: refusing tau_end = 1e4 (1e8 steps)
+        # holds no per-sample storage
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrationError) as refused:
+                evolve_moments_ode(make_params(y=0.5), 1e4, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert "at tau=10000.0:" in str(refused.value)
+
+    def test_one_covariance_matrix_per_call(self, reference_params, monkeypatch):
+        # the end point is checked once, as the CovarianceMatrix final()
+        # returns
         built = []
         post_init = CovarianceMatrix.__post_init__
 
@@ -265,58 +231,17 @@ class TestMomentsOde:
         monkeypatch.setattr(CovarianceMatrix, "__post_init__", counting)
         traj = evolve_moments_ode(reference_params, 2.881, 300.0)
         final = traj.final()
-        assert len(built) == 1
-        assert traj.entries.shape == (59, 4, 4)
-        assert traj.entries.dtype == np.float64 and traj.taus.dtype == np.float64
-        assert not traj.entries.flags.writeable and not traj.taus.flags.writeable
+        assert built == [final]
+        assert traj.tau == 2.881
+        assert final.entries.dtype == np.float64
         with pytest.raises(ValueError):
-            traj.entries[0, 0, 0] = 0.0
-        assert np.array_equal(final.entries, traj.entries[-1])
+            final.entries[0, 0] = 0.0
 
-    def test_trajectory_refuses_what_covariance_matrix_refuses(self):
-        sigma = np.stack([0.5 * np.eye(4)] * 3)
-        sigma[1, 0, 2] = 1e-3  # no symmetric partner
-        with pytest.raises(ValidationError, match="not symmetric"):
-            fock_oracle.MomentTrajectory(taus=[0.0, 0.1, 0.2], entries=sigma)
-        sigma[1, 0, 2] = np.nan
-        with pytest.raises(ValidationError, match="must be finite"):
-            fock_oracle.MomentTrajectory(taus=[0.0, 0.1, 0.2], entries=sigma)
-        with pytest.raises(ValidationError):
-            fock_oracle.MomentTrajectory(taus=[0.0, 0.1], entries=sigma)
-
-    def test_trajectory_refuses_no_samples(self):
-        # the empty stack used to reach numpy's max and raise its ValueError
-        with pytest.raises(ValidationError, match="at least one sample"):
-            fock_oracle.MomentTrajectory(taus=[], entries=np.zeros((0, 4, 4)))
-
-    def test_trajectory_scales_the_symmetry_bound_per_matrix(self):
-        # each matrix may be off by 1e-12 max(1, its largest |entry|), as a
-        # CovarianceMatrix of its own: 5e-9 passes at 1e4, not at 1
-        big, small = 1e4 * np.eye(4), 0.5 * np.eye(4)
-        big[0, 2] = small[0, 2] = 5e-9
-        CovarianceMatrix(big)
-        with pytest.raises(ValidationError, match="not symmetric"):
-            CovarianceMatrix(small)
-        fock_oracle.MomentTrajectory(taus=[0.0, 0.1], entries=[big, big])
-        with pytest.raises(ValidationError, match="not symmetric"):
-            fock_oracle.MomentTrajectory(taus=[0.0, 0.1], entries=[big, small])
-
-    @pytest.mark.parametrize("failing", [0, 7, 30])
-    def test_gate_failure_names_the_first_failing_tau(
-        self, reference_params, monkeypatch, failing
-    ):
-        # sample `failing` fails the gate, and so does the last one
-        gate = fock_oracle._above_ode_floor
-
-        def failing_gate(sigma):
-            verdicts = gate(sigma)
-            verdicts[[failing, -1]] = False
-            return verdicts
-
-        tau = evolve_moments_ode(reference_params, 1.5, 80.0).taus[failing]
-        monkeypatch.setattr(fock_oracle, "_above_ode_floor", failing_gate)
+    @pytest.mark.parametrize("tau", [0.0, 0.7, 1.5])
+    def test_gate_failure_names_tau_end(self, reference_params, monkeypatch, tau):
+        monkeypatch.setattr(fock_oracle, "_above_ode_floor", lambda sigma: False)
         with pytest.raises(IntegrationError, match=re.escape(f"at tau={tau}:")):
-            evolve_moments_ode(reference_params, 1.5, 80.0)
+            evolve_moments_ode(reference_params, tau, 80.0)
 
 
 class TestEvolveFock:
@@ -641,6 +566,13 @@ class TestFockStateTrace:
         # both stages used to raise ZeroDivisionError on it
         with pytest.raises(ValidationError, match="trace of rho must be positive"):
             dense_state(np.zeros((4, 4)), n_cut=1)
+
+    def test_rejects_a_negative_population(self):
+        # its trace is positive, and fock_log_negativity used to report
+        # E_N = 0.336 for it without a word
+        blocks = [(np.arange(4), np.diag([1.2, -0.1, -0.1, 0.0]))]
+        with pytest.raises(ValidationError, match="negative population"):
+            FockState(n_cut=1, leakage=0.0, blocks=blocks)
 
     def test_reads_the_diagonal_of_every_block(self):
         # blocks of sizes 1, 2 and 1, stored out of index order, whose

@@ -69,6 +69,15 @@ class TestCovarianceMatrix:
         big = np.longdouble("1e300") * np.eye(4, dtype=np.longdouble)
         assert CovarianceMatrix(big).entries[3, 3] == float(big[3, 3])
 
+    def test_symmetry_bound_scales_with_the_largest_entry(self):
+        # off by at most 1e-12 max(1, largest |entry|): 5e-9 passes at 1e4,
+        # not at 1
+        big, small = 1e4 * np.eye(4), 0.5 * np.eye(4)
+        big[0, 2] = small[0, 2] = 5e-9
+        CovarianceMatrix(big)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            CovarianceMatrix(small)
+
     def test_entries_read_only(self):
         cm = CovarianceMatrix(0.5 * np.eye(4))
         with pytest.raises(ValueError):
