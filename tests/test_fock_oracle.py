@@ -138,6 +138,20 @@ class TestMomentsOde:
                     worst = max(worst, float(dev))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("temp", [0.0, 300.0])
+    def test_end_point_past_the_gate_reach_matches_closed_form(
+        self, make_params, temp
+    ):
+        # y = 0.9 is never refused up to tau_end = 16, well past the reach
+        # of y = 0 and 0.5; there the end point stays within 5e-13 of the
+        # closed form, relative to its largest entry
+        params = make_params(y=0.9)
+        for tau in (8.0, 9.5, 10.0, 12.0, 16.0):
+            sigma = evolve_moments_ode(params, tau, temp).final().entries
+            expected = covariance_matrix(params, tau, temp).entries
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(sigma - expected)) <= 5e-13 * scale
+
     def test_end_point_is_physical_along_tau(self, make_params):
         params = make_params(y=0.5)
         for tau in (0.0, 0.05, 0.3, 1.234, 1.5, 2.881):
