@@ -52,10 +52,20 @@ couples two sectors is treated as one block, so a state without the
 structure still gets the exact answer.  The blocking rests on a
 symmetry of the generator, not on the Gaussian closed form, so the
 oracle stays independent of it.
+
+Where the entries go depends on the cutoff and the block layout alone,
+so that index bookkeeping is worked out once and kept in bounded caches
+of read-only plans: per cutoff, H's sectors, checked against its
+entries, and the pairing of sectors d and -d (:func:`_sector_plan`);
+per layout of stored blocks, the checks on its indices, the diagonal
+and transposed places, the partial-transpose sectors and the ladder
+entries (:func:`_layout_plan`).  A call then only fills in values and
+solves; the first call at a new cutoff or layout pays for its plan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -135,10 +145,13 @@ class FockState:
     sector n1 - n2; a dense rho is one block over every index,
     ``blocks=[(np.arange((n_cut + 1) ** 2), rho)]``.  Each block must be
     finite and Hermitian within 1e-12, every population (stored diagonal
-    entry) at least -1e-12, and trace(rho), the sum of the stored
-    diagonal, positive and finite; ValidationError if not.  The
-    populations of a state that is not positive semidefinite can still
-    all be >= 0, so this is a cheap necessary check, not a full one.
+    entry) at least -1e-12, trace(rho), the sum of the stored diagonal,
+    positive and finite, and every stored entry within its 2 x 2
+    principal minor, |rho[a, b]|^2 <= rho[a, a] rho[b, b] + 1e-12;
+    ValidationError if not.  A positive semidefinite rho passes all of
+    these; a rho that passes them need not be positive semidefinite
+    (the minors of order three and up are not read), so the check is
+    necessary, not sufficient.
 
     leakage reports 1 - trace(rho): the thermal weight dropped at
     truncation (the geometric distribution is normalized over the full
@@ -153,35 +166,58 @@ class FockState:
     blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
     def __init__(self, *, n_cut: int, leakage: float, blocks):
-        size = (n_cut + 1) ** 2
         blocks = [(np.asarray(idx, dtype=np.intp), np.asarray(b, dtype=complex)) for idx, b in blocks]
         if not blocks or any(b.shape != (idx.size, idx.size) for idx, b in blocks):
             raise ValidationError("blocks must be square over their indices, at least one")
-        # one packed copy of every index and entry, which the stored blocks view
         indices = np.concatenate([idx for idx, _ in blocks])
-        values = np.concatenate([b.ravel() for _, b in blocks])
-        if np.any((indices < 0) | (indices >= size)) or np.unique(indices).size < indices.size:
-            raise ValidationError(f"block indices must be distinct and below {size}")
+        layout = _layout_plan(n_cut, indices.tobytes(), tuple(idx.size for idx, _ in blocks))
+        # one packed copy of every entry, which the stored blocks view
+        self._store(n_cut, leakage, layout, np.concatenate([b.ravel() for _, b in blocks]))
+
+    @classmethod
+    def _from_values(cls, layout: _Layout, leakage: float, values: np.ndarray) -> FockState:
+        """The state whose packed values on a planned layout are values,
+        checked as the blocks= constructor checks them."""
+        state = cls.__new__(cls)
+        state._store(layout.n_cut, leakage, layout, values)
+        return state
+
+    def _store(self, n_cut, leakage, layout, values):
         # max |rho - rho^dag|, in place to spare memory; a NaN or inf entry
-        # makes its own defect NaN or inf, which fails this test too
-        defect = np.concatenate([b.T.ravel() for _, b in blocks]).conj()
+        # makes its own defect NaN or inf, which fails this test too; blocks
+        # with no entries at all pass here and fail the trace test
+        defect = values.take(layout.transpose).conj()
         with np.errstate(invalid="ignore"):
             defect -= values
-        if not np.abs(defect).max() <= 1e-12:
+        if not np.abs(defect).max(initial=0.0) <= 1e-12:
             raise ValidationError("rho is not Hermitian within 1e-12, or not finite")
-        sizes = np.array([idx.size for idx, _ in blocks])
-        diag = values[_diagonal_places(sizes)].real
+        diag = values.take(layout.diagonal).real
         trace = float(diag.sum())
         if not 0.0 < trace < math.inf:
             raise ValidationError(f"trace of rho must be positive and finite, got {trace}")
         if diag.min() < -1e-12:
             raise ValidationError(f"rho has a negative population {diag.min():.3e}")
-        indices.setflags(write=False)
+        # a positive semidefinite rho has every 2 x 2 principal minor >= 0;
+        # per stored entry rho[a, b], rho[a, a] is its row's population and
+        # rho[b, b] that of the row of rho[b, a]
+        row_diag = diag.take(layout.row_slot)
+        excess = float(
+            (values.real**2 + values.imag**2 - row_diag * row_diag.take(layout.transpose)).max()
+        )
+        if excess > 1e-12:
+            raise ValidationError(
+                "rho is not positive semidefinite: an entry has |rho[a, b]|^2"
+                f" above rho[a, a] rho[b, b] by {excess:.3e}"
+            )
         values.setflags(write=False)
         object.__setattr__(self, "n_cut", n_cut)
         object.__setattr__(self, "leakage", leakage)
-        object.__setattr__(self, "blocks", _unpack(indices, values, sizes))
-        object.__setattr__(self, "_packed", (indices, values, sizes))
+        object.__setattr__(self, "blocks", tuple(
+            (idx, values[start:start + m * m].reshape(m, m)) for idx, start, m in layout.blocks
+        ))
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_diagonal", diag)
 
     @property
     def edge_population(self) -> float:
@@ -190,49 +226,161 @@ class FockState:
         A state that has not reached the cutoff leaves this near zero;
         a sizable value means the truncated dynamics has been distorted.
         """
-        n1, n2, diag = _diagonal(self)
-        return float(diag[(n1 == self.n_cut) | (n2 == self.n_cut)].sum())
+        layout = self._layout
+        return float(self._diagonal[(layout.n1 == self.n_cut) | (layout.n2 == self.n_cut)].sum())
 
 
-# Packed block storage: blocks of sizes m_0, m_1, ... lie one after
-# another in one array of values, each in row-major order, and their
-# basis indices one after another in another array.
+# Plans kept by each plan cache (_sector_plan, _layout_plan): a process
+# holds those of its most recent cutoffs and layouts.  Every cached array
+# is read-only, since one plan serves every caller.
+_PLANS = 8
+
+# The ladder operators moments_from_fock reads, O |a> = w(a) |a - s> by
+# shift s = (s1, s2): w for a state with n1 = k1, n2 = k2.
+_LADDERS = {
+    (1, 0): lambda k1, k2: np.sqrt(k1),  # c1
+    (0, 1): lambda k1, k2: np.sqrt(k2),  # c2
+    (2, 0): lambda k1, k2: np.sqrt(k1 * (k1 - 1.0)),  # c1 c1
+    (0, 2): lambda k1, k2: np.sqrt(k2 * (k2 - 1.0)),  # c2 c2
+    (1, 1): lambda k1, k2: np.sqrt(k1 * k2),  # c1 c2
+    (1, -1): lambda k1, k2: np.sqrt(k1 * (k2 + 1.0)),  # c1 c2^dag
+}
 
 
-def _unpack(indices, values, sizes):
-    """(indices, block) views, one pair per packed block."""
-    ends, value_ends = np.cumsum(sizes), np.cumsum(sizes * sizes)
-    return tuple(
-        (indices[end - m:end], values[value_end - m * m:value_end].reshape(m, m))
-        for m, end, value_end in zip(sizes.tolist(), ends.tolist(), value_ends.tolist())
-    )
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
-def _entries(state: FockState):
-    """(rows, cols, values) of every stored entry of rho, in packed order."""
-    indices, values, sizes = state._packed
-    width = np.repeat(sizes, sizes)  # per stored row: its block's size
-    rows = np.repeat(indices, width)
-    # an entry's column: its block's first slot plus its place in the row
-    row_start = np.repeat(np.cumsum(width) - width, width)
-    block_first = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), width)
-    cols = indices[block_first + np.arange(rows.size) - row_start]
-    return rows, cols, values
+def _places(array, bound: int) -> np.ndarray:
+    """Integer places below bound as a read-only plan field, in int32
+    where that holds them (read with ``take``, which indexes by int32 as
+    fast as by intp)."""
+    return _read_only(np.asarray(array, dtype=np.int32 if bound <= 2**31 else np.intp))
 
 
-def _diagonal_places(sizes):
-    """Places of the diagonal entries in the packed values, in the order
-    of the packed indices: a block's first value plus (m + 1) per step."""
-    first = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
-    place = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return first + place * (np.repeat(sizes, sizes) + 1)
+def _block_places(rows, cols, groups):
+    """(sizes, places): the sizes of the index groups' blocks, packed in
+    group order, and each entry's place in the packed block values.
+
+    (rows, cols) are the positions of a matrix's entries; groups partition
+    the basis, and every entry has its row and column in one group (as
+    :func:`_label_groups` returns them).
+    """
+    indices = np.concatenate(groups)
+    sizes = np.array([idx.size for idx in groups])
+    # per basis index: its block's size, its place in the block, and
+    # where the block starts in the packed values
+    width = np.empty(indices.size, dtype=np.intp)
+    place = np.empty(indices.size, dtype=np.intp)
+    start = np.empty(indices.size, dtype=np.intp)
+    width[indices] = np.repeat(sizes, sizes)
+    place[indices] = np.arange(indices.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    start[indices] = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
+    return sizes, start[rows] + place[rows] * width[rows] + place[cols]
 
 
-def _diagonal(state: FockState):
-    """(n1, n2, real rho[n, n]) over the stored diagonal."""
-    indices, values, sizes = state._packed
-    n1, n2 = np.divmod(indices, state.n_cut + 1)
-    return n1, n2, values[_diagonal_places(sizes)].real
+class _Layout:
+    """What the Fock stages read of one layout of stored blocks, the basis
+    indices and block sizes of a state; ValidationError if the indices
+    are not distinct or not below (n_cut + 1)^2.
+
+    The blocks, of sizes m_0, m_1, ..., lie one after another in one
+    array of values, each in row-major order, and their basis indices one
+    after another in another array; a slot is a place among the indices,
+    a place one among the values.  indices, n1 and n2 are per slot;
+    blocks holds per block its indices (a view), the place of its first
+    value and its size; diagonal the place of each slot's diagonal entry.
+    Per stored entry rho[a, b], transpose is the place of rho[b, a] and
+    row_slot the slot of a.  The partial-transpose blocks and the ladder
+    entries are worked out on first use.
+    """
+
+    def __init__(self, n_cut: int, indices: np.ndarray, sizes: tuple):
+        dim = n_cut + 1
+        if np.any((indices < 0) | (indices >= dim * dim)) or np.unique(indices).size < indices.size:
+            raise ValidationError(f"block indices must be distinct and below {dim * dim}")
+        sizes = np.array(sizes, dtype=np.intp)
+        value_starts = np.cumsum(sizes * sizes) - sizes * sizes
+        count = int((sizes * sizes).sum())  # stored entries
+        # every place and slot below is below count: int32 where that holds it
+        itype = np.int32 if count <= 2**31 else np.intp
+        slot_starts = (np.cumsum(sizes) - sizes).astype(itype)
+        slots = np.arange(indices.size, dtype=itype)
+        # per slot: its block's size, its place in its block, and the place
+        # of its row's first value; the rows of rho lie one after another
+        width = np.repeat(sizes.astype(itype), sizes)
+        local = slots - np.repeat(slot_starts, sizes)
+        row_start = np.cumsum(width, dtype=itype) - width
+        # per stored entry rho[a, b]: the slots of a and b, and the place of
+        # rho[b, a], at column local[a] of the row of b
+        row_slot = np.repeat(slots, width)
+        col_slot = np.arange(count, dtype=itype) - row_start.take(row_slot)
+        col_slot += (slots - local).take(row_slot)
+        transpose = row_start.take(col_slot)
+        transpose += local.take(row_slot)
+        n1, n2 = np.divmod(indices, dim)
+        self.n_cut = n_cut
+        self.indices = indices
+        self.n1, self.n2 = _read_only(n1), _read_only(n2)
+        self.blocks = tuple(
+            (indices[s:s + m], v, m)
+            for s, v, m in zip(slot_starts.tolist(), value_starts.tolist(), sizes.tolist())
+        )
+        self.diagonal = _read_only(row_start + local)
+        self.transpose = _read_only(transpose)
+        self.row_slot = _read_only(row_slot)
+
+    def _entry_slots(self):
+        """(row_slot, col_slot): the slots of a and b per stored rho[a, b]."""
+        return self.row_slot, self.row_slot.take(self.transpose)
+
+    @functools.cached_property
+    def partial_transpose(self):
+        """(source, blocks): the partial transpose over mode 2 in packed
+        blocks, which hold at each place the stored entry source names
+        (one past the last entry where they hold a zero); blocks holds per
+        block the place of its first value and its size."""
+        dim = self.n_cut + 1
+        row_slot, col_slot = self._entry_slots()
+        rows, cols = self.indices.take(row_slot), self.indices.take(col_slot)
+        # the partial transpose moves rho[(a1, a2), (b1, b2)] to
+        # [(a1, b2), (b1, a2)]: it swaps the n2 digits of row and column
+        swap = self.n2.take(col_slot) - self.n2.take(row_slot)
+        rows += swap
+        cols -= swap
+        n1, n2 = np.divmod(np.arange(dim * dim), dim)
+        # sectors n1 + n2, checked against every moved entry
+        sizes, places = _block_places(rows, cols, _label_groups(rows, cols, n1 + n2))
+        count = rows.size
+        source = np.full(int((sizes * sizes).sum()), count)
+        source[places] = np.arange(count)
+        starts = np.cumsum(sizes * sizes) - sizes * sizes
+        return _places(source, count + 1), tuple(zip(starts.tolist(), sizes.tolist()))
+
+    @functools.cached_property
+    def ladders(self):
+        """Per shift s in _LADDERS: (places, weights), the stored entries
+        rho[a, a - s] and w(a) on them."""
+        dim = self.n_cut + 1
+        row_slot, col_slot = self._entry_slots()
+        a1, a2 = self.n1.take(row_slot), self.n2.take(row_slot)
+        b1, b2 = self.n1.take(col_slot), self.n2.take(col_slot)
+        # one code per shift (a1 - b1, a2 - b2): |a2 - b2| < dim, so a base
+        # of 2 dim keeps distinct shifts apart
+        shift = (a1 - b1) * (2 * dim) + (a2 - b2)
+        ladders = {}
+        for (s1, s2), weight in _LADDERS.items():
+            on = np.flatnonzero(shift == s1 * (2 * dim) + s2)
+            ladders[s1, s2] = (_places(on, row_slot.size), _read_only(weight(a1[on], a2[on])))
+        return ladders
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _layout_plan(n_cut: int, indices: bytes, sizes: tuple) -> _Layout:
+    """The plan of a layout, its basis indices given as intp bytes, on
+    which the cache keys."""
+    return _Layout(n_cut, np.frombuffer(indices, dtype=np.intp), sizes)
 
 
 def _rk4_increment(generator: np.ndarray, h: float) -> np.ndarray:
@@ -269,29 +417,10 @@ def _label_groups(rows, cols, labels) -> list[np.ndarray]:
     labels = np.asarray(labels)
     if np.any(labels[rows] != labels[cols]):
         return [np.arange(labels.size)]
-    return [np.flatnonzero(labels == value) for value in np.unique(labels)]
-
-
-def _group_blocks(rows, cols, values, groups) -> tuple:
-    """Dense block on each index group of a matrix given by its entries,
-    as (indices, block) views of one packed array.
-
-    groups partition the basis, and every entry has its row and column
-    in one group (as :func:`_label_groups` returns them).
-    """
-    indices = np.concatenate(groups)
-    sizes = np.array([idx.size for idx in groups])
-    # per basis index: its block's size, its place in the block, and
-    # where the block starts in the packed values
-    width = np.empty(indices.size, dtype=np.intp)
-    place = np.empty(indices.size, dtype=np.intp)
-    start = np.empty(indices.size, dtype=np.intp)
-    width[indices] = np.repeat(sizes, sizes)
-    place[indices] = np.arange(indices.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    start[indices] = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
-    packed = np.zeros(int((sizes * sizes).sum()), dtype=values.dtype)
-    packed[start[rows] + place[rows] * width[rows] + place[cols]] = values
-    return _unpack(indices, packed, sizes)
+    # a stable sort keeps each group's indices ascending
+    order = np.argsort(labels, kind="stable")
+    _, starts = np.unique(labels[order], return_index=True)
+    return np.split(order, starts[1:])
 
 
 def _rk4_propagator(ham: np.ndarray, h: float, n_steps: int) -> np.ndarray:
@@ -425,6 +554,61 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     return q ** np.arange(dim) / (nbar + 1.0)
 
 
+@functools.lru_cache(maxsize=_PLANS)
+def _sector_plan(n_cut: int) -> tuple:
+    """What evolve_fock reads at one cutoff: (layout, groups), the layout
+    of the evolved state and per group of difference sectors with equal
+    H, in the layout's order, (coupling, number, members): the block of
+    the pair coupling -(c1 c2 + c1^dag c2^dag), the diagonal of n1 + n2
+    on it, and the basis indices of each member sector, one row per
+    member."""
+    dim = n_cut + 1
+    basis = np.arange(dim * dim)
+    n1, n2 = np.divmod(basis, dim)  # basis index n1*dim + n2
+    # H by its entries: the diagonal, then c1 c2 |n1, n2> = sqrt(n1)
+    # sqrt(n2) |n1 - 1, n2 - 1>, whose basis index is dim + 1 lower, and
+    # its adjoint; H holds -(c1 c2 + c1^dag c2^dag)
+    upper = np.flatnonzero((n1 > 0) & (n2 > 0))
+    lower = upper - (dim + 1)
+    pair = -(np.sqrt(n1[upper]) * np.sqrt(n2[upper]))
+    rows = np.concatenate([basis, lower, upper])
+    cols = np.concatenate([basis, upper, lower])
+    # the sectors are checked against every entry of H, not assumed
+    sectors = _label_groups(rows, cols, n1 - n2)
+    sizes, places = _block_places(rows, cols, sectors)
+    coupling = np.zeros(int((sizes * sizes).sum()))
+    coupling[places[basis.size:]] = np.concatenate([pair, pair])
+    starts = np.cumsum(sizes * sizes) - sizes * sizes
+    number = n1 + n2
+    blocks = [
+        (coupling[start:start + m * m].reshape(m, m), number[idx])
+        for start, m, idx in zip(starts.tolist(), sizes.tolist(), sectors)
+    ]
+    # sectors d and -d (k and count - 1 - k in label order) hold equal H,
+    # by the mode-swap symmetry of H, and share one propagator
+    count = len(sectors)
+    members = []
+    for k in range(count // 2):
+        partner = count - 1 - k
+        same = all(np.array_equal(a, b) for a, b in zip(blocks[k], blocks[partner]))
+        members.extend([[k, partner]] if same else [[k], [partner]])
+    if count % 2:
+        members.append([count // 2])
+    groups = tuple(
+        (
+            _read_only(blocks[group[0]][0].copy()),
+            _read_only(blocks[group[0]][1]),
+            _read_only(np.stack([sectors[k] for k in group])),
+        )
+        for group in members
+    )
+    indices = np.concatenate([idx.ravel() for _, _, idx in groups])
+    layout = _layout_plan(n_cut, indices.tobytes(), tuple(
+        idx.shape[1] for _, _, idx in groups for _ in range(idx.shape[0])
+    ))
+    return layout, groups
+
+
 def evolve_fock(
     params: PdcParams, tau_end, temperature, n_cut: int, step: float = 1e-4
 ) -> FockState:
@@ -442,7 +626,9 @@ def evolve_fock(
     H conserves n1 - n2, so H is assembled from its nonzeros alone, split
     into its difference sectors (real tridiagonal, dimension <= n_cut + 1)
     and the state is returned as one block per sector; no matrix over the
-    whole (n_cut+1)^2 basis is formed.  RK4 is a polynomial in H, so its
+    whole (n_cut+1)^2 basis is formed.  The sectors and where H's entries
+    fall in them are planned once per cutoff; a call fills in the
+    diagonal, which depends on y.  RK4 is a polynomial in H, so its
     n-step propagator is taken in each sector's eigenbasis
     (:func:`_rk4_propagator`): the same integrator as the power of the
     one-step matrix, with ``step`` fixing h and n as before.
@@ -482,42 +668,26 @@ def evolve_fock(
         _thermal_weights(init.nbar1, dim), _thermal_weights(init.nbar2, dim)
     )
 
-    basis = np.arange(dim * dim)
-    n1, n2 = np.divmod(basis, dim)  # basis index n1*dim + n2
-    # H by its entries: the diagonal, then c1 c2 |n1, n2> = sqrt(n1)
-    # sqrt(n2) |n1 - 1, n2 - 1>, whose basis index is dim + 1 lower, and
-    # its adjoint; H holds -(c1 c2 + c1^dag c2^dag)
-    upper = np.flatnonzero((n1 > 0) & (n2 > 0))
-    lower = upper - (dim + 1)
-    pair = -(np.sqrt(n1[upper]) * np.sqrt(n2[upper]))
-    rows = np.concatenate([basis, lower, upper])
-    cols = np.concatenate([basis, upper, lower])
-    ham = np.concatenate([-params.y * (n1 + n2), pair, pair])
-    # the sectors are checked against every entry of H, not assumed
-    sectors = _label_groups(rows, cols, n1 - n2)
-
     n_steps = max(1, int(np.ceil(float(tau_end) / step)))
     h = float(tau_end) / n_steps
     # exact local-phase restoration to the lab frame
     a1 = (params.omega1_bar + params.y) * float(tau_end)
     a2 = (params.omega2_bar + params.y) * float(tau_end)
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)  # basis index n1*dim + n2
     phases = np.exp(-1j * (a1 * n1 + a2 * n2))
 
     # the thermal input is diagonal, so each sector evolves on its own:
     # rho_d = (P U_d) diag(w_d) (P U_d)^dag with P the lab-frame phases.
-    # Sectors with equal H (d and -d, by the mode-swap symmetry of H)
-    # share one propagator and are evolved together.
-    shared = {}
-    for idx, ham_d in _group_blocks(rows, cols, ham, sectors):
-        shared.setdefault(ham_d.tobytes(), (ham_d, []))[1].append(idx)
-    blocks, trace = [], 0.0
-    for ham_d, members in shared.values():
-        idx = np.stack(members)
+    layout, groups = _sector_plan(int(n_cut))
+    values, trace = [], 0.0
+    for coupling, number, idx in groups:
+        ham_d = coupling.copy()
+        np.fill_diagonal(ham_d, -params.y * number)
         lab = phases[idx][:, :, None] * _rk4_propagator(ham_d, h, n_steps)
         sector = (lab * weights[idx][:, None, :]) @ lab.conj().transpose(0, 2, 1)
         sector = (sector + sector.conj().transpose(0, 2, 1)) / 2.0
         trace += float(np.trace(sector, axis1=1, axis2=2).real.sum())
-        blocks.extend(zip(members, sector))
+        values.append(sector.ravel())
 
     leakage = 1.0 - trace
     if leakage > LEAKAGE_LIMIT:
@@ -528,35 +698,28 @@ def evolve_fock(
         raise IntegrationError(
             f"trace grew to {trace:.3e}: step {step} is past the RK4 stability limit"
         )
-    return FockState(n_cut=n_cut, leakage=leakage, blocks=blocks)
+    return FockState._from_values(layout, leakage, np.concatenate(values))
 
 
 def fock_log_negativity(state: FockState) -> float:
     """ln of the trace norm of the partial transpose over mode 2, >= 0.
 
-    The partial transpose is assembled from the stored blocks.  A state
-    whose blocks conserve n1 - n2 gives one partial-transpose block per
-    total-number sector n1 + n2, each diagonalized on its own by a
-    Hermitian eigensolver (one dense solve when the partial transpose
-    couples sectors).  The result is normalized by trace(rho) so a
+    The partial transpose is assembled from the stored blocks, by places
+    planned once per layout.  A state whose blocks conserve n1 - n2 gives
+    one partial-transpose block per total-number sector n1 + n2, each
+    diagonalized on its own by a Hermitian eigensolver (one dense solve
+    when the partial transpose couples sectors).  The result is normalized by trace(rho) so a
     truncated product state gives exactly 0.
     """
-    dim = state.n_cut + 1
-    rows, cols, values = _entries(state)
-    # the partial transpose moves rho[(a1, a2), (b1, b2)] to
-    # [(a1, b2), (b1, a2)]: it swaps the n2 digits of row and column
-    swap = cols % dim - rows % dim
-    rows += swap
-    cols -= swap
-    n1, n2 = np.divmod(np.arange(dim * dim), dim)
-    sectors = _label_groups(rows, cols, n1 + n2)
+    source, blocks = state._layout.partial_transpose
+    packed = np.append(state._values, 0.0).take(source)
     eigs = np.concatenate(
-        [np.linalg.eigvalsh(b) for _, b in _group_blocks(rows, cols, values, sectors)]
+        [np.linalg.eigvalsh(packed[start:start + m * m].reshape(m, m)) for start, m in blocks]
     )
     # ||pt||_1 = trace - 2 * (negative mass); log1p keeps a PT-positive
     # state at exactly zero
     negative_mass = float(eigs[eigs < 0.0].sum())
-    trace = float(_diagonal(state)[2].sum())
+    trace = float(state._diagonal.sum())
     return float(max(0.0, np.log1p(-2.0 * negative_mass / trace)))
 
 
@@ -584,35 +747,27 @@ def moments_from_fock(state: FockState) -> CovarianceMatrix:
     <c1 c2> and <c1 c2^dag>.  The operators are the truncated ones, so
     <c c^dag> drops the top level n = n_cut, as the truncated matrices do.
     """
-    dim = state.n_cut + 1
-    n1, n2, diag = _diagonal(state)
+    layout, values, diag = state._layout, state._values, state._diagonal
     trace = float(diag.sum())
-    rows, cols, values = _entries(state)
-    a1, a2 = np.divmod(rows, dim)
-    b1, b2 = np.divmod(cols, dim)
-    # one code per shift (a1 - b1, a2 - b2): |a2 - b2| < dim, so a base
-    # of 2 dim keeps distinct shifts apart
-    shift = (a1 - b1) * (2 * dim) + (a2 - b2)
 
-    def ladder(s1, s2, weight):
-        on = shift == s1 * (2 * dim) + s2
-        return complex(np.dot(weight(a1[on], a2[on]), values[on])) / trace
+    def ladder(s1, s2):
+        places, weight = layout.ladders[s1, s2]
+        return complex(np.dot(weight, values.take(places))) / trace
 
     def numbers(n):
         """<c^dag c> and <c c^dag> of one mode"""
         return float(n @ diag) / trace, float(((n + 1.0) * (n < state.n_cut)) @ diag) / trace
 
-    m1 = ladder(1, 0, lambda k1, k2: np.sqrt(k1))
-    m2 = ladder(0, 1, lambda k1, k2: np.sqrt(k2))
+    m1, m2 = ladder(1, 0), ladder(0, 1)
     means = np.sqrt(2.0) * np.array([m1.real, m1.imag, m2.real, m2.imag])
     if float(np.max(np.abs(means))) > 1e-9:
         raise ValidationError("state has nonzero first moments")
     local = [
-        _mode_moments(*numbers(n1), ladder(2, 0, lambda k1, k2: np.sqrt(k1 * (k1 - 1.0)))),
-        _mode_moments(*numbers(n2), ladder(0, 2, lambda k1, k2: np.sqrt(k2 * (k2 - 1.0)))),
+        _mode_moments(*numbers(layout.n1), ladder(2, 0)),
+        _mode_moments(*numbers(layout.n2), ladder(0, 2)),
     ]
-    pair = ladder(1, 1, lambda k1, k2: np.sqrt(k1 * k2))  # <c1 c2>
-    swap = ladder(1, -1, lambda k1, k2: np.sqrt(k1 * (k2 + 1.0)))  # <c1 c2^dag>
+    pair = ladder(1, 1)  # <c1 c2>
+    swap = ladder(1, -1)  # <c1 c2^dag>
     # modes commute, so the cross products need no symmetrizing
     cross = np.array(
         [

@@ -22,8 +22,8 @@ from pdc_entanglement import (
 )
 from pdc_entanglement.fock_oracle import (
     _above_ode_floor,
-    _entries,
     _label_groups,
+    _layout_plan,
     _mode_rotation,
     _rk4_propagator,
 )
@@ -88,9 +88,9 @@ def lab_moments_by_step_powers(params, temp, tau_end):
 def dense_rho(state):
     """The dense (n_cut+1)^2 x (n_cut+1)^2 rho of a block-stored state."""
     size = (state.n_cut + 1) ** 2
-    rows, cols, values = _entries(state)
     rho = np.zeros((size, size), dtype=complex)
-    rho[rows, cols] = values
+    for idx, block in state.blocks:
+        rho[np.ix_(idx, idx)] = block
     return rho
 
 
@@ -581,6 +581,11 @@ class TestFockStateTrace:
         with pytest.raises(ValidationError, match="trace of rho must be positive"):
             dense_state(np.zeros((4, 4)), n_cut=1)
 
+    def test_rejects_blocks_with_no_entries(self):
+        # zero-size blocks alone used to raise a bare numpy ValueError
+        with pytest.raises(ValidationError, match="trace of rho must be positive"):
+            FockState(n_cut=1, leakage=0.0, blocks=[([], np.zeros((0, 0)))])
+
     def test_rejects_a_negative_population(self):
         # its trace is positive, and fock_log_negativity used to report
         # E_N = 0.336 for it without a word
@@ -591,12 +596,136 @@ class TestFockStateTrace:
     def test_reads_the_diagonal_of_every_block(self):
         # blocks of sizes 1, 2 and 1, stored out of index order, whose
         # diagonals sum to 1; an off-diagonal entry read as diagonal would
-        # make the trace negative
-        blocks = [([3], [[0.5]]), ([0, 2], [[0.2, -5.0], [-5.0, 0.05]]), ([1], [[0.25]])]
+        # move the trace and the edge population (|-0.09|^2 stays within
+        # the 2 x 2 minor 0.2 * 0.05, so the state is positive definite)
+        blocks = [([3], [[0.5]]), ([0, 2], [[0.2, -0.09], [-0.09, 0.05]]), ([1], [[0.25]])]
         state = FockState(n_cut=1, leakage=0.0, blocks=blocks)
         assert np.real(np.trace(dense_rho(state))) == 1.0
         # n_cut = 1: every index but 0, (n1, n2) = (0, 0), is on the edge
         assert state.edge_population == pytest.approx(0.8, abs=1e-15)
+
+
+class TestFockStatePositivity:
+    """Every stored entry must lie within its 2 x 2 principal minor,
+    |rho[a, b]|^2 <= rho[a, a] rho[b, b] + 1e-12, on both constructor paths."""
+
+    @staticmethod
+    def minor_breaking_rho():
+        # eigenvalues -0.3, 0, 0 and 1.3, with every population >= 0:
+        # fock_log_negativity used to report E_N = 0.956 for it
+        rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        rho[0, 3] = rho[3, 0] = 0.8
+        return rho
+
+    def test_rejects_an_entry_above_its_minor(self):
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            dense_state(self.minor_breaking_rho(), n_cut=1)
+
+    def test_rejects_it_on_a_planned_layout(self):
+        layout = _layout_plan(1, np.arange(4).tobytes(), (4,))
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            FockState._from_values(layout, 0.0, self.minor_breaking_rho().ravel())
+
+    def test_accepts_pure_sectors_at_equality(self, reference_params):
+        # at T = 0 the state is pure, |rho[a, b]|^2 = rho[a, a] rho[b, b] on
+        # its coherences, and rounding puts some entries above equality:
+        # the tolerance, not the bound alone, lets it pass
+        state = evolve_fock(reference_params, 0.5, 0.0, n_cut=20)
+        rho = dense_rho(state)
+        diag = np.diag(rho).real
+        excess = np.abs(rho) ** 2 - np.outer(diag, diag)
+        assert 0.0 < excess.max() <= 1e-12
+        FockState(n_cut=20, leakage=state.leakage, blocks=state.blocks)
+
+
+def plan_arrays(plan):
+    """Every array a plan holds, the cached properties worked out so far
+    among them."""
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, (tuple, list)):
+        for item in plan:
+            yield from plan_arrays(item)
+    elif isinstance(plan, dict):
+        for item in plan.values():
+            yield from plan_arrays(item)
+    elif hasattr(plan, "__dict__"):
+        yield from plan_arrays(list(vars(plan).values()))
+
+
+class TestPlans:
+    """The index bookkeeping of the Fock stages is planned once per cutoff
+    and per layout."""
+
+    @staticmethod
+    def clear_plans():
+        fock_oracle._sector_plan.cache_clear()
+        fock_oracle._layout_plan.cache_clear()
+
+    def test_a_second_call_reuses_the_plan(self, reference_params, monkeypatch):
+        self.clear_plans()
+        calls = []
+        label_groups = fock_oracle._label_groups
+
+        def counting(*args):
+            calls.append(args)
+            return label_groups(*args)
+
+        monkeypatch.setattr(fock_oracle, "_label_groups", counting)
+
+        def run():
+            state = evolve_fock(reference_params, 0.5, T_SMALL, n_cut=12)
+            return state, fock_log_negativity(state), moments_from_fock(state)
+
+        first = run()
+        assert len(calls) == 2  # the sectors of H and of the partial transpose
+        calls.clear()
+        second = run()
+        assert calls == []
+        assert second[0]._layout is first[0]._layout
+        assert [(i.tobytes(), b.tobytes()) for i, b in second[0].blocks] == [
+            (i.tobytes(), b.tobytes()) for i, b in first[0].blocks
+        ]
+        assert second[1] == first[1]
+        assert second[2].entries.tobytes() == first[2].entries.tobytes()
+
+    def test_each_layout_gets_its_own_plan(self):
+        n_cut = 8
+        n1, n2 = np.divmod(np.arange((n_cut + 1) ** 2), n_cut + 1)
+        dense = random_density_matrix(n_cut, np.random.default_rng(11))
+        parity = random_density_matrix(n_cut, np.random.default_rng(7), (n1 + n2) % 2)
+        assert dense._layout is not parity._layout
+        assert len(dense.blocks) == 1 and len(parity.blocks) == 2
+        # a second state on a layout reads the same plan
+        assert random_density_matrix(n_cut, np.random.default_rng(12))._layout is dense._layout
+        for state in (dense, parity):
+            assert abs(fock_log_negativity(state) - dense_log_negativity(state)) < 1e-12
+        assert np.max(np.abs(moments_from_fock(parity).entries - dense_moments(parity))) < 1e-12
+        # the dense state has coherences at shift (1, 0): first moments
+        with pytest.raises(ValidationError, match="first moments"):
+            moments_from_fock(dense)
+
+    def test_plan_caches_are_bounded(self):
+        for n_cut in range(1, fock_oracle._PLANS + 4):
+            fock_oracle._sector_plan(n_cut)
+        for cache in (fock_oracle._sector_plan, fock_oracle._layout_plan):
+            info = cache.cache_info()
+            assert info.maxsize == fock_oracle._PLANS
+            assert info.currsize <= info.maxsize
+
+    def test_cached_arrays_are_read_only(self, reference_params):
+        state = evolve_fock(reference_params, 0.5, T_SMALL, n_cut=12)
+        fock_log_negativity(state)
+        moments_from_fock(state)
+        plan = fock_oracle._sector_plan(12)
+        layout, _ = plan
+        assert state._layout is layout
+        assert {"partial_transpose", "ladders"} <= set(vars(layout))
+        arrays = list(plan_arrays(plan)) + [state._values]
+        assert len(arrays) > 20
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 def test_sector_blocks_single_coupling_merges_all_labels():
@@ -678,7 +807,10 @@ def test_evolve_fock_step_selects_rk4(make_params, y, tau):
 
 def test_block_storage_peak_memory_at_n_cut_60(reference_params):
     # the three stages never form a (n_cut+1)^2 x (n_cut+1)^2 matrix: a
-    # dense rho alone would take 3721^2 x 16 B = 221 MB here
+    # dense rho alone would take 3721^2 x 16 B = 221 MB here; the plans are
+    # built inside the traced window
+    fock_oracle._sector_plan.cache_clear()
+    fock_oracle._layout_plan.cache_clear()
     tracemalloc.start()
     try:
         state = evolve_fock(reference_params, 0.5, 0.0, n_cut=60)
