@@ -54,13 +54,14 @@ symmetry of the generator, not on the Gaussian closed form, so the
 oracle stays independent of it.
 
 Where the entries go depends on the cutoff and the block layout alone,
-so that index bookkeeping is worked out once and kept in bounded caches
-of read-only plans: per cutoff, H's sectors, checked against its
-entries, and the pairing of sectors d and -d (:func:`_sector_plan`);
-per layout of stored blocks, the checks on its indices, the diagonal
-and transposed places, the partial-transpose sectors and the ladder
-entries (:func:`_layout_plan`).  A call then only fills in values and
-solves; the first call at a new cutoff or layout pays for its plan.
+so that index bookkeeping is worked out once per cutoff and kept in a
+bounded cache of read-only plans (:func:`_sector_plan`): H's sectors,
+checked against its entries, the pairing of sectors d and -d, and the
+layout of the evolved state (:class:`_Layout`), which holds the checks
+on its indices, the diagonal and transposed places, the
+partial-transpose sectors and the ladder entries.  A call then only
+fills in values and solves; the first call at a new cutoff pays for its
+plan.  A state built from blocks works out its own layout, once.
 """
 
 from __future__ import annotations
@@ -147,11 +148,11 @@ class FockState:
     finite and Hermitian within 1e-12, every population (stored diagonal
     entry) at least -1e-12, trace(rho), the sum of the stored diagonal,
     positive and finite, and every stored entry within its 2 x 2
-    principal minor, |rho[a, b]|^2 <= rho[a, a] rho[b, b] + 1e-12;
-    ValidationError if not.  A positive semidefinite rho passes all of
-    these; a rho that passes them need not be positive semidefinite
-    (the minors of order three and up are not read), so the check is
-    necessary, not sufficient.
+    principal minor, |rho[a, b]|^2 <= rho[a, a] rho[b, b]
+    + 1e-12 max(1, trace(rho))^2; ValidationError if not.  A positive
+    semidefinite rho passes all of these; a rho that passes them need not
+    be positive semidefinite (the minors of order three and up are not
+    read), so the check is necessary, not sufficient.
 
     leakage reports 1 - trace(rho): the thermal weight dropped at
     truncation (the geometric distribution is normalized over the full
@@ -169,8 +170,9 @@ class FockState:
         blocks = [(np.asarray(idx, dtype=np.intp), np.asarray(b, dtype=complex)) for idx, b in blocks]
         if not blocks or any(b.shape != (idx.size, idx.size) for idx, b in blocks):
             raise ValidationError("blocks must be square over their indices, at least one")
-        indices = np.concatenate([idx for idx, _ in blocks])
-        layout = _layout_plan(n_cut, indices.tobytes(), tuple(idx.size for idx, _ in blocks))
+        layout = _Layout(
+            n_cut, np.concatenate([idx for idx, _ in blocks]), tuple(idx.size for idx, _ in blocks)
+        )
         # one packed copy of every entry, which the stored blocks view
         self._store(n_cut, leakage, layout, np.concatenate([b.ravel() for _, b in blocks]))
 
@@ -204,7 +206,9 @@ class FockState:
         excess = float(
             (values.real**2 + values.imag**2 - row_diag * row_diag.take(layout.transpose)).max()
         )
-        if excess > 1e-12:
+        # rounding puts an entry of a pure state about eps trace^2 above
+        # its minor, so the tolerance scales with the trace
+        if excess > 1e-12 * max(1.0, trace) ** 2:
             raise ValidationError(
                 "rho is not positive semidefinite: an entry has |rho[a, b]|^2"
                 f" above rho[a, a] rho[b, b] by {excess:.3e}"
@@ -230,10 +234,13 @@ class FockState:
         return float(self._diagonal[(layout.n1 == self.n_cut) | (layout.n2 == self.n_cut)].sum())
 
 
-# Plans kept by each plan cache (_sector_plan, _layout_plan): a process
-# holds those of its most recent cutoffs and layouts.  Every cached array
-# is read-only, since one plan serves every caller.
+# The sector plans a process keeps, those of its most recent cutoffs.  A
+# plan holds about as many bytes as the values of a state at its cutoff,
+# so past _LARGE_PLAN stored entries (n_cut > 72, a few MB) only the most
+# recent cutoff's plan is kept.  Every cached array is read-only, since
+# one plan serves every caller.
 _PLANS = 8
+_LARGE_PLAN = 2**18
 
 # The ladder operators moments_from_fock reads, O |a> = w(a) |a - s> by
 # shift s = (s1, s2): w for a state with n1 = k1, n2 = k2.
@@ -269,15 +276,14 @@ def _block_places(rows, cols, groups):
     """
     indices = np.concatenate(groups)
     sizes = np.array([idx.size for idx in groups])
-    # per basis index: its block's size, its place in the block, and
-    # where the block starts in the packed values
-    width = np.empty(indices.size, dtype=np.intp)
+    # per basis index: its place in its block, and where its row of the
+    # block starts in the packed values
     place = np.empty(indices.size, dtype=np.intp)
-    start = np.empty(indices.size, dtype=np.intp)
-    width[indices] = np.repeat(sizes, sizes)
+    row_start = np.empty(indices.size, dtype=np.intp)
     place[indices] = np.arange(indices.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    start[indices] = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
-    return sizes, start[rows] + place[rows] * width[rows] + place[cols]
+    row_start[indices] = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
+    row_start[indices] += place[indices] * np.repeat(sizes, sizes)
+    return sizes, row_start[rows] + place[cols]
 
 
 class _Layout:
@@ -298,7 +304,7 @@ class _Layout:
 
     def __init__(self, n_cut: int, indices: np.ndarray, sizes: tuple):
         dim = n_cut + 1
-        if np.any((indices < 0) | (indices >= dim * dim)) or np.unique(indices).size < indices.size:
+        if np.any((indices < 0) | (indices >= dim * dim)) or np.bincount(indices).max(initial=0) > 1:
             raise ValidationError(f"block indices must be distinct and below {dim * dim}")
         sizes = np.array(sizes, dtype=np.intp)
         value_starts = np.cumsum(sizes * sizes) - sizes * sizes
@@ -321,7 +327,7 @@ class _Layout:
         transpose += local.take(row_slot)
         n1, n2 = np.divmod(indices, dim)
         self.n_cut = n_cut
-        self.indices = indices
+        self.indices = _read_only(indices)
         self.n1, self.n2 = _read_only(n1), _read_only(n2)
         self.blocks = tuple(
             (indices[s:s + m], v, m)
@@ -343,12 +349,10 @@ class _Layout:
         block the place of its first value and its size."""
         dim = self.n_cut + 1
         row_slot, col_slot = self._entry_slots()
-        rows, cols = self.indices.take(row_slot), self.indices.take(col_slot)
         # the partial transpose moves rho[(a1, a2), (b1, b2)] to
         # [(a1, b2), (b1, a2)]: it swaps the n2 digits of row and column
-        swap = self.n2.take(col_slot) - self.n2.take(row_slot)
-        rows += swap
-        cols -= swap
+        rows = self.n1.take(row_slot) * dim + self.n2.take(col_slot)
+        cols = self.n1.take(col_slot) * dim + self.n2.take(row_slot)
         n1, n2 = np.divmod(np.arange(dim * dim), dim)
         # sectors n1 + n2, checked against every moved entry
         sizes, places = _block_places(rows, cols, _label_groups(rows, cols, n1 + n2))
@@ -374,13 +378,6 @@ class _Layout:
             on = np.flatnonzero(shift == s1 * (2 * dim) + s2)
             ladders[s1, s2] = (_places(on, row_slot.size), _read_only(weight(a1[on], a2[on])))
         return ladders
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _layout_plan(n_cut: int, indices: bytes, sizes: tuple) -> _Layout:
-    """The plan of a layout, its basis indices given as intp bytes, on
-    which the cache keys."""
-    return _Layout(n_cut, np.frombuffer(indices, dtype=np.intp), sizes)
 
 
 def _rk4_increment(generator: np.ndarray, h: float) -> np.ndarray:
@@ -554,8 +551,15 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     return q ** np.arange(dim) / (nbar + 1.0)
 
 
-@functools.lru_cache(maxsize=_PLANS)
 def _sector_plan(n_cut: int) -> tuple:
+    """The plan of a cutoff (:func:`_build_sector_plan`), from the cache
+    of small plans or from the one-plan cache of large ones."""
+    # stored entries of a state from evolve_fock: sum over d of (dim - |d|)^2
+    entries = (n_cut + 1) ** 2 + n_cut * (n_cut + 1) * (2 * n_cut + 1) // 3
+    return (_small_plans if entries <= _LARGE_PLAN else _large_plans)(n_cut)
+
+
+def _build_sector_plan(n_cut: int) -> tuple:
     """What evolve_fock reads at one cutoff: (layout, groups), the layout
     of the evolved state and per group of difference sectors with equal
     H, in the layout's order, (coupling, number, members): the block of
@@ -578,35 +582,41 @@ def _sector_plan(n_cut: int) -> tuple:
     sizes, places = _block_places(rows, cols, sectors)
     coupling = np.zeros(int((sizes * sizes).sum()))
     coupling[places[basis.size:]] = np.concatenate([pair, pair])
-    starts = np.cumsum(sizes * sizes) - sizes * sizes
-    number = n1 + n2
-    blocks = [
-        (coupling[start:start + m * m].reshape(m, m), number[idx])
-        for start, m, idx in zip(starts.tolist(), sizes.tolist(), sectors)
-    ]
-    # sectors d and -d (k and count - 1 - k in label order) hold equal H,
-    # by the mode-swap symmetry of H, and share one propagator
+    # the mode swap (n1, n2) -> (n2, n1) takes sector d to -d (k to
+    # count - 1 - k in label order) and keeps the order within it, so
+    # where H is swap-symmetric, checked on every entry, sectors d and -d
+    # hold equal H (n1 + n2 is swap-symmetric too) and share a propagator
+    swap = n2 * dim + n1
+    mirrored = _block_places(swap[rows], swap[cols], sectors)[1]
     count = len(sectors)
-    members = []
-    for k in range(count // 2):
-        partner = count - 1 - k
-        same = all(np.array_equal(a, b) for a, b in zip(blocks[k], blocks[partner]))
-        members.extend([[k, partner]] if same else [[k], [partner]])
-    if count % 2:
-        members.append([count // 2])
-    groups = tuple(
-        (
-            _read_only(blocks[group[0]][0].copy()),
-            _read_only(blocks[group[0]][1]),
-            _read_only(np.stack([sectors[k] for k in group])),
-        )
-        for group in members
+    if np.array_equal(coupling.take(mirrored), coupling.take(places)):
+        members = [[k, count - 1 - k] for k in range(count // 2)] + [[count // 2]] * (count % 2)
+    else:
+        members = [[k] for k in range(count)]
+    layout = _Layout(
+        n_cut,
+        np.concatenate([sectors[k] for group in members for k in group]),
+        tuple(sizes[k] for group in members for k in group),
     )
-    indices = np.concatenate([idx.ravel() for _, _, idx in groups])
-    layout = _layout_plan(n_cut, indices.tobytes(), tuple(
-        idx.shape[1] for _, _, idx in groups for _ in range(idx.shape[0])
-    ))
-    return layout, groups
+    number = _read_only(layout.n1 + layout.n2)
+    starts = np.cumsum(sizes * sizes) - sizes * sizes
+    # a group reads the block of its first member alone: keep those
+    end = max(starts[group[0]] + sizes[group[0]] ** 2 for group in members)
+    coupling = _read_only(coupling[:end].copy())
+    # per group, views: the coupling block of its first member, and per
+    # slot of its members the n1 + n2 and the basis indices
+    groups, slot = [], 0
+    for group in members:
+        k, m = group[0], int(sizes[group[0]])
+        block = coupling[starts[k]:starts[k] + m * m].reshape(m, m)
+        idx = layout.indices[slot:slot + len(group) * m].reshape(len(group), m)
+        groups.append((block, number[slot:slot + m], idx))
+        slot += len(group) * m
+    return layout, tuple(groups)
+
+
+_small_plans = functools.lru_cache(maxsize=_PLANS)(_build_sector_plan)
+_large_plans = functools.lru_cache(maxsize=1)(_build_sector_plan)
 
 
 def evolve_fock(

@@ -1,3 +1,4 @@
+import gc
 import re
 import tracemalloc
 import warnings
@@ -22,8 +23,8 @@ from pdc_entanglement import (
 )
 from pdc_entanglement.fock_oracle import (
     _above_ode_floor,
+    _Layout,
     _label_groups,
-    _layout_plan,
     _mode_rotation,
     _rk4_propagator,
 )
@@ -622,20 +623,24 @@ class TestFockStatePositivity:
             dense_state(self.minor_breaking_rho(), n_cut=1)
 
     def test_rejects_it_on_a_planned_layout(self):
-        layout = _layout_plan(1, np.arange(4).tobytes(), (4,))
+        layout = _Layout(1, np.arange(4), (4,))
         with pytest.raises(ValidationError, match="not positive semidefinite"):
             FockState._from_values(layout, 0.0, self.minor_breaking_rho().ravel())
 
     def test_accepts_pure_sectors_at_equality(self, reference_params):
         # at T = 0 the state is pure, |rho[a, b]|^2 = rho[a, a] rho[b, b] on
         # its coherences, and rounding puts some entries above equality:
-        # the tolerance, not the bound alone, lets it pass
+        # the tolerance, not the bound alone, lets it pass.  Scaled to a
+        # trace of 1e4 the rounding excess passes 1e-12, so the tolerance
+        # must scale with the trace
         state = evolve_fock(reference_params, 0.5, 0.0, n_cut=20)
-        rho = dense_rho(state)
-        diag = np.diag(rho).real
-        excess = np.abs(rho) ** 2 - np.outer(diag, diag)
-        assert 0.0 < excess.max() <= 1e-12
-        FockState(n_cut=20, leakage=state.leakage, blocks=state.blocks)
+        for scale in (1.0, 1e4):
+            blocks = [(idx, scale * block) for idx, block in state.blocks]
+            rho = dense_rho(FockState(n_cut=20, leakage=0.0, blocks=blocks))
+            diag = np.diag(rho).real
+            excess = np.abs(rho) ** 2 - np.outer(diag, diag)
+            assert 0.0 < excess.max() <= 1e-12 * scale**2
+        assert excess.max() > 1e-12
 
 
 def plan_arrays(plan):
@@ -654,13 +659,13 @@ def plan_arrays(plan):
 
 
 class TestPlans:
-    """The index bookkeeping of the Fock stages is planned once per cutoff
-    and per layout."""
+    """The index bookkeeping of the Fock stages is planned once per cutoff,
+    and once per state built from blocks."""
 
     @staticmethod
     def clear_plans():
-        fock_oracle._sector_plan.cache_clear()
-        fock_oracle._layout_plan.cache_clear()
+        fock_oracle._small_plans.cache_clear()
+        fock_oracle._large_plans.cache_clear()
 
     def test_a_second_call_reuses_the_plan(self, reference_params, monkeypatch):
         self.clear_plans()
@@ -689,37 +694,72 @@ class TestPlans:
         assert second[1] == first[1]
         assert second[2].entries.tobytes() == first[2].entries.tobytes()
 
-    def test_each_layout_gets_its_own_plan(self):
+    def test_each_state_from_blocks_gets_its_own_plan(self, monkeypatch):
         n_cut = 8
         n1, n2 = np.divmod(np.arange((n_cut + 1) ** 2), n_cut + 1)
         dense = random_density_matrix(n_cut, np.random.default_rng(11))
         parity = random_density_matrix(n_cut, np.random.default_rng(7), (n1 + n2) % 2)
-        assert dense._layout is not parity._layout
-        assert len(dense.blocks) == 1 and len(parity.blocks) == 2
-        # a second state on a layout reads the same plan
-        assert random_density_matrix(n_cut, np.random.default_rng(12))._layout is dense._layout
-        for state in (dense, parity):
-            assert abs(fock_log_negativity(state) - dense_log_negativity(state)) < 1e-12
-        assert np.max(np.abs(moments_from_fock(parity).entries - dense_moments(parity))) < 1e-12
+        assert [m for _, _, m in dense._layout.blocks] == [81]
+        assert [m for _, _, m in parity._layout.blocks] == [41, 40]
+        first = [fock_log_negativity(state) for state in (dense, parity)]
+        for state, e_fock in zip((dense, parity), first):
+            assert abs(e_fock - dense_log_negativity(state)) < 1e-12
+        parity_cm = moments_from_fock(parity)
+        assert np.max(np.abs(parity_cm.entries - dense_moments(parity))) < 1e-12
         # the dense state has coherences at shift (1, 0): first moments
         with pytest.raises(ValidationError, match="first moments"):
             moments_from_fock(dense)
+        # a second call on a state reads the plan its first call built
+        calls = []
+        monkeypatch.setattr(fock_oracle, "_label_groups", lambda *args: calls.append(args))
+        assert [fock_log_negativity(state) for state in (dense, parity)] == first
+        assert moments_from_fock(parity).entries.tobytes() == parity_cm.entries.tobytes()
+        assert calls == []
 
     def test_plan_caches_are_bounded(self):
+        self.clear_plans()
         for n_cut in range(1, fock_oracle._PLANS + 4):
             fock_oracle._sector_plan(n_cut)
-        for cache in (fock_oracle._sector_plan, fock_oracle._layout_plan):
-            info = cache.cache_info()
-            assert info.maxsize == fock_oracle._PLANS
-            assert info.currsize <= info.maxsize
+        info = fock_oracle._small_plans.cache_info()
+        assert info.maxsize == fock_oracle._PLANS
+        assert info.currsize <= info.maxsize
+        # n_cut = 72 is the largest cutoff whose plans are kept eight at a time
+        fock_oracle._sector_plan(72)
+        assert fock_oracle._large_plans.cache_info().currsize == 0
+        fock_oracle._sector_plan(73)
+        fock_oracle._sector_plan(74)
+        assert fock_oracle._large_plans.cache_info().currsize == 1
+
+    def test_large_plans_are_kept_one_at_a_time(self):
+        # what a scan over large cutoffs leaves cached, its states gone:
+        # one plan, not one per cutoff
+        def retained(cutoffs):
+            self.clear_plans()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                for n_cut in cutoffs:
+                    layout, _ = fock_oracle._sector_plan(n_cut)
+                    layout.partial_transpose, layout.ladders
+                    del layout
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        one = retained([76])
+        assert one > 4e6  # about 17 B per stored entry, 306 k entries
+        assert retained([73, 74, 75, 76]) < 1.2 * one
 
     def test_cached_arrays_are_read_only(self, reference_params):
         state = evolve_fock(reference_params, 0.5, T_SMALL, n_cut=12)
         fock_log_negativity(state)
         moments_from_fock(state)
         plan = fock_oracle._sector_plan(12)
-        layout, _ = plan
+        layout, groups = plan
         assert state._layout is layout
+        # sectors d and -d share a group, d = 0 is alone
+        assert [idx.shape[0] for _, _, idx in groups] == [2] * 12 + [1]
         assert {"partial_transpose", "ladders"} <= set(vars(layout))
         arrays = list(plan_arrays(plan)) + [state._values]
         assert len(arrays) > 20
@@ -809,8 +849,7 @@ def test_block_storage_peak_memory_at_n_cut_60(reference_params):
     # the three stages never form a (n_cut+1)^2 x (n_cut+1)^2 matrix: a
     # dense rho alone would take 3721^2 x 16 B = 221 MB here; the plans are
     # built inside the traced window
-    fock_oracle._sector_plan.cache_clear()
-    fock_oracle._layout_plan.cache_clear()
+    fock_oracle._small_plans.cache_clear()
     tracemalloc.start()
     try:
         state = evolve_fock(reference_params, 0.5, 0.0, n_cut=60)
