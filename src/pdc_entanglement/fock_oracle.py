@@ -28,12 +28,13 @@ The moment ODE integrates only the 10 independent moments sigma[i, j],
 i <= j: the Lyapunov operator maps symmetric matrices to symmetric
 ones, so it restricts to them, and R is 10 x 10.  It works in float64
 on increments over the identity: D = R - I is formed from its Taylor
-terms, R^n - I by square-and-multiply on increments, and the initial
-moment vector moves as v + (R^n - I) v, so the O(h) step is never added
-to 1 and rounded.  The composition is associative, hence identical (up
-to rounding) to stepping one by one, and the error retains the O(h^4)
-signature checked by the step-halving test.  Only the end point is
-formed: it is gated, rotated to the lab frame and returned, so a call
+terms and squared on increments, D_k = R^(2^k) - I with
+D_{k+1} = 2 D_k + D_k D_k, and set bit k of n moves the moment vector
+as v + D_k v, so the O(h) step is never added to 1 and rounded.  The
+factors commute, hence the result is identical (up to rounding) to
+stepping one by one, and the error retains the O(h^4) signature
+checked by the step-halving test.  Only the end point is formed: it is
+rotated to the lab frame, checked to be finite and returned, so a call
 costs O(log n) matrix products and constant memory in tau_end.  The
 Fock generator is Hermitian, so there R^n is taken in its eigenbasis,
 V E4(-i h E)^n V^T, the same integrator.
@@ -74,12 +75,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import IntegrationError, TruncationError, ValidationError
-from .gaussian_core import (
-    CovarianceMatrix,
-    _det2,
-    _det4,
-    _spectrum_at_least,
-)
+from .gaussian_core import CovarianceMatrix
 from .pdc_dynamics import PdcParams, thermal_init
 
 MAX_MOMENT_STEP = 1e-3
@@ -389,20 +385,6 @@ def _rk4_increment(generator: np.ndarray, h: float) -> np.ndarray:
     return hm + hm2 / 2.0 + (hm2 @ hm) / 6.0 + (hm2 @ hm2) / 24.0
 
 
-def _increment_power(increment: np.ndarray, n: int) -> np.ndarray:
-    """(I + increment)^n - I by square-and-multiply on increments (n >= 0):
-    a square is (I + D)^2 - I = 2 D + D D, a product
-    (I + P)(I + D) - I = P + D + P D."""
-    result = np.zeros_like(increment)
-    while n:
-        if n & 1:
-            result = result + increment + result @ increment
-        n >>= 1
-        if n:
-            increment = 2.0 * increment + increment @ increment
-    return result
-
-
 def _label_groups(rows, cols, labels) -> list[np.ndarray]:
     """Basis indices grouped by an integer label, one group per label.
 
@@ -436,19 +418,6 @@ def _rk4_propagator(ham: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     return (vecs * np.exp(n_steps * (log_modulus + 1j * phase))) @ vecs.T
 
 
-def _above_ode_floor(sigma):
-    """The moment ODE's instability gate: det alpha > 0 and both symplectic
-    eigenvalues >= 0.45, per matrix for a stack (..., 4, 4).  A blown-up
-    step violates the vacuum floor 1/2 by orders of magnitude, while
-    rounding noise on the degenerate spectrum stays tiny against this
-    margin, so the gate is deliberately coarser than physicality_check.
-    It reads signs only; a matrix with det alpha <= 0 (or not finite)
-    fails whatever _det4 gives for it, so call it under np.errstate."""
-    return (_det2(sigma[..., :2, :2]) > 0.0) & _spectrum_at_least(
-        sigma, _det4(sigma), 0.45**2
-    )
-
-
 def _mode_rotation(angle1, angle2) -> np.ndarray:
     """Block-diagonal phase-space rotation, one angle per mode."""
     rot = np.zeros((4, 4))
@@ -467,10 +436,9 @@ def evolve_moments_ode(
     """Integrate the second-moment equations to tau_end and return the
     lab-frame end point.
 
-    The 10 independent moments are carried from 0 to tau_end by one power
-    of the RK4 step matrix, kept as an increment over the identity; the
-    end point then passes the instability gate and is rotated to the lab
-    frame.
+    The 10 independent moments are carried from 0 to tau_end by n RK4
+    steps, applied as powers of the step matrix kept as increments over
+    the identity; the end point is rotated to the lab frame and returned.
 
     Parameters
     ----------
@@ -480,11 +448,15 @@ def evolve_moments_ode(
     Raises
     ------
     IntegrationError
-        If the end point fails the instability gate; the message names
-        tau_end.  With step <= 1e-3, |h lambda| <= 2e-3 for every
-        eigenvalue of this generator, well inside RK4's stability region,
-        so a refusal means the moments left the float range or the
-        gate's float64 arithmetic could no longer resolve them.
+        If an entry of the lab-frame end point is not finite; the message
+        names tau_end.  The eigenvalues of F are +-x, x = sqrt(1 - y^2),
+        so those of the Lyapunov operator, sums of two of them, are 0 and
+        +-2x: with step <= 1e-3, |h lambda| <= 2e-3, far inside RK4's
+        stability region, and the steps grow no mode faster than the flow
+        does.  What is left to fail is the float range, which the moments
+        leave where the exact flow takes them past it (tau_end of about
+        352 at y = 0, T = 300 K, and 406 at y = 0.5), and a finiteness
+        check sees that.
 
     Notes
     -----
@@ -493,19 +465,12 @@ def evolve_moments_ode(
     compounded over 10^4 steps and amplified by the propagator's
     exp(2 x tau) growth, that loss would show above the 1e-8 absolute
     agreement this oracle is held to at high temperature.  So D is formed
-    from its Taylor terms directly, powers are taken on increments,
-    (I + D)^2 - I = 2 D + D D and (I + P)(I + D) - I = P + D + P D, and
-    the moment vector moves as v + P v (N. J. Higham, *Functions of
-    Matrices*, SIAM 2008, ch. 10).
-
-    The gate reads float64 matrices, so its arithmetic, not the
-    integration, sets the reach.  First refused tau_end at the default
-    step, over tau_end = 0.05 k up to 16: 8.55 at y = 0, T = 0; 9.2 at
-    y = 0, T = 50 or 300 K; 9.9 at y = 0.5, T = 0; none at y = 0.9.  Past
-    that point refusals are intermittent, since they come from rounding
-    in the gate, and the first one moves by a grid point or two when tau
-    differs in its last bits; the matrices returned there are within
-    5e-13 relative of the closed form.
+    from its Taylor terms directly and R^n is applied one set bit of n at
+    a time: with D_0 = D and D_{k+1} = (I + D_k)^2 - I = 2 D_k + D_k D_k,
+    bit k moves the moment vector as v + D_k v, one matrix-vector product
+    (N. J. Higham, *Functions of Matrices*, SIAM 2008, ch. 10).  The
+    factors I + D_k are powers of R and commute, so the end point equals
+    n single steps up to rounding.
     """
     if not 0.0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
@@ -515,28 +480,33 @@ def evolve_moments_ode(
     init = thermal_init(params, temperature)
     moments = np.diag([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)[_UPPER]
 
-    # overflow or NaN in a blown-up vector fails the gate, which raises
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # moments past the float range turn inf or NaN, which the check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         if tau != 0.0:
             n_steps = math.ceil(tau / step)
             increment = _rk4_increment(
                 _LYAP_COUPLING + params.y * _LYAP_MISMATCH, tau / n_steps
             )
-            moments = moments + _increment_power(increment, n_steps) @ moments
-        sigma = moments[_MOMENT_PLACE]  # exactly symmetric
-        if not _above_ode_floor(sigma):
-            raise IntegrationError(
-                f"unphysical covariance matrix at tau={tau}: the moments left"
-                " the float range, or the gate's float64 arithmetic lost them"
-            )
+            while n_steps:
+                if n_steps & 1:
+                    moments = moments + increment @ moments
+                n_steps >>= 1
+                if n_steps:
+                    increment = 2.0 * increment + increment @ increment
         # float64 angle arithmetic deliberately mirrors covariance_matrix:
         # at |angle| ~ 1e3 rad a one-ulp angle difference already moves
         # 1e4-scale entries by ~1e-9
         rot = _mode_rotation(
             (params.omega1_bar + params.y) * tau, (params.omega2_bar + params.y) * tau
         )
-        lab = rot @ sigma @ rot.T
+        lab = rot @ moments[_MOMENT_PLACE] @ rot.T
         lab = (lab + lab.T) / 2.0
+    # checked as it goes to CovarianceMatrix: finite moments can still
+    # overflow in the rotation or the symmetrization
+    if not np.isfinite(lab).all():
+        raise IntegrationError(
+            f"moment ODE end point at tau={tau}: an entry left the float range"
+        )
     return MomentTrajectory(tau=tau, cm=CovarianceMatrix(lab))
 
 
@@ -654,6 +624,13 @@ def evolve_fock(
     driven against the cutoff during the evolution is not caught by that
     check, because truncated evolution conserves the trace; read
     FockState.edge_population to see it.
+
+    The route has a ceiling near 10-15 K.  The cutoff must reach about ten
+    times the photon number per mode, which at the birth time (y = 0) is
+    6.4 at 5 K, 24 at 10 K, 93 at 20 K and 2.0e4 at 300 K, and the stored
+    state grows as n_cut^3 (169 MB at n_cut = 250).  Past the ceiling the
+    moment ODE (:func:`evolve_moments_ode`), which needs no cutoff, is the
+    oracle for the covariance matrix.
     """
     if not 0.0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")

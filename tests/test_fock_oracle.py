@@ -10,6 +10,7 @@ from pdc_entanglement import (
     CovarianceMatrix,
     FockState,
     IntegrationError,
+    NumericalDomainError,
     ValidationError,
     covariance_matrix,
     evolve_fock,
@@ -22,10 +23,13 @@ from pdc_entanglement import (
     thermal_init,
 )
 from pdc_entanglement.fock_oracle import (
-    _above_ode_floor,
+    _LYAP_COUPLING,
+    _LYAP_MISMATCH,
+    MAX_MOMENT_STEP,
     _Layout,
     _label_groups,
     _mode_rotation,
+    _moment_lyapunov,
     _rk4_propagator,
 )
 
@@ -143,9 +147,8 @@ class TestMomentsOde:
     def test_end_point_past_the_gate_reach_matches_closed_form(
         self, make_params, temp
     ):
-        # y = 0.9 is never refused up to tau_end = 16, well past the reach
-        # of y = 0 and 0.5; there the end point stays within 5e-13 of the
-        # closed form, relative to its largest entry
+        # at the default step the end point stays within 5e-13 of the
+        # closed form past tau_end = 9, relative to its largest entry
         params = make_params(y=0.9)
         for tau in (8.0, 9.5, 10.0, 12.0, 16.0):
             sigma = evolve_moments_ode(params, tau, temp).final().entries
@@ -195,8 +198,9 @@ class TestMomentsOde:
         ],
     )
     def test_end_point_matches_step_matrix_power(self, make_params, y, temp, tau):
-        # the integrator takes R^n - I by square-and-multiply on increments;
-        # the end point must equal R^n v0 formed afresh in long double
+        # the integrator applies R^(2^k) - I per set bit k of n to the
+        # moments; the end point must equal R^n v0 formed afresh in long
+        # double
         params = make_params(y=y)
         sigma = evolve_moments_ode(params, tau, temp).final().entries
         expected = lab_moments_by_step_powers(params, temp, tau)
@@ -211,14 +215,61 @@ class TestMomentsOde:
         with pytest.raises(ValidationError):
             evolve_moments_ode(reference_params, -1.0, 0.0)
 
-    @pytest.mark.parametrize("tau", [300.0, 400.0])
-    def test_long_tau_fails_the_gate_without_a_warning(self, reference_params, tau):
-        # the moments overflow long before tau = 300; the blown-up end point
-        # must reach the gate quietly and be refused there
+    def test_long_tau_end_point_is_returned_without_a_warning(self, reference_params):
+        # at y = 0 the moments grow as exp(2 tau) and overflow past
+        # tau = 352; at tau = 300 the largest entry is 2.8e262, finite and
+        # within rounding of the closed form
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationError, match="unphysical covariance matrix at tau="):
+            traj = evolve_moments_ode(reference_params, 300.0, 300.0, step=1e-3)
+        expected = covariance_matrix(reference_params, 300.0, 300.0).entries
+        scale = np.max(np.abs(expected))
+        assert scale > 1e262
+        assert np.max(np.abs(traj.final().entries - expected)) <= 2e-10 * scale
+
+    @pytest.mark.parametrize("tau", [400.0])
+    def test_long_tau_fails_the_gate_without_a_warning(self, reference_params, tau):
+        # the moments overflow by tau = 400; the blown-up end point must
+        # reach the finiteness check quietly and be refused there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                IntegrationError, match="moment ODE end point at tau=400.0: an entry"
+            ):
                 evolve_moments_ode(reference_params, tau, 300.0, step=1e-3)
+
+    @pytest.mark.parametrize("y", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("temp", [0.0, 300.0])
+    def test_refusals_set_in_at_one_tau_and_hold(self, make_params, y, temp):
+        # tau_end = 0.25 k from 9 to 500 at the largest step: every point is
+        # returned until the moments leave the float range, and none after;
+        # each returned point agrees with the closed form wherever that
+        # exists (worst measured 9.4e-11 relative to the largest entry)
+        params = make_params(y=y)
+        first_refused = None
+        for tau in 0.25 * np.arange(36, 2001):
+            tau = float(tau)
+            try:
+                sigma = evolve_moments_ode(params, tau, temp, step=1e-3).final().entries
+            except IntegrationError:
+                first_refused = first_refused or tau
+                continue
+            assert first_refused is None, f"tau={tau} returned after a refusal"
+            try:
+                expected = covariance_matrix(params, tau, temp).entries
+            except NumericalDomainError:
+                continue
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(sigma - expected)) <= 2e-10 * scale
+        # where the exact flow leaves the float range; at 352.5 and 406.75
+        # the moments are still finite (largest 1.1e308 and 9.3e307) and
+        # the lab-frame symmetrization overflows, so a check on the moments
+        # alone would let CovarianceMatrix raise ValidationError there
+        expected_first = {
+            (0.0, 0.0): 355.25, (0.0, 300.0): 352.5,
+            (0.5, 0.0): 410.25, (0.5, 300.0): 406.75,
+        }
+        assert first_refused == expected_first.get((y, temp))
 
     def test_refusal_at_long_tau_takes_constant_memory(self, make_params):
         # only the end point is formed: refusing tau_end = 1e4 (1e8 steps)
@@ -253,10 +304,34 @@ class TestMomentsOde:
             final.entries[0, 0] = 0.0
 
     @pytest.mark.parametrize("tau", [0.0, 0.7, 1.5])
-    def test_gate_failure_names_tau_end(self, reference_params, monkeypatch, tau):
-        monkeypatch.setattr(fock_oracle, "_above_ode_floor", lambda sigma: False)
+    def test_gate_failure_names_tau_end(self, reference_params, tau):
+        # at T = 1.5e308 K the occupations, 1.0e308 and 5.0e307, are finite
+        # and the end point is not: at tau = 0 the lab-frame symmetrization
+        # alone overflows
         with pytest.raises(IntegrationError, match=re.escape(f"at tau={tau}:")):
-            evolve_moments_ode(reference_params, tau, 80.0)
+            evolve_moments_ode(reference_params, tau, 1.5e308)
+
+    @pytest.mark.parametrize("y", [0.0, 0.37, 0.9])
+    def test_drift_is_hamiltonian(self, y):
+        # F J + J F^T = 0: the drift is Hamiltonian and its flow symplectic;
+        # and the Lyapunov operator the integrator steps is this drift's
+        drift = np.array(
+            [[0, -y, 0, 1], [y, 0, 1, 0], [0, 1, 0, -y], [1, 0, y, 0]], dtype=float
+        )
+        omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert not np.any(drift @ omega + omega @ drift.T)
+        assert np.array_equal(
+            _moment_lyapunov(drift), _LYAP_COUPLING + y * _LYAP_MISMATCH
+        )
+
+    @pytest.mark.parametrize("y", [0.0, 0.5, 0.9, 0.999])
+    def test_largest_step_stays_inside_the_stability_bound(self, y):
+        # the eigenvalues of the Lyapunov operator are 0 and +-2 sqrt(1 - y^2),
+        # so |h lambda| <= 2e-3 at h = 1e-3, up to rounding (2.0000000000000005e-3
+        # at y = 0)
+        generator = MAX_MOMENT_STEP * (_LYAP_COUPLING + y * _LYAP_MISMATCH)
+        radius = np.abs(np.linalg.eigvals(generator)).max()
+        assert radius <= 2e-3 * (1.0 + 1e-12)
 
 
 class TestEvolveFock:
@@ -777,33 +852,6 @@ def test_sector_blocks_single_coupling_merges_all_labels():
     blocks = _label_groups(*np.nonzero(matrix), labels)
     assert len(blocks) == 1
     assert list(blocks[0]) == list(range(6))
-
-
-def gate_matrices():
-    """2000 seeded positive-definite matrices around the gate's floor."""
-    rng = np.random.default_rng(11)
-    for _ in range(2000):
-        m = rng.normal(size=(4, 4)) * rng.uniform(0.2, 1.2)
-        yield m @ m.T + rng.uniform(0.01, 0.3) * np.eye(4)
-
-
-def test_ode_gate_matches_symplectic_spectrum():
-    # the gate's sign test against a direct reference: the symplectic
-    # eigenvalues of sigma are the moduli of the eigenvalues of i Omega sigma
-    omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    passed = 0
-    for sigma in gate_matrices():
-        nu_min = np.abs(np.linalg.eigvals(1j * omega @ sigma)).min()
-        assert _above_ode_floor(sigma) == (nu_min >= 0.45)
-        passed += nu_min >= 0.45
-    assert 200 < passed < 1800  # both verdicts are exercised
-
-
-def test_ode_gate_on_a_stack_matches_per_matrix_verdicts():
-    stack = np.stack(list(gate_matrices()))
-    verdicts = _above_ode_floor(stack)
-    assert verdicts.shape == (2000,)
-    assert verdicts.tolist() == [bool(_above_ode_floor(sigma)) for sigma in stack]
 
 
 # step 1e-3 keeps RK4 3e-9 to 4e-8 away from the exact propagator on these

@@ -265,6 +265,40 @@ def test_physicality_check_matches_leibniz_reference():
     assert 20 < sum(verdicts) < len(verdicts) - 20  # both verdicts are exercised
 
 
+def spectrum_matrices():
+    """2000 seeded positive-definite matrices around a symplectic floor of
+    0.45."""
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        m = rng.normal(size=(4, 4)) * rng.uniform(0.2, 1.2)
+        yield m @ m.T + rng.uniform(0.01, 0.3) * np.eye(4)
+
+
+def spectrum_at_least_045(sigma):
+    return gaussian_core._spectrum_at_least(sigma, gaussian_core._det4(sigma), 0.45**2)
+
+
+def test_spectrum_sign_test_matches_symplectic_spectrum():
+    # the sign test physicality_check runs on rationals, here in float64
+    # with the Schur-complement det(sigma) of the generic route, against a
+    # direct reference: the symplectic eigenvalues of sigma are the moduli
+    # of the eigenvalues of i Omega sigma
+    omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    passed = 0
+    for sigma in spectrum_matrices():
+        nu_min = np.abs(np.linalg.eigvals(1j * omega @ sigma)).min()
+        assert spectrum_at_least_045(sigma) == (nu_min >= 0.45)
+        passed += nu_min >= 0.45
+    assert 200 < passed < 1800  # both verdicts are exercised
+
+
+def test_spectrum_sign_test_on_a_stack_matches_per_matrix_verdicts():
+    stack = np.stack(list(spectrum_matrices()))
+    verdicts = spectrum_at_least_045(stack)
+    assert verdicts.shape == (2000,)
+    assert verdicts.tolist() == [bool(spectrum_at_least_045(sigma)) for sigma in stack]
+
+
 class TestEntanglementReport:
     def test_verdict_matches_indicator_sign(self, make_params):
         for y, tau, temp in [
