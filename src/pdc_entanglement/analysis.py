@@ -188,8 +188,6 @@ def critical_temperature(
     _check_nonnegative(tau_i, "tau_i")
     if not 0.0 < t_max < math.inf:
         raise ValidationError("t_max must be finite and positive")
-    if tau_i == 0.0:
-        return None  # never entangled at any temperature
     _, ratio, _ = _stretch(params.y, tau_i)
     m = ratio * ratio
     pair_gain = m * (m + 1.0)
@@ -201,7 +199,7 @@ def critical_temperature(
         return s0_threshold(n1, n2) - pair_gain * big_k * big_k
 
     if indicator(0.0) >= 0.0:
-        return None
+        return None  # separable even at T = 0, as at tau_i = 0, where m = 0
     # S0 and K^2 grow with T, so finite at t_max they are finite in the
     # whole bracket.  Past the float range S(t_max) = inf - inf = NaN would
     # pass both sign tests and move every midpoint's lo up; an infinite

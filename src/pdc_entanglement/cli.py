@@ -109,6 +109,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad grid {spec!r}: {exc}") from None
+    if not np.isfinite([lo, hi]).all():
+        raise ValidationError(f"grid ends must be finite, got {spec!r}")
     if num < 1:
         raise ValidationError(f"grid needs at least one point, got {num}")
     if num == 1:

@@ -44,25 +44,27 @@ of them forms a matrix over the whole (n_cut+1)^2 basis.  The generator
 conserves the photon difference n1 - n2 (the model's integral of
 motion), so the propagator and the evolved state split into one block
 per difference sector, and :class:`FockState` stores those blocks
-alone.  The partial transpose of
-such a state splits into one block per total-number sector n1 + n2,
-assembled straight from the stored blocks, and the second moments are
-read from the diagonal and the ladder coherences.  Sectors are checked
-against a matrix's own entries (:func:`_label_groups`): a matrix that
-couples two sectors is treated as one block, so a state without the
-structure still gets the exact answer.  The blocking rests on a
-symmetry of the generator, not on the Gaussian closed form, so the
-oracle stays independent of it.
+alone; the mode swap keeps H and takes sector d to -d, so those two
+share one propagator.  The partial transpose of such a state splits
+into one block per total-number sector n1 + n2, assembled straight from
+the stored blocks, and the second moments are read from the diagonal
+and the ladder coherences.  H's sectors are written down from the model
+(the tests hold them to the dense H); those of a partial transpose are
+checked against its entries (:func:`_label_groups`): where it couples
+two sectors it is one block, so a state without the structure still
+gets the exact answer.  The blocking rests on symmetries of the
+generator, not on the Gaussian closed form, so the oracle stays
+independent of it.
 
 Where the entries go depends on the cutoff and the block layout alone,
 so that index bookkeeping is worked out once per cutoff and kept in a
-bounded cache of read-only plans (:func:`_sector_plan`): H's sectors,
-checked against its entries, the pairing of sectors d and -d, and the
-layout of the evolved state (:class:`_Layout`), which holds the checks
-on its indices, the diagonal and transposed places, the
-partial-transpose sectors and the ladder entries.  A call then only
-fills in values and solves; the first call at a new cutoff pays for its
-plan.  A state built from blocks works out its own layout, once.
+bounded cache of read-only plans (:func:`_sector_plan`): H's sector
+blocks, grouped d with -d, and the layout of the evolved state
+(:class:`_Layout`), which holds the checks on its indices, the diagonal
+and transposed places, the partial-transpose sectors and the ladder
+entries.  A call then only fills in values and solves; the first call
+at a new cutoff pays for its plan.  A state built from blocks works out
+its own layout, once.
 """
 
 from __future__ import annotations
@@ -131,6 +133,11 @@ class MomentTrajectory:
         return self.cm
 
 
+def _check_n_cut(n_cut) -> None:
+    if not isinstance(n_cut, (int, np.integer)) or n_cut < 1:
+        raise ValidationError(f"n_cut must be an integer >= 1, got {n_cut!r}")
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class FockState:
     """Two-mode density matrix over |n1> x |n2>, truncated at n_cut per mode.
@@ -148,7 +155,8 @@ class FockState:
     + 1e-12 max(1, trace(rho))^2; ValidationError if not.  A positive
     semidefinite rho passes all of these; a rho that passes them need not
     be positive semidefinite (the minors of order three and up are not
-    read), so the check is necessary, not sufficient.
+    read), so the check is necessary, not sufficient.  n_cut must be an
+    integer >= 1 and leakage finite; ValidationError if not.
 
     leakage reports 1 - trace(rho): the thermal weight dropped at
     truncation (the geometric distribution is normalized over the full
@@ -163,6 +171,9 @@ class FockState:
     blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
     def __init__(self, *, n_cut: int, leakage: float, blocks):
+        _check_n_cut(n_cut)
+        if not -math.inf < leakage < math.inf:
+            raise ValidationError(f"leakage must be finite, got {leakage!r}")
         blocks = [(np.asarray(idx, dtype=np.intp), np.asarray(b, dtype=complex)) for idx, b in blocks]
         if not blocks or any(b.shape != (idx.size, idx.size) for idx, b in blocks):
             raise ValidationError("blocks must be square over their indices, at least one")
@@ -513,10 +524,6 @@ def evolve_moments_ode(
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     """Truncated geometric distribution; deliberately not renormalized
     after the cut so that 1 - sum(weights) is the dropped tail mass."""
-    if nbar == 0.0:
-        w = np.zeros(dim)
-        w[0] = 1.0
-        return w
     q = nbar / (nbar + 1.0)
     return q ** np.arange(dim) / (nbar + 1.0)
 
@@ -532,56 +539,26 @@ def _sector_plan(n_cut: int) -> tuple:
 def _build_sector_plan(n_cut: int) -> tuple:
     """What evolve_fock reads at one cutoff: (layout, groups), the layout
     of the evolved state and per group of difference sectors with equal
-    H, in the layout's order, (coupling, number, members): the block of
-    the pair coupling -(c1 c2 + c1^dag c2^dag), the diagonal of n1 + n2
-    on it, and the basis indices of each member sector, one row per
-    member."""
+    H, in the layout's order, (coupling, number, members): the
+    tridiagonal block of -(c1 c2 + c1^dag c2^dag), the diagonal of
+    n1 + n2 on it, and the basis indices of each member sector, one row
+    per member.  Sector n1 - n2 = -d holds n1 = j, n2 = j + d, which
+    c1 c2 takes to j - 1 with weight sqrt(j) sqrt(j + d); the mode swap
+    takes it to sector d state for state and keeps H, so the two form
+    one group, -d first, for d = n_cut .. 0 (sector 0 alone)."""
     dim = n_cut + 1
-    basis = np.arange(dim * dim)
-    n1, n2 = np.divmod(basis, dim)  # basis index n1*dim + n2
-    # H by its entries: the diagonal, then c1 c2 |n1, n2> = sqrt(n1)
-    # sqrt(n2) |n1 - 1, n2 - 1>, whose basis index is dim + 1 lower, and
-    # its adjoint; H holds -(c1 c2 + c1^dag c2^dag)
-    upper = np.flatnonzero((n1 > 0) & (n2 > 0))
-    lower = upper - (dim + 1)
-    pair = -(np.sqrt(n1[upper]) * np.sqrt(n2[upper]))
-    rows = np.concatenate([basis, lower, upper])
-    cols = np.concatenate([basis, upper, lower])
-    # the sectors are checked against every entry of H, not assumed
-    sectors = _label_groups(rows, cols, n1 - n2)
-    sizes, places = _block_places(rows, cols, sectors)
-    coupling = np.zeros(int((sizes * sizes).sum()))
-    coupling[places[basis.size:]] = np.concatenate([pair, pair])
-    # the mode swap (n1, n2) -> (n2, n1) takes sector d to -d (k to
-    # count - 1 - k in label order) and keeps the order within it, so
-    # where H is swap-symmetric, checked on every entry, sectors d and -d
-    # hold equal H (n1 + n2 is swap-symmetric too) and share a propagator
-    swap = n2 * dim + n1
-    mirrored = _block_places(swap[rows], swap[cols], sectors)[1]
-    count = len(sectors)
-    if np.array_equal(coupling.take(mirrored), coupling.take(places)):
-        members = [[k, count - 1 - k] for k in range(count // 2)] + [[count // 2]] * (count % 2)
-    else:
-        members = [[k] for k in range(count)]
+    groups = []
+    for d in range(n_cut, -1, -1):
+        j = np.arange(dim - d)
+        pair = -(np.sqrt(j[1:]) * np.sqrt(j[1:] + d))
+        members = np.array([j * dim + j + d, (j + d) * dim + j][:2 if d else 1])
+        coupling = np.diag(pair, 1) + np.diag(pair, -1)
+        groups.append(tuple(map(_read_only, (coupling, 2 * j + d, members))))
     layout = _Layout(
         n_cut,
-        np.concatenate([sectors[k] for group in members for k in group]),
-        tuple(sizes[k] for group in members for k in group),
+        np.concatenate([members.ravel() for _, _, members in groups]),
+        tuple(idx.size for _, _, members in groups for idx in members),
     )
-    number = _read_only(layout.n1 + layout.n2)
-    starts = np.cumsum(sizes * sizes) - sizes * sizes
-    # a group reads the block of its first member alone: keep those
-    end = max(starts[group[0]] + sizes[group[0]] ** 2 for group in members)
-    coupling = _read_only(coupling[:end].copy())
-    # per group, views: the coupling block of its first member, and per
-    # slot of its members the n1 + n2 and the basis indices
-    groups, slot = [], 0
-    for group in members:
-        k, m = group[0], int(sizes[group[0]])
-        block = coupling[starts[k]:starts[k] + m * m].reshape(m, m)
-        idx = layout.indices[slot:slot + len(group) * m].reshape(len(group), m)
-        groups.append((block, number[slot:slot + m], idx))
-        slot += len(group) * m
     return layout, tuple(groups)
 
 
@@ -603,15 +580,14 @@ def evolve_fock(
     afterwards, so the returned state is lab-frame and its moments match
     the closed-form covariance matrix directly.
 
-    H conserves n1 - n2, so H is assembled from its nonzeros alone, split
-    into its difference sectors (real tridiagonal, dimension <= n_cut + 1)
-    and the state is returned as one block per sector; no matrix over the
-    whole (n_cut+1)^2 basis is formed.  The sectors and where H's entries
-    fall in them are planned once per cutoff; a call fills in the
-    diagonal, which depends on y.  RK4 is a polynomial in H, so its
-    n-step propagator is taken in each sector's eigenbasis
-    (:func:`_rk4_propagator`): the same integrator as the power of the
-    one-step matrix, with ``step`` fixing h and n as before.
+    H conserves n1 - n2, so it is formed sector by sector (real
+    tridiagonal, dimension <= n_cut + 1) and the state is returned as one
+    block per sector; no matrix over the whole (n_cut+1)^2 basis is
+    formed.  The sectors and their coupling blocks are planned once per
+    cutoff; a call fills in the diagonal, which depends on y.  RK4 is a
+    polynomial in H, so its n-step propagator is taken in each sector's
+    eigenbasis (:func:`_rk4_propagator`): the same integrator as the
+    power of the one-step matrix, with ``step`` fixing h and n as before.
 
     The oracle is restricted to small occupation (nbar <= 2) and demands
     n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError, as
@@ -636,8 +612,7 @@ def evolve_fock(
         raise ValidationError("tau_end must be finite and >= 0")
     if not 0.0 < step < math.inf:
         raise ValidationError("step must be positive and finite")
-    if not isinstance(n_cut, (int, np.integer)) or n_cut < 1:
-        raise ValidationError(f"n_cut must be an integer >= 1, got {n_cut!r}")
+    _check_n_cut(n_cut)
     init = thermal_init(params, temperature)
     nbar_max = max(init.nbar1, init.nbar2)
     if nbar_max > MAX_ORACLE_OCCUPATION:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ class TestFig1:
         code, _, err = run_cli(["fig1", "--temp-grid", "0:300:0"], capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "command,grid", [("fig5", "0:nan:1"), ("fig1", "0:inf:3"), ("fig1", "nan:300:1")]
+    )
+    def test_grid_ends_must_be_finite(self, capsys, command, grid):
+        # fig5 used to exit 0 on a NaN end, and an infinite end reached
+        # np.linspace and its RuntimeWarning before the exit 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([command, "--temp-grid", grid], capsys)
+        assert code == 2
+        assert out == ""
+        assert "grid ends must be finite" in err
 
 
 class TestFig2:

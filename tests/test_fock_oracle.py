@@ -681,6 +681,20 @@ class TestFockStateTrace:
         assert state.edge_population == pytest.approx(0.8, abs=1e-15)
 
 
+class TestFockStateArguments:
+    @pytest.mark.parametrize("n_cut", [1.5, np.float64(1.0), 0])
+    def test_rejects_a_cutoff_that_is_not_an_integer_from_one(self, n_cut):
+        # 1.5 and np.float64(1.0) used to raise a bare numpy IndexError
+        with pytest.raises(ValidationError, match="n_cut must be an integer >= 1"):
+            FockState(n_cut=n_cut, leakage=0.0, blocks=[([0], [[1.0]])])
+
+    @pytest.mark.parametrize("leakage", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_leakage_that_is_not_finite(self, leakage):
+        # a NaN leakage used to be stored
+        with pytest.raises(ValidationError, match="leakage must be finite"):
+            FockState(n_cut=1, leakage=leakage, blocks=[([0], [[1.0]])])
+
+
 class TestFockStatePositivity:
     """Every stored entry must lie within its 2 x 2 principal minor,
     |rho[a, b]|^2 <= rho[a, a] rho[b, b] + 1e-12, on both constructor paths."""
@@ -758,7 +772,7 @@ class TestPlans:
             return state, fock_log_negativity(state), moments_from_fock(state)
 
         first = run()
-        assert len(calls) == 2  # the sectors of H and of the partial transpose
+        assert len(calls) == 1  # the sectors of the partial transpose
         calls.clear()
         second = run()
         assert calls == []
@@ -852,6 +866,30 @@ def test_sector_blocks_single_coupling_merges_all_labels():
     blocks = _label_groups(*np.nonzero(matrix), labels)
     assert len(blocks) == 1
     assert list(blocks[0]) == list(range(6))
+
+
+@pytest.mark.parametrize("n_cut", [1, 2, 5, 12, 30])
+def test_sector_plan_is_h_on_each_sector(n_cut):
+    # the plan writes H's sectors down from the model: each block, its
+    # diagonal filled in as evolve_fock fills it, must be the dense H on
+    # every member sector, the members must cover the basis once, and no
+    # entry of H may couple two of them
+    layout, groups = fock_oracle._build_sector_plan(n_cut)
+    members = [row for _, _, idx in groups for row in idx]
+    assert np.array_equal(np.concatenate(members), layout.indices)
+    assert np.array_equal(np.sort(layout.indices), np.arange((n_cut + 1) ** 2))
+    member_of = np.empty(layout.indices.size, dtype=int)
+    for k, row in enumerate(members):
+        member_of[row] = k
+    for y in (0.0, 0.37, 0.9):
+        ham = dense_hamiltonian(y, n_cut)
+        rows, cols = np.nonzero(ham)
+        assert np.array_equal(member_of[rows], member_of[cols])
+        for coupling, number, idx in groups:
+            block = coupling.copy()
+            np.fill_diagonal(block, -y * number)
+            for row in idx:
+                assert np.array_equal(ham[np.ix_(row, row)], block)
 
 
 # step 1e-3 keeps RK4 3e-9 to 4e-8 away from the exact propagator on these
