@@ -25,8 +25,8 @@ take scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,24 +47,21 @@ BTE_ABS_TOL = 1e-10
 TC_REL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class BteResult:
+class BteResult(NamedTuple):
     """Birth time of entanglement and the route that produced it."""
 
     tau_e: float
     method: str  # "closed_form" | "bisection"
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(NamedTuple):
     """One sample (y, T_c) of the separable/entangled boundary."""
 
     y: float
     t_c: float
 
 
-@dataclass(frozen=True)
-class WitnessValue:
+class WitnessValue(NamedTuple):
     """Photon-number witness w = sqrt(S0) - <n>; negative means entangled."""
 
     w: float
@@ -144,12 +141,12 @@ def birth_time(
         c = 4.0 * (s0 / k_sq)
         m_star = c / (2.0 * (1.0 + lib.sqrt(1.0 + c)))  # (-1+sqrt(1+c))/2, stable
         tau_e = lib.asinh(x * lib.sqrt(m_star)) / x
-        return BteResult(tau_e=tau_e, method=method)
+        return BteResult(tau_e, method)
 
     if np.ndim(s0) or np.ndim(x):
         raise ValidationError("the bisection route takes a scalar T and y")
     if s0 == 0.0:
-        return BteResult(tau_e=0.0, method=method)
+        return BteResult(0.0, method)
     # the library _stretch(y, tau) would pick: numpy for a 0-d array y
     _, lib = _working(y)
 
@@ -166,9 +163,7 @@ def birth_time(
     hi = 1.0
     while f(hi) <= 0.0:
         hi *= 2.0
-    return BteResult(
-        tau_e=float(_bisect(f, 0.0, hi, abs_tol=BTE_ABS_TOL)), method=method
-    )
+    return BteResult(float(_bisect(f, 0.0, hi, abs_tol=BTE_ABS_TOL)), method)
 
 
 def critical_temperature(
@@ -225,7 +220,7 @@ def phase_boundary(
         _check_mismatch(y)
         t_c = critical_temperature(replace(params, y=float(y)), tau_i, t_max=t_max)
         if t_c is not None:
-            points.append(PhasePoint(y=float(y), t_c=t_c))
+            points.append(PhasePoint(float(y), t_c))
     return points
 
 
@@ -248,4 +243,4 @@ def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
     gain = pair.m * pair.big_k
     mean = (pair.nbar1 + gain + pair.nbar2 + gain) / 2.0
     _check_finite(threshold + mean, "witness", "tau, T", tau, temperature)
-    return WitnessValue(w=threshold - mean, mean_pair_photons=mean, threshold=threshold)
+    return WitnessValue(threshold - mean, mean, threshold)

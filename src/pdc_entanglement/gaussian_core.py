@@ -38,8 +38,9 @@ it calls builds the array itself from the four distinct entries in a
 layout that is symmetric by construction, so the checks could only copy
 it.  Every other construction keeps them.
 
-Every function is pure and the value types are frozen; instances can be
-shared freely across threads.
+Every function is pure.  The results are immutable NamedTuples, and a
+``CovarianceMatrix`` is a frozen dataclass over a read-only array, so
+instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -257,8 +258,7 @@ class CovarianceMatrix:
         return cm
 
 
-@dataclass(frozen=True)
-class SymplecticInvariants:
+class SymplecticInvariants(NamedTuple):
     """Scalar invariants of a two-mode CM and its partial transpose.
 
     i1 is det(sigma); i2 = det alpha + det beta + 2 det gamma.  s0 and the
@@ -285,8 +285,7 @@ class SymplecticInvariants:
         return (e_n + abs(e_n)) / 2.0
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(NamedTuple):
     """Summary verdict for one state: E_N, the indicator s, and nu_minus_pt."""
 
     log_negativity: float
@@ -348,15 +347,7 @@ def _pair_invariants(pair: PairState) -> SymplecticInvariants:
     _check_finite(
         i1 + i2 + s0 - s + delta_tilde + nu_plus, "invariants", "nbar1, nbar2, m", n1, n2, m
     )
-    return SymplecticInvariants(
-        i1=i1,
-        i2=i2,
-        s0=s0,
-        s=s,
-        delta_tilde=delta_tilde,
-        nu_minus_pt=a * b / nu_plus,
-        nu_plus_pt=nu_plus,
-    )
+    return SymplecticInvariants(i1, i2, s0, s, delta_tilde, a * b / nu_plus, nu_plus)
 
 
 def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
@@ -404,15 +395,7 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     s = s0 + (det_gamma - np.abs(det_gamma)) / 2.0
     delta_tilde = det_alpha + det_beta - 2.0 * det_gamma
     nu_minus, nu_plus = _pt_eigenvalue_pair(delta_tilde, i1)
-    return SymplecticInvariants(
-        i1=i1,
-        i2=i2,
-        s0=s0,
-        s=s,
-        delta_tilde=delta_tilde,
-        nu_minus_pt=nu_minus,
-        nu_plus_pt=nu_plus,
-    )
+    return SymplecticInvariants(i1, i2, s0, s, delta_tilde, nu_minus, nu_plus)
 
 
 def separability_indicator(cm: CovarianceMatrix) -> float:
@@ -433,10 +416,7 @@ def entanglement_report(cm: CovarianceMatrix) -> EntanglementReport:
     """Bundle E_N, S and the verdict for one covariance matrix."""
     inv = symplectic_invariants(cm)
     return EntanglementReport(
-        log_negativity=float(inv.log_negativity),
-        s=float(inv.s),
-        entangled=bool(inv.s < 0.0),
-        nu_minus_pt=float(inv.nu_minus_pt),
+        float(inv.log_negativity), float(inv.s), bool(inv.s < 0.0), float(inv.nu_minus_pt)
     )
 
 

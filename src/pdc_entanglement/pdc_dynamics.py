@@ -83,10 +83,14 @@ def _check_mismatch(y):
 def _check_frequency(omega, name):
     """Refuse an angular frequency unless hbar*omega is a positive float:
     besides 0, negatives, NaN and inf, this refuses an omega so small that
-    hbar*omega underflows to 0 and the occupation would divide by it."""
-    if not 0.0 < HBAR * omega < math.inf:
+    hbar*omega underflows to 0 and the occupation would divide by it.
+    omega may be an array, checked point by point."""
+    hw = HBAR * omega
+    ok = (0.0 < hw) & (hw < math.inf)
+    if ok is not True and not _every(ok):
         raise ValidationError(
-            f"{name} must be finite and > 0, with hbar*{name} > 0 in float64, got {omega}"
+            f"{name} must be finite and > 0, with hbar*{name} > 0 in float64, "
+            f"got {_first(omega, ok)}"
         )
 
 
@@ -182,8 +186,9 @@ def thermal_occupation(omega, temperature):
     Returns
     -------
     1 / (exp(hbar*omega/(k_B*T)) - 1): a Python float, or a float64 array
-    for an array of T.  Exactly 0 once hbar*omega/(k_B*T) reaches the end
-    of the float exponent range.
+    of the broadcast shape for arrays of omega and T, each point checked
+    as a scalar would be.  Exactly 0 once hbar*omega/(k_B*T) reaches the
+    end of the float exponent range.
 
     Raises NumericalDomainError where the occupation leaves the float
     range (k_B T/(hbar omega) past about 1.8e308).
@@ -223,13 +228,17 @@ def _sinh_overflow(z):
     return NumericalDomainError(f"x*tau = {float(z)!r} overflows sinh(x*tau) in float64")
 
 
-def _stretch(y, tau):
+def _stretch(y, tau, lib=None):
     """Return (x, sinh(x tau)/x, cosh(x tau)), x = sqrt((1 - y)(1 + y)).
 
-    Raises NumericalDomainError once x*tau leaves the exponent range.
+    ``lib`` is the library ``_working`` picked for y and tau, given by a
+    caller that has converted them already; without it they are
+    converted here.  Raises NumericalDomainError once x*tau leaves the
+    exponent range.
     """
-    num, lib = _working(y, tau)
-    y, tau = num(y), num(tau)
+    if lib is None:
+        num, lib = _working(y, tau)
+        y, tau = num(y), num(tau)
     x = lib.sqrt((1.0 - y) * (1.0 + y))
     z = x * tau
     fits = z <= _EXP_MAX
@@ -242,28 +251,25 @@ def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
     """The core every closed form reads: (nbar1, nbar2, m, K) at
     (tau, T), plus the (x, sinh(x tau)/x, cosh(x tau)) of the entries.
 
-    Converts and validates tau, T and y (``params.y`` unless given)
-    once.  m = sinh^2(x tau)/x^2 is the pair gain and
-    K = nbar1 + nbar2 + 1.  Array inputs broadcast against each other.
+    Picks the library, and converts and validates tau, T and y
+    (``params.y`` unless given), once.  On Python floats one chained test
+    covers all three ranges, and only when it fails do the checks that
+    name the argument run; arrays always take those checks.
+    m = sinh^2(x tau)/x^2 is the pair gain and K = nbar1 + nbar2 + 1.
+    Array inputs broadcast against each other.
     """
     if y is None:
         y = params.y
     num, lib = _working(y, tau, temperature)
     y, tau, temperature = num(y), num(tau), num(temperature)
-    _check_nonnegative(tau, "tau")
-    _check_nonnegative(temperature, "temperature")
-    _check_mismatch(y)
+    inf = math.inf
+    if not (lib is math and 0.0 <= tau < inf and 0.0 <= temperature < inf and 0.0 <= y < 1.0):
+        _check_nonnegative(tau, "tau")
+        _check_nonnegative(temperature, "temperature")
+        _check_mismatch(y)
     nbar1, nbar2 = _occupations(params, temperature, lib)
-    x, ratio, ch = _stretch(y, tau)
-    return PairState(
-        nbar1=nbar1,
-        nbar2=nbar2,
-        m=ratio * ratio,
-        big_k=nbar1 + nbar2 + 1.0,
-        x=x,
-        ratio=ratio,
-        ch=ch,
-    )
+    x, ratio, ch = _stretch(y, tau, lib)
+    return PairState(nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio, ch)
 
 
 @_pointwise

@@ -4,9 +4,11 @@ A name defined at module level in ``src/pdc_entanglement/`` must be listed
 in the package ``__all__`` or be referenced somewhere in the package
 source (a load of the name, an attribute of that name, or an import of
 it).  A method or property of a package class (dunders aside) must be
-read as an attribute somewhere in the package source.  Anything else is
-code no caller in the package reaches; a path only tests use belongs in
-the tests.  Only the standard library's ``ast`` reads the source.
+read as an attribute somewhere in the package source.  A name a module
+imports must be loaded in that module or listed in its ``__all__``.
+Anything else is code no caller in the package reaches; a path only
+tests use belongs in the tests.  Only the standard library's ``ast``
+reads the source.
 """
 
 import ast
@@ -79,6 +81,33 @@ def unused_members(trees):
     )
 
 
+def unused_imports(trees):
+    """module:name for every name a module binds by an import (``from
+    __future__`` aside) that the module neither loads nor lists in its
+    ``__all__``."""
+    found = []
+    for module, tree in trees.items():
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        ]
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = {
+            element.value for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for element in node.value.elts
+        }
+        found += [f"{module}:{name}" for name in imported if name not in loaded | exported]
+    return sorted(found)
+
+
 def test_every_module_level_name_is_public_or_used():
     assert dead_names(package_trees(PACKAGE)) == []
 
@@ -87,6 +116,41 @@ def test_every_method_and_property_is_read():
     trees = package_trees(PACKAGE)
     assert "fock_oracle.py" in trees  # the scan reads the package's modules
     assert unused_members(trees) == []
+
+
+def test_every_import_is_used():
+    trees = package_trees(PACKAGE)
+    assert "analysis.py" in trees  # the scan reads the package's modules
+    assert unused_imports(trees) == []
+
+
+def test_import_detector_on_a_synthetic_source():
+    source = '''
+from __future__ import annotations
+
+import math
+import os.path
+import numpy as np
+from dataclasses import dataclass, field, replace
+from typing import Optional
+from .core import exported, unused_core as renamed
+
+__all__ = ["exported"]
+
+
+@dataclass
+class Cell:
+    value: Optional[float] = field(default=None)
+
+
+def area(r):
+    return math.pi * np.square(r)
+'''
+    assert unused_imports({"m.py": ast.parse(source)}) == [
+        "m.py:os",
+        "m.py:renamed",
+        "m.py:replace",
+    ]
 
 
 def test_member_detector_on_a_synthetic_source():

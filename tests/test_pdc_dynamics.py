@@ -144,6 +144,16 @@ class TestThermalOccupation:
             with pytest.raises(NumericalDomainError, match="thermal occupation overflows"):
                 thermal_occupation(omega, temp)
 
+    def test_array_of_omega_matches_scalar_calls(self):
+        omegas = np.array([1e12, 2e12])
+        nbar = thermal_occupation(omegas, 300.0)
+        assert nbar.tolist() == [thermal_occupation(w, 300.0) for w in omegas.tolist()]
+
+    @pytest.mark.parametrize("temp", [300.0, np.array([0.0, 300.0])])
+    def test_array_of_omega_with_one_bad_point_is_refused(self, temp):
+        with pytest.raises(ValidationError, match="^omega must be finite.*, got 0.0$"):
+            thermal_occupation(np.array([1e12, 0.0]), temp)
+
     def test_zero_temperature_exact_in_arrays(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -405,7 +415,7 @@ def test_longdouble_tau_gives_float_answers(reference_params):
     # a long double input gives the same Python floats a float input gives
     ld = witness(reference_params, np.longdouble(2.881), np.longdouble(300.0))
     assert ld == witness(reference_params, 2.881, 300.0)
-    assert all(type(value) is float for value in vars(ld).values())
+    assert all(type(value) is float for value in ld._asdict().values())
     cm = covariance_matrix(reference_params, np.longdouble(2.881), np.longdouble(300.0))
     assert np.array_equal(cm.entries, covariance_matrix(reference_params, 2.881, 300.0).entries)
 
