@@ -147,7 +147,7 @@ def birth_time(
         raise ValidationError("the bisection route takes a scalar T and y")
     if s0 == 0.0:
         return BteResult(0.0, method)
-    # the library _stretch(y, tau) would pick: numpy for a 0-d array y
+    # the library _working picks for y as given: numpy for a 0-d array y
     _, lib = _working(y)
 
     def f(tau):
@@ -183,7 +183,7 @@ def critical_temperature(
     _check_nonnegative(tau_i, "tau_i")
     if not 0.0 < t_max < math.inf:
         raise ValidationError("t_max must be finite and positive")
-    _, ratio, _ = _stretch(params.y, tau_i)
+    _, ratio, _ = _stretch(params.y, tau_i, math)
     m = ratio * ratio
     pair_gain = m * (m + 1.0)
 

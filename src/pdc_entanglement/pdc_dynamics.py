@@ -228,17 +228,12 @@ def _sinh_overflow(z):
     return NumericalDomainError(f"x*tau = {float(z)!r} overflows sinh(x*tau) in float64")
 
 
-def _stretch(y, tau, lib=None):
-    """Return (x, sinh(x tau)/x, cosh(x tau)), x = sqrt((1 - y)(1 + y)).
+def _stretch(y, tau, lib):
+    """Return (x, sinh(x tau)/x, cosh(x tau)), x = sqrt((1 - y)(1 + y)),
+    in ``lib``, the library ``_working`` picks for y and tau.
 
-    ``lib`` is the library ``_working`` picked for y and tau, given by a
-    caller that has converted them already; without it they are
-    converted here.  Raises NumericalDomainError once x*tau leaves the
-    exponent range.
+    Raises NumericalDomainError once x*tau leaves the exponent range.
     """
-    if lib is None:
-        num, lib = _working(y, tau)
-        y, tau = num(y), num(tau)
     x = lib.sqrt((1.0 - y) * (1.0 + y))
     z = x * tau
     fits = z <= _EXP_MAX
@@ -252,23 +247,21 @@ def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
     (tau, T), plus the (x, sinh(x tau)/x, cosh(x tau)) of the entries.
 
     Picks the library, and converts and validates tau, T and y
-    (``params.y`` unless given), once.  On Python floats one chained test
-    covers all three ranges, and only when it fails do the checks that
-    name the argument run; arrays always take those checks.
-    m = sinh^2(x tau)/x^2 is the pair gain and K = nbar1 + nbar2 + 1.
-    Array inputs broadcast against each other.
+    (``params.y`` unless given), once.  m = sinh^2(x tau)/x^2 is the
+    pair gain and K = nbar1 + nbar2 + 1.  Array inputs broadcast against
+    each other.
     """
     if y is None:
         y = params.y
     num, lib = _working(y, tau, temperature)
     y, tau, temperature = num(y), num(tau), num(temperature)
-    inf = math.inf
-    if not (lib is math and 0.0 <= tau < inf and 0.0 <= temperature < inf and 0.0 <= y < 1.0):
-        _check_nonnegative(tau, "tau")
-        _check_nonnegative(temperature, "temperature")
-        _check_mismatch(y)
+    _check_nonnegative(tau, "tau")
+    _check_nonnegative(temperature, "temperature")
+    _check_mismatch(y)
     nbar1, nbar2 = _occupations(params, temperature, lib)
-    x, ratio, ch = _stretch(y, tau, lib)
+    # x, sinh and cosh run in numpy only for an array y or tau, so that an
+    # array of T gets them to the bit as a scalar call does
+    x, ratio, ch = _stretch(y, tau, lib if lib is math else _working(y, tau)[1])
     return PairState(nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio, ch)
 
 

@@ -19,6 +19,7 @@ from pdc_entanglement import (
 )
 from pdc_entanglement import analysis
 from pdc_entanglement.analysis import BTE_ABS_TOL
+from pdc_entanglement.gaussian_core import _working
 from pdc_entanglement.pdc_dynamics import _pair_state, _stretch
 
 
@@ -106,16 +107,17 @@ class TestBirthTime:
 
 def stretch_bisection(params, temperature, y=None):
     """The bisection birth time that re-derives (x, sinh(x tau)/x) from y
-    with ``_stretch`` at every evaluation."""
+    with ``_stretch``, in the library of the y given, at every evaluation."""
     pair = _pair_state(params, 0.0, temperature, y)
     s0 = s0_threshold(pair.nbar1, pair.nbar2)
     k_sq = pair.big_k * pair.big_k
     if s0 == 0.0:
         return 0.0
     y = params.y if y is None else y
+    _, lib = _working(y)
 
     def f(tau):
-        _, ratio, _ = _stretch(y, tau)
+        _, ratio, _ = _stretch(y, tau, lib)
         m = ratio * ratio
         return m * (m + 1.0) * k_sq - s0
 

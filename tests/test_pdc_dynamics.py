@@ -1,3 +1,4 @@
+import math
 import warnings
 from decimal import Decimal, localcontext
 
@@ -25,7 +26,7 @@ from pdc_entanglement import (
     thermal_occupation,
     witness,
 )
-from pdc_entanglement.pdc_dynamics import _stretch
+from pdc_entanglement.pdc_dynamics import _pair_state, _stretch
 from conftest import G_COUPLING
 from test_array_core import ref_stretch
 
@@ -178,12 +179,12 @@ class TestStretch:
     def test_identity_at_tau_zero(self):
         # (A, B) = (1, 0)
         for y in (0.0, 0.5, 0.999):
-            _, ratio, ch = _stretch(y, 0.0)
+            _, ratio, ch = _stretch(y, 0.0, math)
             assert ratio == 0.0
             assert ch == 1.0
 
     def test_matched_case(self):
-        x, ratio, ch = _stretch(0.0, 1.0)
+        x, ratio, ch = _stretch(0.0, 1.0, math)
         assert x == 1.0
         assert ratio == pytest.approx(np.sinh(1.0), rel=1e-14)
         assert ch == pytest.approx(np.cosh(1.0), rel=1e-14)
@@ -191,7 +192,7 @@ class TestStretch:
     def test_near_unit_mismatch_limit(self):
         # x = sqrt(2e-14) ~ 1.4e-7: ratio -> tau and ch -> 1, so
         # A -> 1 + 2i and B -> 2i at tau = 2
-        _, ratio, ch = _stretch(1.0 - 1e-14, 2.0)
+        _, ratio, ch = _stretch(1.0 - 1e-14, 2.0, math)
         assert ratio == pytest.approx(2.0, abs=1e-7)
         assert ch == pytest.approx(1.0, abs=1e-7)
 
@@ -202,8 +203,8 @@ class TestStretch:
         y_lo = np.sqrt(1.0 - x_lo * x_lo)
         y_hi = np.sqrt(1.0 - x_hi * x_hi)
         for tau in (0.5, 3.0, 10.0):
-            _, ratio_lo, ch_lo = _stretch(y_lo, tau)
-            _, ratio_hi, ch_hi = _stretch(y_hi, tau)
+            _, ratio_lo, ch_lo = _stretch(y_lo, tau, math)
+            _, ratio_hi, ch_hi = _stretch(y_hi, tau, math)
             assert abs(ratio_lo - ratio_hi) < 1e-9
             assert abs(ch_lo - ch_hi) < 1e-9
 
@@ -215,8 +216,15 @@ class TestStretch:
             ctx.prec = 40
             for y in np.linspace(0.0, 0.99, 12).tolist():
                 for tau in np.linspace(0.0, 10.0, 11).tolist():
-                    for got, want in zip(_stretch(y, tau), ref_stretch(y, tau)):
+                    for got, want in zip(_stretch(y, tau, math), ref_stretch(y, tau)):
                         assert abs(Decimal(got) - want) <= Decimal("1e-14") * want
+
+    def test_array_temperature_leaves_scalar_y_and_tau_in_math(self, make_params):
+        # the pair state's x, sinh and cosh are those of the scalar call
+        for y_arg, tau in ((None, 2.881), (np.array(0.3), np.array(4.543))):
+            pair = _pair_state(make_params(y=0.3), tau, np.array([0.0, 300.0]), y_arg)
+            assert all(type(v) is float for v in (pair.x, pair.ratio, pair.ch))
+            assert (pair.x, pair.ratio, pair.ch) == _stretch(0.3, float(tau), math)
 
 
 class TestSqueezingParameter:
