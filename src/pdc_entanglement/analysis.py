@@ -38,6 +38,7 @@ from .pdc_dynamics import (
     _check_mismatch,
     _check_nonnegative,
     _occupations,
+    _pair_inputs,
     _pair_state,
     _sinh_overflow,
     _stretch,
@@ -128,10 +129,13 @@ def birth_time(
     """
     if method not in ("closed_form", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
-    pair = _pair_state(params, 0.0, temperature, y)
-    s0 = s0_threshold(pair.nbar1, pair.nbar2)
-    k_sq = pair.big_k * pair.big_k
-    x = pair.x
+    # the occupations and x alone: tau = 0 only goes through the checks
+    mismatch, _, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
+    s0 = s0_threshold(nbar1, nbar2)
+    big_k = nbar1 + nbar2 + 1.0
+    k_sq = big_k * big_k
+    # x in numpy only for an array y, as the pair state takes it
+    x = (lib if lib is math else _working(mismatch)[1]).sqrt((1.0 - mismatch) * (1.0 + mismatch))
     # their sum, not their product: S0 K^2 overflows long before either
     _check_finite(s0 + k_sq, "S0 or K^2", "T", temperature)
 

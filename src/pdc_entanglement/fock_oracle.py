@@ -61,10 +61,14 @@ so that index bookkeeping is worked out once per cutoff and kept in a
 bounded cache of read-only plans (:func:`_sector_plan`): H's sector
 blocks, grouped d with -d, and the layout of the evolved state
 (:class:`_Layout`), which holds the checks on its indices, the diagonal
-and transposed places, the partial-transpose sectors and the ladder
-entries.  A call then only fills in values and solves; the first call
-at a new cutoff pays for its plan.  A state built from blocks works out
-its own layout, once.
+and transposed places, the partial-transpose sectors stacked by size
+and the ladder entries.  A call then only fills in values and solves,
+in as few numpy calls as the block sizes allow: one eigensolve per
+group of equal-size blocks (d with -d in the evolution, N with
+2 n_cut - N in the partial transpose), the RK4 powers of every energy
+in one pass, and every evolved sector written into one array and
+symmetrized there at once.  The first call at a new cutoff pays for its
+plan.  A state built from blocks works out its own layout, once.
 """
 
 from __future__ import annotations
@@ -350,10 +354,12 @@ class _Layout:
 
     @functools.cached_property
     def partial_transpose(self):
-        """(source, blocks): the partial transpose over mode 2 in packed
-        blocks, which hold at each place the stored entry source names
-        (one past the last entry where they hold a zero); blocks holds per
-        block the place of its first value and its size."""
+        """(batches, order): the blocks of the partial transpose over mode
+        2, stacked by size.  Per batch (source, zeros, shape): its blocks'
+        packed values are the stored entries source names, except for a
+        zero at the places zeros names (where source names place 0), and
+        stack as shape, (blocks, m, m).  The blocks' eigenvalues, batch
+        after batch, go back to block order by taking them at order."""
         dim = self.n_cut + 1
         row_slot, col_slot = self._entry_slots()
         # the partial transpose moves rho[(a1, a2), (b1, b2)] to
@@ -364,10 +370,23 @@ class _Layout:
         # sectors n1 + n2, checked against every moved entry
         sizes, places = _block_places(rows, cols, _label_groups(rows, cols, n1 + n2))
         count = rows.size
-        source = np.full(int((sizes * sizes).sum()), count)
+        source = np.full(int((sizes * sizes).sum()), -1)  # -1: a zero
         source[places] = np.arange(count)
         starts = np.cumsum(sizes * sizes) - sizes * sizes
-        return _places(source, count + 1), tuple(zip(starts.tolist(), sizes.tolist()))
+        eig_starts = np.cumsum(sizes) - sizes
+        batches, order = [], []
+        for m in np.unique(sizes).tolist():
+            members = np.flatnonzero(sizes == m)
+            batch = source[(starts[members, None] + np.arange(m * m)).ravel()]
+            batches.append((
+                _places(np.maximum(batch, 0), count),
+                _places(np.flatnonzero(batch < 0), batch.size),
+                (members.size, m, m),
+            ))
+            order.append((eig_starts[members, None] + np.arange(m)).ravel())
+        # the inverse of the batched order: per block-order eigenvalue,
+        # its place among the batched ones
+        return tuple(batches), _places(np.argsort(np.concatenate(order)), sizes.sum())
 
     @functools.cached_property
     def ladders(self):
@@ -413,20 +432,28 @@ def _label_groups(rows, cols, labels) -> list[np.ndarray]:
     return np.split(order, starts[1:])
 
 
-def _rk4_propagator(ham: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """RK4's n-step propagator E4(-i h H)^n for dx/dt = -i H x, H real
-    symmetric, formed in H's eigenbasis as V E4(-i h E)^n V^T.
+def _rk4_propagators(hams, h: float, n_steps: int):
+    """RK4's n-step propagators E4(-i h H)^n for dx/dt = -i H x, one per
+    real symmetric H of hams, each yielded in turn and formed in H's
+    eigenbasis as V E4(-i h E)^n V^T.
 
     On the imaginary axis E4(-i t) = 1 - t^2/2 + t^4/24 - i t (1 - t^2/6),
     whose squared modulus is exactly 1 - t^6/72 + t^8/576, so the n-th
-    power is taken as modulus and phase without forming the product.
+    power is taken as modulus and phase without forming the product.  The
+    eigensolves come first, one per H, so that the powers of all their
+    energies are taken in one pass.
     """
-    energies, vecs = np.linalg.eigh(ham)
-    t = h * energies
+    spectra = [np.linalg.eigh(ham) for ham in hams]
+    t = h * np.concatenate([energies for energies, _ in spectra])
     t2 = t * t
     phase = np.arctan2(-t * (1.0 - t2 / 6.0), 1.0 - t2 / 2.0 + t2 * t2 / 24.0)
     log_modulus = 0.5 * np.log1p(t2**3 * (t2 / 576.0 - 1.0 / 72.0))
-    return (vecs * np.exp(n_steps * (log_modulus + 1j * phase))) @ vecs.T
+    powers = np.exp(n_steps * (log_modulus + 1j * phase))
+    start = 0
+    for energies, vecs in spectra:
+        stop = start + energies.size
+        yield (vecs * powers[start:stop]) @ vecs.T
+        start = stop
 
 
 def _mode_rotation(angle1, angle2) -> np.ndarray:
@@ -586,8 +613,12 @@ def evolve_fock(
     formed.  The sectors and their coupling blocks are planned once per
     cutoff; a call fills in the diagonal, which depends on y.  RK4 is a
     polynomial in H, so its n-step propagator is taken in each sector's
-    eigenbasis (:func:`_rk4_propagator`): the same integrator as the
-    power of the one-step matrix, with ``step`` fixing h and n as before.
+    eigenbasis (:func:`_rk4_propagators`, one eigensolve per pair of
+    sectors d and -d, the powers of all energies in one pass): the same
+    integrator as the power of the one-step matrix, with ``step`` fixing
+    h and n as before.  Each sector pair's (P U) diag(w) (P U)^dag is
+    written straight into the state's one array of values, which is then
+    symmetrized in place and its trace read from its diagonal.
 
     The oracle is restricted to small occupation (nbar <= 2) and demands
     n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError, as
@@ -626,30 +657,42 @@ def evolve_fock(
         )
 
     dim = n_cut + 1
-    weights = np.kron(
-        _thermal_weights(init.nbar1, dim), _thermal_weights(init.nbar2, dim)
-    )
-
     n_steps = max(1, int(np.ceil(float(tau_end) / step)))
     h = float(tau_end) / n_steps
     # exact local-phase restoration to the lab frame
     a1 = (params.omega1_bar + params.y) * float(tau_end)
     a2 = (params.omega2_bar + params.y) * float(tau_end)
-    n1, n2 = np.divmod(np.arange(dim * dim), dim)  # basis index n1*dim + n2
-    phases = np.exp(-1j * (a1 * n1 + a2 * n2))
 
     # the thermal input is diagonal, so each sector evolves on its own:
-    # rho_d = (P U_d) diag(w_d) (P U_d)^dag with P the lab-frame phases.
+    # rho_d = (P U_d) diag(w_d) (P U_d)^dag with P the lab-frame phases;
+    # w and P per slot of the layout, whose groups lie one after another
     layout, groups = _sector_plan(int(n_cut))
-    values, trace = [], 0.0
-    for coupling, number, idx in groups:
-        ham_d = coupling.copy()
-        np.fill_diagonal(ham_d, -params.y * number)
-        lab = phases[idx][:, :, None] * _rk4_propagator(ham_d, h, n_steps)
-        sector = (lab * weights[idx][:, None, :]) @ lab.conj().transpose(0, 2, 1)
-        sector = (sector + sector.conj().transpose(0, 2, 1)) / 2.0
-        trace += float(np.trace(sector, axis1=1, axis2=2).real.sum())
-        values.append(sector.ravel())
+    weights = _thermal_weights(init.nbar1, dim).take(layout.n1)
+    weights *= _thermal_weights(init.nbar2, dim).take(layout.n2)
+    phases = np.exp(-1j * (a1 * layout.n1 + a2 * layout.n2))
+    hams = []
+    for coupling, number, _ in groups:
+        ham = coupling.copy()
+        np.fill_diagonal(ham, -params.y * number)
+        hams.append(ham)
+    values = np.empty(layout.transpose.size, dtype=complex)
+    slot = place = 0
+    for propagator, (_, _, members) in zip(_rk4_propagators(hams, h, n_steps), groups):
+        k, m = members.shape
+        lab = phases[slot:slot + k * m].reshape(k, m)[:, :, None] * propagator
+        np.matmul(
+            lab * weights[slot:slot + k * m].reshape(k, m)[:, None, :],
+            lab.conj().transpose(0, 2, 1),
+            out=values[place:place + k * m * m].reshape(k, m, m),
+        )
+        slot, place = slot + k * m, place + k * m * m
+    # (rho + rho^dag) / 2 over every sector at once
+    mirror = values.take(layout.transpose)
+    values += np.conjugate(mirror, out=mirror)
+    values /= 2.0
+    # gone before the state's checks, where the call peaks
+    del hams, mirror
+    trace = float(values.take(layout.diagonal).real.sum())
 
     leakage = 1.0 - trace
     if leakage > LEAKAGE_LIMIT:
@@ -660,24 +703,31 @@ def evolve_fock(
         raise IntegrationError(
             f"trace grew to {trace:.3e}: step {step} is past the RK4 stability limit"
         )
-    return FockState._from_values(layout, leakage, np.concatenate(values))
+    return FockState._from_values(layout, leakage, values)
 
 
 def fock_log_negativity(state: FockState) -> float:
     """ln of the trace norm of the partial transpose over mode 2, >= 0.
 
-    The partial transpose is assembled from the stored blocks, by places
+    The partial transpose is gathered from the stored values, by places
     planned once per layout.  A state whose blocks conserve n1 - n2 gives
-    one partial-transpose block per total-number sector n1 + n2, each
-    diagonalized on its own by a Hermitian eigensolver (one dense solve
-    when the partial transpose couples sectors).  The result is normalized by trace(rho) so a
-    truncated product state gives exactly 0.
+    one partial-transpose block per total-number sector n1 + n2 (one
+    dense block when the partial transpose couples sectors).  Blocks of
+    one size are stacked and go to a Hermitian eigensolver in one call,
+    which solves each on its own; on a state from evolve_fock sectors N
+    and 2 n_cut - N have one size, so n_cut + 1 calls solve its 2 n_cut + 1
+    blocks.  The eigenvalues are put back in block order before the
+    negative ones are summed.  The result is normalized by trace(rho) so
+    a truncated product state gives exactly 0.
     """
-    source, blocks = state._layout.partial_transpose
-    packed = np.append(state._values, 0.0).take(source)
-    eigs = np.concatenate(
-        [np.linalg.eigvalsh(packed[start:start + m * m].reshape(m, m)) for start, m in blocks]
-    )
+    batches, order = state._layout.partial_transpose
+    eigs = []
+    for source, zeros, shape in batches:
+        packed = state._values.take(source)
+        packed[zeros] = 0.0
+        eigs.append(np.linalg.eigvalsh(packed.reshape(shape)).ravel())
+    # in block order, so that the negative mass is summed as block by block
+    eigs = np.concatenate(eigs).take(order)
     # ||pt||_1 = trace - 2 * (negative mass); log1p keeps a PT-positive
     # state at exactly zero
     negative_mass = float(eigs[eigs < 0.0].sum())

@@ -21,8 +21,10 @@ Every closed form reads one core, ``_pair_state``.  It validates tau and
 T once and returns the four numbers that fix the state: the initial
 occupations nbar1 and nbar2, the pair gain m = sinh^2(x tau)/x^2 and
 K = nbar1 + nbar2 + 1, plus x, sinh(x tau)/x and cosh(x tau) for the
-covariance-matrix entries.  The same formulas run in float64 on two
-kinds of input (``gaussian_core._working`` picks the kind):
+covariance-matrix entries.  The birth time, which needs no tau, reads
+only the checked inputs and occupations (``_pair_inputs``) and takes x
+itself.  The same formulas run in float64 on two kinds of input
+(``gaussian_core._working`` picks the kind):
 
 * Python floats, evaluated with ``math``; a numpy scalar of any width
   enters as a Python float, and is checked after that;
@@ -31,7 +33,8 @@ kinds of input (``gaussian_core._working`` picks the kind):
   then travels as an argument next to tau and T and is checked point by
   point against the rule of ``PdcParams``.  A point that fails a check
   or leaves the float range makes the whole call raise the error the
-  same scalar input would.
+  same scalar input would; arrays whose shapes do not broadcast are
+  refused with a ValidationError that names them.
 
 ``covariance_matrix`` attaches the pair state to the matrix it returns,
 so ``gaussian_core`` takes E_N and S from (nbar1, nbar2, m, K) without
@@ -242,23 +245,45 @@ def _stretch(y, tau, lib):
     return x, lib.sinh(z) / x, lib.cosh(z)
 
 
+def _check_broadcast(**arrays):
+    """Refuse array arguments whose shapes do not broadcast together,
+    naming each that is not a scalar and its shape."""
+    try:
+        np.broadcast(*arrays.values())
+    except ValueError:
+        shapes = ", ".join(
+            f"{name} of shape {np.shape(value)}" for name, value in arrays.items() if np.ndim(value)
+        )
+        raise ValidationError(f"array arguments do not broadcast together: {shapes}") from None
+
+
+def _pair_inputs(params: PdcParams, tau, temperature, y):
+    """(y, tau, nbar1, nbar2, lib): the inputs of a pair state, y =
+    ``params.y`` unless given, converted and checked once in the library
+    ``lib`` that ``_working`` picks for them, and the occupations at T.
+    Array inputs must broadcast against each other."""
+    if y is None:
+        y = params.y
+    num, lib = _working(y, tau, temperature)
+    y, tau, temperature = num(y), num(tau), num(temperature)
+    if lib is np:
+        _check_broadcast(tau=tau, temperature=temperature, y=y)
+    _check_nonnegative(tau, "tau")
+    _check_nonnegative(temperature, "temperature")
+    _check_mismatch(y)
+    nbar1, nbar2 = _occupations(params, temperature, lib)
+    return y, tau, nbar1, nbar2, lib
+
+
 def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
     """The core every closed form reads: (nbar1, nbar2, m, K) at
     (tau, T), plus the (x, sinh(x tau)/x, cosh(x tau)) of the entries.
 
     Picks the library, and converts and validates tau, T and y
-    (``params.y`` unless given), once.  m = sinh^2(x tau)/x^2 is the
-    pair gain and K = nbar1 + nbar2 + 1.  Array inputs broadcast against
-    each other.
+    (``params.y`` unless given), once (:func:`_pair_inputs`).
+    m = sinh^2(x tau)/x^2 is the pair gain and K = nbar1 + nbar2 + 1.
     """
-    if y is None:
-        y = params.y
-    num, lib = _working(y, tau, temperature)
-    y, tau, temperature = num(y), num(tau), num(temperature)
-    _check_nonnegative(tau, "tau")
-    _check_nonnegative(temperature, "temperature")
-    _check_mismatch(y)
-    nbar1, nbar2 = _occupations(params, temperature, lib)
+    y, tau, nbar1, nbar2, lib = _pair_inputs(params, tau, temperature, y)
     # x, sinh and cosh run in numpy only for an array y or tau, so that an
     # array of T gets them to the bit as a scalar call does
     x, ratio, ch = _stretch(y, tau, lib if lib is math else _working(y, tau)[1])

@@ -9,6 +9,7 @@ test-owned `decimal` reference.
 """
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -338,6 +339,36 @@ def test_mismatch_array_message_matches_params():
         params_at(1.0)
     with pytest.raises(ValidationError, match=r"mismatch y must lie in \[0, 1\), got 1\.0"):
         birth_time(params_at(0.0), 300.0, y=np.array([0.5, 1.0, 0.2]))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda p: pair_invariants(p, np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])),
+            "tau of shape (2,), temperature of shape (3,)",
+        ),
+        (
+            lambda p: witness(p, np.array([1.0, 2.0]), 300.0, y=np.array([0.1, 0.2, 0.3])),
+            "tau of shape (2,), y of shape (3,)",
+        ),
+        (
+            lambda p: birth_time(p, np.array([1.0, 2.0]), y=np.array([0.1, 0.2, 0.3])),
+            "temperature of shape (2,), y of shape (3,)",
+        ),
+        (
+            lambda p: mean_photon_numbers(p, np.ones((2, 3)), np.ones(2)),
+            "tau of shape (2, 3), temperature of shape (2,)",
+        ),
+    ],
+    ids=["pair_invariants", "witness", "birth_time", "mean_photon_numbers"],
+)
+def test_shapes_that_do_not_broadcast_are_refused(reference_params, call, message):
+    # named, not left to numpy's bare ValueError from inside the arithmetic
+    with pytest.raises(ValidationError, match="^" + re.escape(
+        f"array arguments do not broadcast together: {message}"
+    ) + "$"):
+        call(reference_params)
 
 
 def test_bisection_refuses_arrays(reference_params):

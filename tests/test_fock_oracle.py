@@ -30,7 +30,7 @@ from pdc_entanglement.fock_oracle import (
     _label_groups,
     _mode_rotation,
     _moment_lyapunov,
-    _rk4_propagator,
+    _rk4_propagators,
 )
 
 # temperatures giving small occupations at the reference frequencies:
@@ -910,7 +910,8 @@ def test_sector_propagator_is_the_rk4_matrix_power(y, tau):
         idx = np.flatnonzero(n1 - n2 == d)
         ham_d = ham[np.ix_(idx, idx)]
         expected = _matrix_power(_rk4_step_matrix(-1j * ham_d, h), n_steps)
-        assert np.max(np.abs(_rk4_propagator(ham_d, h, n_steps) - expected)) <= 1e-12
+        (propagator,) = _rk4_propagators([ham_d], h, n_steps)
+        assert np.max(np.abs(propagator - expected)) <= 1e-12
         if d == 0:  # the largest sector, where the integrators differ most
             e, v = np.linalg.eigh(ham_d)
             exact = (v * np.exp(-1j * e * tau)) @ v.T
@@ -961,3 +962,67 @@ def test_moments_of_parity_diagonal_state():
     state = random_density_matrix(n_cut, np.random.default_rng(7), (n1 + n2) % 2)
     cm = moments_from_fock(state)
     assert np.max(np.abs(cm.entries - dense_moments(state))) < 1e-12
+
+
+def blockwise_log_negativity(state):
+    """E_N from a dense partial transpose cut into blocks here: one per
+    total-number sector n1 + n2 where no entry couples two of them, else
+    one over every index; each block solved on its own, in sector order."""
+    dim = state.n_cut + 1
+    rho = dense_rho(state)
+    pt = rho.reshape(dim, dim, dim, dim).transpose(0, 3, 2, 1).reshape(dim * dim, dim * dim)
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    total = n1 + n2
+    rows, cols = np.nonzero(pt)
+    groups = (
+        [np.flatnonzero(total == n) for n in np.unique(total)]
+        if np.array_equal(total[rows], total[cols])
+        else [np.arange(dim * dim)]
+    )
+    eigs = np.concatenate([np.linalg.eigvalsh(pt[np.ix_(idx, idx)]) for idx in groups])
+    trace = np.concatenate([np.diagonal(block).real for _, block in state.blocks]).sum()
+    return float(max(0.0, np.log1p(-2.0 * float(eigs[eigs < 0.0].sum()) / float(trace))))
+
+
+class TestStackedStages:
+    """The Fock stages solve same-size blocks together and write the
+    evolved sectors into one array; the answers are those of one solve
+    per block, to the bit."""
+
+    @pytest.mark.parametrize("n_cut,y,temp,tau", [(12, 0.3, T_SMALL, 0.5), (20, 0.7, T_TINY, 0.4)])
+    def test_negativity_of_evolved_state_is_the_blockwise_one(self, make_params, n_cut, y, temp, tau):
+        state = evolve_fock(make_params(y=y), tau, temp, n_cut=n_cut)
+        e_fock = fock_log_negativity(state)
+        assert e_fock > 0.1
+        assert e_fock == blockwise_log_negativity(state)
+
+    def test_negativity_of_states_from_blocks_is_the_blockwise_one(self):
+        n_cut = 8
+        n1, n2 = np.divmod(np.arange((n_cut + 1) ** 2), n_cut + 1)
+        for state in (
+            random_density_matrix(n_cut, np.random.default_rng(11)),
+            random_density_matrix(n_cut, np.random.default_rng(7), (n1 + n2) % 2),
+        ):
+            assert fock_log_negativity(state) == blockwise_log_negativity(state)
+
+    def test_one_solve_per_block_size(self, reference_params, monkeypatch):
+        # sector N and 2 n_cut - N of the partial transpose have one size,
+        # and d and -d of the evolution one H: 13 solves each at n_cut = 12
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            solve = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _solve=solve):
+                calls[_name] += 1
+                return _solve(*args)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        state = evolve_fock(reference_params, 0.5, T_SMALL, n_cut=12)
+        assert calls == {"eigh": 13, "eigvalsh": 0}
+        fock_log_negativity(state)
+        assert calls == {"eigh": 13, "eigvalsh": 13}
+
+    def test_evolved_values_are_hermitian_exactly(self, make_params):
+        state = evolve_fock(make_params(y=0.4), 0.5, T_SMALL, n_cut=12)
+        values = state._values
+        assert np.array_equal(values, values.take(state._layout.transpose).conj())
