@@ -375,7 +375,7 @@ class _Layout:
         starts = np.cumsum(sizes * sizes) - sizes * sizes
         eig_starts = np.cumsum(sizes) - sizes
         batches, order = [], []
-        for m in np.unique(sizes).tolist():
+        for m in sorted(set(sizes.tolist())):
             members = np.flatnonzero(sizes == m)
             batch = source[(starts[members, None] + np.arange(m * m)).ravel()]
             batches.append((
@@ -384,9 +384,10 @@ class _Layout:
                 (members.size, m, m),
             ))
             order.append((eig_starts[members, None] + np.arange(m)).ravel())
-        # the inverse of the batched order: per block-order eigenvalue,
-        # its place among the batched ones
-        return tuple(batches), _places(np.argsort(np.concatenate(order)), sizes.sum())
+        # per block-order eigenvalue, its place among the batched ones
+        inverse = np.empty(int(sizes.sum()), dtype=np.intp)
+        inverse[np.concatenate(order)] = np.arange(inverse.size)
+        return tuple(batches), _places(inverse, inverse.size)
 
     @functools.cached_property
     def ladders(self):
