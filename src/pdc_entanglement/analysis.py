@@ -19,7 +19,8 @@ interaction time, found by bisection with m computed once.
 The closed-form birth time and the witness also take numpy arrays of T,
 tau and y (the mismatch then given next to them, in place of
 ``params.y``) and return arrays of their broadcast shape; the bisections
-take scalars.
+take scalars.  A 0-d array is a scalar.  Each call computes in the one
+library ``_pair_inputs`` picks, which the witness reads from the pair state.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian_core import _check_finite, _every, _pointwise, _working
+from .gaussian_core import _check_finite, _check_scalar, _every, _pointwise
 from .pdc_dynamics import (
     _EXP_MAX,
     PdcParams,
@@ -134,31 +135,27 @@ def birth_time(
     s0 = s0_threshold(nbar1, nbar2)
     big_k = nbar1 + nbar2 + 1.0
     k_sq = big_k * big_k
-    # x in numpy only for an array y, as the pair state takes it
-    x = (lib if lib is math else _working(mismatch)[1]).sqrt((1.0 - mismatch) * (1.0 + mismatch))
+    x = lib.sqrt((1.0 - mismatch) * (1.0 + mismatch))
     # their sum, not their product: S0 K^2 overflows long before either
     _check_finite(s0 + k_sq, "S0 or K^2", "T", temperature)
 
     if method == "closed_form":
-        _, lib = _working(s0, x)
         # 4 S0/K^2 <= K^2/4, so this stays finite with S0 and K^2
         c = 4.0 * (s0 / k_sq)
         m_star = c / (2.0 * (1.0 + lib.sqrt(1.0 + c)))  # (-1+sqrt(1+c))/2, stable
         tau_e = lib.asinh(x * lib.sqrt(m_star)) / x
         return BteResult(tau_e, method)
 
-    if np.ndim(s0) or np.ndim(x):
+    if lib is np:
         raise ValidationError("the bisection route takes a scalar T and y")
     if s0 == 0.0:
         return BteResult(0.0, method)
-    # the library _working picks for y as given: numpy for a 0-d array y
-    _, lib = _working(y)
 
     def f(tau):
         z = x * tau
         if not z <= _EXP_MAX:
             raise _sinh_overflow(z)
-        ratio = lib.sinh(z) / x
+        ratio = math.sinh(z) / x
         m = ratio * ratio
         return m * (m + 1.0) * k_sq - s0
 
@@ -183,6 +180,7 @@ def critical_temperature(
     bracket (a t_max above about 1e77 K at the default frequencies), as
     the birth time does.
     """
+    _check_scalar("critical_temperature", "tau_i and t_max", tau_i, t_max)
     tau_i, t_max = float(tau_i), float(t_max)
     _check_nonnegative(tau_i, "tau_i")
     if not 0.0 < t_max < math.inf:
@@ -219,6 +217,7 @@ def phase_boundary(
     Points with no root (never entangled, or T_c beyond the bracket) are
     omitted rather than failing the scan.
     """
+    _check_scalar("phase_boundary", "tau_i and t_max", tau_i, t_max)
     points = []
     for y in y_grid:
         _check_mismatch(y)
@@ -242,8 +241,7 @@ def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
     """
     pair = _pair_state(params, tau, temperature, y)
     s0 = s0_threshold(pair.nbar1, pair.nbar2)
-    _, lib = _working(s0, pair.m)
-    threshold = lib.sqrt(s0)
+    threshold = pair.lib.sqrt(s0)
     gain = pair.m * pair.big_k
     mean = (pair.nbar1 + gain + pair.nbar2 + gain) / 2.0
     _check_finite(threshold + mean, "witness", "tau, T", tau, temperature)

@@ -81,7 +81,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import IntegrationError, TruncationError, ValidationError
-from .gaussian_core import CovarianceMatrix
+from .gaussian_core import CovarianceMatrix, _check_scalar
 from .pdc_dynamics import PdcParams, thermal_init
 
 MAX_MOMENT_STEP = 1e-3
@@ -204,6 +204,8 @@ class FockState:
             defect -= values
         if not np.abs(defect).max(initial=0.0) <= 1e-12:
             raise ValidationError("rho is not Hermitian within 1e-12, or not finite")
+        # gone before the minor test, where the check peaks
+        del defect
         diag = values.take(layout.diagonal).real
         trace = float(diag.sum())
         if not 0.0 < trace < math.inf:
@@ -511,6 +513,7 @@ def evolve_moments_ode(
     factors I + D_k are powers of R and commute, so the end point equals
     n single steps up to rounding.
     """
+    _check_scalar("evolve_moments_ode", "tau_end, temperature and step", tau_end, temperature, step)
     if not 0.0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
     if not 0.0 < step <= MAX_MOMENT_STEP:
@@ -640,6 +643,7 @@ def evolve_fock(
     moment ODE (:func:`evolve_moments_ode`), which needs no cutoff, is the
     oracle for the covariance matrix.
     """
+    _check_scalar("evolve_fock", "tau_end, temperature and step", tau_end, temperature, step)
     if not 0.0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
     if not 0.0 < step < math.inf:

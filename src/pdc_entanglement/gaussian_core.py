@@ -65,18 +65,29 @@ GENERIC_EN_TOL = 1e-9
 
 
 def _has_array(values):
-    """Whether any value is a numpy array, which sends a closed form to numpy."""
+    """Whether any value is a numpy array of one or more dimensions, which
+    sends a closed form to numpy; a 0-d array is a scalar."""
     for value in values:
-        if type(value) is not float and isinstance(value, np.ndarray):
+        if type(value) is not float and isinstance(value, np.ndarray) and value.ndim:
             return True
     return False
 
 
+def _check_scalar(function, names, *values, arrays=None):
+    """Refuse, with a ValidationError that names ``function`` and its
+    scalar arguments ``names``, any of ``values`` that ``_has_array``
+    counts as an array; a 0-d array passes.  ``arrays`` names the
+    function that takes arrays in their place, if there is one."""
+    if _has_array(values):
+        instead = f"; {arrays} takes arrays" if arrays else ""
+        raise ValidationError(f"{function} takes a scalar {names}{instead}")
+
+
 def _working(*values):
-    """(conversion, math module) of a closed-form evaluation:
-    ``np.float64`` with numpy when any input is an array, else ``float``
-    with ``math``.  Callers convert their inputs before they check them,
-    so a numpy scalar of any width enters as a Python float."""
+    """(conversion, math module) of a closed-form evaluation: ``np.float64``
+    with numpy when ``_has_array``, else ``float`` with ``math``.  Callers
+    convert before they check, so a numpy scalar or a 0-d array enters as
+    a Python float and gives the scalar call's bits."""
     return (np.float64, np) if _has_array(values) else (float, math)
 
 
@@ -179,8 +190,9 @@ class PairState(NamedTuple):
     nbar1, nbar2 are the initial thermal occupations, m = sinh^2(x tau)/x^2
     the pair gain and big_k = nbar1 + nbar2 + 1; x, ratio = sinh(x tau)/x
     and ch = cosh(x tau) are kept for the covariance-matrix entries.
-    Each field is a scalar or a numpy array; fields of different shapes
-    broadcast against each other.
+    Each is a scalar or a numpy array, and they broadcast together.  lib
+    is ``math`` or numpy, as ``_working`` picked it for the inputs; the
+    closed forms that read the state compute in it.
     """
 
     nbar1: float
@@ -190,6 +202,7 @@ class PairState(NamedTuple):
     x: float
     ratio: float
     ch: float
+    lib: object
 
 
 _FLOAT64_MAX = float(np.finfo(np.float64).max)
@@ -330,8 +343,7 @@ def _pair_invariants(pair: PairState) -> SymplecticInvariants:
     sqrt(m+1), not from |det gamma|, so it stays finite while m does.
     Array fields give arrays of invariants.
     """
-    n1, n2, m, big_k = pair.nbar1, pair.nbar2, pair.m, pair.big_k
-    _, lib = _working(n1, m)
+    n1, n2, m, big_k, lib = pair.nbar1, pair.nbar2, pair.m, pair.big_k, pair.lib
     a = n1 + 0.5
     b = n2 + 0.5
     i1 = a * b * a * b

@@ -24,10 +24,11 @@ K = nbar1 + nbar2 + 1, plus x, sinh(x tau)/x and cosh(x tau) for the
 covariance-matrix entries.  The birth time, which needs no tau, reads
 only the checked inputs and occupations (``_pair_inputs``) and takes x
 itself.  The same formulas run in float64 on two kinds of input
-(``gaussian_core._working`` picks the kind):
+(``gaussian_core._working`` picks the kind once per call, and the pair
+state carries it as ``lib``):
 
-* Python floats, evaluated with ``math``; a numpy scalar of any width
-  enters as a Python float, and is checked after that;
+* Python floats, evaluated with ``math``; a numpy scalar of any width or
+  a 0-d array enters as a Python float, and is checked after that;
 * numpy arrays of y, tau and T, evaluated with numpy and broadcast
   against each other, so a whole (y, T) map is one call.  The mismatch
   then travels as an argument next to tau and T and is checked point by
@@ -58,9 +59,9 @@ from .gaussian_core import (
     PairState,
     SymplecticInvariants,
     _check_finite,
+    _check_scalar,
     _every,
     _first,
-    _has_array,
     _pair_invariants,
     _pointwise,
     _working,
@@ -177,6 +178,18 @@ def _check_nonnegative(value, name):
         raise ValidationError(f"{name} must be finite and >= 0")
 
 
+def _check_broadcast(**arrays):
+    """Refuse array arguments whose shapes do not broadcast together,
+    naming each that is not a scalar and its shape."""
+    try:
+        np.broadcast(*arrays.values())
+    except ValueError:
+        shapes = ", ".join(
+            f"{name} of shape {np.shape(value)}" for name, value in arrays.items() if np.ndim(value)
+        )
+        raise ValidationError(f"array arguments do not broadcast together: {shapes}") from None
+
+
 @_pointwise
 def thermal_occupation(omega, temperature):
     """Bose-Einstein mean photon number of a mode at temperature T.
@@ -198,6 +211,8 @@ def thermal_occupation(omega, temperature):
     """
     num, lib = _working(omega, temperature)
     omega, temperature = num(omega), num(temperature)
+    if lib is np:
+        _check_broadcast(omega=omega, temperature=temperature)
     _check_frequency(omega, "omega")
     _check_nonnegative(temperature, "temperature")
     nbar = _bose(omega, temperature, lib)
@@ -219,6 +234,7 @@ def thermal_init(params: PdcParams, temperature) -> ThermalInit:
     Raises NumericalDomainError where an occupation, or their sum, leaves
     the float range.
     """
+    _check_scalar("thermal_init", "temperature", temperature)
     temperature = float(temperature)
     _check_nonnegative(temperature, "temperature")
     n1, n2 = _occupations(params, temperature)
@@ -243,18 +259,6 @@ def _stretch(y, tau, lib):
     if fits is not True and not _every(fits):
         raise _sinh_overflow(_first(z, fits))
     return x, lib.sinh(z) / x, lib.cosh(z)
-
-
-def _check_broadcast(**arrays):
-    """Refuse array arguments whose shapes do not broadcast together,
-    naming each that is not a scalar and its shape."""
-    try:
-        np.broadcast(*arrays.values())
-    except ValueError:
-        shapes = ", ".join(
-            f"{name} of shape {np.shape(value)}" for name, value in arrays.items() if np.ndim(value)
-        )
-        raise ValidationError(f"array arguments do not broadcast together: {shapes}") from None
 
 
 def _pair_inputs(params: PdcParams, tau, temperature, y):
@@ -287,7 +291,7 @@ def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
     # x, sinh and cosh run in numpy only for an array y or tau, so that an
     # array of T gets them to the bit as a scalar call does
     x, ratio, ch = _stretch(y, tau, lib if lib is math else _working(y, tau)[1])
-    return PairState(nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio, ch)
+    return PairState(nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio, ch, lib)
 
 
 @_pointwise
@@ -313,6 +317,8 @@ def squeezing_parameter(y, tau):
     r = tau at y = 0."""
     num, lib = _working(y, tau)
     y, tau = num(y), num(tau)
+    if lib is np:
+        _check_broadcast(y=y, tau=tau)
     _check_mismatch(y)
     _check_nonnegative(tau, "tau")
     return tau * lib.sqrt((1.0 - y) * (1.0 + y))
@@ -352,10 +358,7 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     returned matrix carries the pair state, so its invariants take the
     pair route.  tau and T are scalars.
     """
-    if _has_array((tau, temperature)) and (np.ndim(tau) or np.ndim(temperature)):
-        raise ValidationError(
-            "covariance_matrix takes a scalar tau and T; pair_invariants takes arrays"
-        )
+    _check_scalar("covariance_matrix", "tau and T", tau, temperature, arrays="pair_invariants")
     tau, y = float(tau), float(params.y)
     pair = _pair_state(params, tau, temperature)
     ratio, ch, big_k = pair.ratio, pair.ch, pair.big_k

@@ -3,7 +3,9 @@
 The closed-form birth time, the witness and the pair-route invariants take
 numpy arrays of y, tau and T.  They must agree with the scalar API point by
 point, refuse an array when any one of its points would be refused alone,
-and give the figure datasets the bytes a scalar loop gives.  The y -> 1
+and give the figure datasets the bytes a scalar loop gives.  A 0-d array is
+a scalar: it gives the scalar call's bits, and the entry points that take
+scalars only accept it.  The y -> 1
 points, and a seeded sweep over the whole domain, are checked against a
 test-owned `decimal` reference.
 """
@@ -23,11 +25,18 @@ from pdc_entanglement import (
     ValidationError,
     birth_time,
     covariance_matrix,
+    critical_temperature,
     det_gamma_closed_form,
     entanglement_report,
+    evolve_fock,
+    evolve_moments_ode,
     log_negativity,
     mean_photon_numbers,
     pair_invariants,
+    phase_boundary,
+    squeezing_parameter,
+    thermal_init,
+    thermal_occupation,
     witness,
 )
 from pdc_entanglement.cli import main
@@ -235,6 +244,39 @@ def test_array_matches_scalar_on_random_points(reference_params):
         assert abs(wit.w[i] - one.w) <= 1e-14 * w_scale
 
 
+def bits(result):
+    """Type and exact bits of every field of a closed form's result."""
+    fields = result if isinstance(result, tuple) else (result,)
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in fields]
+
+
+def test_zero_dim_arrays_give_the_scalar_bits(reference_params):
+    # each point passes a seeded, non-empty subset of its inputs as 0-d
+    # arrays; the result must be the scalar call's, in Python floats
+    rng = np.random.default_rng(20261019)
+    omega = reference_params.omega1_bar * reference_params.g
+    closed_forms = {
+        "pair_invariants": lambda p, y, tau, t: pair_invariants(reference_params, tau, t, y),
+        "witness": lambda p, y, tau, t: witness(reference_params, tau, t, y),
+        "mean_photon_numbers": lambda p, y, tau, t: mean_photon_numbers(p, tau, t),
+        "det_gamma_closed_form": lambda p, y, tau, t: det_gamma_closed_form(p, tau, t),
+        "birth_time": lambda p, y, tau, t: birth_time(reference_params, t, y=y),
+        "bisection": lambda p, y, tau, t: birth_time(p, t, method="bisection"),
+        "thermal_occupation": lambda p, y, tau, t: thermal_occupation(omega, t),
+        "squeezing_parameter": lambda p, y, tau, t: squeezing_parameter(y, tau),
+    }
+    for i in range(400):
+        point = (0.99 * rng.random(), 20.0 * rng.random(), 2000.0 * rng.random() * (i % 10 > 0))
+        zero_dim = rng.permutation([True, rng.random() < 0.5, rng.random() < 0.5])
+        wrapped = [np.array(v) if z else v for v, z in zip(point, zero_dim)]
+        params, wrapped_params = params_at(point[0]), params_at(wrapped[0])
+        for name, closed_form in closed_forms.items():
+            if name == "bisection" and i % 8:
+                continue
+            want = bits(closed_form(params, *point))
+            assert bits(closed_form(wrapped_params, *wrapped)) == want, (name, point, zero_dim)
+
+
 def test_arrays_broadcast_over_a_grid(reference_params):
     ys = np.linspace(0.0, 0.9, 4)[:, None]
     temps = np.array([[0.0, 50.0, 300.0]])
@@ -360,8 +402,23 @@ def test_mismatch_array_message_matches_params():
             lambda p: mean_photon_numbers(p, np.ones((2, 3)), np.ones(2)),
             "tau of shape (2, 3), temperature of shape (2,)",
         ),
+        (
+            lambda p: thermal_occupation(np.array([1e12, 2e12]), np.array([1.0, 2.0, 3.0])),
+            "omega of shape (2,), temperature of shape (3,)",
+        ),
+        (
+            lambda p: squeezing_parameter(np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0])),
+            "y of shape (2,), tau of shape (3,)",
+        ),
     ],
-    ids=["pair_invariants", "witness", "birth_time", "mean_photon_numbers"],
+    ids=[
+        "pair_invariants",
+        "witness",
+        "birth_time",
+        "mean_photon_numbers",
+        "thermal_occupation",
+        "squeezing_parameter",
+    ],
 )
 def test_shapes_that_do_not_broadcast_are_refused(reference_params, call, message):
     # named, not left to numpy's bare ValueError from inside the arithmetic
@@ -374,6 +431,56 @@ def test_shapes_that_do_not_broadcast_are_refused(reference_params, call, messag
 def test_bisection_refuses_arrays(reference_params):
     with pytest.raises(ValidationError):
         birth_time(reference_params, np.array([50.0, 300.0]), method="bisection")
+
+
+PAIR = np.array([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda p, a: critical_temperature(p, a),
+            "critical_temperature takes a scalar tau_i and t_max",
+        ),
+        (
+            lambda p, a: critical_temperature(p, 2.881, t_max=a),
+            "critical_temperature takes a scalar tau_i and t_max",
+        ),
+        (
+            lambda p, a: phase_boundary(p, a, [0.1]),
+            "phase_boundary takes a scalar tau_i and t_max",
+        ),
+        (lambda p, a: thermal_init(p, a), "thermal_init takes a scalar temperature"),
+        (
+            lambda p, a: evolve_moments_ode(p, 1.0, a),
+            "evolve_moments_ode takes a scalar tau_end, temperature and step",
+        ),
+        (
+            lambda p, a: evolve_moments_ode(p, a / 4.0, 0.5),
+            "evolve_moments_ode takes a scalar tau_end, temperature and step",
+        ),
+        (
+            lambda p, a: evolve_fock(p, a / 4.0, 0.5, n_cut=20),
+            "evolve_fock takes a scalar tau_end, temperature and step",
+        ),
+    ],
+    ids=[
+        "critical_temperature",
+        "critical_temperature_t_max",
+        "phase_boundary",
+        "thermal_init",
+        "evolve_moments_ode_temperature",
+        "evolve_moments_ode_tau",
+        "evolve_fock",
+    ],
+)
+def test_scalar_entry_points_refuse_arrays(reference_params, call, message):
+    # named, where numpy used to raise a bare TypeError or ValueError
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        call(reference_params, PAIR)
+    # a 0-d array is a scalar, and accepted as one
+    call(reference_params, PAIR[:1].reshape(()))
 
 
 # ---------------------------------------------------------------- pdc-ent map

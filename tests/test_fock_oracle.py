@@ -952,6 +952,19 @@ def test_block_storage_peak_memory_at_n_cut_60(reference_params):
     assert cm.entries[0, 0] == pytest.approx(np.sinh(0.5) ** 2 + 0.5, abs=1e-8)
 
 
+def test_evolve_fock_peak_memory_at_n_cut_60(reference_params):
+    # with the plan built first, evolve_fock peaks in the state's checks,
+    # which free the Hermiticity defect before the 2 x 2 minor test
+    fock_oracle._sector_plan(60)
+    tracemalloc.start()
+    try:
+        state = evolve_fock(reference_params, 0.5, 0.0, n_cut=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * state._values.nbytes
+
+
 def test_moments_of_parity_diagonal_state():
     # a state block-diagonal in the parity of n1 + n2 has no first moments
     # but coherences at every even shift, among them (0, n_cut) next to

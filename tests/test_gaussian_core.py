@@ -391,13 +391,35 @@ class TestPairConstructor:
 
 
 def enclosing_functions(node, attr, function=None):
-    """Name of the innermost function around each ``.attr`` in the tree."""
+    """Name of the innermost function around each ``.attr`` or bare ``attr``
+    in the tree."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
-    if isinstance(node, ast.Attribute) and node.attr == attr:
+    if (
+        isinstance(node, ast.Attribute) and node.attr == attr
+        or isinstance(node, ast.Name) and node.id == attr
+    ):
         yield function
     for child in ast.iter_child_nodes(node):
         yield from enclosing_functions(child, attr, function)
+
+
+def test_five_functions_pick_the_library():
+    # math or numpy is picked once per call, where the call converts its
+    # inputs; the closed forms downstream read the pick from the pair state
+    package = Path(gaussian_core.__file__).parent
+    sites = [
+        (path.name, function)
+        for path in sorted(package.glob("*.py"))
+        for function in enclosing_functions(ast.parse(path.read_text()), "_working")
+    ]
+    assert sites == [
+        ("gaussian_core.py", "log_negativity"),
+        ("pdc_dynamics.py", "thermal_occupation"),
+        ("pdc_dynamics.py", "_pair_inputs"),
+        ("pdc_dynamics.py", "_pair_state"),
+        ("pdc_dynamics.py", "squeezing_parameter"),
+    ]
 
 
 class TestGenericRouteGuard:

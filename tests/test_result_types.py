@@ -1,5 +1,6 @@
 """The contract of the result types: immutable NamedTuples whose fields are
-Python floats for scalar input (bar a bool verdict and a str route)."""
+Python floats for scalar input (bar a bool verdict and a str route).  A 0-d
+array is a scalar input."""
 
 import numpy as np
 import pytest
@@ -25,16 +26,26 @@ NOT_FLOAT = {"entangled": bool, "method": str}
 
 @pytest.fixture
 def scalar_results(reference_params):
-    cm = covariance_matrix(reference_params, 2.881, 300.0)
-    (point,) = phase_boundary(reference_params, 2.881, [0.3])
+    # every result once from Python floats and once from 0-d arrays
+    return [r for kind in (float, np.array) for r in results_of(reference_params, kind)]
+
+
+def results_of(reference_params, kind):
+    tau, temp, zero, y = (kind(v) for v in (2.881, 300.0, 0.0, 0.3))
+    cm = covariance_matrix(reference_params, tau, temp)
+    (point,) = phase_boundary(reference_params, tau, [y])
     return [
         symplectic_invariants(cm),
-        pair_invariants(reference_params, 2.881, 300.0),
+        pair_invariants(reference_params, tau, temp),
+        pair_invariants(reference_params, tau, temp, y),
         entanglement_report(cm),
-        witness(reference_params, 2.881, 300.0),
-        birth_time(reference_params, 300.0),
-        birth_time(reference_params, 300.0, method="bisection"),
-        birth_time(reference_params, 0.0, method="bisection"),
+        witness(reference_params, tau, temp),
+        witness(reference_params, tau, temp, y),
+        birth_time(reference_params, temp),
+        birth_time(reference_params, temp, y=y),
+        birth_time(reference_params, temp, method="bisection"),
+        birth_time(reference_params, temp, method="bisection", y=y),
+        birth_time(reference_params, zero, method="bisection"),
         point,
     ]
 
