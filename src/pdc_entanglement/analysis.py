@@ -220,6 +220,7 @@ def phase_boundary(
     _check_scalar("phase_boundary", "tau_i and t_max", tau_i, t_max)
     points = []
     for y in y_grid:
+        _check_scalar("phase_boundary", "y per y_grid entry", y)
         _check_mismatch(y)
         t_c = critical_temperature(replace(params, y=float(y)), tau_i, t_max=t_max)
         if t_c is not None:

@@ -23,52 +23,38 @@ resolving ~10^2-10^3 rad frequencies to absolute 1e-8 in the presence of
 
 For the linear autonomous systems here, classical RK4 is exactly
 multiplication by its one-step stability matrix R = E4(h*L) with
-E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as R^n.
-The moment ODE integrates only the 10 independent moments sigma[i, j],
-i <= j: the Lyapunov operator maps symmetric matrices to symmetric
-ones, so it restricts to them, and R is 10 x 10.  It works in float64
-on increments over the identity: D = R - I is formed from its Taylor
-terms and squared on increments, D_k = R^(2^k) - I with
-D_{k+1} = 2 D_k + D_k D_k, and set bit k of n moves the moment vector
-as v + D_k v, so the O(h) step is never added to 1 and rounded.  The
-factors commute, hence the result is identical (up to rounding) to
-stepping one by one, and the error retains the O(h^4) signature
-checked by the step-halving test.  Only the end point is formed: it is
-rotated to the lab frame, checked to be finite and returned, so a call
-costs O(log n) matrix products and constant memory in tau_end.  The
-Fock generator is Hermitian, so there R^n is taken in its eigenbasis,
-V E4(-i h E)^n V^T, the same integrator.
+E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as R^n:
+on the 10 independent moments sigma[i, j], i <= j, by squaring
+increments over the identity (see :func:`evolve_moments_ode`), and for
+the Hermitian Fock generator in its eigenbasis, V E4(-i h E)^n V^T.
+Either keeps RK4's O(h^4) error, checked by the step-halving test, and
+forms only the end point.
 
-The Fock stages work sector by sector; on a state from evolve_fock none
-of them forms a matrix over the whole (n_cut+1)^2 basis.  The generator
-conserves the photon difference n1 - n2 (the model's integral of
-motion), so the propagator and the evolved state split into one block
-per difference sector, and :class:`FockState` stores those blocks
-alone; the mode swap keeps H and takes sector d to -d, so those two
-share one propagator.  The partial transpose of such a state splits
-into one block per total-number sector n1 + n2, assembled straight from
-the stored blocks, and the second moments are read from the diagonal
-and the ladder coherences.  H's sectors are written down from the model
-(the tests hold them to the dense H); those of a partial transpose are
-checked against its entries (:func:`_label_groups`): where it couples
-two sectors it is one block, so a state without the structure still
-gets the exact answer.  The blocking rests on symmetries of the
-generator, not on the Gaussian closed form, so the oracle stays
-independent of it.
+The Fock stages follow the model's integral of motion.  The generator
+conserves the photon difference n1 - n2, so the propagator and the
+evolved state split into one block per difference sector, and
+:class:`FockState` stores those blocks alone; the mode swap keeps H and
+takes sector d to -d, so the two share one propagator.  Sector -d holds
+n1 = j, n2 = j + d, and the partial transpose over mode 2 moves its
+entry [j, k] to row n1 = j, column n1 = k of the block of total number
+N = j + k + d; sector d, its mode swap, goes to row j + d, column
+k + d.  So the partial transpose splits into one block per N, and the
+second moments read only the diagonal and the c1 c2 coherences, on each
+sector block's first sub-diagonal.  The blocks of H and of the partial
+transpose are written down from the model, not searched for among the
+entries, and the tests hold them to dense references.  They rest on
+symmetries of the generator, not on the Gaussian closed form, so the
+oracle stays independent of it.
 
-Where the entries go depends on the cutoff and the block layout alone,
-so that index bookkeeping is worked out once per cutoff and kept in a
-bounded cache of read-only plans (:func:`_sector_plan`): H's sector
-blocks, grouped d with -d, and the layout of the evolved state
-(:class:`_Layout`), which holds the checks on its indices, the diagonal
-and transposed places, the partial-transpose sectors stacked by size
-and the ladder entries.  A call then only fills in values and solves,
-in as few numpy calls as the block sizes allow: one eigensolve per
-group of equal-size blocks (d with -d in the evolution, N with
-2 n_cut - N in the partial transpose), the RK4 powers of every energy
-in one pass, and every evolved sector written into one array and
-symmetrized there at once.  The first call at a new cutoff pays for its
-plan.  A state built from blocks works out its own layout, once.
+That bookkeeping depends on the cutoff alone, so it is worked out once
+per cutoff and kept in a bounded cache of read-only plans
+(:func:`_sector_plan`): H's sector blocks, grouped d with -d, and the
+evolved state's :class:`_Layout`, which holds the places its checks,
+its partial transpose and its ladders read.  A call then only fills in
+values and solves, one eigensolve per group of equal-size blocks (d with
+-d in the evolution, N with 2 n_cut - N in the partial transpose).  A
+state built from ``blocks=`` gets a layout of its own, whose partial
+transpose is one block over the whole basis.
 """
 
 from __future__ import annotations
@@ -151,7 +137,9 @@ class FockState:
     Hermitian block of rho on them; every entry outside the blocks is
     zero.  A state from :func:`evolve_fock` has one block per difference
     sector n1 - n2; a dense rho is one block over every index,
-    ``blocks=[(np.arange((n_cut + 1) ** 2), rho)]``.  Each block must be
+    ``blocks=[(np.arange((n_cut + 1) ** 2), rho)]``; a state built so is
+    served densely, its partial transpose one block over the whole basis
+    at O((n_cut + 1)^4) memory.  Each block must be
     finite and Hermitian within 1e-12, every population (stored diagonal
     entry) at least -1e-12, trace(rho), the sum of the stored diagonal,
     positive and finite, and every stored entry within its 2 x 2
@@ -199,7 +187,8 @@ class FockState:
         # max |rho - rho^dag|, in place to spare memory; a NaN or inf entry
         # makes its own defect NaN or inf, which fails this test too; blocks
         # with no entries at all pass here and fail the trace test
-        defect = values.take(layout.transpose).conj()
+        defect = values.take(layout.transpose)
+        np.conjugate(defect, out=defect)
         with np.errstate(invalid="ignore"):
             defect -= values
         if not np.abs(defect).max(initial=0.0) <= 1e-12:
@@ -214,11 +203,14 @@ class FockState:
             raise ValidationError(f"rho has a negative population {diag.min():.3e}")
         # a positive semidefinite rho has every 2 x 2 principal minor >= 0;
         # per stored entry rho[a, b], rho[a, a] is its row's population and
-        # rho[b, b] that of the row of rho[b, a]
-        row_diag = diag.take(layout.row_slot)
-        excess = float(
-            (values.real**2 + values.imag**2 - row_diag * row_diag.take(layout.transpose)).max()
-        )
+        # rho[b, b] that of the row of rho[b, a]; two float arrays at a time,
+        # since take copies its int32 places to intp
+        minor = diag.take(layout.row_slot)
+        minor *= minor.take(layout.transpose)
+        excess = values.real**2
+        excess += values.imag**2
+        excess -= minor
+        excess = float(excess.max())
         # rounding puts an entry of a pure state about eps trace^2 above
         # its minor, so the tolerance scales with the trace
         if excess > 1e-12 * max(1.0, trace) ** 2:
@@ -279,26 +271,6 @@ def _places(array, bound: int) -> np.ndarray:
     return _read_only(np.asarray(array, dtype=np.int32 if bound <= 2**31 else np.intp))
 
 
-def _block_places(rows, cols, groups):
-    """(sizes, places): the sizes of the index groups' blocks, packed in
-    group order, and each entry's place in the packed block values.
-
-    (rows, cols) are the positions of a matrix's entries; groups partition
-    the basis, and every entry has its row and column in one group (as
-    :func:`_label_groups` returns them).
-    """
-    indices = np.concatenate(groups)
-    sizes = np.array([idx.size for idx in groups])
-    # per basis index: its place in its block, and where its row of the
-    # block starts in the packed values
-    place = np.empty(indices.size, dtype=np.intp)
-    row_start = np.empty(indices.size, dtype=np.intp)
-    place[indices] = np.arange(indices.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    row_start[indices] = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes)
-    row_start[indices] += place[indices] * np.repeat(sizes, sizes)
-    return sizes, row_start[rows] + place[cols]
-
-
 class _Layout:
     """What the Fock stages read of one layout of stored blocks, the basis
     indices and block sizes of a state; ValidationError if the indices
@@ -311,11 +283,15 @@ class _Layout:
     blocks holds per block its indices (a view), the place of its first
     value and its size; diagonal the place of each slot's diagonal entry.
     Per stored entry rho[a, b], transpose is the place of rho[b, a] and
-    row_slot the slot of a.  The partial-transpose blocks and the ladder
-    entries are worked out on first use.
+    row_slot the slot of a.  Per basis index, block_of is its block (-1
+    if none), and rho[a, b] of one block lies at row_place[a] +
+    col_place[b].  pt_blocks batch the partial transpose's blocks by size:
+    per batch, each block's first eigenvalue in block order and the
+    blocks' basis indices, one row per block; by default one block over
+    the whole basis.  The places they read are worked out on first use.
     """
 
-    def __init__(self, n_cut: int, indices: np.ndarray, sizes: tuple):
+    def __init__(self, n_cut: int, indices: np.ndarray, sizes, pt_blocks=None):
         dim = n_cut + 1
         if np.any((indices < 0) | (indices >= dim * dim)) or np.bincount(indices).max(initial=0) > 1:
             raise ValidationError(f"block indices must be distinct and below {dim * dim}")
@@ -339,6 +315,10 @@ class _Layout:
         transpose = row_start.take(col_slot)
         transpose += local.take(row_slot)
         n1, n2 = np.divmod(indices, dim)
+        block_of = np.full(dim * dim, -1, dtype=itype)
+        block_of[indices] = np.repeat(np.arange(sizes.size, dtype=itype), sizes)
+        row_place, col_place = np.zeros((2, dim * dim), dtype=itype)
+        row_place[indices], col_place[indices] = row_start, local
         self.n_cut = n_cut
         self.indices = _read_only(indices)
         self.n1, self.n2 = _read_only(n1), _read_only(n2)
@@ -349,10 +329,16 @@ class _Layout:
         self.diagonal = _read_only(row_start + local)
         self.transpose = _read_only(transpose)
         self.row_slot = _read_only(row_slot)
+        self.block_of = _read_only(block_of)
+        self.row_place, self.col_place = _read_only(row_place), _read_only(col_place)
+        self.pt_blocks = pt_blocks or ((np.zeros(1, dtype=np.intp), np.arange(dim * dim)[None]),)
 
-    def _entry_slots(self):
-        """(row_slot, col_slot): the slots of a and b per stored rho[a, b]."""
-        return self.row_slot, self.row_slot.take(self.transpose)
+    def _place(self, rows, cols) -> np.ndarray:
+        """The place of the stored rho[a, b] per basis index a of rows and
+        b of cols, -1 where rho holds none."""
+        block = self.block_of.take(rows)
+        stored = (block >= 0) & (block == self.block_of.take(cols))
+        return np.where(stored, self.row_place.take(rows) + self.col_place.take(cols), -1)
 
     @functools.cached_property
     def partial_transpose(self):
@@ -363,49 +349,37 @@ class _Layout:
         stack as shape, (blocks, m, m).  The blocks' eigenvalues, batch
         after batch, go back to block order by taking them at order."""
         dim = self.n_cut + 1
-        row_slot, col_slot = self._entry_slots()
-        # the partial transpose moves rho[(a1, a2), (b1, b2)] to
-        # [(a1, b2), (b1, a2)]: it swaps the n2 digits of row and column
-        rows = self.n1.take(row_slot) * dim + self.n2.take(col_slot)
-        cols = self.n1.take(col_slot) * dim + self.n2.take(row_slot)
-        n1, n2 = np.divmod(np.arange(dim * dim), dim)
-        # sectors n1 + n2, checked against every moved entry
-        sizes, places = _block_places(rows, cols, _label_groups(rows, cols, n1 + n2))
-        count = rows.size
-        source = np.full(int((sizes * sizes).sum()), -1)  # -1: a zero
-        source[places] = np.arange(count)
-        starts = np.cumsum(sizes * sizes) - sizes * sizes
-        eig_starts = np.cumsum(sizes) - sizes
         batches, order = [], []
-        for m in sorted(set(sizes.tolist())):
-            members = np.flatnonzero(sizes == m)
-            batch = source[(starts[members, None] + np.arange(m * m)).ravel()]
+        for firsts, idx in self.pt_blocks:
+            (a1, a2), (b1, b2) = np.divmod(idx[:, :, None], dim), np.divmod(idx[:, None, :], dim)
+            # the partial transpose moves rho[(a1, b2), (b1, a2)] to
+            # [(a1, a2), (b1, b2)]
+            source = self._place(a1 * dim + b2, b1 * dim + a2)
             batches.append((
-                _places(np.maximum(batch, 0), count),
-                _places(np.flatnonzero(batch < 0), batch.size),
-                (members.size, m, m),
+                _places(np.maximum(source, 0).ravel(), self.transpose.size),
+                _places(np.flatnonzero(source < 0), source.size),
+                source.shape,
             ))
-            order.append((eig_starts[members, None] + np.arange(m)).ravel())
+            order.append((firsts[:, None] + np.arange(idx.shape[1])).ravel())
         # per block-order eigenvalue, its place among the batched ones
-        inverse = np.empty(int(sizes.sum()), dtype=np.intp)
-        inverse[np.concatenate(order)] = np.arange(inverse.size)
+        order = np.concatenate(order)
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.arange(order.size)
         return tuple(batches), _places(inverse, inverse.size)
 
     @functools.cached_property
     def ladders(self):
         """Per shift s in _LADDERS: (places, weights), the stored entries
-        rho[a, a - s] and w(a) on them."""
+        rho[a, a - s], in the order they are stored, and w(a) on them."""
         dim = self.n_cut + 1
-        row_slot, col_slot = self._entry_slots()
-        a1, a2 = self.n1.take(row_slot), self.n2.take(row_slot)
-        b1, b2 = self.n1.take(col_slot), self.n2.take(col_slot)
-        # one code per shift (a1 - b1, a2 - b2): |a2 - b2| < dim, so a base
-        # of 2 dim keeps distinct shifts apart
-        shift = (a1 - b1) * (2 * dim) + (a2 - b2)
         ladders = {}
         for (s1, s2), weight in _LADDERS.items():
-            on = np.flatnonzero(shift == s1 * (2 * dim) + s2)
-            ladders[s1, s2] = (_places(on, row_slot.size), _read_only(weight(a1[on], a2[on])))
+            # the stored a whose a - s is in the basis, then those of them
+            # whose rho[a, a - s] is stored
+            rows = self.indices[(self.n1 >= s1) & (self.n2 >= s2) & (self.n2 - s2 < dim)]
+            on = self._place(rows, rows - (s1 * dim + s2))
+            rows, on = rows[on >= 0], on[on >= 0]
+            ladders[s1, s2] = (_places(on, self.transpose.size), _read_only(weight(*np.divmod(rows, dim))))
         return ladders
 
 
@@ -416,23 +390,6 @@ def _rk4_increment(generator: np.ndarray, h: float) -> np.ndarray:
     hm = h * generator
     hm2 = hm @ hm
     return hm + hm2 / 2.0 + (hm2 @ hm) / 6.0 + (hm2 @ hm2) / 24.0
-
-
-def _label_groups(rows, cols, labels) -> list[np.ndarray]:
-    """Basis indices grouped by an integer label, one group per label.
-
-    (rows, cols) are the positions of a matrix's entries.  If any of them
-    couples two different labels, the matrix does not split and a single
-    group holding every index is returned, so callers treat the dense
-    case as one block.
-    """
-    labels = np.asarray(labels)
-    if np.any(labels[rows] != labels[cols]):
-        return [np.arange(labels.size)]
-    # a stable sort keeps each group's indices ascending
-    order = np.argsort(labels, kind="stable")
-    _, starts = np.unique(labels[order], return_index=True)
-    return np.split(order, starts[1:])
 
 
 def _rk4_propagators(hams, h: float, n_steps: int):
@@ -576,21 +533,25 @@ def _build_sector_plan(n_cut: int) -> tuple:
     per member.  Sector n1 - n2 = -d holds n1 = j, n2 = j + d, which
     c1 c2 takes to j - 1 with weight sqrt(j) sqrt(j + d); the mode swap
     takes it to sector d state for state and keeps H, so the two form
-    one group, -d first, for d = n_cut .. 0 (sector 0 alone)."""
+    one group, -d first, for d = n_cut .. 0 (sector 0 alone).  The
+    partial-transpose blocks N = n_cut -+ d have the group's size, and
+    hold n1 = j, n2 = n_cut - d - j and n1 = j + d, n2 = n_cut - j."""
     dim = n_cut + 1
-    groups = []
+    groups, pt_blocks = [], []
     for d in range(n_cut, -1, -1):
-        j = np.arange(dim - d)
+        m = dim - d
+        j = np.arange(m)
         pair = -(np.sqrt(j[1:]) * np.sqrt(j[1:] + d))
         members = np.array([j * dim + j + d, (j + d) * dim + j][:2 if d else 1])
         coupling = np.diag(pair, 1) + np.diag(pair, -1)
         groups.append(tuple(map(_read_only, (coupling, 2 * j + d, members))))
-    layout = _Layout(
-        n_cut,
-        np.concatenate([members.ravel() for _, _, members in groups]),
-        tuple(idx.size for _, _, members in groups for idx in members),
-    )
-    return layout, tuple(groups)
+        # the first eigenvalue of block N follows those of the blocks N' < N
+        firsts = np.array([m * (m - 1) // 2, dim * dim - m * (m + 1) // 2][:2 if d else 1])
+        pt_idx = np.array([j * dim + n_cut - d - j, (j + d) * dim + n_cut - j][:2 if d else 1])
+        pt_blocks.append((_read_only(firsts), _read_only(pt_idx)))
+    indices = np.concatenate([members.ravel() for _, _, members in groups])
+    sizes = [idx.size for _, _, members in groups for idx in members]
+    return _Layout(n_cut, indices, sizes, tuple(pt_blocks)), tuple(groups)
 
 
 _small_plans = functools.lru_cache(maxsize=_PLANS)(_build_sector_plan)
@@ -691,12 +652,13 @@ def evolve_fock(
             out=values[place:place + k * m * m].reshape(k, m, m),
         )
         slot, place = slot + k * m, place + k * m * m
+    del hams
     # (rho + rho^dag) / 2 over every sector at once
     mirror = values.take(layout.transpose)
     values += np.conjugate(mirror, out=mirror)
     values /= 2.0
-    # gone before the state's checks, where the call peaks
-    del hams, mirror
+    # gone before the state's checks
+    del mirror
     trace = float(values.take(layout.diagonal).real.sum())
 
     leakage = 1.0 - trace
@@ -715,9 +677,9 @@ def fock_log_negativity(state: FockState) -> float:
     """ln of the trace norm of the partial transpose over mode 2, >= 0.
 
     The partial transpose is gathered from the stored values, by places
-    planned once per layout.  A state whose blocks conserve n1 - n2 gives
-    one partial-transpose block per total-number sector n1 + n2 (one
-    dense block when the partial transpose couples sectors).  Blocks of
+    planned once per layout.  A state from evolve_fock gives one
+    partial-transpose block per total-number sector n1 + n2, a state
+    built from ``blocks=`` one dense block.  Blocks of
     one size are stacked and go to a Hermitian eigensolver in one call,
     which solves each on its own; on a state from evolve_fock sectors N
     and 2 n_cut - N have one size, so n_cut + 1 calls solve its 2 n_cut + 1
@@ -761,8 +723,10 @@ def moments_from_fock(state: FockState) -> CovarianceMatrix:
     |a - s>, the sum of w(a) rho[a, a - s] over the stored entries whose
     row and column differ by the shift s: the diagonal for the numbers,
     and the coherences one or two steps off it for <c_j>, <c_j c_j>,
-    <c1 c2> and <c1 c2^dag>.  The operators are the truncated ones, so
-    <c c^dag> drops the top level n = n_cut, as the truncated matrices do.
+    <c1 c2> and <c1 c2^dag>; on a state from evolve_fock only <c1 c2> has
+    entries, and the others are 0.  The operators are the truncated ones,
+    so <c c^dag> drops the top level n = n_cut, as the truncated matrices
+    do.
     """
     layout, values, diag = state._layout, state._values, state._diagonal
     trace = float(diag.sum())

@@ -75,12 +75,13 @@ def _has_array(values):
 
 def _check_scalar(function, names, *values, arrays=None):
     """Refuse, with a ValidationError that names ``function`` and its
-    scalar arguments ``names``, any of ``values`` that ``_has_array``
-    counts as an array; a 0-d array passes.  ``arrays`` names the
-    function that takes arrays in their place, if there is one."""
-    if _has_array(values):
-        instead = f"; {arrays} takes arrays" if arrays else ""
-        raise ValidationError(f"{function} takes a scalar {names}{instead}")
+    scalar arguments ``names``, any of ``values`` of one or more
+    dimensions, an array or a list alike; a 0-d array passes.  ``arrays``
+    names the function that takes arrays in their place, if there is one."""
+    for value in values:
+        if type(value) is not float and np.ndim(value):
+            instead = f"; {arrays} takes arrays" if arrays else ""
+            raise ValidationError(f"{function} takes a scalar {names}{instead}")
 
 
 def _working(*values):
@@ -225,7 +226,7 @@ def _checked_entries(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """4x4 real symmetric second-moment matrix, ordering (q1, p1, q2, p2).
 
@@ -237,13 +238,14 @@ class CovarianceMatrix:
 
     ``pair`` is set by ``pdc_dynamics.covariance_matrix`` to the pair
     state the entries were built from; the invariants then take the pair
-    route.  It takes no part in equality or repr.  Those matrices come
-    from ``_of_pair``, which stores the same read-only float64 entries
-    without re-running the checks (see the module docstring).
+    route.  It takes no part in repr.  Those matrices come from
+    ``_of_pair``, which stores the same read-only float64 entries without
+    re-running the checks (see the module docstring).  ``==`` is identity,
+    as for any object: compare ``entries`` to compare two matrices.
     """
 
     entries: np.ndarray
-    pair: Optional[PairState] = field(default=None, compare=False, repr=False)
+    pair: Optional[PairState] = field(default=None, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.entries)

@@ -448,8 +448,16 @@ PAIR = np.array([1.0, 2.0])
             "critical_temperature takes a scalar tau_i and t_max",
         ),
         (
+            lambda p, a: critical_temperature(p, 2.881, t_max=a.tolist()),
+            "critical_temperature takes a scalar tau_i and t_max",
+        ),
+        (
             lambda p, a: phase_boundary(p, a, [0.1]),
             "phase_boundary takes a scalar tau_i and t_max",
+        ),
+        (
+            lambda p, a: phase_boundary(p, 2.881, [a / 4.0]),
+            "phase_boundary takes a scalar y per y_grid entry",
         ),
         (lambda p, a: thermal_init(p, a), "thermal_init takes a scalar temperature"),
         (
@@ -468,7 +476,9 @@ PAIR = np.array([1.0, 2.0])
     ids=[
         "critical_temperature",
         "critical_temperature_t_max",
+        "critical_temperature_t_max_list",
         "phase_boundary",
+        "phase_boundary_y_grid_entry",
         "thermal_init",
         "evolve_moments_ode_temperature",
         "evolve_moments_ode_tau",
@@ -476,7 +486,8 @@ PAIR = np.array([1.0, 2.0])
     ],
 )
 def test_scalar_entry_points_refuse_arrays(reference_params, call, message):
-    # named, where numpy used to raise a bare TypeError or ValueError
+    # named, where numpy used to raise a bare TypeError or ValueError; a
+    # list is refused as an array is
     with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         call(reference_params, PAIR)
     # a 0-d array is a scalar, and accepted as one

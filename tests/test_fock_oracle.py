@@ -27,7 +27,6 @@ from pdc_entanglement.fock_oracle import (
     _LYAP_MISMATCH,
     MAX_MOMENT_STEP,
     _Layout,
-    _label_groups,
     _mode_rotation,
     _moment_lyapunov,
     _rk4_propagators,
@@ -756,26 +755,19 @@ class TestPlans:
         fock_oracle._small_plans.cache_clear()
         fock_oracle._large_plans.cache_clear()
 
-    def test_a_second_call_reuses_the_plan(self, reference_params, monkeypatch):
+    def test_a_second_call_reuses_the_plan(self, reference_params):
         self.clear_plans()
-        calls = []
-        label_groups = fock_oracle._label_groups
-
-        def counting(*args):
-            calls.append(args)
-            return label_groups(*args)
-
-        monkeypatch.setattr(fock_oracle, "_label_groups", counting)
 
         def run():
             state = evolve_fock(reference_params, 0.5, T_SMALL, n_cut=12)
             return state, fock_log_negativity(state), moments_from_fock(state)
 
         first = run()
-        assert len(calls) == 1  # the sectors of the partial transpose
-        calls.clear()
+        info = fock_oracle._small_plans.cache_info()
+        assert (info.misses, info.hits) == (1, 0)  # the one plan is built
         second = run()
-        assert calls == []
+        info = fock_oracle._small_plans.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         assert second[0]._layout is first[0]._layout
         assert [(i.tobytes(), b.tobytes()) for i, b in second[0].blocks] == [
             (i.tobytes(), b.tobytes()) for i, b in first[0].blocks
@@ -800,7 +792,7 @@ class TestPlans:
             moments_from_fock(dense)
         # a second call on a state reads the plan its first call built
         calls = []
-        monkeypatch.setattr(fock_oracle, "_label_groups", lambda *args: calls.append(args))
+        monkeypatch.setattr(_Layout, "_place", lambda *args: calls.append(args))
         assert [fock_log_negativity(state) for state in (dense, parity)] == first
         assert moments_from_fock(parity).entries.tobytes() == parity_cm.entries.tobytes()
         assert calls == []
@@ -857,17 +849,6 @@ class TestPlans:
                 array[...] = 0
 
 
-def test_sector_blocks_single_coupling_merges_all_labels():
-    labels = np.array([0, 0, 1, 1, 2, 2])
-    matrix = np.diag(np.arange(1.0, 7.0))
-    blocks = _label_groups(*np.nonzero(matrix), labels)
-    assert [list(b) for b in blocks] == [[0, 1], [2, 3], [4, 5]]
-    matrix[1, 4] = 1e-300  # the only entry coupling two labels
-    blocks = _label_groups(*np.nonzero(matrix), labels)
-    assert len(blocks) == 1
-    assert list(blocks[0]) == list(range(6))
-
-
 @pytest.mark.parametrize("n_cut", [1, 2, 5, 12, 30])
 def test_sector_plan_is_h_on_each_sector(n_cut):
     # the plan writes H's sectors down from the model: each block, its
@@ -890,6 +871,24 @@ def test_sector_plan_is_h_on_each_sector(n_cut):
             np.fill_diagonal(block, -y * number)
             for row in idx:
                 assert np.array_equal(ham[np.ix_(row, row)], block)
+
+
+@pytest.mark.parametrize("n_cut", [1, 2, 5, 12, 30])
+def test_sector_plan_partial_transpose_blocks_are_total_number_sectors(n_cut):
+    # the plan writes the partial transpose's blocks down from the model:
+    # each holds one total number N = n1 + n2 by ascending n1, and taken in
+    # the order of their first eigenvalues they run through N = 0, 1, ...,
+    # each first eigenvalue after those of the blocks before it
+    dim = n_cut + 1
+    layout, _ = fock_oracle._build_sector_plan(n_cut)
+    blocks = sorted(
+        (int(first), row.tolist()) for firsts, idx in layout.pt_blocks for first, row in zip(firsts, idx)
+    )
+    assert all(len({a // dim + a % dim for a in row}) == 1 for _, row in blocks)
+    basis = sorted(range(dim * dim), key=lambda a: (a // dim + a % dim, a // dim))
+    assert [a for _, row in blocks for a in row] == basis
+    sizes = np.array([len(row) for _, row in blocks])
+    assert [first for first, _ in blocks] == (np.cumsum(sizes) - sizes).tolist()
 
 
 # step 1e-3 keeps RK4 3e-9 to 4e-8 away from the exact propagator on these
@@ -963,6 +962,54 @@ def test_evolve_fock_peak_memory_at_n_cut_60(reference_params):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * state._values.nbytes
+
+
+def test_evolve_fock_peak_memory_at_n_cut_120(reference_params):
+    # with the plan built first, the symmetrization and the state's checks
+    # each hold at most two float arrays per stored entry next to the
+    # values, one of them the intp copy take makes of its int32 places
+    # (48.4 MB for 18.9 MB stored measured; 57.9 MB when the minor test
+    # held three)
+    fock_oracle._sector_plan(120)
+    tracemalloc.start()
+    try:
+        state = evolve_fock(reference_params, 0.5, 0.0, n_cut=120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * state._values.nbytes
+
+
+def test_sector_map_plans_peak_memory_at_n_cut_120():
+    # the partial transpose and ladders of the evolved layout come from
+    # index arithmetic, batch by batch: 5.8 MB traced at this cutoff, under
+    # the 18.9 MB of one state (the label sort they replace took 66 MB)
+    fock_oracle._large_plans.cache_clear()
+    layout, _ = fock_oracle._sector_plan(120)
+    tracemalloc.start()
+    try:
+        layout.partial_transpose, layout.ladders
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        fock_oracle._large_plans.cache_clear()
+    assert peak < 19e6
+
+
+@pytest.mark.parametrize("n_cut", [1, 2, 5, 12])
+def test_evolved_layout_matches_dense_references(make_params, n_cut):
+    # evolve_fock refuses cutoffs below 8, so the dense reference evolution
+    # is put on the evolved layout here; its partial transpose and ladders
+    # are written down from the sector map, down to blocks of one entry
+    layout, _ = fock_oracle._sector_plan(n_cut)
+    rho = dense_reference_state(make_params(y=0.5), 1.0, T_TINY, n_cut)
+    rows = layout.indices.take(layout.row_slot)
+    cols = layout.indices.take(layout.row_slot.take(layout.transpose))
+    state = FockState._from_values(layout, 0.0, rho[rows, cols])
+    reference = dense_log_negativity(state)
+    assert reference > 0.1
+    assert abs(fock_log_negativity(state) - reference) < 1e-12
+    assert np.max(np.abs(moments_from_fock(state).entries - dense_moments(state))) < 1e-12
 
 
 def test_moments_of_parity_diagonal_state():

@@ -83,6 +83,14 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError):
             cm.entries[0, 0] = 1.0
 
+    def test_equality_is_identity(self):
+        # the generated __eq__ compared the entries arrays inside a tuple
+        # and raised numpy's ambiguous-truth ValueError
+        cm = CovarianceMatrix(0.5 * np.eye(4))
+        assert cm == cm
+        assert cm != CovarianceMatrix(0.5 * np.eye(4))
+        assert len({cm, cm}) == 1
+
     @pytest.mark.parametrize(
         "entries",
         [np.eye(4, dtype=np.longdouble) / 2, np.eye(4, dtype=int)],
