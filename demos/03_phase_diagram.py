@@ -2,9 +2,10 @@
 
 For a fixed interaction time there is a critical temperature above which
 the output turns separable; larger mismatch means a colder boundary.
-The same boundary is visible to an experiment that only counts photons:
-the witness w = sqrt(S0) - <n> changes sign at (almost exactly) the same
-temperature.
+An experiment that only counts photons sees almost the same boundary:
+the witness w = sqrt(S0) - <n> changes sign close to T_c.  Its sign is
+one-sided: w >= 0 certifies separability, and every entangled state has
+w < 0, but a negative w alone proves nothing.
 """
 
 import numpy as np

@@ -13,14 +13,16 @@ Every quantity here reads the occupations and m from the core of
 condition is kept as an independent verification route.  The occupations
 and x are fixed outside its loop, so each evaluation is sinh(x tau)/x and
 one comparison that refuses an x*tau past the float range.  The critical
-temperature is the root in T of the separability indicator at fixed
-interaction time, found by bisection with m computed once.
+temperature is the root in T of the linear indicator nbar1 nbar2 - mK at
+fixed interaction time, which has the sign of S; a safeguarded Newton
+iteration finds it to neighbouring floats, with m computed once.
 
 The closed-form birth time and the witness also take numpy arrays of T,
 tau and y (the mismatch then given next to them, in place of
-``params.y``) and return arrays of their broadcast shape; the bisections
-take scalars.  A 0-d array is a scalar.  Each call computes in the one
-library ``_pair_inputs`` picks, which the witness reads from the pair state.
+``params.y``) and return arrays of their broadcast shape; the bisection
+and the critical temperature take scalars.  A 0-d array is a scalar.
+Each call computes in the one library ``_pair_inputs`` picks, which the
+witness reads from the pair state.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .errors import ValidationError
 from .gaussian_core import _check_finite, _check_scalar, _every, _pointwise
 from .pdc_dynamics import (
     _EXP_MAX,
+    HBAR,
+    K_B,
     PdcParams,
     _check_mismatch,
     _check_nonnegative,
@@ -46,7 +50,6 @@ from .pdc_dynamics import (
 )
 
 BTE_ABS_TOL = 1e-10
-TC_REL_TOL = 1e-6
 
 
 class BteResult(NamedTuple):
@@ -64,7 +67,9 @@ class PhasePoint(NamedTuple):
 
 
 class WitnessValue(NamedTuple):
-    """Photon-number witness w = sqrt(S0) - <n>; negative means entangled."""
+    """Photon-number witness w = sqrt(S0) - <n>.  w >= 0 certifies
+    separability, and every entangled state has w < 0; a negative w alone
+    proves nothing."""
 
     w: float
     mean_pair_photons: float
@@ -84,15 +89,15 @@ def s0_threshold(nbar1, nbar2):
     return nbar1 * nbar2 * (nbar1 + 1.0) * (nbar2 + 1.0)
 
 
-def _bisect(f, lo, hi, *, abs_tol=0.0, rel_tol=0.0):
+def _bisect(f, lo, hi, abs_tol):
     """Sign-change bisection; assumes f(lo) <= 0 < f(hi).
 
-    It stops when the bracket is within the tolerance, however wide it
-    was at the start, or when lo and hi are neighbouring floats: past
-    that the midpoint rounds to an end and the bracket cannot shrink, as
-    with a tolerance below the float spacing at the root.
+    It stops when the bracket is within ``abs_tol``, however wide it was
+    at the start, or when lo and hi are neighbouring floats: past that
+    the midpoint rounds to an end and the bracket cannot shrink, as with
+    a tolerance below the float spacing at the root.
     """
-    while hi - lo > abs_tol + rel_tol * max(abs(hi), 1.0):
+    while hi - lo > abs_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -164,7 +169,7 @@ def birth_time(
     hi = 1.0
     while f(hi) <= 0.0:
         hi *= 2.0
-    return BteResult(float(_bisect(f, 0.0, hi, abs_tol=BTE_ABS_TOL)), method)
+    return BteResult(float(_bisect(f, 0.0, hi, BTE_ABS_TOL)), method)
 
 
 def critical_temperature(
@@ -172,13 +177,19 @@ def critical_temperature(
 ) -> Optional[float]:
     """Temperature above which the state at fixed tau_i turns separable.
 
-    Bisects S(T) = 0 over [0, t_max] to 1e-6 relative.  Returns None when
-    there is no root in the bracket: either the state is never entangled
-    (tau_i = 0) or it is still entangled at t_max.  S is checked by sign
-    at both bracket ends rather than assumed monotone.  Raises
-    NumericalDomainError where S0 or K^2 leaves the float range in the
-    bracket (a t_max above about 1e77 K at the default frequencies), as
-    the birth time does.
+    With P = nbar1 nbar2 and K = nbar1 + nbar2 + 1, S factors as
+    (P - mK)(P + mK + K), so the state is separable exactly where the
+    indicator f(T) = P - mK is >= 0.  P/K increases with each occupation,
+    and so with T: for m > 0 the root is unique.  A safeguarded Newton
+    iteration (Press et al., Numerical Recipes, 3rd ed., 9.4, ``rtsafe``)
+    finds it, with dnbar/dT = nbar(nbar+1) theta/T^2, theta = hbar omega/k_B,
+    and runs until the bracket ends are neighbouring floats; T_c is the
+    upper one, the least float at which f >= 0.  Returns None
+    when there is no root in [0, t_max]: either the state is never
+    entangled (tau_i = 0) or it is still entangled at t_max.  Raises
+    NumericalDomainError where S0 or K^2 leaves the float range at t_max
+    (a t_max above about 1e77 K at the default frequencies), as the birth
+    time does.
     """
     _check_scalar("critical_temperature", "tau_i and t_max", tau_i, t_max)
     tau_i, t_max = float(tau_i), float(t_max)
@@ -187,26 +198,46 @@ def critical_temperature(
         raise ValidationError("t_max must be finite and positive")
     _, ratio, _ = _stretch(params.y, tau_i, math)
     m = ratio * ratio
-    pair_gain = m * (m + 1.0)
-
-    def indicator(temp):
-        """S(T) = S0(T) - m(m+1)K(T)^2 at the fixed m."""
-        n1, n2 = _occupations(params, temp)
-        big_k = n1 + n2 + 1.0
-        return s0_threshold(n1, n2) - pair_gain * big_k * big_k
-
-    if indicator(0.0) >= 0.0:
-        return None  # separable even at T = 0, as at tau_i = 0, where m = 0
+    if not m > 0.0:
+        return None  # f(0) = -m = 0: separable even at T = 0, as at tau_i = 0
+    theta1 = HBAR * (params.omega1_bar * params.g) / K_B
+    theta2 = HBAR * (params.omega2_bar * params.g) / K_B
     # S0 and K^2 grow with T, so finite at t_max they are finite in the
-    # whole bracket.  Past the float range S(t_max) = inf - inf = NaN would
-    # pass both sign tests and move every midpoint's lo up; an infinite
-    # m(m+1) alone gives S = -inf, whose sign holds.
+    # whole bracket.  An infinite m gives f = -inf, whose sign holds.
     n1, n2 = _occupations(params, t_max)
     big_k = n1 + n2 + 1.0
     _check_finite(s0_threshold(n1, n2) + big_k * big_k, "S0 or K^2", "T", t_max)
-    if indicator(t_max) < 0.0:
+    if n1 * n2 - m * big_k < 0.0:
         return None  # still entangled at t_max: no root in bracket
-    return float(_bisect(indicator, 0.0, t_max, rel_tol=TC_REL_TOL))
+    lo, hi = 0.0, t_max
+    temp = t_max
+    # P/K = T/(theta1 + theta2) - 1/2 + O(1/T) once T >> theta: the first
+    # guess, a few Newton steps from the root at the figures' tau
+    guess = (m + 0.5) * (theta1 + theta2)
+    while True:
+        if not lo < guess < hi:
+            guess = 0.5 * (lo + hi)
+            if not lo < guess < hi:
+                break
+        step, temp = abs(guess - temp), guess
+        n1, n2 = _occupations(params, temp)
+        f = n1 * n2 - m * (n1 + n2 + 1.0)
+        slope = n1 * (n1 + 1.0) * theta1 * (n2 - m) + n2 * (n2 + 1.0) * theta2 * (n1 - m)
+        slope = slope / temp / temp  # not temp * temp, which underflows first
+        if f < 0.0:
+            lo = temp
+        else:
+            hi = temp
+        # Newton, at least one float towards the root.  A step must halve
+        # the one before, unless it is below 1e-9 T, which is the rounding
+        # noise of f near its root; else, or outside the bracket, bisect.
+        guess = temp - f / slope if slope > 0.0 else math.nan
+        move = abs(guess - temp)
+        if move <= math.ulp(temp):
+            guess = math.nextafter(temp, hi if f < 0.0 else lo)
+        elif not (2.0 * move <= step or move <= 1e-9 * temp):
+            guess = math.nan
+    return hi
 
 
 def phase_boundary(
@@ -232,12 +263,18 @@ def phase_boundary(
 def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
     """Measurable witness w = sqrt(S0(T)) - (n1 + n2)/2 at time tau.
 
-    Negative w certifies entanglement from the produced photon numbers
-    and the medium temperature alone.  Its zero crossing in T sits close
-    to (but not algebraically at) the critical temperature.  tau, T and
-    y (the mismatch, in place of ``params.y``) may be numpy arrays; each
-    field then has their broadcast shape.  The fields are Python floats
-    for scalar inputs, and float64 arrays otherwise.  Raises
+    It reads the produced photon numbers and the medium temperature
+    alone.  With P = nbar1 nbar2 and K = nbar1 + nbar2 + 1, the mean is
+    (nbar1 + nbar2)/2 + mK, and sqrt(S0) <= P + (K - 1)/2, since their
+    squares differ by (nbar1 - nbar2)^2/4; so w <= P - mK.  The state is
+    entangled exactly where mK > P: every entangled state has w < 0, and
+    w >= 0 certifies separability.  The converse fails, so a negative w
+    alone proves nothing (at tau = 0 and 1 K, w = -2.69e-2 while
+    S = +2.06e-2).  Its zero crossing in T sits close to (but not
+    algebraically at) the critical temperature.  tau, T and y (the
+    mismatch, in place of ``params.y``) may be numpy arrays; each field
+    then has their broadcast shape.  The fields are Python floats for
+    scalar inputs, and float64 arrays otherwise.  Raises
     NumericalDomainError where a field leaves the float range.
     """
     pair = _pair_state(params, tau, temperature, y)

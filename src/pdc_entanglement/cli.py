@@ -20,11 +20,12 @@ is reserved for eval's "separable" verdict and a failed oracle-check.
 CSV output has a one-line header, comma separators, LF line endings and
 12 significant digits; identical configurations produce byte-identical
 files.  Every dataset but fig4 is one array call into the closed forms
-over its whole grid; fig4 bisects each mismatch and reports on stderr
-the points it skips.  Each subcommand takes only the flags it reads;
-a --config file may set any key, and flags win over its entries, which
-win over built-in defaults.  Temperatures are kelvin, nu1 is Hz, the
-coupling rate is rad/s, and everything else is dimensionless.
+over its whole grid; fig4 solves each mismatch for its critical
+temperature and reports on stderr the points it skips.  Each subcommand
+takes only the flags it reads; a --config file may set any key, and
+flags win over its entries, which win over built-in defaults.
+Temperatures are kelvin, nu1 is Hz, the coupling rate is rad/s, and
+everything else is dimensionless.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -131,17 +133,30 @@ def _parse_set(spec: str) -> np.ndarray:
 
 def _write_csv(out: Optional[str], header: Sequence[str], columns) -> None:
     """One row per point of the broadcast columns, 12 significant digits
-    ('.' decimal separator) per value, written a block of rows at a time."""
-    table = np.column_stack([np.ravel(c) for c in np.broadcast_arrays(*columns)])
-    line = ",".join(["%.11e"] * len(header)) + "\n"
+    ('.' decimal separator) per value, written a block of rows at a time.
+
+    A column smaller than the grid, such as an axis broadcast along the
+    other one, is formatted once per value it holds and enters each row
+    as text; a full-size column is formatted in the row itself."""
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    size = math.prod(np.broadcast_shapes(*(a.shape for a in arrays)))
+    cells, slots = [], []
+    for a in arrays:
+        if a.size < size:
+            text = ["%.11e" % v for v in a.ravel().tolist()]
+            a = np.array(text, dtype=object).reshape(a.shape)
+        cells.append(a)
+        slots.append("%s" if a.dtype == object else "%.11e")
+    line = ",".join(slots) + "\n"
+    views = np.broadcast_arrays(*cells)
     with contextlib.ExitStack() as stack:
         fh = sys.stdout if out is None else stack.enter_context(
             open(out, "w", newline="\n")
         )
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS].tolist()
-            fh.write("".join([line % tuple(row) for row in block]))
+        for start in range(0, size, CSV_BLOCK_ROWS):
+            block = [v.flat[start:start + CSV_BLOCK_ROWS].tolist() for v in views]
+            fh.write("".join([line % row for row in zip(*block)]))
 
 
 # Each dataset builder takes the parameters, the run configuration and its

@@ -266,8 +266,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def _places(array, bound: int) -> np.ndarray:
     """Integer places below bound as a read-only plan field, in int32
-    where that holds them (read with ``take``, which indexes by int32 as
-    fast as by intp)."""
+    where that holds them, which halves what a cached plan keeps.  Each
+    ``take`` with int32 places first copies them to a fresh intp array,
+    8 B per index: 9.45 MB per ``values.take(layout.transpose)`` at
+    n_cut = 120, next to the 18.9 MB it returns."""
     return _read_only(np.asarray(array, dtype=np.int32 if bound <= 2**31 else np.intp))
 
 

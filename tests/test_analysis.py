@@ -1,9 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from pdc_entanglement import (
+    HBAR,
+    K_B,
     NumericalDomainError,
     ValidationError,
     birth_time,
@@ -11,6 +14,7 @@ from pdc_entanglement import (
     critical_temperature,
     log_negativity,
     mean_photon_numbers,
+    pair_invariants,
     phase_boundary,
     s0_threshold,
     separability_indicator,
@@ -187,6 +191,68 @@ class TestCriticalTemperature:
         assert critical_temperature(reference_params, 2.881, t_max=100.0) is None
 
 
+def ref_indicator(params, m, temp):
+    """nbar1 nbar2 - m K at T in the current decimal context, from the same
+    float omegas as the package."""
+    n1, n2 = (
+        1 / ((Decimal(HBAR) * Decimal(omega_bar * params.g) / (Decimal(K_B) * temp)).exp() - 1)
+        for omega_bar in (params.omega1_bar, params.omega2_bar)
+    )
+    return n1 * n2 - m * (n1 + n2 + 1)
+
+
+def ref_critical_temperature(params, tau_i, t_c):
+    """(root, condition number) of nbar1 nbar2 - m K in T, to 50 digits.
+
+    Bisected from a bracket 1e-6 around t_c, after checking that it holds
+    the sign change.  The condition number (P + mK)/(T |f'|) is the
+    root's error, in units of T's float spacing, that an error of one
+    rounding in P and mK gives."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        y = Decimal(params.y)
+        x = (1 - y * y).sqrt()
+        z = x * Decimal(tau_i)
+        m = ((z.exp() - (-z).exp()) / (2 * x)) ** 2
+        lo, hi = Decimal(t_c) * Decimal("0.999999"), Decimal(t_c) * Decimal("1.000001")
+        assert ref_indicator(params, m, lo) < 0 < ref_indicator(params, m, hi)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if ref_indicator(params, m, mid) < 0 else (lo, mid)
+        root = (lo + hi) / 2
+        h = root * Decimal("1e-20")
+        slope = (ref_indicator(params, m, root + h) - ref_indicator(params, m, root - h)) / (2 * h)
+        n1n2 = ref_indicator(params, Decimal(0), root)
+        return root, float(2 * n1n2 / (root * slope))
+
+
+class TestCriticalTemperaturePrecision:
+    """The root is solved to neighbouring floats, in a few evaluations."""
+
+    def test_within_a_few_ulps_of_the_decimal_root(self, make_params):
+        rng = np.random.default_rng(2201)
+        for y, tau_i in zip(rng.uniform(0.0, 0.95, 12), rng.uniform(0.3, 3.5, 12)):
+            params = make_params(y=float(y))
+            t_c = critical_temperature(params, float(tau_i), t_max=1e4)
+            root, cond = ref_critical_temperature(params, float(tau_i), t_c)
+            ulps = abs(Decimal(t_c) - root) / Decimal(math.ulp(t_c))
+            assert ulps <= 4 * max(1.0, cond), (y, tau_i, float(ulps), cond)
+
+    def test_fig4_grid_takes_few_occupation_evaluations(self, make_params, monkeypatch):
+        counts = []
+        real = analysis._occupations
+
+        def counting(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "_occupations", counting)
+        for y in np.linspace(0.0, 0.9, 19):
+            counts.append(0)
+            assert critical_temperature(make_params(y=float(y)), 2.881) is not None
+        assert max(counts) <= 20, counts
+
+
 class TestPhaseBoundary:
     def test_strictly_decreasing(self, reference_params):
         points = phase_boundary(reference_params, 2.881, [0.0, 0.3, 0.5, 0.7])
@@ -242,6 +308,25 @@ class TestWitness:
         assert val.w == val.threshold - val.mean_pair_photons
         n1, n2 = mean_photon_numbers(reference_params, 2.881, 210.0)
         assert val.mean_pair_photons == pytest.approx(float(n1 + n2) / 2, rel=1e-14)
+
+    def test_nonnegative_witness_certifies_separability(self, reference_params):
+        # w <= nbar1 nbar2 - mK, which is < 0 on every entangled state
+        rng = np.random.default_rng(2202)
+        y = rng.uniform(0.0, 0.99, 20000)
+        tau = 10.0 ** rng.uniform(-4.0, math.log10(6.3), 20000)
+        temp = 10.0 ** rng.uniform(-1.0, 3.0, 20000)
+        w = witness(reference_params, tau, temp, y=y).w
+        s = pair_invariants(reference_params, tau, temp, y=y).s
+        assert np.all(s[w >= 0.0] >= 0.0)
+        # both signs of w occur, and a negative w on separable states too
+        assert (w >= 0.0).any() and ((w < 0.0) & (s > 0.0)).any()
+
+    def test_negative_witness_on_a_product_state(self, reference_params):
+        # at tau = 0 the thermal product state is separable, yet w < 0
+        val = witness(reference_params, 0.0, 1.0)
+        s = pair_invariants(reference_params, 0.0, 1.0).s
+        assert val.w == pytest.approx(-2.6945926360525646e-2, rel=1e-12)
+        assert s == pytest.approx(2.0590667686169278e-2, rel=1e-12)
 
     @pytest.mark.parametrize("y", [0.0, 0.5, 0.7])
     def test_sign_change_tracks_critical_temperature(self, make_params, y):
@@ -329,6 +414,7 @@ class TestFloatRange:
         expected = critical_temperature(reference_params, 2.881)
         t_c = critical_temperature(reference_params, 2.881, t_max=t_max)
         assert t_c == pytest.approx(expected, rel=1e-6)
+        assert round(t_c, 1) == 357.1
 
     def test_critical_temperature_where_m_overflows(self, reference_params):
         # m(m+1) = inf at tau_i = 400 makes S = -inf, which keeps its sign:

@@ -13,6 +13,8 @@ from pdc_entanglement import (
     IntegrationError,
     NumericalDomainError,
     TruncationError,
+    analysis,
+    cli,
     fock_oracle,
     gaussian_core,
 )
@@ -434,6 +436,90 @@ class TestCsvFormat:
         code, out, _ = run_cli(["fig1", "--temp-grid", "0:10:2"], capsys)
         assert code == 0
         assert out.startswith("temperature_K,y,tau_e\n")
+
+
+def reference_csv(header, columns):
+    """The CSV of broadcast columns, every cell formatted on its own."""
+    arrays = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in columns])
+    flat = [a.ravel().tolist() for a in arrays]
+    rows = [",".join("%.11e" % v for v in row) for row in zip(*flat)]
+    return "".join(line + "\n" for line in [",".join(header)] + rows)
+
+
+class TestCsvWriter:
+    """The writer formats each value of an axis once; the bytes are those of
+    one "%.11e" per cell."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        """Every (header, columns) the CLI writes, passed on to the writer."""
+        calls = []
+        real = cli._write_csv
+
+        def spy(out, header, columns):
+            calls.append((header, columns))
+            real(out, header, columns)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--temp-grid", "0:400:5", "--y-set", "0,0.5,0.9"],
+            ["fig2", "--y-grid", "0:0.99:4", "--temp-set", "50,300"],
+            ["fig3", "--y-grid", "0:0.99:4", "--temp-set", "0,50,300"],
+            ["fig4", "--y-grid", "0:0.9:4"],
+            ["fig5", "--temp-grid", "0:600:5", "--y-set", "0,0.5"],
+            ["map", "--y-grid", "0:0.99:3", "--temp-grid", "0:600:4"],
+            # single-value axes, alone and with a single-value partner
+            ["fig1", "--temp-grid", "0:400:5", "--y-set", "0.5"],
+            ["map", "--y-grid", "0.5:0.5:1", "--temp-grid", "0:600:3"],
+            ["map", "--y-grid", "0.5:0.5:1", "--temp-grid", "300:300:1"],
+        ],
+    )
+    def test_matches_per_cell_formatting(self, capsys, written, argv):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == reference_csv(*written[0])
+
+    def test_negative_zero_cell(self, capsys, written):
+        # -0.0 on a broadcast temperature axis, then in every kind of column
+        code, out, _ = run_cli(["fig2", "--y-grid", "0:0.99:3", "--temp-set=-0.0,300"], capsys)
+        assert code == 0
+        assert out == reference_csv(*written[0])
+        assert ",-0.00000000000e+00," in out
+        columns = [
+            np.array([[-0.0], [1.5]]),
+            np.array([[2.0, -0.0]]),
+            np.array([[-0.0, 1.0], [2.0, 3.0]]),
+        ]
+        cli._write_csv(None, ["a", "b", "c"], columns)
+        out = capsys.readouterr().out
+        assert out == reference_csv(["a", "b", "c"], columns)
+        assert out.split("\n")[1] == "-0.00000000000e+00,2.00000000000e+00,-0.00000000000e+00"
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 7, 12])
+    def test_blocks_join_without_a_seam(self, capsys, written, monkeypatch, block_rows):
+        # 12 rows of 3 x 4: blocks that divide it and blocks that do not
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        code, out, _ = run_cli(["map", "--y-grid", "0:0.99:3", "--temp-grid", "0:600:4"], capsys)
+        assert code == 0
+        assert out == reference_csv(*written[0])
+        assert out.count("\n") == 1 + 12
+
+
+def test_fig4_reads_critical_temperature_at_call_time(capsys, monkeypatch):
+    # the benchmark's fault injection and its trace span replace this name
+    real = analysis.critical_temperature
+    _, before, _ = run_cli(["fig4", "--y-grid", "0:0.5:2"], capsys)
+    monkeypatch.setattr(
+        analysis, "critical_temperature", lambda *a, **k: 2.0 * real(*a, **k)
+    )
+    _, after, _ = run_cli(["fig4", "--y-grid", "0:0.5:2"], capsys)
+    assert after != before
+    doubled = [2.0 * r[1] for r in parse_csv(before)[1]]
+    assert [r[1] for r in parse_csv(after)[1]] == pytest.approx(doubled, rel=1e-11)
 
 
 def test_module_entry_point_runs():
