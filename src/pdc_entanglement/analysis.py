@@ -1,21 +1,21 @@
 """Derived entanglement analytics: birth time, critical temperature,
 phase boundary and the photon-number witness.
 
-Everything here reduces to one scalar condition.  The thermally seeded
-state is entangled exactly when
+Everything here reduces to one scalar condition.  With P = nbar1 nbar2,
+K = nbar1 + nbar2 + 1 and the pair gain m = sinh^2(x tau)/x^2, the
+paper's S = S0 - |det gamma| factors as (P - mK)(P + mK + K), so the
+thermally seeded state is entangled exactly when
 
-    |det gamma(tau)| > S0,      S0 = nbar1 nbar2 (nbar1+1)(nbar2+1),
+    m > m* = P/K,       computed as nbar1 (nbar2/K),
 
-with |det gamma| = m(m+1)K^2, m = sinh^2(x tau)/x^2, K = nbar1+nbar2+1.
-Every quantity here reads the occupations and m from the core of
-``pdc_dynamics``.  The birth time solves the equality in closed form
-(quadratic in m, then arcsinh); a bracketed bisection in tau on the same
-condition is kept as an independent verification route.  The occupations
-and x are fixed outside its loop, so each evaluation is sinh(x tau)/x and
-one comparison that refuses an x*tau past the float range.  The critical
-temperature is the root in T of the linear indicator nbar1 nbar2 - mK at
-fixed interaction time, which has the sign of S; a safeguarded Newton
-iteration finds it to neighbouring floats, with m computed once.
+which stays finite as long as the occupations' sum does (Hillery and
+Zubairy, PRL 96, 050503 (2006)).  The threshold S0 = P (P + K) is kept
+for reporting only.  The birth time inverts m = m* in closed form (an
+arcsinh); a bracketed bisection in tau on the same condition is kept as
+an independent verification route, each evaluation one sinh(x tau)/x.
+The critical temperature is the root in T of P/K - m at fixed
+interaction time, found by a safeguarded Newton iteration to
+neighbouring floats.
 
 The closed-form birth time and the witness also take numpy arrays of T,
 tau and y (the mismatch then given next to them, in place of
@@ -89,25 +89,6 @@ def s0_threshold(nbar1, nbar2):
     return nbar1 * nbar2 * (nbar1 + 1.0) * (nbar2 + 1.0)
 
 
-def _bisect(f, lo, hi, abs_tol):
-    """Sign-change bisection; assumes f(lo) <= 0 < f(hi).
-
-    It stops when the bracket is within ``abs_tol``, however wide it was
-    at the start, or when lo and hi are neighbouring floats: past that
-    the midpoint rounds to an end and the bracket cannot shrink, as with
-    a tolerance below the float spacing at the root.
-    """
-    while hi - lo > abs_tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 @_pointwise
 def birth_time(
     params: PdcParams,
@@ -117,43 +98,38 @@ def birth_time(
 ) -> BteResult:
     """Minimum interaction time before the output state is entangled.
 
-    Solves |det gamma(tau_E)| = S0.  For vacuum input (T = 0) the state
-    is entangled immediately and tau_E = 0 for every mismatch.
+    Solves m(tau_E) = m* = nbar1 nbar2/K.  For vacuum input (T = 0) the
+    state is entangled immediately and tau_E = 0 for every mismatch.
 
     Parameters
     ----------
-    method : "closed_form" solves the quadratic in m = sinh^2(x tau)/x^2
-        and inverts it; "bisection" doubles its bracket from tau = 1 until
-        it holds the onset and bisects to 1e-10 absolute, serving as the
-        independent check.
+    method : "closed_form" inverts m = sinh^2(x tau)/x^2 at m*;
+        "bisection" doubles its bracket from tau = 1 until it holds the
+        onset and bisects to 1e-10 absolute, or to neighbouring floats,
+        serving as the independent check.
     y : mismatch in place of ``params.y``.  With the closed form, T and y
         may be numpy arrays; tau_e then has their broadcast shape, and is
         a Python float for scalar inputs.
 
-    Raises NumericalDomainError where S0 or K^2 leaves the float range (T
-    above about 1e77 K at the default frequencies), by either method.
+    Raises NumericalDomainError where an occupation, or their sum, leaves
+    the float range, by either method.
     """
     if method not in ("closed_form", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
     # the occupations and x alone: tau = 0 only goes through the checks
     mismatch, _, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
-    s0 = s0_threshold(nbar1, nbar2)
-    big_k = nbar1 + nbar2 + 1.0
-    k_sq = big_k * big_k
+    # an infinite K would make m* read 0
+    _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
+    # nbar2/K <= 1, so m* stays finite where nbar1 nbar2 overflows
+    m_star = nbar1 * (nbar2 / (nbar1 + nbar2 + 1.0))
     x = lib.sqrt((1.0 - mismatch) * (1.0 + mismatch))
-    # their sum, not their product: S0 K^2 overflows long before either
-    _check_finite(s0 + k_sq, "S0 or K^2", "T", temperature)
 
     if method == "closed_form":
-        # 4 S0/K^2 <= K^2/4, so this stays finite with S0 and K^2
-        c = 4.0 * (s0 / k_sq)
-        m_star = c / (2.0 * (1.0 + lib.sqrt(1.0 + c)))  # (-1+sqrt(1+c))/2, stable
-        tau_e = lib.asinh(x * lib.sqrt(m_star)) / x
-        return BteResult(tau_e, method)
+        return BteResult(lib.asinh(x * lib.sqrt(m_star)) / x, method)
 
     if lib is np:
         raise ValidationError("the bisection route takes a scalar T and y")
-    if s0 == 0.0:
+    if m_star == 0.0:
         return BteResult(0.0, method)
 
     def f(tau):
@@ -161,15 +137,24 @@ def birth_time(
         if not z <= _EXP_MAX:
             raise _sinh_overflow(z)
         ratio = math.sinh(z) / x
-        m = ratio * ratio
-        return m * (m + 1.0) * k_sq - s0
+        return ratio * ratio - m_star
 
     # f grows without bound, so the doubling ends; past the float range
     # f refuses
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while f(hi) <= 0.0:
         hi *= 2.0
-    return BteResult(float(_bisect(f, 0.0, hi, BTE_ABS_TOL)), method)
+    # past neighbouring floats the midpoint rounds to an end and the
+    # bracket cannot shrink, as with a tolerance below their spacing
+    while hi - lo > BTE_ABS_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return BteResult(0.5 * (lo + hi), method)
 
 
 def critical_temperature(
@@ -177,19 +162,17 @@ def critical_temperature(
 ) -> Optional[float]:
     """Temperature above which the state at fixed tau_i turns separable.
 
-    With P = nbar1 nbar2 and K = nbar1 + nbar2 + 1, S factors as
-    (P - mK)(P + mK + K), so the state is separable exactly where the
-    indicator f(T) = P - mK is >= 0.  P/K increases with each occupation,
-    and so with T: for m > 0 the root is unique.  A safeguarded Newton
-    iteration (Press et al., Numerical Recipes, 3rd ed., 9.4, ``rtsafe``)
-    finds it, with dnbar/dT = nbar(nbar+1) theta/T^2, theta = hbar omega/k_B,
-    and runs until the bracket ends are neighbouring floats; T_c is the
-    upper one, the least float at which f >= 0.  Returns None
-    when there is no root in [0, t_max]: either the state is never
-    entangled (tau_i = 0) or it is still entangled at t_max.  Raises
-    NumericalDomainError where S0 or K^2 leaves the float range at t_max
-    (a t_max above about 1e77 K at the default frequencies), as the birth
-    time does.
+    The state is separable exactly where f(T) = P/K - m >= 0 (module
+    docstring).  P/K increases with each occupation, and so with T: for
+    m > 0 the root is unique.  A safeguarded Newton iteration (Press et
+    al., Numerical Recipes, 3rd ed., 9.4, ``rtsafe``) finds it, with
+    f' = nbar1(nbar1+1) nbar2(nbar2+1)(theta1 + theta2)/(KT)^2, theta =
+    hbar omega/k_B, and runs until the bracket ends are neighbouring
+    floats; T_c is the upper one, the least float at which f >= 0.
+    Returns None when there is no root in [0, t_max]: either the state
+    is never entangled (tau_i = 0) or it is still entangled at t_max.
+    Raises NumericalDomainError where an occupation, or their sum, leaves
+    the float range at t_max, as the birth time does.
     """
     _check_scalar("critical_temperature", "tau_i and t_max", tau_i, t_max)
     tau_i, t_max = float(tau_i), float(t_max)
@@ -202,12 +185,11 @@ def critical_temperature(
         return None  # f(0) = -m = 0: separable even at T = 0, as at tau_i = 0
     theta1 = HBAR * (params.omega1_bar * params.g) / K_B
     theta2 = HBAR * (params.omega2_bar * params.g) / K_B
-    # S0 and K^2 grow with T, so finite at t_max they are finite in the
-    # whole bracket.  An infinite m gives f = -inf, whose sign holds.
+    # the occupations grow with T, so finite at t_max they are finite in
+    # the whole bracket; m* = P/K as the birth time reads it
     n1, n2 = _occupations(params, t_max)
-    big_k = n1 + n2 + 1.0
-    _check_finite(s0_threshold(n1, n2) + big_k * big_k, "S0 or K^2", "T", t_max)
-    if n1 * n2 - m * big_k < 0.0:
+    _check_finite(n1 + n2, "thermal occupation", "T", t_max)
+    if n1 * (n2 / (n1 + n2 + 1.0)) < m:
         return None  # still entangled at t_max: no root in bracket
     lo, hi = 0.0, t_max
     temp = t_max
@@ -221,9 +203,11 @@ def critical_temperature(
                 break
         step, temp = abs(guess - temp), guess
         n1, n2 = _occupations(params, temp)
-        f = n1 * n2 - m * (n1 + n2 + 1.0)
-        slope = n1 * (n1 + 1.0) * theta1 * (n2 - m) + n2 * (n2 + 1.0) * theta2 * (n1 - m)
-        slope = slope / temp / temp  # not temp * temp, which underflows first
+        big_k = n1 + n2 + 1.0
+        f = n1 * (n2 / big_k) - m
+        # f' in factors that stay finite where nbar(nbar+1) or T^2 does not
+        slope = n1 * ((n1 + 1.0) / big_k) / temp * (n2 * ((n2 + 1.0) / big_k) / temp)
+        slope = slope * (theta1 + theta2)
         if f < 0.0:
             lo = temp
         else:

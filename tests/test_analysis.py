@@ -25,6 +25,7 @@ from pdc_entanglement import analysis
 from pdc_entanglement.analysis import BTE_ABS_TOL
 from pdc_entanglement.gaussian_core import _working
 from pdc_entanglement.pdc_dynamics import _pair_state, _stretch
+from test_array_core import ref_birth_time, ref_occupations, ref_pair_gain
 
 
 class TestS0Threshold:
@@ -209,7 +210,8 @@ def ref_critical_temperature(params, tau_i, t_c):
     root's error, in units of T's float spacing, that an error of one
     rounding in P and mK gives."""
     with localcontext() as ctx:
-        ctx.prec = 50
+        # exp(theta/T) - 1 loses about log10(T) digits
+        ctx.prec = 50 + max(0, Decimal(t_c).adjusted())
         y = Decimal(params.y)
         x = (1 - y * y).sqrt()
         z = x * Decimal(tau_i)
@@ -367,18 +369,41 @@ class TestFloatRange:
     routes agree, however late the onset."""
 
     @pytest.mark.parametrize("method", ["closed_form", "bisection"])
-    def test_birth_time_refused_where_s0_overflows(self, reference_params, method):
-        # S0 = K^2 = inf at 1e160 K; the bisection used to bisect a NaN
-        # condition and return tau_E = 0.99999999997
-        with pytest.raises(NumericalDomainError):
-            birth_time(reference_params, 1e160, method=method)
+    def test_birth_time_answers_where_s0_overflows(self, make_params, method):
+        # S0 = inf from about 1e77 K, where both routes used to refuse; the
+        # reference keeps S0 and the paper's quadratic in m
+        params = make_params(y=0.3)
+        for temp in (1e80, 1e100, 1e150, 1e200, 1e300):
+            with localcontext() as ctx:
+                ctx.prec = 400  # exp(theta/T) - 1 keeps 100 digits at 1e300 K
+                x, _ = ref_pair_gain(0.3, 0.0)
+                want = ref_birth_time(*ref_occupations(params, temp), x)
+            routes = [birth_time(params, temp, method=method).tau_e]
+            if method == "closed_form":
+                routes.append(float(birth_time(params, np.array([300.0, temp])).tau_e[1]))
+            for got in routes:
+                assert abs(Decimal(got) - want) <= Decimal("1e-12") * want, temp
+
+    @pytest.mark.parametrize("temp", [7e296, 2e297])
+    def test_refused_where_the_occupations_overflow(self, make_params, temp):
+        # nbar = 9.2e307 each at 7e296 K, so K = inf and m* = nbar1 (nbar2/K)
+        # would read 0; at 2e297 K each occupation is inf
+        params = make_params(omega1_bar=1.0, omega2_bar=1.0, g=1.0)
+        for method in ("closed_form", "bisection"):
+            with pytest.raises(NumericalDomainError, match="thermal occupation"):
+                birth_time(params, temp, method=method)
+        with pytest.raises(NumericalDomainError, match="thermal occupation"):
+            critical_temperature(params, 1.0, t_max=temp)
 
     @pytest.mark.parametrize(
-        "y, temp", [(0.0, 1e70), (0.0, 1e76), (1.0 - 1e-15, 1e5)]
+        "y, temp",
+        [(0.0, 1e70), (0.0, 1e76), (1.0 - 1e-15, 1e5), (0.0, 1e160), (0.0, 1e300)],
     )
     def test_routes_agree_at_late_onsets(self, make_params, y, temp):
-        # tau_E = 80.5, 87.4 and 149.2, past the old bisection cap of 60;
-        # at 1e70 K S0 K^2 overflows while S0 and K^2 do not
+        # tau_E = 80.5, 87.4 and 149.2, past the old bisection cap of 60.
+        # nbar1 nbar2 = inf at 1e160 and 1e300 K: the condition written
+        # m K - P never turns positive there, and the bisection returned
+        # tau_E = 255.99999999997 at 1e160 K
         params = make_params(y=y)
         closed = birth_time(params, temp).tau_e
         bisected = birth_time(params, temp, method="bisection").tau_e
@@ -397,15 +422,24 @@ class TestFloatRange:
         assert abs(closed - bisected) <= 2.0 * math.ulp(closed)
 
     @pytest.mark.parametrize("t_max", [1e78, 1e200, 1e300])
-    def test_critical_temperature_refused_where_s0_overflows(
+    def test_critical_temperature_answers_where_s0_overflows(
         self, reference_params, t_max
     ):
-        # S(t_max) = inf - inf = NaN used to pass both bracket-sign tests:
-        # t_max = 1e200 gave T_c = 9.999995e199
-        with pytest.raises(NumericalDomainError, match=r"S0 or K\^2 overflows"):
-            critical_temperature(reference_params, 2.881, t_max=t_max)
-        with pytest.raises(NumericalDomainError, match=r"S0 or K\^2 overflows"):
-            phase_boundary(reference_params, 2.881, [0.0, 0.5], t_max=t_max)
+        # S0 = inf at t_max, where the bracket check used to refuse
+        expected = critical_temperature(reference_params, 2.881)
+        assert critical_temperature(reference_params, 2.881, t_max=t_max) == expected
+        wide = phase_boundary(reference_params, 2.881, [0.0, 0.5], t_max=t_max)
+        assert wide == phase_boundary(reference_params, 2.881, [0.0, 0.5])
+
+    @pytest.mark.parametrize("tau_i", [180.0, 200.0, 300.0])
+    def test_critical_temperature_where_p_and_mk_overflow(self, reference_params, tau_i):
+        # T_c = 2.5e156, 5.9e173 and 4.2e260 K, where nbar1 nbar2 and mK
+        # are both inf: solving P - mK = NaN sends every step to the upper
+        # end, and gives T_c = 2.84e154 K for all three
+        t_c = critical_temperature(reference_params, tau_i, t_max=1e300)
+        root, cond = ref_critical_temperature(reference_params, tau_i, t_c)
+        ulps = abs(Decimal(t_c) - root) / Decimal(math.ulp(t_c))
+        assert ulps <= 4 * max(1.0, cond), (tau_i, float(ulps), cond)
 
     @pytest.mark.parametrize("t_max", [1e60, 1e70, 1e76])
     def test_critical_temperature_in_a_wide_bracket(self, reference_params, t_max):

@@ -329,17 +329,19 @@ def test_default_figures_equal_scalar_loop(name, capsys):
 
 
 def test_point_past_float_range_raises(reference_params):
-    # y = 0, T = 0: m(m+1)K^2 overflows from tau ~ 177, x*tau leaves the
-    # exp range at tau ~ 710, and S0 overflows from T ~ 1e77 K
+    # y = 0, T = 0: m(m+1)K^2 overflows from tau ~ 177, and x*tau leaves
+    # the exp range at tau ~ 710.  At omega = 1 rad/s the occupations' sum
+    # overflows from T ~ 7e296 K, and each occupation from 1.4e297 K
     with pytest.raises(NumericalDomainError):
         pair_invariants(reference_params, np.array([1.0, 2.0, 200.0]), 0.0)
     with pytest.raises(NumericalDomainError):
         pair_invariants(reference_params, np.array([1.0, 800.0]), 0.0)
     with pytest.raises(NumericalDomainError):
         witness(reference_params, np.array([1.0, 800.0]), 0.0)
-    for temps in (1e80, np.array([300.0, 1e80])):
-        with pytest.raises(NumericalDomainError):
-            birth_time(reference_params, temps)
+    slow = PdcParams(omega1_bar=1.0, omega2_bar=1.0, g=1.0)
+    for temps in (7e296, np.array([300.0, 7e296]), np.array([300.0, 2e297])):
+        with pytest.raises(NumericalDomainError, match="thermal occupation"):
+            birth_time(slow, temps)
 
 
 @pytest.mark.parametrize(

@@ -186,6 +186,12 @@ class TestFig4:
         assert code == 0 and err == ""
         assert len(out.strip().split("\n")) == 1 + 19
 
+    @pytest.mark.parametrize("t_max", ["1e78", "1e200", "1e300"])
+    def test_wide_bracket_prints_the_default_bytes(self, capsys, t_max):
+        # S0 overflows at these bracket ends, where fig4 used to exit 2
+        default = run_cli(["fig4"], capsys)
+        assert run_cli(["fig4", "--t-max", t_max], capsys) == default
+
 
 class TestFig5:
     def test_columns_and_zero_temperature_row(self, capsys, tmp_path):
@@ -402,12 +408,11 @@ class TestPackageErrorsExit2:
 
 
     def test_critical_temperature_past_the_float_range(self, capsys):
-        # S0 and K^2 overflow at the bracket end; fig4 used to print
-        # T_c = 1e200 K for every mismatch
-        code, out, err = run_cli(["fig4", "--t-max", "1e200"], capsys)
+        # at nu1 = 1 Hz the occupations overflow at the bracket end
+        code, out, err = run_cli(["fig4", "--nu1-hz", "1", "--t-max", "1e300"], capsys)
         assert code == 2
         assert out == ""
-        assert "error: S0 or K^2 overflows the float range at (T) = (1e+200)" in err
+        assert "error: thermal occupation overflows the float range at (T) = (1e+300)" in err
 
     def test_overflow_names_the_occupations(self, capsys):
         # m is finite at 1e160 K; the occupations make S0 and K^2 overflow
