@@ -35,10 +35,10 @@ for tau in np.arange(0.0, 6.5, 0.5):
 
 # the sign flip brackets tau_E
 eps = 1e-6
-before = pe.separability_indicator(
+before = pe.entanglement_report(
     pe.covariance_matrix(params, bte.tau_e - eps, temperature)
-)
-after = pe.separability_indicator(
+).s
+after = pe.entanglement_report(
     pe.covariance_matrix(params, bte.tau_e + eps, temperature)
-)
+).s
 print(f"\nS(tau_E - 1e-6) = {before:+.3e}, S(tau_E + 1e-6) = {after:+.3e}")

@@ -28,7 +28,7 @@ print("\nroom temperature (300 K) verdicts along the boundary:")
 for point in points:
     params = pe.PdcParams(omega1_bar=200.0, omega2_bar=400.0, g=G, y=point.y)
     cm = pe.covariance_matrix(params, TAU, 300.0)
-    verdict = "entangled" if pe.separability_indicator(cm) < 0 else "separable"
+    verdict = "entangled" if pe.entanglement_report(cm).entangled else "separable"
     print(f"  y = {point.y:.1f}: {verdict}")
 
 print("\nwitness sign change vs critical temperature:")

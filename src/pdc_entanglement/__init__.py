@@ -33,7 +33,6 @@ from .gaussian_core import (
     entanglement_report,
     log_negativity,
     physicality_check,
-    separability_indicator,
     symplectic_invariants,
 )
 from .pdc_dynamics import (
@@ -45,7 +44,6 @@ from .pdc_dynamics import (
     det_gamma_closed_form,
     mean_photon_numbers,
     pair_invariants,
-    squeezing_parameter,
     thermal_init,
     thermal_occupation,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "phase_boundary",
     "physicality_check",
     "s0_threshold",
-    "separability_indicator",
-    "squeezing_parameter",
     "symplectic_invariants",
     "thermal_init",
     "thermal_occupation",

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian_core import _check_finite, _check_scalar, _every, _pointwise
+from .gaussian_core import _check_finite, _check_scalar, _every, _pair_threshold, _pointwise
 from .pdc_dynamics import (
     _EXP_MAX,
     HBAR,
@@ -120,8 +120,7 @@ def birth_time(
     mismatch, _, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
     # an infinite K would make m* read 0
     _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
-    # nbar2/K <= 1, so m* stays finite where nbar1 nbar2 overflows
-    m_star = nbar1 * (nbar2 / (nbar1 + nbar2 + 1.0))
+    m_star = _pair_threshold(nbar1, nbar2)
     x = lib.sqrt((1.0 - mismatch) * (1.0 + mismatch))
 
     if method == "closed_form":
@@ -189,7 +188,7 @@ def critical_temperature(
     # the whole bracket; m* = P/K as the birth time reads it
     n1, n2 = _occupations(params, t_max)
     _check_finite(n1 + n2, "thermal occupation", "T", t_max)
-    if n1 * (n2 / (n1 + n2 + 1.0)) < m:
+    if _pair_threshold(n1, n2) < m:
         return None  # still entangled at t_max: no root in bracket
     lo, hi = 0.0, t_max
     temp = t_max
@@ -204,7 +203,7 @@ def critical_temperature(
         step, temp = abs(guess - temp), guess
         n1, n2 = _occupations(params, temp)
         big_k = n1 + n2 + 1.0
-        f = n1 * (n2 / big_k) - m
+        f = _pair_threshold(n1, n2) - m
         # f' in factors that stay finite where nbar(nbar+1) or T^2 does not
         slope = n1 * ((n1 + 1.0) / big_k) / temp * (n2 * ((n2 + 1.0) / big_k) / temp)
         slope = slope * (theta1 + theta2)

@@ -254,19 +254,19 @@ def cmd_dataset(config: RunConfig, dataset: Dataset) -> int:
 def cmd_eval(config: RunConfig) -> int:
     """Single-point report; exit 0 if entangled, 1 if separable."""
     params = build_params(config)
-    init = pdc_dynamics.thermal_init(params, config.temp_k)
     n1, n2 = pdc_dynamics.mean_photon_numbers(params, config.tau, config.temp_k)
     cm = pdc_dynamics.covariance_matrix(params, config.tau, config.temp_k)
     inv = gaussian_core.symplectic_invariants(cm)
-    entangled = bool(inv.s < 0.0)
+    entangled = gaussian_core.entanglement_report(cm).entangled
     wit = analysis.witness(params, config.tau, config.temp_k)
     det_gamma = pdc_dynamics.det_gamma_closed_form(params, config.tau, config.temp_k)
+    pair = cm.pair
     pairs = [
-        ("nbar1", init.nbar1),
-        ("nbar2", init.nbar2),
+        ("nbar1", pair.nbar1),
+        ("nbar2", pair.nbar2),
         ("n1", float(n1)),
         ("n2", float(n2)),
-        ("r", float(pdc_dynamics.squeezing_parameter(params.y, config.tau))),
+        ("r", config.tau * pair.x),
         ("I1", float(inv.i1)),
         ("I2", float(inv.i2)),
         ("S0", float(inv.s0)),

@@ -7,9 +7,14 @@ covariance matrix is identity/2, ``CovarianceMatrix(0.5 * np.eye(4))``.
 
 Entanglement is decided from the two scalar symplectic invariants of the
 partially transposed state; no generic eigensolver is involved.  The
-separability indicator S is negative exactly when the state is entangled
-(PPT criterion, necessary and sufficient for 1x1 modes), and the
-logarithmic negativity is E_N = max(0, -ln 2*nu_minus_pt).
+indicator S is negative exactly when the state is entangled (PPT
+criterion, necessary and sufficient for 1x1 modes), and the logarithmic
+negativity is E_N = max(0, -ln 2*nu_minus_pt).  ``entanglement_report``,
+the one verdict, reads S < 0 for a matrix built from entries, and for a
+pair state the sign of the first factor of S = (P - mK)(P + mK + K),
+P = nbar1 nbar2: m > m* = P/K.  Near the boundary the float sign of S, a
+difference of terms of order nbar^4, can differ from it; neither is yet
+certified within rounding of the boundary.
 
 The invariants have two routes:
 
@@ -183,6 +188,13 @@ def _spectrum_at_least(sigma, i1, t_sq):
         + 2 * _det2(sigma[..., :2, 2:])
     )
     return (t_sq * t_sq - i2 * t_sq + i1 >= 0) & (i2 >= 2 * t_sq)
+
+
+def _pair_threshold(nbar1, nbar2):
+    """m* = nbar1 nbar2/K, the pair gain above which a pair state is
+    entangled, as nbar1 (nbar2/K): nbar2/K <= 1, so m* is finite wherever
+    K = nbar1 + nbar2 + 1 is, also where nbar1 nbar2 overflows."""
+    return nbar1 * (nbar2 / (nbar1 + nbar2 + 1.0))
 
 
 class PairState(NamedTuple):
@@ -412,11 +424,6 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     return SymplecticInvariants(i1, i2, s0, s, delta_tilde, nu_minus, nu_plus)
 
 
-def separability_indicator(cm: CovarianceMatrix) -> float:
-    """The indicator S; S < 0 if and only if the state is entangled."""
-    return symplectic_invariants(cm).s
-
-
 def log_negativity(cm: CovarianceMatrix) -> float:
     """Logarithmic negativity E_N = max(0, -ln 2*nu_minus_pt), natural log.
 
@@ -427,10 +434,16 @@ def log_negativity(cm: CovarianceMatrix) -> float:
 
 
 def entanglement_report(cm: CovarianceMatrix) -> EntanglementReport:
-    """Bundle E_N, S and the verdict for one covariance matrix."""
+    """Bundle E_N, S and the verdict for one covariance matrix: m > m*
+    for a pair state, which the birth time and T_c solve, else S < 0."""
     inv = symplectic_invariants(cm)
+    pair = cm.pair
+    if pair is None:
+        entangled = inv.s < 0.0
+    else:
+        entangled = pair.m > _pair_threshold(pair.nbar1, pair.nbar2)
     return EntanglementReport(
-        float(inv.log_negativity), float(inv.s), bool(inv.s < 0.0), float(inv.nu_minus_pt)
+        float(inv.log_negativity), float(inv.s), bool(entangled), float(inv.nu_minus_pt)
     )
 
 

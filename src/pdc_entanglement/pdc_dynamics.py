@@ -312,18 +312,6 @@ def pair_invariants(
     return _pair_invariants(_pair_state(params, tau, temperature, y))
 
 
-def squeezing_parameter(y, tau):
-    """Effective squeezing r = x tau, x = sqrt((1 - y)(1 + y)); reduces to
-    r = tau at y = 0."""
-    num, lib = _working(y, tau)
-    y, tau = num(y), num(tau)
-    if lib is np:
-        _check_broadcast(y=y, tau=tau)
-    _check_mismatch(y)
-    _check_nonnegative(tau, "tau")
-    return tau * lib.sqrt((1.0 - y) * (1.0 + y))
-
-
 @_pointwise
 def mean_photon_numbers(params: PdcParams, tau, temperature):
     """Mean photon numbers (n1, n2) after interaction time tau.

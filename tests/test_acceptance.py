@@ -71,9 +71,9 @@ def test_criterion_02_fig3_anchors():
 
 def test_criterion_03_fig4_anchor_and_boundary():
     with criterion(3, "fig4 anchor: entangled at (300 K, y=0.3), T_c decreasing"):
-        s = pe.separability_indicator(
+        s = pe.symplectic_invariants(
             pe.covariance_matrix(params_for(0.3), 2.881, 300.0)
-        )
+        ).s
         assert s < 0.0
         points = pe.phase_boundary(
             params_for(), 2.881, [round(0.1 * k, 1) for k in range(8)]

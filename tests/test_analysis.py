@@ -12,12 +12,13 @@ from pdc_entanglement import (
     birth_time,
     covariance_matrix,
     critical_temperature,
+    entanglement_report,
     log_negativity,
     mean_photon_numbers,
     pair_invariants,
     phase_boundary,
     s0_threshold,
-    separability_indicator,
+    symplectic_invariants,
     thermal_init,
     witness,
 )
@@ -42,8 +43,6 @@ class TestS0Threshold:
 
     def test_matches_invariant_combination(self, make_params):
         # independent route: I1 - I2/4 + 1/16 on the initial CM
-        from pdc_entanglement import symplectic_invariants
-
         for temp in (20.0, 140.0, 450.0):
             params = make_params(y=0.1)
             init = thermal_init(params, temp)
@@ -83,12 +82,12 @@ class TestBirthTime:
             params = make_params(y=y)
             for temp in (50.0, 300.0):
                 tau_e = birth_time(params, temp).tau_e
-                before = separability_indicator(
+                before = symplectic_invariants(
                     covariance_matrix(params, max(0.0, tau_e - eps), temp)
-                )
-                after = separability_indicator(
+                ).s
+                after = symplectic_invariants(
                     covariance_matrix(params, tau_e + eps, temp)
-                )
+                ).s
                 assert before > 0.0
                 assert after < 0.0
 
@@ -114,17 +113,15 @@ def stretch_bisection(params, temperature, y=None):
     """The bisection birth time that re-derives (x, sinh(x tau)/x) from y
     with ``_stretch``, in the library of the y given, at every evaluation."""
     pair = _pair_state(params, 0.0, temperature, y)
-    s0 = s0_threshold(pair.nbar1, pair.nbar2)
-    k_sq = pair.big_k * pair.big_k
-    if s0 == 0.0:
+    nbar1, nbar2, big_k = pair.nbar1, pair.nbar2, pair.big_k
+    if nbar1 * (nbar2 / big_k) == 0.0:
         return 0.0
     y = params.y if y is None else y
     _, lib = _working(y)
 
     def f(tau):
         _, ratio, _ = _stretch(y, tau, lib)
-        m = ratio * ratio
-        return m * (m + 1.0) * k_sq - s0
+        return ratio * ratio - nbar1 * (nbar2 / big_k)
 
     lo, hi = 0.0, 1.0
     while f(hi) <= 0.0:
@@ -175,10 +172,23 @@ class TestCriticalTemperature:
             t_c = critical_temperature(params, 2.881)
             below = covariance_matrix(params, 2.881, t_c * (1 - 1e-4))
             above = covariance_matrix(params, 2.881, t_c * (1 + 1e-4))
-            assert separability_indicator(below) < 0.0
-            assert separability_indicator(above) > 0.0
+            assert symplectic_invariants(below).s < 0.0
+            assert symplectic_invariants(above).s > 0.0
             assert log_negativity(below) > 0.0
             assert log_negativity(above) == 0.0
+
+    def test_verdict_flips_at_the_float_root(self, make_params):
+        # entanglement_report reads the condition T_c solves: separable at
+        # T_c, the least float where m* >= m, entangled one float below
+        rng = np.random.default_rng(2403)
+        cases = [(y, 2.881) for y in np.linspace(0.0, 0.9, 19).tolist()]
+        cases += [(0.99 * rng.random(), rng.uniform(0.2, 6.0)) for _ in range(120)]
+        for y, tau in cases:
+            params = make_params(y=y)
+            t_c = critical_temperature(params, tau, t_max=1e6)
+            at = entanglement_report(covariance_matrix(params, tau, t_c))
+            below = entanglement_report(covariance_matrix(params, tau, math.nextafter(t_c, 0.0)))
+            assert (at.entangled, below.entangled) == (False, True), (y, tau, t_c)
 
     def test_decreases_with_mismatch(self, make_params):
         t_first = critical_temperature(make_params(y=0.1), 2.881)
@@ -269,9 +279,9 @@ class TestPhaseBoundary:
 
     def test_room_temperature_anchor(self, make_params):
         # at tau_i = 2.881 the y = 0.3 state is still entangled at 300 K
-        s = separability_indicator(
+        s = symplectic_invariants(
             covariance_matrix(make_params(y=0.3), 2.881, 300.0)
-        )
+        ).s
         assert s < 0.0
         points = phase_boundary(make_params(), 2.881, [0.3])
         assert points[0].t_c > 300.0

@@ -34,7 +34,6 @@ from pdc_entanglement import (
     mean_photon_numbers,
     pair_invariants,
     phase_boundary,
-    squeezing_parameter,
     thermal_init,
     thermal_occupation,
     witness,
@@ -263,7 +262,6 @@ def test_zero_dim_arrays_give_the_scalar_bits(reference_params):
         "birth_time": lambda p, y, tau, t: birth_time(reference_params, t, y=y),
         "bisection": lambda p, y, tau, t: birth_time(p, t, method="bisection"),
         "thermal_occupation": lambda p, y, tau, t: thermal_occupation(omega, t),
-        "squeezing_parameter": lambda p, y, tau, t: squeezing_parameter(y, tau),
     }
     for i in range(400):
         point = (0.99 * rng.random(), 20.0 * rng.random(), 2000.0 * rng.random() * (i % 10 > 0))
@@ -408,10 +406,6 @@ def test_mismatch_array_message_matches_params():
             lambda p: thermal_occupation(np.array([1e12, 2e12]), np.array([1.0, 2.0, 3.0])),
             "omega of shape (2,), temperature of shape (3,)",
         ),
-        (
-            lambda p: squeezing_parameter(np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0])),
-            "y of shape (2,), tau of shape (3,)",
-        ),
     ],
     ids=[
         "pair_invariants",
@@ -419,7 +413,6 @@ def test_mismatch_array_message_matches_params():
         "birth_time",
         "mean_photon_numbers",
         "thermal_occupation",
-        "squeezing_parameter",
     ],
 )
 def test_shapes_that_do_not_broadcast_are_refused(reference_params, call, message):

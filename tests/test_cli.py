@@ -1,4 +1,5 @@
 import argparse
+import math
 import os
 import re
 import subprocess
@@ -274,6 +275,44 @@ class TestEval:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "y, tau, r",
+        [("0", "1.7", "1.7"), ("0.6", "2", "1.6")],
+        ids=["matched_reduces_to_tau", "arithmetic"],
+    )
+    def test_squeezing_is_x_tau(self, capsys, y, tau, r):
+        # r = tau sqrt((1 - y)(1 + y)): tau itself at y = 0
+        code, out, _ = run_cli(["eval", "--y", y, "--tau", tau], capsys)
+        assert code == 0
+        assert f"\nr={r}\n" in out
+
+    def test_near_unity_mismatch_kills_squeezing(self, capsys):
+        _, out, _ = run_cli(["eval", "--y", repr(1.0 - 1e-12), "--tau", "5"], capsys)
+        report = dict(line.split("=") for line in out.strip().split("\n"))
+        assert float(report["r"]) < 1e-5
+
+    @pytest.mark.parametrize(
+        "tau, temp, message",
+        [("-1", "nan", "tau"), ("1", "nan", "temperature"), ("1", "-1", "temperature")],
+    )
+    def test_names_tau_before_temperature(self, capsys, tau, temp, message):
+        # as every closed form does: tau, then T
+        code, out, err = run_cli(["eval", "--tau", tau, "--temp-k", temp], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message} must be finite and >= 0\n"
+
+    @pytest.mark.parametrize("y", cli._parse_grid(cli.FIG4_Y_GRID).tolist())
+    def test_verdict_flips_at_fig4_critical_temperature(self, capsys, y):
+        # separable at the float T_c that fig4 prints, entangled one float below
+        tau = cli.FIG4_TAU
+        t_c = analysis.critical_temperature(cli.build_params(RunConfig(), y), tau)
+        for temp, code in ((t_c, 1), (math.nextafter(t_c, 0.0), 0)):
+            got, _, _ = run_cli(
+                ["eval", "--y", repr(y), "--tau", repr(tau), "--temp-k", repr(temp)], capsys
+            )
+            assert got == code, (y, temp)
 
 
 class TestConfigFile:

@@ -18,8 +18,6 @@ from pdc_entanglement import (
     det_gamma_closed_form,
     log_negativity,
     mean_photon_numbers,
-    separability_indicator,
-    squeezing_parameter,
     symplectic_invariants,
     pair_invariants,
     thermal_init,
@@ -227,17 +225,6 @@ class TestStretch:
             assert (pair.x, pair.ratio, pair.ch) == _stretch(0.3, float(tau), math)
 
 
-class TestSqueezingParameter:
-    def test_matched_reduces_to_tau(self):
-        assert squeezing_parameter(0.0, 1.7) == pytest.approx(1.7, rel=1e-15)
-
-    def test_near_unity_mismatch_kills_squeezing(self):
-        assert squeezing_parameter(1.0 - 1e-12, 5.0) < 1e-5
-
-    def test_arithmetic(self):
-        assert squeezing_parameter(0.6, 2.0) == pytest.approx(1.6, rel=1e-15)
-
-
 class TestMeanPhotonNumbers:
     def test_initial_values(self, reference_params):
         init = thermal_init(reference_params, 300.0)
@@ -369,7 +356,7 @@ class TestCovarianceMatrix:
         assert np.max(np.abs(lo - hi)) < 1e-9 * max(1.0, np.max(np.abs(lo)))
 
     def test_zero_temperature_entanglement_from_start(self, make_params):
-        s = separability_indicator(covariance_matrix(make_params(y=0.9), 0.01, 0.0))
+        s = symplectic_invariants(covariance_matrix(make_params(y=0.9), 0.01, 0.0)).s
         assert s < 0.0
 
 
@@ -378,8 +365,6 @@ def test_closed_forms_reject_non_finite_tau(reference_params, tau):
     for closed_form in (covariance_matrix, mean_photon_numbers, det_gamma_closed_form):
         with pytest.raises(ValidationError):
             closed_form(reference_params, tau, 10.0)
-    with pytest.raises(ValidationError):
-        squeezing_parameter(0.5, tau)
 
 
 HUGE = np.longdouble("1e400")  # finite in long double, past the float range
