@@ -260,7 +260,11 @@ def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
     scalar inputs, and float64 arrays otherwise.  Raises
     NumericalDomainError where a field leaves the float range.
     """
-    pair = _pair_state(params, tau, temperature, y)
+    return _witness(_pair_state(params, tau, temperature, y), tau, temperature)
+
+
+def _witness(pair, tau, temperature) -> WitnessValue:
+    """The witness of a pair state at (tau, T); ``witness``."""
     s0 = s0_threshold(pair.nbar1, pair.nbar2)
     threshold = pair.lib.sqrt(s0)
     gain = pair.m * pair.big_k

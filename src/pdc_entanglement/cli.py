@@ -35,7 +35,7 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -68,6 +68,14 @@ MAP_Y_GRID = "0:0.99:100"
 MAP_TEMP_GRID = "0:600:121"
 MAP_TAU = 2.881
 CSV_BLOCK_ROWS = 8192  # rows formatted per write, which bounds the text held at once
+# eval's report: one key=value line per value, then the verdict
+_EVAL_REPORT = "".join(
+    f"{key}={{:.12g}}\n"
+    for key in (
+        "nbar1", "nbar2", "n1", "n2", "r", "I1", "I2", "S0", "S",
+        "det_gamma", "nu_minus_pt", "E_N", "W",
+    )
+) + "verdict={}\n"
 
 
 @dataclass(frozen=True)
@@ -252,33 +260,29 @@ def cmd_dataset(config: RunConfig, dataset: Dataset) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    """Single-point report; exit 0 if entangled, 1 if separable."""
+    """Single-point report; exit 0 if entangled, 1 if separable.
+
+    The pair state is built once.  The readers behind
+    ``mean_photon_numbers``, ``covariance_matrix``, ``witness`` and
+    ``det_gamma_closed_form`` take it in that order, each with its own
+    finiteness check, so a refusal is the one those functions would give
+    first; the verdict is ``entanglement_report``'s, from the invariants
+    the report prints.  Nothing is written before every value is known.
+    """
     params = build_params(config)
-    n1, n2 = pdc_dynamics.mean_photon_numbers(params, config.tau, config.temp_k)
-    cm = pdc_dynamics.covariance_matrix(params, config.tau, config.temp_k)
+    tau, temp = config.tau, config.temp_k
+    pair = pdc_dynamics._pair_state(params, tau, temp)
+    n1, n2 = pdc_dynamics._photon_numbers(pair, tau, temp)
+    cm = pdc_dynamics._pair_matrix(params, tau, pair)
     inv = gaussian_core.symplectic_invariants(cm)
-    entangled = gaussian_core.entanglement_report(cm).entangled
-    wit = analysis.witness(params, config.tau, config.temp_k)
-    det_gamma = pdc_dynamics.det_gamma_closed_form(params, config.tau, config.temp_k)
-    pair = cm.pair
-    pairs = [
-        ("nbar1", pair.nbar1),
-        ("nbar2", pair.nbar2),
-        ("n1", float(n1)),
-        ("n2", float(n2)),
-        ("r", config.tau * pair.x),
-        ("I1", float(inv.i1)),
-        ("I2", float(inv.i2)),
-        ("S0", float(inv.s0)),
-        ("S", float(inv.s)),
-        ("det_gamma", float(det_gamma)),
-        ("nu_minus_pt", float(inv.nu_minus_pt)),
-        ("E_N", float(inv.log_negativity)),
-        ("W", wit.w),
-    ]
-    for key, value in pairs:
-        print(f"{key}={value:.12g}")
-    print(f"verdict={'entangled' if entangled else 'separable'}")
+    entangled = gaussian_core._verdict(cm, inv)
+    w = analysis._witness(pair, tau, temp).w
+    det_gamma = pdc_dynamics._det_gamma(pair, tau, temp)
+    sys.stdout.write(_EVAL_REPORT.format(
+        pair.nbar1, pair.nbar2, n1, n2, tau * pair.x, inv.i1, inv.i2, inv.s0, inv.s,
+        det_gamma, inv.nu_minus_pt, inv.log_negativity, w,
+        "entangled" if entangled else "separable",
+    ))
     return 0 if entangled else 1
 
 
@@ -287,9 +291,9 @@ def cmd_oracle_check(config: RunConfig, skip_fock: bool = False) -> int:
     worst deviation of each suite and the verdict."""
     worst_cm = 0.0
     for y in (0.0, 0.5, 0.9):
+        params = build_params(config, y)
         for temp in (0.0, 50.0, 300.0):
             for tau in (0.5, 1.5, 2.881):
-                params = build_params(config, y)
                 traj = fock_oracle.evolve_moments_ode(params, tau, temp)
                 closed = pdc_dynamics.covariance_matrix(params, tau, temp)
                 dev = float(
@@ -401,7 +405,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     dataset = DATASETS.get(args.command)
     if "tau" not in merged and dataset is not None and dataset.tau is not None:
         merged["tau"] = dataset.tau
-    return replace(RunConfig(), **merged)
+    return RunConfig(**merged)
 
 
 @functools.cache
@@ -426,11 +430,25 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "oracle-check":
             command.add_argument("--skip-fock", action="store_true",
                                  help="run only the (fast) moment-ODE equivalence")
+    parser.commands = sub.choices  # name -> that subcommand's own parser
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace the full parser gives for ``argv``.  An argv that
+    starts with a subcommand goes straight to that subcommand's parser,
+    as the full parser would pass it on; a flag that subcommand does not
+    read is then refused under its own usage line.  Anything else (no
+    argument, -h, an unknown command) takes the full parser."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = _resolve_config(args)
         if args.command == "eval":

@@ -270,7 +270,8 @@ class CovarianceMatrix:
         """The matrix of a pair state from its four distinct entries, which
         the caller has checked to be finite, without ``__post_init__``
         (see the module docstring).  The layout is the one documented at
-        ``pdc_dynamics.covariance_matrix``, its only caller.
+        ``pdc_dynamics.covariance_matrix``.  The only caller is
+        ``pdc_dynamics._pair_matrix``, the reader behind that function.
         """
         flat = np.array([
             d1, 0.0, s13, s14,
@@ -434,17 +435,21 @@ def log_negativity(cm: CovarianceMatrix) -> float:
 
 
 def entanglement_report(cm: CovarianceMatrix) -> EntanglementReport:
-    """Bundle E_N, S and the verdict for one covariance matrix: m > m*
-    for a pair state, which the birth time and T_c solve, else S < 0."""
+    """Bundle E_N, S and the verdict (:func:`_verdict`) for one covariance
+    matrix."""
     inv = symplectic_invariants(cm)
+    return EntanglementReport(
+        float(inv.log_negativity), float(inv.s), bool(_verdict(cm, inv)), float(inv.nu_minus_pt)
+    )
+
+
+def _verdict(cm: CovarianceMatrix, inv: SymplecticInvariants):
+    """Whether ``cm``, whose invariants are ``inv``, is entangled: m > m*
+    for a pair state, which the birth time and T_c solve, else S < 0."""
     pair = cm.pair
     if pair is None:
-        entangled = inv.s < 0.0
-    else:
-        entangled = pair.m > _pair_threshold(pair.nbar1, pair.nbar2)
-    return EntanglementReport(
-        float(inv.log_negativity), float(inv.s), bool(entangled), float(inv.nu_minus_pt)
-    )
+        return inv.s < 0.0
+    return pair.m > _pair_threshold(pair.nbar1, pair.nbar2)
 
 
 def physicality_check(cm: CovarianceMatrix) -> bool:

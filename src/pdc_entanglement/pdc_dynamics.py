@@ -21,11 +21,14 @@ Every closed form reads one core, ``_pair_state``.  It validates tau and
 T once and returns the four numbers that fix the state: the initial
 occupations nbar1 and nbar2, the pair gain m = sinh^2(x tau)/x^2 and
 K = nbar1 + nbar2 + 1, plus x, sinh(x tau)/x and cosh(x tau) for the
-covariance-matrix entries.  The birth time, which needs no tau, reads
-only the checked inputs and occupations (``_pair_inputs``) and takes x
-itself.  The same formulas run in float64 on two kinds of input
-(``gaussian_core._working`` picks the kind once per call, and the pair
-state carries it as ``lib``):
+covariance-matrix entries.  Each public closed form is ``_pair_state``
+followed by a private reader of the state with its own finiteness check
+(``_photon_numbers``, ``_pair_matrix``, ``_det_gamma``,
+``analysis._witness``), so ``eval`` builds the state once for all of
+them.  The birth time, which needs no tau, reads only the checked inputs
+and occupations (``_pair_inputs``) and takes x itself.  The same
+formulas run in float64 on two kinds of input (``gaussian_core._working``
+picks the kind once per call, and the pair state carries it as ``lib``):
 
 * Python floats, evaluated with ``math``; a numpy scalar of any width or
   a 0-d array enters as a Python float, and is checked after that;
@@ -321,7 +324,11 @@ def mean_photon_numbers(params: PdcParams, tau, temperature):
     Raises NumericalDomainError where a photon number leaves the float
     range.
     """
-    pair = _pair_state(params, tau, temperature)
+    return _photon_numbers(_pair_state(params, tau, temperature), tau, temperature)
+
+
+def _photon_numbers(pair: PairState, tau, temperature):
+    """(n1, n2) of a pair state at (tau, T); ``mean_photon_numbers``."""
     gain = pair.m * pair.big_k
     n1, n2 = pair.nbar1 + gain, pair.nbar2 + gain
     _check_finite(n1 + n2, "mean photon number", "tau, T", tau, temperature)
@@ -347,8 +354,13 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     pair route.  tau and T are scalars.
     """
     _check_scalar("covariance_matrix", "tau and T", tau, temperature, arrays="pair_invariants")
-    tau, y = float(tau), float(params.y)
-    pair = _pair_state(params, tau, temperature)
+    tau = float(tau)
+    return _pair_matrix(params, tau, _pair_state(params, tau, temperature))
+
+
+def _pair_matrix(params: PdcParams, tau: float, pair: PairState) -> CovarianceMatrix:
+    """The matrix of a scalar pair state at tau; ``covariance_matrix``."""
+    y = params.y
     ratio, ch, big_k = pair.ratio, pair.ch, pair.big_k
     gain = pair.m * big_k
     # phase accumulated per mode; summed this way it matches the local
@@ -373,7 +385,11 @@ def det_gamma_closed_form(params: PdcParams, tau, temperature):
     strictly decreasing in tau for tau > 0.  Raises NumericalDomainError
     where it leaves the float range.
     """
-    pair = _pair_state(params, tau, temperature)
+    return _det_gamma(_pair_state(params, tau, temperature), tau, temperature)
+
+
+def _det_gamma(pair: PairState, tau, temperature):
+    """det gamma of a pair state at (tau, T); ``det_gamma_closed_form``."""
     m, big_k = pair.m, pair.big_k
     det_gamma = -m * (m + 1.0) * big_k * big_k
     _check_finite(det_gamma, "det gamma", "tau, T", tau, temperature)

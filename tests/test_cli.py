@@ -18,6 +18,7 @@ from pdc_entanglement import (
     cli,
     fock_oracle,
     gaussian_core,
+    pdc_dynamics,
 )
 from pdc_entanglement.cli import RunConfig, _build_parser, main
 
@@ -303,6 +304,61 @@ class TestEval:
         assert out == ""
         assert err == f"error: {message} must be finite and >= 0\n"
 
+    def test_report_is_the_public_closed_forms(self, capsys, monkeypatch):
+        # eval builds one pair state and feeds it to the readers behind the
+        # public closed forms; each value it prints is theirs to the bit
+        # (printed here with repr in place of 12 digits)
+        monkeypatch.setattr(cli, "_EVAL_REPORT", cli._EVAL_REPORT.replace("{:.12g}", "{!r}"))
+        rng = np.random.default_rng(2503)
+        codes = set()
+        for _ in range(160):
+            y = 0.99 * rng.random()
+            tau = float(rng.choice([2.881, 4.543, 8.0, 20.0]))
+            temp = 600.0 * rng.random()
+            code, out, _ = run_cli(
+                ["eval", "--y", repr(y), "--tau", repr(tau), "--temp-k", repr(temp)], capsys
+            )
+            report = dict(line.split("=") for line in out.strip().split("\n"))
+            params = cli.build_params(RunConfig(), y)
+            n1, n2 = pdc_dynamics.mean_photon_numbers(params, tau, temp)
+            cm = pdc_dynamics.covariance_matrix(params, tau, temp)
+            inv = gaussian_core.symplectic_invariants(cm)
+            expected = {
+                "n1": n1,
+                "n2": n2,
+                "I1": inv.i1,
+                "I2": inv.i2,
+                "S0": inv.s0,
+                "S": inv.s,
+                "det_gamma": pdc_dynamics.det_gamma_closed_form(params, tau, temp),
+                "nu_minus_pt": inv.nu_minus_pt,
+                "E_N": inv.log_negativity,
+                "W": analysis.witness(params, tau, temp).w,
+            }
+            for key, value in expected.items():
+                assert report[key] == repr(value), (key, y, tau, temp)
+            assert code == (0 if gaussian_core.entanglement_report(cm).entangled else 1)
+            codes.add(code)
+        assert codes == {0, 1}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--tau", "400", "--temp-k", "1"],
+                "mean photon number overflows the float range at (tau, T) = (400.0, 1.0)",
+            ),
+            (["--tau", "-1", "--temp-k", "nan"], "tau must be finite and >= 0"),
+        ],
+        ids=["photon_numbers_before_matrix", "tau_before_temperature"],
+    )
+    def test_refusals_keep_their_order(self, capsys, reference_params, argv, message):
+        # at tau = 400 the matrix alone would refuse too, under its own name
+        with pytest.raises(NumericalDomainError, match="covariance matrix overflows"):
+            pdc_dynamics.covariance_matrix(reference_params, 400.0, 1.0)
+        code, out, err = run_cli(["eval", *argv], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("y", cli._parse_grid(cli.FIG4_Y_GRID).tolist())
     def test_verdict_flips_at_fig4_critical_temperature(self, capsys, y):
         # separable at the float T_c that fig4 prints, entangled one float below
@@ -409,6 +465,51 @@ class TestFlagsPerSubcommand:
         assert code == 0
         assert "verdict=entangled" in out
         assert list(tmp_path.iterdir()) == [cfg]
+
+
+class TestSubcommandDispatch:
+    """An argv that starts with a subcommand is parsed by that
+    subcommand's own parser, into the namespace the full parser gives;
+    usage, -h and unknown commands take the full parser."""
+
+    COMMANDS = [*cli.DATASETS, "eval", "oracle-check"]
+
+    @staticmethod
+    def argvs(name, config):
+        flags = []
+        for key in cli._command_keys(name):
+            flag = "--" + key.replace("_", "-")
+            flags += [flag, "0.5"] if key in cli._FLOAT_KEYS else [f"{flag}=0:1:3"]
+        if name == "oracle-check":
+            flags.append("--skip-fock")
+        yield [name]
+        yield [name, *flags]
+        yield [name, "--config", config]
+        yield [name, *flags[:2], "--config", config]
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_namespace_is_the_full_parsers(self, name, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("y = 0.5\n")
+        for argv in self.argvs(name, str(cfg)):
+            assert vars(cli._parse_args(argv)) == vars(_build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["-h"], ["eval", "-h"]])
+    def test_usage_help_and_unknown_commands_unchanged(self, capsys, argv):
+        with pytest.raises(SystemExit) as full:
+            _build_parser().parse_args(argv)
+        expected = (full.value.code, *capsys.readouterr())
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert (got.value.code, *capsys.readouterr()) == expected
+
+    def test_unread_flag_gets_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--out", "f"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pdc-ent eval ")
+        assert err.endswith("\npdc-ent eval: error: unrecognized arguments: --out f\n")
 
 
 class TestPackageErrorsExit2:

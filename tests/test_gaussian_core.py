@@ -387,14 +387,23 @@ class TestPairConstructor:
 
     def test_only_covariance_matrix_calls_it(self):
         # every reference to the private constructor in the package source
-        # sits inside pdc_dynamics.covariance_matrix
+        # sits inside pdc_dynamics._pair_matrix, the matrix reader of a pair
+        # state, and that reader is called only where the pair state was
+        # just built by _pair_state: in covariance_matrix and in eval
         package = Path(gaussian_core.__file__).parent
-        sites = [
-            (path.name, function)
-            for path in sorted(package.glob("*.py"))
-            for function in enclosing_functions(ast.parse(path.read_text()), "_of_pair")
+
+        def sites(attr):
+            return [
+                (path.name, function)
+                for path in sorted(package.glob("*.py"))
+                for function in enclosing_functions(ast.parse(path.read_text()), attr)
+            ]
+
+        assert sites("_of_pair") == [("pdc_dynamics.py", "_pair_matrix")]
+        assert sites("_pair_matrix") == [
+            ("cli.py", "cmd_eval"),
+            ("pdc_dynamics.py", "covariance_matrix"),
         ]
-        assert sites == [("pdc_dynamics.py", "covariance_matrix")]
 
 
 def enclosing_functions(node, attr, function=None):
