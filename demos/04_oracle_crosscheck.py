@@ -3,9 +3,10 @@
 Route one: integrate the linear second-moment equations with a classical
 fixed-step 4th-order scheme and compare every covariance entry.  Route
 two: evolve the full density matrix in a truncated two-mode Fock basis
-and compute the entanglement from the partial-transpose trace norm,
-which never touches a Gaussian formula.  Both must land on the closed
-forms to their stated tolerances.
+with the exact propagator of each photon-difference sector, taken from
+that sector's eigenvectors, and compute the entanglement from the
+partial-transpose trace norm, which never touches a Gaussian formula.
+Both must land on the closed forms to their stated tolerances.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ cases = [
     (0.9, 1.0, 0.8, 26),
 ]
 for y, tau, temp, n_cut in cases:
-    state = pe.evolve_fock(params_for(y), tau, temp, n_cut=n_cut, step=1e-4)
+    state = pe.evolve_fock(params_for(y), tau, temp, n_cut=n_cut)
     e_fock = pe.fock_log_negativity(state)
     e_gauss = pe.log_negativity(pe.covariance_matrix(params_for(y), tau, temp))
     print(f"  y={y}, tau={tau}, T={temp} K, n_cut={n_cut}: "
@@ -48,7 +49,7 @@ for y, tau, temp, n_cut in cases:
           f"edge population {state.edge_population:.1e})")
 
 print("\nquadrature moments recovered from the Fock state")
-state = pe.evolve_fock(params_for(0.5), 0.6, 0.8, n_cut=24, step=1e-4)
+state = pe.evolve_fock(params_for(0.5), 0.6, 0.8, n_cut=24)
 fock_cm = pe.moments_from_fock(state)
 closed = pe.covariance_matrix(params_for(0.5), 0.6, 0.8)
 dev = float(np.max(np.abs(fock_cm.entries - closed.entries)))

@@ -315,7 +315,7 @@ def cmd_oracle_check(config: RunConfig, skip_fock: bool = False) -> int:
             (0.9, 1.0, 0.8, 26),
         ):
             params = build_params(config, y)
-            state = fock_oracle.evolve_fock(params, tau, temp, n_cut=n_cut, step=1e-4)
+            state = fock_oracle.evolve_fock(params, tau, temp, n_cut=n_cut)
             e_fock = fock_oracle.fock_log_negativity(state)
             closed = pdc_dynamics.covariance_matrix(params, tau, temp)
             e_gauss = gaussian_core.log_negativity(closed)

@@ -11,7 +11,7 @@ Two independent routes certify the covariance-matrix pipeline:
   transpose and its trace norm, giving an entanglement measure that
   knows nothing about Gaussian states.
 
-Both integrate in the frame co-rotating with each mode, where the drift
+Both work in the frame co-rotating with each mode, where the drift
 
     F = [[0, -y, 0, 1], [y, 0, 1, 0], [0, 1, 0, -y], [1, 0, y, 0]]
 
@@ -21,14 +21,16 @@ mode.  Integrating the lab-frame equations directly would demand
 resolving ~10^2-10^3 rad frequencies to absolute 1e-8 in the presence of
 1e4-scale matrix entries, which fixed-step double precision cannot do.
 
-For the linear autonomous systems here, classical RK4 is exactly
+For the linear autonomous moment equations, classical RK4 is exactly
 multiplication by its one-step stability matrix R = E4(h*L) with
-E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as R^n:
+E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as R^n
 on the 10 independent moments sigma[i, j], i <= j, by squaring
-increments over the identity (see :func:`evolve_moments_ode`), and for
-the Hermitian Fock generator in its eigenbasis, V E4(-i h E)^n V^T.
-Either keeps RK4's O(h^4) error, checked by the step-halving test, and
-forms only the end point.
+increments over the identity (see :func:`evolve_moments_ode`); that
+keeps RK4's O(h^4) error, checked by the step-halving test, and forms
+only the end point.  The Fock generator is Hermitian, so its propagator
+is taken exactly in its eigenbasis, V exp(-i E tau) V^T, exact up to the
+eigensolver's rounding (C. Moler and C. Van Loan, SIAM Rev. 45, 3
+(2003)).
 
 The Fock stages follow the model's integral of motion.  The generator
 conserves the photon difference n1 - n2, so the propagator and the
@@ -152,7 +154,7 @@ class FockState:
 
     leakage reports 1 - trace(rho): the thermal weight dropped at
     truncation (the geometric distribution is normalized over the full
-    ladder, not renormalized after the cut) plus any integrator drift.
+    ladder, not renormalized after the cut), up to rounding.
     Truncated evolution conserves the trace, so leakage cannot see
     population pushed against the cutoff during the evolution; that
     shows in edge_population.
@@ -394,30 +396,6 @@ def _rk4_increment(generator: np.ndarray, h: float) -> np.ndarray:
     return hm + hm2 / 2.0 + (hm2 @ hm) / 6.0 + (hm2 @ hm2) / 24.0
 
 
-def _rk4_propagators(hams, h: float, n_steps: int):
-    """RK4's n-step propagators E4(-i h H)^n for dx/dt = -i H x, one per
-    real symmetric H of hams, each yielded in turn and formed in H's
-    eigenbasis as V E4(-i h E)^n V^T.
-
-    On the imaginary axis E4(-i t) = 1 - t^2/2 + t^4/24 - i t (1 - t^2/6),
-    whose squared modulus is exactly 1 - t^6/72 + t^8/576, so the n-th
-    power is taken as modulus and phase without forming the product.  The
-    eigensolves come first, one per H, so that the powers of all their
-    energies are taken in one pass.
-    """
-    spectra = [np.linalg.eigh(ham) for ham in hams]
-    t = h * np.concatenate([energies for energies, _ in spectra])
-    t2 = t * t
-    phase = np.arctan2(-t * (1.0 - t2 / 6.0), 1.0 - t2 / 2.0 + t2 * t2 / 24.0)
-    log_modulus = 0.5 * np.log1p(t2**3 * (t2 / 576.0 - 1.0 / 72.0))
-    powers = np.exp(n_steps * (log_modulus + 1j * phase))
-    start = 0
-    for energies, vecs in spectra:
-        stop = start + energies.size
-        yield (vecs * powers[start:stop]) @ vecs.T
-        start = stop
-
-
 def _mode_rotation(angle1, angle2) -> np.ndarray:
     """Block-diagonal phase-space rotation, one angle per mode."""
     rot = np.zeros((4, 4))
@@ -456,7 +434,8 @@ def evolve_moments_ode(
         does.  What is left to fail is the float range, which the moments
         leave where the exact flow takes them past it (tau_end of about
         352 at y = 0, T = 300 K, and 406 at y = 0.5), and a finiteness
-        check sees that.
+        check sees that.  Also when tau_end / step passes the float range
+        (tau_end past 1.8e305 at step 1e-3), so that no step count exists.
 
     Notes
     -----
@@ -481,10 +460,15 @@ def evolve_moments_ode(
     init = thermal_init(params, temperature)
     moments = np.diag([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)[_UPPER]
 
+    steps = tau / step
+    if steps == math.inf:
+        raise IntegrationError(
+            f"moment ODE end point at tau={tau}: the step count tau/step left the float range"
+        )
     # moments past the float range turn inf or NaN, which the check refuses
     with np.errstate(over="ignore", invalid="ignore"):
         if tau != 0.0:
-            n_steps = math.ceil(tau / step)
+            n_steps = math.ceil(steps)
             increment = _rk4_increment(
                 _LYAP_COUPLING + params.y * _LYAP_MISMATCH, tau / n_steps
             )
@@ -578,26 +562,27 @@ def evolve_fock(
     tridiagonal, dimension <= n_cut + 1) and the state is returned as one
     block per sector; no matrix over the whole (n_cut+1)^2 basis is
     formed.  The sectors and their coupling blocks are planned once per
-    cutoff; a call fills in the diagonal, which depends on y.  RK4 is a
-    polynomial in H, so its n-step propagator is taken in each sector's
-    eigenbasis (:func:`_rk4_propagators`, one eigensolve per pair of
-    sectors d and -d, the powers of all energies in one pass): the same
-    integrator as the power of the one-step matrix, with ``step`` fixing
-    h and n as before.  Each sector pair's (P U) diag(w) (P U)^dag is
-    written straight into the state's one array of values, which is then
-    symmetrized in place and its trace read from its diagonal.
+    cutoff; a call fills in the diagonal, which depends on y.  Each pair
+    of sectors d and -d shares one eigensolve H = V diag(E) V^T, and its
+    exact propagator V exp(-i E tau) V^T.  Each sector pair's
+    (P U) diag(w) (P U)^dag is written straight into the state's one
+    array of values, which is then symmetrized in place and its trace
+    read from its diagonal.
 
     The oracle is restricted to small occupation (nbar <= 2) and demands
     n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError, as
     do a step outside (0, inf) and an n_cut that is not an integer.
-    TruncationError is raised when the initial thermal tail dropped at
-    the cut (plus integrator drift) exceeds LEAKAGE_LIMIT, and
-    IntegrationError when the trace grew by more than LEAKAGE_LIMIT (or
-    is not finite): RK4 amplifies every eigenmode with |h E| > 2 sqrt 2,
-    so a step too large for the spectrum of H makes the state blow up.  Population
-    driven against the cutoff during the evolution is not caught by that
-    check, because truncated evolution conserves the trace; read
-    FockState.edge_population to see it.
+    ``step`` is accepted and has no effect; it is removed once the
+    benchmark stops passing it.  TruncationError is raised when the
+    initial thermal tail dropped at the cut exceeds LEAKAGE_LIMIT, and
+    IntegrationError, naming tau_end, when a phase angle leaves the float
+    range, so that the trace is not finite.  The lab phases reach
+    tau_end n_cut (omega1_bar + omega2_bar + 2 y), past 1.8e308 from
+    tau_end = 1.5e304 for omega_bar = 200 and 400 at n_cut = 20, and the
+    propagator's tau_end |E| at most 2 tau_end n_cut (1 + y).
+    Population driven against the cutoff during the evolution is not
+    caught by the leakage, because the propagator is unitary and
+    conserves the trace; read FockState.edge_population to see it.
 
     The route has a ceiling near 10-15 K.  The cutoff must reach about ten
     times the photon number per mode, which at the birth time (y = 0) is
@@ -625,36 +610,35 @@ def evolve_fock(
         )
 
     dim = n_cut + 1
-    n_steps = max(1, int(np.ceil(float(tau_end) / step)))
-    h = float(tau_end) / n_steps
-    # exact local-phase restoration to the lab frame
-    a1 = (params.omega1_bar + params.y) * float(tau_end)
-    a2 = (params.omega2_bar + params.y) * float(tau_end)
-
+    tau = float(tau_end)
     # the thermal input is diagonal, so each sector evolves on its own:
     # rho_d = (P U_d) diag(w_d) (P U_d)^dag with P the lab-frame phases;
     # w and P per slot of the layout, whose groups lie one after another
     layout, groups = _sector_plan(int(n_cut))
     weights = _thermal_weights(init.nbar1, dim).take(layout.n1)
     weights *= _thermal_weights(init.nbar2, dim).take(layout.n2)
-    phases = np.exp(-1j * (a1 * layout.n1 + a2 * layout.n2))
-    hams = []
-    for coupling, number, _ in groups:
-        ham = coupling.copy()
-        np.fill_diagonal(ham, -params.y * number)
-        hams.append(ham)
     values = np.empty(layout.transpose.size, dtype=complex)
     slot = place = 0
-    for propagator, (_, _, members) in zip(_rk4_propagators(hams, h, n_steps), groups):
-        k, m = members.shape
-        lab = phases[slot:slot + k * m].reshape(k, m)[:, :, None] * propagator
-        np.matmul(
-            lab * weights[slot:slot + k * m].reshape(k, m)[:, None, :],
-            lab.conj().transpose(0, 2, 1),
-            out=values[place:place + k * m * m].reshape(k, m, m),
-        )
-        slot, place = slot + k * m, place + k * m * m
-    del hams
+    # an angle past the float range turns its phase NaN, and with it a
+    # population, which the trace check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        # exact local-phase restoration to the lab frame
+        a1, a2 = (params.omega1_bar + params.y) * tau, (params.omega2_bar + params.y) * tau
+        phases = np.exp(-1j * (a1 * layout.n1 + a2 * layout.n2))
+        for coupling, number, members in groups:
+            ham = coupling.copy()
+            np.fill_diagonal(ham, -params.y * number)
+            energies, vecs = np.linalg.eigh(ham)
+            k, m = members.shape
+            lab = phases[slot:slot + k * m].reshape(k, m)[:, :, None] * (
+                (vecs * np.exp(-1j * tau * energies)) @ vecs.T
+            )
+            np.matmul(
+                lab * weights[slot:slot + k * m].reshape(k, m)[:, None, :],
+                lab.conj().transpose(0, 2, 1),
+                out=values[place:place + k * m * m].reshape(k, m, m),
+            )
+            slot, place = slot + k * m, place + k * m * m
     # (rho + rho^dag) / 2 over every sector at once
     mirror = values.take(layout.transpose)
     values += np.conjugate(mirror, out=mirror)
@@ -662,15 +646,14 @@ def evolve_fock(
     # gone before the state's checks
     del mirror
     trace = float(values.take(layout.diagonal).real.sum())
-
+    if not math.isfinite(trace):
+        raise IntegrationError(
+            f"Fock end point at tau={tau}: a phase angle left the float range"
+        )
     leakage = 1.0 - trace
     if leakage > LEAKAGE_LIMIT:
         raise TruncationError(
             f"basis leakage {leakage:.2e} exceeds {LEAKAGE_LIMIT}; raise n_cut"
-        )
-    if not leakage >= -LEAKAGE_LIMIT:
-        raise IntegrationError(
-            f"trace grew to {trace:.3e}: step {step} is past the RK4 stability limit"
         )
     return FockState._from_values(layout, leakage, values)
 

@@ -190,7 +190,7 @@ def test_criterion_09_fock_negativity_equivalence():
             params = params_for(y)
             init = pe.thermal_init(params, temp)
             assert max(init.nbar1, init.nbar2) <= 0.5
-            state = pe.evolve_fock(params, tau, temp, n_cut=n_cut, step=1e-4)
+            state = pe.evolve_fock(params, tau, temp, n_cut=n_cut)
             assert state.leakage < 1e-6
             e_fock = pe.fock_log_negativity(state)
             e_gauss = pe.log_negativity(pe.covariance_matrix(params, tau, temp))

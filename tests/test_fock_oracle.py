@@ -29,7 +29,6 @@ from pdc_entanglement.fock_oracle import (
     _Layout,
     _mode_rotation,
     _moment_lyapunov,
-    _rk4_propagators,
 )
 
 # temperatures giving small occupations at the reference frequencies:
@@ -237,6 +236,14 @@ class TestMomentsOde:
             ):
                 evolve_moments_ode(reference_params, tau, 300.0, step=1e-3)
 
+    @pytest.mark.parametrize("tau", [1e307, 1.7e308])
+    def test_refuses_a_step_count_past_the_float_range(self, reference_params, tau):
+        # tau / step overflows to inf, refused before math.ceil meets it
+        with pytest.raises(
+            IntegrationError, match=re.escape(f"moment ODE end point at tau={tau}: the step count")
+        ):
+            evolve_moments_ode(reference_params, tau, 0.5, step=1e-3)
+
     @pytest.mark.parametrize("y", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("temp", [0.0, 300.0])
     def test_refusals_set_in_at_one_tau_and_hold(self, make_params, y, temp):
@@ -342,7 +349,7 @@ class TestEvolveFock:
         assert state.leakage == pytest.approx(0.0, abs=1e-12)
 
     def test_matched_vacuum_mean_photons(self, reference_params):
-        state = evolve_fock(reference_params, 0.5, 0.0, n_cut=20, step=1e-4)
+        state = evolve_fock(reference_params, 0.5, 0.0, n_cut=20)
         assert number_expectation(state, 1) == pytest.approx(
             np.sinh(0.5) ** 2, abs=1e-6
         )
@@ -352,12 +359,12 @@ class TestEvolveFock:
         init = thermal_init(params, T_SMALL)
         diff0 = init.nbar1 - init.nbar2
         for tau in (0.25, 0.5, 1.0):
-            state = evolve_fock(params, tau, T_SMALL, n_cut=26, step=1e-4)
+            state = evolve_fock(params, tau, T_SMALL, n_cut=26)
             diff = number_expectation(state, 1) - number_expectation(state, 2)
             assert abs(diff - diff0) < 1e-8
 
     def test_trace_hermiticity_positivity(self, make_params):
-        state = evolve_fock(make_params(y=0.5), 1.0, T_SMALL, n_cut=24, step=1e-4)
+        state = evolve_fock(make_params(y=0.5), 1.0, T_SMALL, n_cut=24)
         rho = dense_rho(state)
         trace = float(np.real(np.trace(rho)))
         assert 1.0 - 1e-6 <= trace <= 1.0 + 1e-10
@@ -388,8 +395,7 @@ class TestEvolveFock:
 
     @pytest.mark.parametrize("step", [np.nan, np.inf])
     def test_rejects_a_step_that_is_not_finite(self, make_params, step):
-        # NaN used to reach math.ceil and raise its ValueError; inf ran one
-        # RK4 step of length tau_end
+        # step selects nothing, but a NaN or inf one still fails loudly
         with pytest.raises(ValidationError, match="step must be positive and finite"):
             evolve_fock(make_params(), 0.5, T_SMALL, n_cut=20, step=step)
 
@@ -398,12 +404,25 @@ class TestEvolveFock:
         with pytest.raises(ValidationError, match="n_cut must be an integer"):
             evolve_fock(make_params(), 0.5, T_SMALL, n_cut=8.5)
 
-    @pytest.mark.parametrize("step", [0.2, 0.5])
-    def test_refuses_a_grown_trace(self, make_params, step):
-        # RK4 amplifies the modes with |h E| > 2 sqrt 2: at step 0.2 the
-        # trace grows to 4.9e56, and the state would give E_N = 1.44
-        with pytest.raises(IntegrationError, match="trace grew"):
-            evolve_fock(make_params(y=0.5), 3.0, 1.0, n_cut=20, step=step)
+    @pytest.mark.parametrize("tau", [1e307, 1.7e308])
+    @pytest.mark.parametrize(
+        "omega_bar,temp",
+        # the lab phases overflow first; at omega_bar = 1e-3 they stay
+        # finite at 1e307 and the propagator's tau E overflows
+        [((200.0, 400.0), 0.5), ((1e-3, 1e-3), 0.0)],
+    )
+    def test_refuses_past_the_float_range(self, make_params, tau, omega_bar, temp):
+        params = make_params(y=0.5, omega1_bar=omega_bar[0], omega2_bar=omega_bar[1])
+        with pytest.raises(IntegrationError, match=re.escape(f"Fock end point at tau={tau}:")):
+            evolve_fock(params, tau, temp, n_cut=20)
+
+    def test_trace_is_conserved_at_long_times(self, make_params):
+        # the propagator is unitary, so the trace stays at its tau = 0
+        # value however long the evolution
+        params = make_params(y=0.5)
+        start = evolve_fock(params, 0.0, 0.5, n_cut=20)
+        late = evolve_fock(params, 1e15, 0.5, n_cut=20)
+        assert abs(late.leakage - start.leakage) < 1e-14
 
 
 class TestFockLogNegativity:
@@ -412,12 +431,12 @@ class TestFockLogNegativity:
         assert fock_log_negativity(state) == 0.0
 
     def test_tmsv_half(self, reference_params):
-        state = evolve_fock(reference_params, 0.5, 0.0, n_cut=20, step=1e-4)
+        state = evolve_fock(reference_params, 0.5, 0.0, n_cut=20)
         assert fock_log_negativity(state) == pytest.approx(1.0, abs=2e-3)
 
     def test_cross_backend_agreement(self, make_params):
         params = make_params(y=0.5)
-        state = evolve_fock(params, 1.0, T_SMALL, n_cut=30, step=1e-4)
+        state = evolve_fock(params, 1.0, T_SMALL, n_cut=30)
         gauss = log_negativity(covariance_matrix(params, 1.0, T_SMALL))
         assert fock_log_negativity(state) == pytest.approx(gauss, abs=1e-3)
 
@@ -455,7 +474,7 @@ class TestMomentsFromFock:
         self, make_params, y, tau, temp, n_cut
     ):
         params = make_params(y=y)
-        state = evolve_fock(params, tau, temp, n_cut=n_cut, step=1e-4)
+        state = evolve_fock(params, tau, temp, n_cut=n_cut)
         fock_cm = moments_from_fock(state)
         closed = covariance_matrix(params, tau, temp)
         assert np.max(np.abs(fock_cm.entries - closed.entries)) < 1e-5
@@ -483,19 +502,11 @@ def dense_hamiltonian(y, n_cut):
     )
 
 
-def dense_reference_state(params, tau, temp, n_cut, rk4_step=None):
-    """The evolved state from the exact propagator, or with rk4_step from
-    classical RK4 applied as one dense matrix power."""
+def dense_reference_state(params, tau, temp, n_cut):
+    """The evolved state from the exact propagator of the dense H."""
     _, number, _ = dense_operators(n_cut)
-    ham = dense_hamiltonian(params.y, n_cut)
-    if rk4_step is None:
-        energies, vecs = np.linalg.eigh(ham)
-        propagator = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
-    else:
-        n_steps = int(np.ceil(tau / rk4_step))
-        propagator = _matrix_power(
-            _rk4_step_matrix(-1j * ham, tau / n_steps), n_steps
-        )
+    energies, vecs = np.linalg.eigh(dense_hamiltonian(params.y, n_cut))
+    propagator = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
     init = thermal_init(params, temp)
     weights = []
     for nbar in (init.nbar1, init.nbar2):
@@ -558,12 +569,12 @@ class TestDenseReference:
     @pytest.mark.parametrize("y,tau", [(0.0, 0.7), (0.5, 1.0), (0.9, 0.4)])
     def test_evolved_state_matches_dense_propagator(self, make_params, y, tau):
         params = make_params(y=y)
-        state = evolve_fock(params, tau, T_TINY, n_cut=10, step=1e-4)
+        state = evolve_fock(params, tau, T_TINY, n_cut=10)
         expected = dense_reference_state(params, tau, T_TINY, 10)
-        assert np.max(np.abs(dense_rho(state) - expected)) < 1e-10
+        assert np.max(np.abs(dense_rho(state) - expected)) < 1e-12
 
     def test_negativity_of_evolved_state(self, make_params):
-        state = evolve_fock(make_params(y=0.5), 1.0, T_TINY, n_cut=10, step=1e-4)
+        state = evolve_fock(make_params(y=0.5), 1.0, T_TINY, n_cut=10)
         reference = dense_log_negativity(state)
         assert reference > 0.5
         assert abs(fock_log_negativity(state) - reference) < 1e-12
@@ -889,46 +900,6 @@ def test_sector_plan_partial_transpose_blocks_are_total_number_sectors(n_cut):
     assert [a for _, row in blocks for a in row] == basis
     sizes = np.array([len(row) for _, row in blocks])
     assert [first for first, _ in blocks] == (np.cumsum(sizes) - sizes).tolist()
-
-
-# step 1e-3 keeps RK4 3e-9 to 4e-8 away from the exact propagator on these
-# cases, so agreement to 1e-12 tells the two integrators apart (at 1e-4 the
-# gap falls to a few 1e-13 and could not)
-RK4_CASES = [(0.0, 0.7), (0.5, 1.0), (0.9, 0.4)]
-RK4_STEP = 1e-3
-
-
-@pytest.mark.parametrize("y,tau", RK4_CASES)
-def test_sector_propagator_is_the_rk4_matrix_power(y, tau):
-    n_cut = 10
-    ham = dense_hamiltonian(y, n_cut)
-    n_steps = int(np.ceil(tau / RK4_STEP))
-    h = tau / n_steps
-    n1, n2 = np.divmod(np.arange((n_cut + 1) ** 2), n_cut + 1)
-    for d in range(-n_cut, n_cut + 1):
-        idx = np.flatnonzero(n1 - n2 == d)
-        ham_d = ham[np.ix_(idx, idx)]
-        expected = _matrix_power(_rk4_step_matrix(-1j * ham_d, h), n_steps)
-        (propagator,) = _rk4_propagators([ham_d], h, n_steps)
-        assert np.max(np.abs(propagator - expected)) <= 1e-12
-        if d == 0:  # the largest sector, where the integrators differ most
-            e, v = np.linalg.eigh(ham_d)
-            exact = (v * np.exp(-1j * e * tau)) @ v.T
-            assert np.max(np.abs(exact - expected)) > 1e-9
-
-
-@pytest.mark.parametrize("y,tau", RK4_CASES)
-def test_evolve_fock_step_selects_rk4(make_params, y, tau):
-    # the whole state against one dense RK4 matrix power over all sectors;
-    # in the state the integrators differ less than in the propagator, so
-    # a coarser step keeps them apart
-    params, n_cut, step = make_params(y=y), 10, 1e-2
-    state = evolve_fock(params, tau, T_TINY, n_cut=n_cut, step=step)
-    expected = dense_reference_state(params, tau, T_TINY, n_cut, rk4_step=step)
-    rho = dense_rho(state)
-    assert np.max(np.abs(rho - expected)) < 1e-12
-    exact = dense_reference_state(params, tau, T_TINY, n_cut)
-    assert np.max(np.abs(rho - exact)) > 1e-9
 
 
 def test_block_storage_peak_memory_at_n_cut_60(reference_params):
