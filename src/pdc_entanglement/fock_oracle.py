@@ -50,13 +50,15 @@ oracle stays independent of it.
 
 That bookkeeping depends on the cutoff alone, so it is worked out once
 per cutoff and kept in a bounded cache of read-only plans
-(:func:`_sector_plan`): H's sector blocks, grouped d with -d, and the
-evolved state's :class:`_Layout`, which holds the places its checks,
-its partial transpose and its ladders read.  A call then only fills in
-values and solves, one eigensolve per group of equal-size blocks (d with
--d in the evolution, N with 2 n_cut - N in the partial transpose).  A
-state built from ``blocks=`` gets a layout of its own, whose partial
-transpose is one block over the whole basis.
+(:func:`_sector_plan`): H's sector blocks, grouped d with -d and the
+groups stacked four at a time, each block zero-padded to the largest of
+its stack, and the evolved state's :class:`_Layout`, which holds the
+places its checks, its partial transpose and its ladders read.  A call
+then only fills in values and solves: one eigensolve per stack of four
+groups in the evolution, and one per group of equal-size blocks (N with
+2 n_cut - N) in the partial transpose.  A state built from ``blocks=``
+gets a layout of its own, whose partial transpose is one block over the
+whole basis.
 """
 
 from __future__ import annotations
@@ -248,6 +250,12 @@ class FockState:
 # one plan serves every caller.
 _PLANS = 8
 _LARGE_PLAN = 2**18
+# Sector groups per eigensolve in evolve_fock, each block zero-padded to
+# the largest of its stack.  Four spread the per-call cost of the small
+# blocks; sixteen pad more than they save at n_cut = 120 (evolve_fock
+# 159-176 against 141-153 ms, best of 5, one BLAS thread, shared 2-CPU
+# host) and peak higher (53.8 against 48.2 MB traced).
+_STACK = 4
 
 # The ladder operators moments_from_fock reads, O |a> = w(a) |a - s> by
 # shift s = (s1, s2): w for a state with n1 = k1, n2 = k2.
@@ -495,13 +503,6 @@ def evolve_moments_ode(
     return MomentTrajectory(tau=tau, cm=CovarianceMatrix(lab))
 
 
-def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
-    """Truncated geometric distribution; deliberately not renormalized
-    after the cut so that 1 - sum(weights) is the dropped tail mass."""
-    q = nbar / (nbar + 1.0)
-    return q ** np.arange(dim) / (nbar + 1.0)
-
-
 def _sector_plan(n_cut: int) -> tuple:
     """The plan of a cutoff (:func:`_build_sector_plan`), from the cache
     of small plans or from the one-plan cache of large ones."""
@@ -511,33 +512,46 @@ def _sector_plan(n_cut: int) -> tuple:
 
 
 def _build_sector_plan(n_cut: int) -> tuple:
-    """What evolve_fock reads at one cutoff: (layout, groups), the layout
-    of the evolved state and per group of difference sectors with equal
-    H, in the layout's order, (coupling, number, members): the
-    tridiagonal block of -(c1 c2 + c1^dag c2^dag), the diagonal of
-    n1 + n2 on it, and the basis indices of each member sector, one row
-    per member.  Sector n1 - n2 = -d holds n1 = j, n2 = j + d, which
-    c1 c2 takes to j - 1 with weight sqrt(j) sqrt(j + d); the mode swap
-    takes it to sector d state for state and keeps H, so the two form
-    one group, -d first, for d = n_cut .. 0 (sector 0 alone).  The
-    partial-transpose blocks N = n_cut -+ d have the group's size, and
-    hold n1 = j, n2 = n_cut - d - j and n1 = j + d, n2 = n_cut - j."""
+    """What evolve_fock reads at one cutoff: (layout, stacks), the layout
+    of the evolved state and H's sector blocks in stacks.  Sector
+    n1 - n2 = -d holds n1 = j, n2 = j + d, which c1 c2 takes to j - 1
+    with weight sqrt(j) sqrt(j + d); the mode swap takes it to sector d
+    state for state and keeps H, so the two form one group with one
+    block, -d first, for d = n_cut .. 0 (sector 0 alone), in the layout's
+    order.  The groups' blocks are stacked _STACK at a time in that
+    order, each zero-padded to the largest of its stack: per stack
+    (coupling, number, sizes), the tridiagonal blocks of
+    -(c1 c2 + c1^dag c2^dag), the diagonals of n1 + n2 on them and the
+    blocks' sizes n_cut + 1 - d, with no coupling and a number of 0 on
+    the padding.  The partial-transpose blocks N = n_cut -+ d have the
+    group's size, and hold n1 = j, n2 = n_cut - d - j and n1 = j + d,
+    n2 = n_cut - j."""
     dim = n_cut + 1
-    groups, pt_blocks = [], []
+    indices, sizes, pt_blocks = [], [], []
     for d in range(n_cut, -1, -1):
         m = dim - d
         j = np.arange(m)
-        pair = -(np.sqrt(j[1:]) * np.sqrt(j[1:] + d))
-        members = np.array([j * dim + j + d, (j + d) * dim + j][:2 if d else 1])
-        coupling = np.diag(pair, 1) + np.diag(pair, -1)
-        groups.append(tuple(map(_read_only, (coupling, 2 * j + d, members))))
+        members = [j * dim + j + d, (j + d) * dim + j][:2 if d else 1]
+        indices += members
+        sizes += [m] * len(members)
         # the first eigenvalue of block N follows those of the blocks N' < N
         firsts = np.array([m * (m - 1) // 2, dim * dim - m * (m + 1) // 2][:2 if d else 1])
         pt_idx = np.array([j * dim + n_cut - d - j, (j + d) * dim + n_cut - j][:2 if d else 1])
         pt_blocks.append((_read_only(firsts), _read_only(pt_idx)))
-    indices = np.concatenate([members.ravel() for _, _, members in groups])
-    sizes = [idx.size for _, _, members in groups for idx in members]
-    return _Layout(n_cut, indices, sizes, tuple(pt_blocks)), tuple(groups)
+    stacks = []
+    for first in range(1, dim + 1, _STACK):
+        # group sizes m = first, first + 1, ..., each block padded to big
+        block_sizes = np.arange(first, min(first + _STACK, dim + 1))
+        big = int(block_sizes[-1])
+        j, d = np.arange(big), dim - block_sizes[:, None]
+        inside = j < block_sizes[:, None]
+        coupling = np.zeros((block_sizes.size, big, big))
+        coupling[:, j[1:], j[:-1]] = coupling[:, j[:-1], j[1:]] = np.where(
+            inside[:, 1:], -(np.sqrt(j[1:]) * np.sqrt(j[1:] + d)), 0.0
+        )
+        stacks.append(tuple(map(_read_only, (coupling, np.where(inside, 2 * j + d, 0), block_sizes))))
+    layout = _Layout(n_cut, np.concatenate(indices), sizes, tuple(pt_blocks))
+    return layout, tuple(stacks)
 
 
 _small_plans = functools.lru_cache(maxsize=_PLANS)(_build_sector_plan)
@@ -562,12 +576,20 @@ def evolve_fock(
     tridiagonal, dimension <= n_cut + 1) and the state is returned as one
     block per sector; no matrix over the whole (n_cut+1)^2 basis is
     formed.  The sectors and their coupling blocks are planned once per
-    cutoff; a call fills in the diagonal, which depends on y.  Each pair
-    of sectors d and -d shares one eigensolve H = V diag(E) V^T, and its
-    exact propagator V exp(-i E tau) V^T.  Each sector pair's
-    (P U) diag(w) (P U)^dag is written straight into the state's one
-    array of values, which is then symmetrized in place and its trace
-    read from its diagonal.
+    cutoff, sectors d and -d sharing one block and the blocks of four
+    such pairs stacked, zero-padded to the largest; a call fills in the
+    diagonals, which depend on y.  Per stack, one eigensolve
+    H = V diag(E) V^T gives the exact propagators U = V exp(-i E tau) V^T
+    and R = U diag(w) U^dag, with w = (q1 q2)^j on sector -d,
+    q = nbar / (nbar + 1), and w = 0 on the padding.  Two identities of
+    the thermal product input let one R serve a sector pair: the input
+    weights of sectors -d and d are c q2^d (q1 q2)^j and c q1^d (q1 q2)^j,
+    c = 1 / ((nbar1 + 1)(nbar2 + 1)), and the lab-frame phase of
+    rho[j, k] is exp(-i (a1 + a2)(j - k)) in every sector, one Toeplitz
+    matrix per call.  Each R is made Hermitian as (R + R^dag) / 2 on its
+    stack and written, with its phases and the sector's scale, straight
+    into the state's one array of values, which is so exactly Hermitian;
+    the trace is read from its diagonal.
 
     The oracle is restricted to small occupation (nbar <= 2) and demands
     n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError, as
@@ -576,13 +598,20 @@ def evolve_fock(
     benchmark stops passing it.  TruncationError is raised when the
     initial thermal tail dropped at the cut exceeds LEAKAGE_LIMIT, and
     IntegrationError, naming tau_end, when a phase angle leaves the float
-    range, so that the trace is not finite.  The lab phases reach
-    tau_end n_cut (omega1_bar + omega2_bar + 2 y), past 1.8e308 from
-    tau_end = 1.5e304 for omega_bar = 200 and 400 at n_cut = 20, and the
-    propagator's tau_end |E| at most 2 tau_end n_cut (1 + y).
+    range, so that a lab phase or the trace is not finite.  The lab
+    phases reach tau_end n_cut (omega1_bar + omega2_bar + 2 y), past
+    1.8e308 from tau_end = 1.5e304 for omega_bar = 200 and 400 at
+    n_cut = 20, and the propagator's tau_end |E| at most
+    2 tau_end n_cut (1 + y).
     Population driven against the cutoff during the evolution is not
     caught by the leakage, because the propagator is unitary and
     conserves the trace; read FockState.edge_population to see it.
+    Below the float range the state is returned however long tau_end,
+    but once tau |E| passes about 1e16 the angle tau E carries no correct
+    digit, and the phases of the returned state are rounding noise.  It
+    is still a unitary image of the input, with the same trace, so only
+    edge_population shows it: the truncated dynamics has filled the
+    cutoff long before.
 
     The route has a ceiling near 10-15 K.  The cutoff must reach about ten
     times the photon number per mode, which at the birth time (y = 0) is
@@ -611,42 +640,48 @@ def evolve_fock(
 
     dim = n_cut + 1
     tau = float(tau_end)
-    # the thermal input is diagonal, so each sector evolves on its own:
-    # rho_d = (P U_d) diag(w_d) (P U_d)^dag with P the lab-frame phases;
-    # w and P per slot of the layout, whose groups lie one after another
-    layout, groups = _sector_plan(int(n_cut))
-    weights = _thermal_weights(init.nbar1, dim).take(layout.n1)
-    weights *= _thermal_weights(init.nbar2, dim).take(layout.n2)
+    layout, stacks = _sector_plan(int(n_cut))
+    levels = np.arange(dim)
+    q1, q2 = init.nbar1 / (init.nbar1 + 1.0), init.nbar2 / (init.nbar2 + 1.0)
+    pair_weights = (q1 * q2) ** levels
+    # the thermal input, not renormalized after the cut so that 1 - trace
+    # is the dropped tail, is c q2^d (q1 q2)^j on sector -d and
+    # c q1^d (q1 q2)^j on sector d: per d the scales c q2^d and c q1^d,
+    # halved for (R + R^dag) / 2
+    scales = np.array([q2**levels, q1**levels]) * (0.5 / ((init.nbar1 + 1.0) * (init.nbar2 + 1.0)))
     values = np.empty(layout.transpose.size, dtype=complex)
-    slot = place = 0
+    place = 0
     # an angle past the float range turns its phase NaN, and with it a
-    # population, which the trace check refuses
+    # population or the phases, which the checks below refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        # exact local-phase restoration to the lab frame
+        # exact local-phase restoration to the lab frame: phase[j, k] =
+        # exp(-i (a1 + a2)(j - k)), a Toeplitz view of its first column
+        # and that column's conjugate, so exactly Hermitian
         a1, a2 = (params.omega1_bar + params.y) * tau, (params.omega2_bar + params.y) * tau
-        phases = np.exp(-1j * (a1 * layout.n1 + a2 * layout.n2))
-        for coupling, number, members in groups:
+        column = np.exp(-1j * (a1 + a2) * levels)
+        phase = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([column[::-1], column[1:].conj()]), dim
+        )[::-1]
+        for coupling, number, sizes in stacks:
+            count, big = number.shape
             ham = coupling.copy()
-            np.fill_diagonal(ham, -params.y * number)
+            ham.reshape(count, -1)[:, ::big + 1] = -params.y * number
             energies, vecs = np.linalg.eigh(ham)
-            k, m = members.shape
-            lab = phases[slot:slot + k * m].reshape(k, m)[:, :, None] * (
-                (vecs * np.exp(-1j * tau * energies)) @ vecs.T
-            )
-            np.matmul(
-                lab * weights[slot:slot + k * m].reshape(k, m)[:, None, :],
-                lab.conj().transpose(0, 2, 1),
-                out=values[place:place + k * m * m].reshape(k, m, m),
-            )
-            slot, place = slot + k * m, place + k * m * m
-    # (rho + rho^dag) / 2 over every sector at once
-    mirror = values.take(layout.transpose)
-    values += np.conjugate(mirror, out=mirror)
-    values /= 2.0
-    # gone before the state's checks
-    del mirror
+            unitary = (vecs * np.exp(-1j * tau * energies)[:, None, :]) @ vecs.transpose(0, 2, 1)
+            weights = np.where(levels[:big] < sizes[:, None], pair_weights[:big], 0.0)
+            evolved = (unitary * weights[:, None, :]) @ unitary.conj().transpose(0, 2, 1)
+            evolved += evolved.conj().transpose(0, 2, 1)
+            evolved *= phase[:big, :big]
+            # sectors -d and d, d = dim - m, one after another in the layout
+            for block, m in zip(evolved, sizes.tolist()):
+                k = 1 if m == dim else 2
+                np.multiply(
+                    block[:m, :m], scales[:k, dim - m, None, None],
+                    out=values[place:place + k * m * m].reshape(k, m, m),
+                )
+                place += k * m * m
     trace = float(values.take(layout.diagonal).real.sum())
-    if not math.isfinite(trace):
+    if not (math.isfinite(trace) and np.isfinite(column).all()):
         raise IntegrationError(
             f"Fock end point at tau={tau}: a phase angle left the float range"
         )

@@ -566,11 +566,31 @@ def random_density_matrix(n_cut, rng, sector_labels=None):
 
 
 class TestDenseReference:
-    @pytest.mark.parametrize("y,tau", [(0.0, 0.7), (0.5, 1.0), (0.9, 0.4)])
-    def test_evolved_state_matches_dense_propagator(self, make_params, y, tau):
+    @pytest.mark.parametrize(
+        "n_cut,y,temp,tau",
+        [
+            (10, 0.0, T_TINY, 0.7),
+            (10, 0.5, T_TINY, 1.0),
+            (10, 0.9, T_TINY, 0.4),
+            # evolve_fock stacks the sector groups of sizes 1 .. n_cut + 1
+            # four at a time, so the last stack holds 1, 2, 3 and 4 groups
+            # at n_cut = 8, 9, 10 and 11, the shapes of the one stack at
+            # n_cut = 1 and 2 among them; T = 0 gives q1 = q2 = 0
+            (8, 0.5, 0.0, 0.8),
+            (9, 0.3, 0.3, 0.6),
+            (11, 0.7, T_TINY, 0.5),
+            # at y = 0 each odd-size block has an eigenvalue 0, degenerate
+            # with its stack's padding
+            (12, 0.0, T_TINY, 1.1),
+            (12, 0.6, T_TINY, 0.0),
+        ],
+        # the n_cut = 10 cases keep their ids, y-tau
+        ids=["0.0-0.7", "0.5-1.0", "0.9-0.4", "n_cut8-T0", "n_cut9", "n_cut11", "n_cut12-y0", "n_cut12-tau0"],
+    )
+    def test_evolved_state_matches_dense_propagator(self, make_params, n_cut, y, temp, tau):
         params = make_params(y=y)
-        state = evolve_fock(params, tau, T_TINY, n_cut=10)
-        expected = dense_reference_state(params, tau, T_TINY, 10)
+        state = evolve_fock(params, tau, temp, n_cut=n_cut)
+        expected = dense_reference_state(params, tau, temp, n_cut)
         assert np.max(np.abs(dense_rho(state) - expected)) < 1e-12
 
     def test_negativity_of_evolved_state(self, make_params):
@@ -848,10 +868,12 @@ class TestPlans:
         fock_log_negativity(state)
         moments_from_fock(state)
         plan = fock_oracle._sector_plan(12)
-        layout, groups = plan
+        layout, stacks = plan
         assert state._layout is layout
-        # sectors d and -d share a group, d = 0 is alone
-        assert [idx.shape[0] for _, _, idx in groups] == [2] * 12 + [1]
+        # sectors -d and d share a block, d = 0 is alone, and the blocks,
+        # of sizes 13 - d, are stacked four at a time
+        assert [m for _, _, m in layout.blocks] == [m for m in range(1, 13) for _ in "-+"] + [13]
+        assert [sizes.tolist() for _, _, sizes in stacks] == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13]]
         assert {"partial_transpose", "ladders"} <= set(vars(layout))
         arrays = list(plan_arrays(plan)) + [state._values]
         assert len(arrays) > 20
@@ -862,13 +884,12 @@ class TestPlans:
 
 @pytest.mark.parametrize("n_cut", [1, 2, 5, 12, 30])
 def test_sector_plan_is_h_on_each_sector(n_cut):
-    # the plan writes H's sectors down from the model: each block, its
-    # diagonal filled in as evolve_fock fills it, must be the dense H on
-    # every member sector, the members must cover the basis once, and no
-    # entry of H may couple two of them
-    layout, groups = fock_oracle._build_sector_plan(n_cut)
-    members = [row for _, _, idx in groups for row in idx]
-    assert np.array_equal(np.concatenate(members), layout.indices)
+    # the plan writes H's sectors down from the model: each stacked block,
+    # its diagonal filled in as evolve_fock fills it, must be the dense H on
+    # every member sector and zero on its padding, the members must cover
+    # the basis once, and no entry of H may couple two of them
+    layout, stacks = fock_oracle._build_sector_plan(n_cut)
+    members = [idx for idx, _, _ in layout.blocks]
     assert np.array_equal(np.sort(layout.indices), np.arange((n_cut + 1) ** 2))
     member_of = np.empty(layout.indices.size, dtype=int)
     for k, row in enumerate(members):
@@ -877,11 +898,17 @@ def test_sector_plan_is_h_on_each_sector(n_cut):
         ham = dense_hamiltonian(y, n_cut)
         rows, cols = np.nonzero(ham)
         assert np.array_equal(member_of[rows], member_of[cols])
-        for coupling, number, idx in groups:
-            block = coupling.copy()
-            np.fill_diagonal(block, -y * number)
-            for row in idx:
-                assert np.array_equal(ham[np.ix_(row, row)], block)
+        # sectors -d and d of each block, one after another in the layout
+        sectors = iter(members)
+        for coupling, number, sizes in stacks:
+            count, big = number.shape
+            assert coupling.shape == (count, big, big) and big == sizes.max()
+            for block, diagonal, m in zip(coupling.copy(), number, sizes.tolist()):
+                np.fill_diagonal(block, -y * diagonal)
+                assert not block[m:].any() and not block[:, m:].any()
+                for row in [next(sectors) for _ in range(1 if m == n_cut + 1 else 2)]:
+                    assert np.array_equal(ham[np.ix_(row, row)], block[:m, :m])
+        assert next(sectors, None) is None
 
 
 @pytest.mark.parametrize("n_cut", [1, 2, 5, 12, 30])
@@ -936,11 +963,10 @@ def test_evolve_fock_peak_memory_at_n_cut_60(reference_params):
 
 
 def test_evolve_fock_peak_memory_at_n_cut_120(reference_params):
-    # with the plan built first, the symmetrization and the state's checks
-    # each hold at most two float arrays per stored entry next to the
-    # values, one of them the intp copy take makes of its int32 places
-    # (48.4 MB for 18.9 MB stored measured; 57.9 MB when the minor test
-    # held three)
+    # with the plan built first, the state's checks hold at most two
+    # float arrays per stored entry next to the values, one of them the
+    # intp copy take makes of its int32 places (48.2 MB for 18.9 MB
+    # stored measured; 57.9 MB when the minor test held three)
     fock_oracle._sector_plan(120)
     tracemalloc.start()
     try:
@@ -1016,9 +1042,11 @@ def blockwise_log_negativity(state):
 
 
 class TestStackedStages:
-    """The Fock stages solve same-size blocks together and write the
-    evolved sectors into one array; the answers are those of one solve
-    per block, to the bit."""
+    """The Fock stages solve blocks together and write the evolved
+    sectors into one array.  The partial transpose stacks blocks of one
+    size, and its E_N is that of one solve per block, to the bit; the
+    evolution pads four sector groups to one size per solve, which
+    TestDenseReference holds to the dense propagator."""
 
     @pytest.mark.parametrize("n_cut,y,temp,tau", [(12, 0.3, T_SMALL, 0.5), (20, 0.7, T_TINY, 0.4)])
     def test_negativity_of_evolved_state_is_the_blockwise_one(self, make_params, n_cut, y, temp, tau):
@@ -1038,7 +1066,8 @@ class TestStackedStages:
 
     def test_one_solve_per_block_size(self, reference_params, monkeypatch):
         # sector N and 2 n_cut - N of the partial transpose have one size,
-        # and d and -d of the evolution one H: 13 solves each at n_cut = 12
+        # 13 solves at n_cut = 12; d and -d of the evolution have one H,
+        # and its 13 groups go four to a solve, 4 solves
         calls = {"eigh": 0, "eigvalsh": 0}
         for name in calls:
             solve = getattr(np.linalg, name)
@@ -1049,9 +1078,9 @@ class TestStackedStages:
 
             monkeypatch.setattr(np.linalg, name, counting)
         state = evolve_fock(reference_params, 0.5, T_SMALL, n_cut=12)
-        assert calls == {"eigh": 13, "eigvalsh": 0}
+        assert calls == {"eigh": 4, "eigvalsh": 0}
         fock_log_negativity(state)
-        assert calls == {"eigh": 13, "eigvalsh": 13}
+        assert calls == {"eigh": 4, "eigvalsh": 13}
 
     def test_evolved_values_are_hermitian_exactly(self, make_params):
         state = evolve_fock(make_params(y=0.4), 0.5, T_SMALL, n_cut=12)
