@@ -117,7 +117,7 @@ def birth_time(
     if method not in ("closed_form", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
     # the occupations and x alone: tau = 0 only goes through the checks
-    mismatch, _, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
+    mismatch, _, _, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
     # an infinite K would make m* read 0
     _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
     m_star = _pair_threshold(nbar1, nbar2)
@@ -260,14 +260,14 @@ def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
     scalar inputs, and float64 arrays otherwise.  Raises
     NumericalDomainError where a field leaves the float range.
     """
-    return _witness(_pair_state(params, tau, temperature, y), tau, temperature)
+    return _witness(_pair_state(params, tau, temperature, y))
 
 
-def _witness(pair, tau, temperature) -> WitnessValue:
-    """The witness of a pair state at (tau, T); ``witness``."""
-    s0 = s0_threshold(pair.nbar1, pair.nbar2)
-    threshold = pair.lib.sqrt(s0)
-    gain = pair.m * pair.big_k
-    mean = (pair.nbar1 + gain + pair.nbar2 + gain) / 2.0
+def _witness(pair) -> WitnessValue:
+    """The witness of a pair state; ``witness``."""
+    nbar1, nbar2, m, big_k, _, _, _, lib, _, _, tau, temperature = pair
+    threshold = lib.sqrt(s0_threshold(nbar1, nbar2))
+    gain = m * big_k
+    mean = (nbar1 + gain + nbar2 + gain) / 2.0
     _check_finite(threshold + mean, "witness", "tau, T", tau, temperature)
     return WitnessValue(threshold - mean, mean, threshold)

@@ -13,9 +13,10 @@ parameter points and runs the oracle equivalence suites:
     oracle-check   closed form vs ODE moments and vs Fock negativity,
            one line per case
 
-Exit code 2 means the run failed: bad input, or a package error
-(numerical domain, Fock truncation, unstable integration); exit code 1
-is reserved for eval's "separable" verdict and a failed oracle-check.
+Exit code 2 means the run failed: bad input, a grid too large to
+allocate, or a package error (numerical domain, Fock truncation,
+unstable integration); exit code 1 is reserved for eval's "separable"
+verdict and a failed oracle-check.
 
 CSV output has a one-line header, comma separators, LF line endings and
 12 significant digits; identical configurations produce byte-identical
@@ -264,22 +265,20 @@ def cmd_eval(config: RunConfig) -> int:
 
     The pair state is built once.  The readers behind
     ``mean_photon_numbers``, ``covariance_matrix``, ``witness`` and
-    ``det_gamma_closed_form`` take it in that order, each with its own
+    ``det_gamma_closed_form`` take it alone in that order, each with its own
     finiteness check, so a refusal is the one those functions would give
     first; the verdict is ``entanglement_report``'s, from the invariants
     the report prints.  Nothing is written before every value is known.
     """
-    params = build_params(config)
-    tau, temp = config.tau, config.temp_k
-    pair = pdc_dynamics._pair_state(params, tau, temp)
-    n1, n2 = pdc_dynamics._photon_numbers(pair, tau, temp)
-    cm = pdc_dynamics._pair_matrix(params, tau, pair)
+    pair = pdc_dynamics._pair_state(build_params(config), config.tau, config.temp_k)
+    n1, n2 = pdc_dynamics._photon_numbers(pair)
+    cm = pdc_dynamics._pair_matrix(pair)
     inv = gaussian_core.symplectic_invariants(cm)
     entangled = gaussian_core._verdict(cm, inv)
-    w = analysis._witness(pair, tau, temp).w
-    det_gamma = pdc_dynamics._det_gamma(pair, tau, temp)
+    w = analysis._witness(pair).w
+    det_gamma = pdc_dynamics._det_gamma(pair)
     sys.stdout.write(_EVAL_REPORT.format(
-        pair.nbar1, pair.nbar2, n1, n2, tau * pair.x, inv.i1, inv.i2, inv.s0, inv.s,
+        pair.nbar1, pair.nbar2, n1, n2, pair.tau * pair.x, inv.i1, inv.i2, inv.s0, inv.s,
         det_gamma, inv.nu_minus_pt, inv.log_negativity, w,
         "entangled" if entangled else "separable",
     ))
@@ -336,17 +335,22 @@ def cmd_oracle_check(config: RunConfig, skip_fock: bool = False) -> int:
 
 
 def _read_config_file(path: str) -> dict:
-    """key=value lines; '#' starts a comment; keys use underscores."""
+    """key=value lines of UTF-8 text; '#' starts a comment; keys use
+    underscores."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ValidationError(f"config file {path!r} is not UTF-8 text") from None
     values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"bad config line {raw.rstrip()!r}")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"bad config line {raw.rstrip()!r}")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -462,6 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         TruncationError,
         IntegrationError,
         OSError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -596,10 +596,13 @@ def evolve_fock(
     do a step outside (0, inf) and an n_cut that is not an integer.
     ``step`` is accepted and has no effect; it is removed once the
     benchmark stops passing it.  TruncationError is raised when the
-    initial thermal tail dropped at the cut exceeds LEAKAGE_LIMIT, and
-    IntegrationError, naming tau_end, when a phase angle leaves the float
-    range, so that a lab phase or the trace is not finite.  The lab
-    phases reach tau_end n_cut (omega1_bar + omega2_bar + 2 y), past
+    initial thermal tail dropped at the cut exceeds LEAKAGE_LIMIT; while
+    the nbar <= 2 cap and the n_cut rule hold it cannot, since the
+    largest tail they let through, 1 - (1 - (2/3)^25)^2 = 7.92e-5 at
+    nbar1 = nbar2 = 2 and n_cut = 24, is below LEAKAGE_LIMIT = 1e-4.
+    IntegrationError, naming tau_end, is raised when a phase angle leaves
+    the float range, so that a lab phase or the trace is not finite.  The
+    lab phases reach tau_end n_cut (omega1_bar + omega2_bar + 2 y), past
     1.8e308 from tau_end = 1.5e304 for omega_bar = 200 and 400 at
     n_cut = 20, and the propagator's tau_end |E| at most
     2 tau_end n_cut (1 + y).

@@ -198,14 +198,16 @@ def _pair_threshold(nbar1, nbar2):
 
 
 class PairState(NamedTuple):
-    """Scalars that fix a thermally seeded two-mode squeezed state.
+    """A thermally seeded two-mode squeezed state and the point it is at.
 
     nbar1, nbar2 are the initial thermal occupations, m = sinh^2(x tau)/x^2
     the pair gain and big_k = nbar1 + nbar2 + 1; x, ratio = sinh(x tau)/x
-    and ch = cosh(x tau) are kept for the covariance-matrix entries.
-    Each is a scalar or a numpy array, and they broadcast together.  lib
+    and ch = cosh(x tau) are kept for the covariance-matrix entries.  lib
     is ``math`` or numpy, as ``_working`` picked it for the inputs; the
-    closed forms that read the state compute in it.
+    closed forms that read the state compute in it.  params (a
+    ``pdc_dynamics.PdcParams``), y, tau and temperature are those inputs,
+    converted and checked; the readers' refusals name them.  Each number
+    is a scalar or a numpy array, and they broadcast together.
     """
 
     nbar1: float
@@ -216,6 +218,10 @@ class PairState(NamedTuple):
     ratio: float
     ch: float
     lib: object
+    params: object
+    y: float
+    tau: float
+    temperature: float
 
 
 _FLOAT64_MAX = float(np.finfo(np.float64).max)
@@ -323,11 +329,17 @@ class EntanglementReport(NamedTuple):
 
 
 def _pt_eigenvalue_pair(delta, i1):
-    """Both symplectic eigenvalues from a seralian/determinant pair.
+    """Both symplectic eigenvalues (nu_minus, nu_plus), nu_minus <=
+    nu_plus, from a seralian/determinant pair.
 
     Solves z^2 - delta*z + i1 = 0 for z = nu^2 using the rationalized
     root for the small solution; the naive (delta - sqrt(disc))/2 form
-    loses all precision once delta >> i1 (strong squeezing).
+    loses all precision once delta >> i1 (strong squeezing).  A
+    discriminant below 0 by no more than DOMAIN_TOL max(delta^2, 1) is
+    rounding of a degenerate spectrum and is taken as 0; i1/nu_plus^2
+    can then round above nu_plus^2, so the small root is capped at the
+    large one.  A larger deficit (delta^2 < 4 i1), which no
+    positive-definite matrix has, raises NumericalDomainError.
     """
     disc = delta * delta - 4.0 * i1
     if disc < 0.0:
@@ -342,7 +354,7 @@ def _pt_eigenvalue_pair(delta, i1):
     nu_plus_sq = (delta + root) / 2.0
     if nu_plus_sq <= 0.0:
         raise NumericalDomainError("non-positive symplectic spectrum")
-    nu_minus_sq = i1 / nu_plus_sq
+    nu_minus_sq = min(i1 / nu_plus_sq, nu_plus_sq)
     return np.sqrt(nu_minus_sq), np.sqrt(nu_plus_sq)
 
 
@@ -388,13 +400,16 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     Raises
     ------
     NumericalDomainError
-        If delta_tilde^2 < 4*I1 beyond tolerance, which signals an
-        unphysical input matrix, if an invariant of the pair route is
-        not finite, if the generic route gets a matrix with
-        det alpha <= 0 (no CM has det alpha < 1/4) or with entries whose
-        determinants overflow float64, or if its estimated E_N error
-        eps * max|sigma|^2 / sqrt(I1) exceeds GENERIC_EN_TOL (always for
-        I1 <= 0).
+        If an invariant of the pair route is not finite, if the generic
+        route gets a matrix that is not positive definite, or with
+        entries whose determinants overflow float64, or if its estimated
+        E_N error eps * max|sigma|^2 / sqrt(I1) exceeds GENERIC_EN_TOL.
+        Positive definite is read from the leading principal minors:
+        sigma_11 > 0, det alpha > 0 (no CM has det alpha < 1/4), the
+        first entry of the Schur complement beta - gamma^T alpha^-1 gamma
+        > 0, and I1 > 0, which the error estimate requires.  The PT
+        spectrum of a positive-definite matrix is real, so delta_tilde^2
+        >= 4*I1 holds up to rounding.
     """
     if cm.pair is not None:
         return _pair_invariants(cm.pair)
@@ -406,6 +421,15 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     det_alpha = _det2(sigma[:2, :2])
     if not det_alpha > 0.0:
         raise NumericalDomainError(f"det alpha = {float(det_alpha)!r}: not a CM")
+    g1, g2 = sigma[0, 2], sigma[1, 2]
+    schur_11 = sigma[2, 2] - (
+        sigma[1, 1] * g1 * g1 - (sigma[0, 1] + sigma[1, 0]) * g1 * g2 + sigma[0, 0] * g2 * g2
+    ) / det_alpha
+    if not (sigma[0, 0] > 0.0 and schur_11 > 0.0):
+        raise NumericalDomainError(
+            f"sigma_11 = {float(sigma[0, 0])!r}, (beta - gamma^T alpha^-1 gamma)_11 = "
+            f"{float(schur_11)!r}: not positive definite, not a CM"
+        )
     det_beta = _det2(sigma[2:, 2:])
     det_gamma = _det2(sigma[:2, 2:])
     i1 = _det4(sigma)

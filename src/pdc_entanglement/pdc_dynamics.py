@@ -21,8 +21,10 @@ Every closed form reads one core, ``_pair_state``.  It validates tau and
 T once and returns the four numbers that fix the state: the initial
 occupations nbar1 and nbar2, the pair gain m = sinh^2(x tau)/x^2 and
 K = nbar1 + nbar2 + 1, plus x, sinh(x tau)/x and cosh(x tau) for the
-covariance-matrix entries.  Each public closed form is ``_pair_state``
-followed by a private reader of the state with its own finiteness check
+covariance-matrix entries, and the params, y, tau and T it was built
+from, converted and checked.  Each public closed form is ``_pair_state``
+followed by a private reader that takes the state alone and runs its
+own finiteness check, which names the state's tau and T
 (``_photon_numbers``, ``_pair_matrix``, ``_det_gamma``,
 ``analysis._witness``), so ``eval`` builds the state once for all of
 them.  The birth time, which needs no tau, reads only the checked inputs
@@ -265,7 +267,7 @@ def _stretch(y, tau, lib):
 
 
 def _pair_inputs(params: PdcParams, tau, temperature, y):
-    """(y, tau, nbar1, nbar2, lib): the inputs of a pair state, y =
+    """(y, tau, T, nbar1, nbar2, lib): the inputs of a pair state, y =
     ``params.y`` unless given, converted and checked once in the library
     ``lib`` that ``_working`` picks for them, and the occupations at T.
     Array inputs must broadcast against each other."""
@@ -279,7 +281,7 @@ def _pair_inputs(params: PdcParams, tau, temperature, y):
     _check_nonnegative(temperature, "temperature")
     _check_mismatch(y)
     nbar1, nbar2 = _occupations(params, temperature, lib)
-    return y, tau, nbar1, nbar2, lib
+    return y, tau, temperature, nbar1, nbar2, lib
 
 
 def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
@@ -290,11 +292,14 @@ def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
     (``params.y`` unless given), once (:func:`_pair_inputs`).
     m = sinh^2(x tau)/x^2 is the pair gain and K = nbar1 + nbar2 + 1.
     """
-    y, tau, nbar1, nbar2, lib = _pair_inputs(params, tau, temperature, y)
+    y, tau, temperature, nbar1, nbar2, lib = _pair_inputs(params, tau, temperature, y)
     # x, sinh and cosh run in numpy only for an array y or tau, so that an
     # array of T gets them to the bit as a scalar call does
     x, ratio, ch = _stretch(y, tau, lib if lib is math else _working(y, tau)[1])
-    return PairState(nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio, ch, lib)
+    # _make takes one tuple: binding twelve arguments in the generated
+    # __new__ costs phase_map 1-2% of its items per second
+    return PairState._make((nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio, ch, lib,
+                            params, y, tau, temperature))
 
 
 @_pointwise
@@ -324,14 +329,14 @@ def mean_photon_numbers(params: PdcParams, tau, temperature):
     Raises NumericalDomainError where a photon number leaves the float
     range.
     """
-    return _photon_numbers(_pair_state(params, tau, temperature), tau, temperature)
+    return _photon_numbers(_pair_state(params, tau, temperature))
 
 
-def _photon_numbers(pair: PairState, tau, temperature):
-    """(n1, n2) of a pair state at (tau, T); ``mean_photon_numbers``."""
+def _photon_numbers(pair: PairState):
+    """(n1, n2) of a pair state; ``mean_photon_numbers``."""
     gain = pair.m * pair.big_k
     n1, n2 = pair.nbar1 + gain, pair.nbar2 + gain
-    _check_finite(n1 + n2, "mean photon number", "tau, T", tau, temperature)
+    _check_finite(n1 + n2, "mean photon number", "tau, T", pair.tau, pair.temperature)
     return n1, n2
 
 
@@ -354,15 +359,13 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     pair route.  tau and T are scalars.
     """
     _check_scalar("covariance_matrix", "tau and T", tau, temperature, arrays="pair_invariants")
-    tau = float(tau)
-    return _pair_matrix(params, tau, _pair_state(params, tau, temperature))
+    return _pair_matrix(_pair_state(params, tau, temperature))
 
 
-def _pair_matrix(params: PdcParams, tau: float, pair: PairState) -> CovarianceMatrix:
-    """The matrix of a scalar pair state at tau; ``covariance_matrix``."""
-    y = params.y
-    ratio, ch, big_k = pair.ratio, pair.ch, pair.big_k
-    gain = pair.m * big_k
+def _pair_matrix(pair: PairState) -> CovarianceMatrix:
+    """The matrix of a scalar pair state; ``covariance_matrix``."""
+    nbar1, nbar2, m, big_k, _, ratio, ch, _, params, y, tau, _ = pair
+    gain = m * big_k
     # phase accumulated per mode; summed this way it matches the local
     # rotations used by the moment-ODE oracle to the last ulp
     alpha1 = (params.omega1_bar + y) * tau
@@ -371,8 +374,8 @@ def _pair_matrix(params: PdcParams, tau: float, pair: PairState) -> CovarianceMa
     sn, cs = math.sin(phase), math.cos(phase)
     s13 = big_k * ratio * (sn * ch - cs * y * ratio)
     s14 = big_k * ratio * (cs * ch + sn * y * ratio)
-    d1 = pair.nbar1 + gain + 0.5
-    d2 = pair.nbar2 + gain + 0.5
+    d1 = nbar1 + gain + 0.5
+    d2 = nbar2 + gain + 0.5
     _check_finite(abs(s13) + abs(s14) + d1 + d2, "covariance matrix", "tau", tau)
     return CovarianceMatrix._of_pair(d1, d2, s13, s14, pair)
 
@@ -385,12 +388,12 @@ def det_gamma_closed_form(params: PdcParams, tau, temperature):
     strictly decreasing in tau for tau > 0.  Raises NumericalDomainError
     where it leaves the float range.
     """
-    return _det_gamma(_pair_state(params, tau, temperature), tau, temperature)
+    return _det_gamma(_pair_state(params, tau, temperature))
 
 
-def _det_gamma(pair: PairState, tau, temperature):
-    """det gamma of a pair state at (tau, T); ``det_gamma_closed_form``."""
+def _det_gamma(pair: PairState):
+    """det gamma of a pair state; ``det_gamma_closed_form``."""
     m, big_k = pair.m, pair.big_k
     det_gamma = -m * (m + 1.0) * big_k * big_k
-    _check_finite(det_gamma, "det gamma", "tau, T", tau, temperature)
+    _check_finite(det_gamma, "det gamma", "tau, T", pair.tau, pair.temperature)
     return det_gamma

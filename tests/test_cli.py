@@ -88,9 +88,20 @@ class TestFig1:
             assert all(b >= a for a, b in zip(curve, curve[1:]))
 
     def test_bad_grid_is_usage_error(self, capsys):
-        code, _, err = run_cli(["fig1", "--temp-grid", "0:300:0"], capsys)
-        assert code == 2
-        assert "error" in err
+        # each refusal of a malformed axis, grid or value list, by its message
+        for flag, spec, message in [
+            ("--temp-grid", "0:300:0", "grid needs at least one point, got 0"),
+            ("--temp-grid", "0:300", "grid must look like a:b:n, got '0:300'"),
+            (
+                "--temp-grid",
+                "0:300:x",
+                "bad grid '0:300:x': invalid literal for int() with base 10: 'x'",
+            ),
+            ("--y-set", "0,x", "bad value list '0,x': could not convert string to float: 'x'"),
+            ("--y-set", " , ", "empty value list ' , '"),
+        ]:
+            code, out, err = run_cli(["fig1", flag, spec], capsys)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "command,grid", [("fig5", "0:nan:1"), ("fig1", "0:inf:3"), ("fig1", "nan:300:1")]
@@ -155,6 +166,13 @@ class TestFig3:
         for temp in (0.0, 50.0, 300.0):
             curve = [r[2] for r in rows if r[1] == temp]
             assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
+
+    def test_grid_too_large_to_allocate_is_usage_error(self, capsys):
+        # numpy refuses the 711 PiB array at once and allocates nothing;
+        # its MemoryError used to leave main with a traceback and exit 1
+        code, out, err = run_cli(["fig3", "--y-grid", "0:0.5:100000000000000000"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate 711. PiB")
 
 
 class TestFig4:
@@ -400,6 +418,20 @@ class TestConfigFile:
         code, _, err = run_cli(["eval", "--config", str(cfg)], capsys)
         assert code == 2
         assert "error" in err and "'y'" in err
+        # a line with no '=' at all
+        cfg.write_text("y 0.5\n")
+        code, out, err = run_cli(["eval", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", "error: bad config line 'y 0.5'\n")
+
+    @pytest.mark.parametrize("command", ["eval", "fig1"])
+    def test_file_that_is_not_utf8_is_usage_error(self, capsys, tmp_path, command):
+        # its UnicodeDecodeError used to leave main with a traceback and
+        # exit 1, eval's "separable"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"y=0.5\xff\n")
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: config file {str(cfg)!r} is not UTF-8 text\n"
 
 
 class TestFlagsPerSubcommand:

@@ -11,6 +11,7 @@ from pdc_entanglement import (
     FockState,
     IntegrationError,
     NumericalDomainError,
+    TruncationError,
     ValidationError,
     covariance_matrix,
     evolve_fock,
@@ -371,7 +372,7 @@ class TestEvolveFock:
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
-    def test_leakage_reports_truncated_tail(self, make_params):
+    def test_leakage_reports_truncated_tail(self, make_params, monkeypatch):
         # thermal tail beyond n_cut: (nbar/(nbar+1))^(n_cut+1) per mode
         params = make_params()
         init = thermal_init(params, T_SMALL)
@@ -383,6 +384,13 @@ class TestEvolveFock:
         )
         assert state.leakage == pytest.approx(expect, rel=1e-6)
         assert 0.0 < state.leakage < 1e-4
+        # the nbar <= 2 cap and the n_cut rule keep the tail below
+        # LEAKAGE_LIMIT (7.92e-5 at most), so its refusal is seen with the
+        # limit set below this tail
+        monkeypatch.setattr(fock_oracle, "LEAKAGE_LIMIT", 1e-8)
+        message = f"basis leakage {state.leakage:.2e} exceeds 1e-08; raise n_cut"
+        with pytest.raises(TruncationError, match=re.escape(message)):
+            evolve_fock(params, 0.0, T_SMALL, n_cut=n_cut)
 
     def test_rejects_large_occupation(self, make_params):
         # nbar1 ~ 5.3 at 8 K exceeds the small-occupation contract
@@ -392,6 +400,11 @@ class TestEvolveFock:
     def test_rejects_undersized_cutoff(self, make_params):
         with pytest.raises(ValidationError):
             evolve_fock(make_params(), 0.5, T_SMALL, n_cut=8)
+
+    @pytest.mark.parametrize("tau", [np.nan, -0.5, np.inf])
+    def test_rejects_a_tau_end_that_is_not_finite_or_is_negative(self, make_params, tau):
+        with pytest.raises(ValidationError, match="^tau_end must be finite and >= 0$"):
+            evolve_fock(make_params(), tau, T_SMALL, n_cut=20)
 
     @pytest.mark.parametrize("step", [np.nan, np.inf])
     def test_rejects_a_step_that_is_not_finite(self, make_params, step):
@@ -723,6 +736,22 @@ class TestFockStateArguments:
         # a NaN leakage used to be stored
         with pytest.raises(ValidationError, match="leakage must be finite"):
             FockState(n_cut=1, leakage=leakage, blocks=[([0], [[1.0]])])
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([([0, 1], [[1.0]])], "blocks must be square over their indices, at least one"),
+            ([], "blocks must be square over their indices, at least one"),
+            ([([0, 0], np.eye(2) / 2)], "block indices must be distinct and below 4"),
+            ([([0], [[0.5]]), ([0], [[0.5]])], "block indices must be distinct and below 4"),
+            ([([0, 4], np.eye(2) / 2)], "block indices must be distinct and below 4"),
+            ([([-1], [[1.0]])], "block indices must be distinct and below 4"),
+        ],
+        ids=["not_square", "none", "repeated", "repeated_across_blocks", "above", "negative"],
+    )
+    def test_rejects_blocks_that_do_not_fit_the_basis(self, blocks, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FockState(n_cut=1, leakage=0.0, blocks=blocks)
 
 
 class TestFockStatePositivity:

@@ -1,4 +1,5 @@
 import ast
+import re
 import warnings
 from fractions import Fraction
 from itertools import permutations
@@ -14,6 +15,7 @@ from pdc_entanglement import (
     ValidationError,
     covariance_matrix,
     entanglement_report,
+    evolve_moments_ode,
     log_negativity,
     physicality_check,
     symplectic_invariants,
@@ -128,6 +130,20 @@ class TestSymplecticInvariants:
         total = inv.nu_minus_pt**2 + inv.nu_plus_pt**2
         assert prod == pytest.approx(inv.i1, rel=1e-10)
         assert total == pytest.approx(inv.delta_tilde, rel=1e-10)
+
+    def test_degenerate_pt_spectrum_stays_ordered(self):
+        # 0.6 I under local rotations by 0.1 and 0.2: the discriminant
+        # rounds below 0 and is clamped, and nu_minus_pt used to come out
+        # one ulp above nu_plus_pt
+        rot = np.zeros((4, 4))
+        for at, angle in ((0, 0.1), (2, 0.2)):
+            c, s = np.cos(angle), np.sin(angle)
+            rot[at:at + 2, at:at + 2] = [[c, -s], [s, c]]
+        inv = symplectic_invariants(CovarianceMatrix(rot @ (0.6 * np.eye(4)) @ rot.T))
+        assert inv.delta_tilde * inv.delta_tilde - 4.0 * inv.i1 < 0.0
+        assert inv.nu_minus_pt <= inv.nu_plus_pt
+        assert inv.nu_plus_pt == pytest.approx(0.6, rel=1e-15)
+        assert inv.log_negativity == 0.0
 
     def test_s_definition_matches_stated_combination(self, make_params):
         cm = covariance_matrix(make_params(y=0.3), 1.7, 120.0)
@@ -321,6 +337,27 @@ class TestEntanglementReport:
                 assert rep.entangled == (rep.log_negativity > 0.0)
                 assert rep.entangled == (rep.nu_minus_pt < 0.5)
 
+    def test_ode_end_point_verdict_is_the_closed_forms(self, make_params):
+        # an ODE end point carries no pair state: the generic route answers
+        # it and its verdict is S < 0, which away from the boundary (m/m*
+        # at least 6, or at most 0.73, here) is the closed form's m > m*
+        verdicts = []
+        for y, tau, temp in [
+            (0.0, 1.0, 0.0),
+            (0.5, 1.5, 0.0),
+            (0.9, 4.543, 50.0),
+            (0.5, 2.881, 300.0),
+            (0.9, 0.5, 300.0),
+            (0.0, 2.0, 600.0),
+        ]:
+            params = make_params(y=y)
+            end = evolve_moments_ode(params, tau, temp).final()
+            assert end.pair is None
+            closed = entanglement_report(covariance_matrix(params, tau, temp))
+            assert entanglement_report(end).entangled == closed.entangled
+            verdicts.append(closed.entangled)
+        assert verdicts == [True] * 3 + [False] * 3
+
 
 class TestPairRoute:
     """Matrices from covariance_matrix carry their pair state and take the
@@ -486,6 +523,34 @@ class TestGenericRouteGuard:
         # det(sigma) <= 0 is no physical state; the route no longer returns NaN
         with pytest.raises(NumericalDomainError):
             symplectic_invariants(CovarianceMatrix(np.diag([1.0, -0.5, 0.5, 0.5])))
+
+    @pytest.mark.parametrize(
+        "diagonal, sigma_11, schur_11",
+        [((1.0, 1.0, -1.0, -1.0), "1.0", "-1.0"), ((-1.0, -1.0, 1.0, 1.0), "-1.0", "1.0")],
+        ids=["negative_beta", "negative_alpha"],
+    )
+    def test_refuses_a_matrix_that_is_not_positive_definite(self, diagonal, sigma_11, schur_11):
+        # det alpha = 1 and det sigma = 1 pass; diag(1, 1, -1, -1) used to
+        # get E_N = 0 and "separable" while physicality_check said False
+        cm = CovarianceMatrix(np.diag(diagonal))
+        assert not physicality_check(cm)
+        message = (
+            f"sigma_11 = {sigma_11}, (beta - gamma^T alpha^-1 gamma)_11 = {schur_11}: "
+            "not positive definite, not a CM"
+        )
+        for measure in (symplectic_invariants, log_negativity, entanglement_report):
+            with pytest.raises(NumericalDomainError, match=re.escape(message)):
+                measure(cm)
+
+    def test_pt_pair_refuses_a_deficit_past_rounding(self):
+        # no positive-definite matrix has delta^2 < 4 det(sigma), so the
+        # generic route cannot send one; the pair solver still refuses it
+        message = (
+            "delta^2 < 4*det(sigma): covariance matrix is not a physical "
+            "two-mode Gaussian state (delta=1.0, det=1.0)"
+        )
+        with pytest.raises(NumericalDomainError, match=re.escape(message)):
+            gaussian_core._pt_eigenvalue_pair(1.0, 1.0)
 
     @pytest.mark.parametrize(
         "entries",

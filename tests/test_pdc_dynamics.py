@@ -73,6 +73,8 @@ class TestParams:
             ThermalInit(temperature=0.0, nbar1=1.0, nbar2=0.0)
         with pytest.raises(ValidationError):
             ThermalInit(temperature=10.0, nbar1=-0.5, nbar2=0.0)
+        with pytest.raises(ValidationError, match="^temperature must be >= 0$"):
+            ThermalInit(temperature=-1.0, nbar1=0.0, nbar2=0.0)
 
     @pytest.mark.parametrize("field", ["temperature", "nbar1", "nbar2"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
