@@ -3,9 +3,10 @@
 Two independent routes certify the covariance-matrix pipeline:
 
 * :func:`evolve_moments_ode` integrates the linear second-moment
-  equations d sigma/d tau = F sigma + sigma F^T with classical
-  fixed-step 4th-order stepping and compares entrywise against the
-  closed form.
+  equations d sigma/d tau = F sigma + sigma F^T, whose flow is
+  sigma = M sigma0 M^T with dM/d tau = F M, by classical fixed-step
+  4th-order stepping of the 4 x 4 propagator M; the end point is
+  compared entrywise against the closed form.
 * :func:`evolve_fock` evolves the density matrix in a truncated
   two-mode Fock basis; :func:`fock_log_negativity` takes the partial
   transpose and its trace norm, giving an entanglement measure that
@@ -21,13 +22,13 @@ mode.  Integrating the lab-frame equations directly would demand
 resolving ~10^2-10^3 rad frequencies to absolute 1e-8 in the presence of
 1e4-scale matrix entries, which fixed-step double precision cannot do.
 
-For the linear autonomous moment equations, classical RK4 is exactly
-multiplication by its one-step stability matrix R = E4(h*L) with
-E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as R^n
-on the 10 independent moments sigma[i, j], i <= j, by squaring
-increments over the identity (see :func:`evolve_moments_ode`); that
-keeps RK4's O(h^4) error, checked by the step-halving test, and forms
-only the end point.  The Fock generator is Hermitian, so its propagator
+For the linear autonomous equation dM/d tau = F M, classical RK4 is
+exactly multiplication by its one-step stability matrix R = E4(h*F)
+with E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as
+M = R^n by squaring increments over the identity (see
+:func:`evolve_moments_ode`); that keeps RK4's O(h^4) error, at h <=
+1e-4 far below the end point's float64 rounding, and forms only the
+end point.  The Fock generator is Hermitian, so its propagator
 is taken exactly in its eigenbasis, V exp(-i E tau) V^T, exact up to the
 eigensolver's rounding (C. Moler and C. Van Loan, SIAM Rev. 45, 3
 (2003)).
@@ -74,45 +75,13 @@ from .errors import IntegrationError, TruncationError, ValidationError
 from .gaussian_core import CovarianceMatrix, _check_scalar
 from .pdc_dynamics import PdcParams, thermal_init
 
-MAX_MOMENT_STEP = 1e-3
 LEAKAGE_LIMIT = 1e-4
 MAX_ORACLE_OCCUPATION = 2.0
-# The moment ODE carries the 10 independent entries sigma[i, j], i <= j,
-# in np.triu_indices(4) order; _MOMENT_PLACE[i, j] is the place of
-# sigma[i, j] = sigma[j, i] among them.
-_UPPER = np.triu_indices(4)
-_MOMENT_PLACE = np.zeros((4, 4), dtype=np.intp)
-_MOMENT_PLACE[_UPPER] = _MOMENT_PLACE.T[_UPPER] = np.arange(10)
-
-
-def _moment_lyapunov(drift) -> np.ndarray:
-    """The Lyapunov operator sigma -> F sigma + sigma F^T on the 10 moments.
-
-    d sigma[i, j] = sum over (k, l) of lyap[i, j, k, l] sigma[k, l], the
-    operator kron(F, 1) + kron(1, F) with its four indices apart.  It maps
-    symmetric sigma to symmetric sigma, so on the 10 moments it is its
-    rows for i <= j applied to the 16 x 10 duplication matrix that spreads
-    the moments over sigma (row-major).
-    """
-    drift, eye4 = np.asarray(drift, dtype=np.float64), np.eye(4)
-    lyap = (
-        drift[:, None, :, None] * eye4[None, :, None, :]
-        + eye4[:, None, :, None] * drift[None, :, None, :]
-    )
-    duplication = np.eye(10)[_MOMENT_PLACE.ravel()]
-    # the product summed elementwise: a matrix product at import would
-    # set up BLAS buffers in every process that imports the package
-    return (lyap[_UPPER].reshape(10, 16, 1) * duplication).sum(axis=1)
-
-
-# The drift F is linear in y, and so is its Lyapunov operator:
-# L = _LYAP_COUPLING + y * _LYAP_MISMATCH.
-_LYAP_COUPLING = _moment_lyapunov(
-    [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-)
-_LYAP_MISMATCH = _moment_lyapunov(
-    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-)
+# The co-rotating drift F is linear in y: F = _COUPLING + y * _MISMATCH.
+_COUPLING = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
+_MISMATCH = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
+# The moment ODE's largest step; the step taken divides tau_end evenly.
+_MOMENT_STEP = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,73 +385,67 @@ def _mode_rotation(angle1, angle2) -> np.ndarray:
     return rot
 
 
-def evolve_moments_ode(
-    params: PdcParams, tau_end, temperature, step: float = 1e-4
-) -> MomentTrajectory:
+def evolve_moments_ode(params: PdcParams, tau_end, temperature) -> MomentTrajectory:
     """Integrate the second-moment equations to tau_end and return the
     lab-frame end point.
 
-    The 10 independent moments are carried from 0 to tau_end by n RK4
-    steps, applied as powers of the step matrix kept as increments over
+    The flow of d sigma/d tau = F sigma + sigma F^T is sigma(tau) =
+    M sigma0 M^T with dM/d tau = F M, M(0) = I.  M is carried from 0 to
+    tau_end by n RK4 steps of at most 1e-4, the step dividing tau_end
+    evenly, applied as powers of the step matrix kept as increments over
     the identity; the end point is rotated to the lab frame and returned.
-
-    Parameters
-    ----------
-    step : maximum step size, must be <= 1e-3; the actual step divides
-        tau_end evenly.
 
     Raises
     ------
     IntegrationError
         If an entry of the lab-frame end point is not finite; the message
-        names tau_end.  The eigenvalues of F are +-x, x = sqrt(1 - y^2),
-        so those of the Lyapunov operator, sums of two of them, are 0 and
-        +-2x: with step <= 1e-3, |h lambda| <= 2e-3, far inside RK4's
-        stability region, and the steps grow no mode faster than the flow
-        does.  What is left to fail is the float range, which the moments
-        leave where the exact flow takes them past it (tau_end of about
-        352 at y = 0, T = 300 K, and 406 at y = 0.5), and a finiteness
-        check sees that.  Also when tau_end / step passes the float range
-        (tau_end past 1.8e305 at step 1e-3), so that no step count exists.
+        names tau_end.  The eigenvalues of F are +-x, x = sqrt(1 - y^2)
+        <= 1, so |h lambda| <= 1e-4, far inside RK4's stability region,
+        and the steps grow no mode faster than the flow does.  What is
+        left to fail is the float range, which the end point leaves where
+        the exact flow takes it past it (tau_end of about 352 at y = 0,
+        T = 300 K, and 406 at y = 0.5), and a finiteness check sees that.
+        Also when the step count tau_end / 1e-4 passes the float range
+        (tau_end past 1.8e304).
 
     Notes
     -----
     Everything runs in float64.  The step matrix R = I + D has D of order
     h, and a float64 I + D would round away all but about 12 digits of D;
     compounded over 10^4 steps and amplified by the propagator's
-    exp(2 x tau) growth, that loss would show above the 1e-8 absolute
+    exp(x tau) growth, that loss would show above the 1e-8 absolute
     agreement this oracle is held to at high temperature.  So D is formed
     from its Taylor terms directly and R^n is applied one set bit of n at
     a time: with D_0 = D and D_{k+1} = (I + D_k)^2 - I = 2 D_k + D_k D_k,
-    bit k moves the moment vector as v + D_k v, one matrix-vector product
-    (N. J. Higham, *Functions of Matrices*, SIAM 2008, ch. 10).  The
-    factors I + D_k are powers of R and commute, so the end point equals
-    n single steps up to rounding.
+    bit k moves M to M + D_k M, one 4 x 4 product (N. J. Higham,
+    *Functions of Matrices*, SIAM 2008, ch. 10).  The factors I + D_k are
+    powers of R and commute, so the end point equals n single steps up
+    to rounding.  M comes from stepping F alone: F^2 = x^2 I would give
+    it as cosh(x tau) I + sinh(x tau) F / x, the closed form this oracle
+    checks.
     """
-    _check_scalar("evolve_moments_ode", "tau_end, temperature and step", tau_end, temperature, step)
+    _check_scalar("evolve_moments_ode", "tau_end and temperature", tau_end, temperature)
     if not 0.0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
-    if not 0.0 < step <= MAX_MOMENT_STEP:
-        raise ValidationError(f"step must lie in (0, {MAX_MOMENT_STEP}]")
     tau = float(tau_end)
     init = thermal_init(params, temperature)
-    moments = np.diag([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)[_UPPER]
+    sigma0 = np.array([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)
 
-    steps = tau / step
+    steps = tau / _MOMENT_STEP
     if steps == math.inf:
         raise IntegrationError(
             f"moment ODE end point at tau={tau}: the step count tau/step left the float range"
         )
-    # moments past the float range turn inf or NaN, which the check refuses
+    propagator = np.eye(4)
+    # an end point past the float range turns inf or NaN, which the check
+    # refuses
     with np.errstate(over="ignore", invalid="ignore"):
         if tau != 0.0:
             n_steps = math.ceil(steps)
-            increment = _rk4_increment(
-                _LYAP_COUPLING + params.y * _LYAP_MISMATCH, tau / n_steps
-            )
+            increment = _rk4_increment(_COUPLING + params.y * _MISMATCH, tau / n_steps)
             while n_steps:
                 if n_steps & 1:
-                    moments = moments + increment @ moments
+                    propagator = propagator + increment @ propagator
                 n_steps >>= 1
                 if n_steps:
                     increment = 2.0 * increment + increment @ increment
@@ -492,10 +455,11 @@ def evolve_moments_ode(
         rot = _mode_rotation(
             (params.omega1_bar + params.y) * tau, (params.omega2_bar + params.y) * tau
         )
-        lab = rot @ moments[_MOMENT_PLACE] @ rot.T
+        frame = rot @ propagator
+        lab = (frame * sigma0) @ frame.T
         lab = (lab + lab.T) / 2.0
-    # checked as it goes to CovarianceMatrix: finite moments can still
-    # overflow in the rotation or the symmetrization
+    # checked as it goes to CovarianceMatrix: a finite propagator can still
+    # give an end point past the float range
     if not np.isfinite(lab).all():
         raise IntegrationError(
             f"moment ODE end point at tau={tau}: an entry left the float range"

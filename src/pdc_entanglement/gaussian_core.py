@@ -228,10 +228,16 @@ _FLOAT64_MAX = float(np.finfo(np.float64).max)
 
 
 def _checked_entries(arr: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of a 4x4 matrix, once it is finite and
-    symmetric within ``SYMMETRY_TOL`` times max(1, its largest |entry|);
-    ValidationError if not.
+    """A read-only float64 copy of a 4x4 matrix, once its entries are real
+    or integer, finite and symmetric within ``SYMMETRY_TOL`` times
+    max(1, its largest |entry|); ValidationError if not.
     """
+    # float or integer; a complex matrix would lose its imaginary part in
+    # the float64 copy
+    if arr.dtype.kind not in "fiu":
+        raise ValidationError(
+            f"covariance matrix entries must be real numbers, got dtype {arr.dtype}"
+        )
     # one pass finds both: the max is NaN if any entry is, and an entry
     # past the float64 range (of a long double input) exceeds its max
     scale = float(np.abs(arr).max())
@@ -339,7 +345,9 @@ def _pt_eigenvalue_pair(delta, i1):
     rounding of a degenerate spectrum and is taken as 0; i1/nu_plus^2
     can then round above nu_plus^2, so the small root is capped at the
     large one.  A larger deficit (delta^2 < 4 i1), which no
-    positive-definite matrix has, raises NumericalDomainError.
+    positive-definite matrix has, raises NumericalDomainError.  The one
+    caller, the generic route, passes only positive-definite matrices, so
+    delta >= 2 sqrt(i1) > 0 up to rounding far below that margin.
     """
     disc = delta * delta - 4.0 * i1
     if disc < 0.0:
@@ -350,10 +358,7 @@ def _pt_eigenvalue_pair(delta, i1):
                 "delta^2 < 4*det(sigma): covariance matrix is not a physical "
                 f"two-mode Gaussian state (delta={float(delta)!r}, det={float(i1)!r})"
             )
-    root = np.sqrt(disc)
-    nu_plus_sq = (delta + root) / 2.0
-    if nu_plus_sq <= 0.0:
-        raise NumericalDomainError("non-positive symplectic spectrum")
+    nu_plus_sq = (delta + np.sqrt(disc)) / 2.0
     nu_minus_sq = min(i1 / nu_plus_sq, nu_plus_sq)
     return np.sqrt(nu_minus_sq), np.sqrt(nu_plus_sq)
 

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -238,6 +240,29 @@ def ref_critical_temperature(params, tau_i, t_c):
         return root, float(2 * n1n2 / (root * slope))
 
 
+def _line_hits(function, text, call):
+    """How often the line of function's source that reads text, stripped,
+    runs during call()."""
+    lines, first = inspect.getsourcelines(function)
+    target = first + [line.strip() for line in lines].index(text)
+    hits = 0
+
+    def tracer(frame, event, arg):
+        nonlocal hits
+        if frame.f_code is not function.__code__:
+            return None
+        hits += event == "line" and frame.f_lineno == target
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return hits
+
+
 class TestCriticalTemperaturePrecision:
     """The root is solved to neighbouring floats, in a few evaluations."""
 
@@ -249,6 +274,23 @@ class TestCriticalTemperaturePrecision:
             root, cond = ref_critical_temperature(params, float(tau_i), t_c)
             ulps = abs(Decimal(t_c) - root) / Decimal(math.ulp(t_c))
             assert ulps <= 4 * max(1.0, cond), (y, tau_i, float(ulps), cond)
+
+    def test_newton_safeguard_falls_back_to_bisection(self, reference_params):
+        # at tau_i = 1e-6 the first guess lies far above the root, and seven
+        # Newton steps that do not halve the step before are replaced by
+        # bisection; the answer is still the least float with m* >= m
+        safeguard = _line_hits(
+            analysis.critical_temperature,
+            "guess = math.nan",
+            lambda: critical_temperature(reference_params, 1e-6),
+        )
+        assert safeguard == 7
+        t_c = critical_temperature(reference_params, 1e-6)
+        assert t_c == 0.16257421305826128
+        root, cond = ref_critical_temperature(reference_params, 1e-6, t_c)
+        assert abs(Decimal(t_c) - root) / Decimal(math.ulp(t_c)) <= 4 * max(1.0, cond)
+        below = covariance_matrix(reference_params, 1e-6, math.nextafter(t_c, 0.0))
+        assert entanglement_report(below).entangled
 
     def test_fig4_grid_takes_few_occupation_evaluations(self, make_params, monkeypatch):
         counts = []

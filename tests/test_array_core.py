@@ -457,11 +457,11 @@ PAIR = np.array([1.0, 2.0])
         (lambda p, a: thermal_init(p, a), "thermal_init takes a scalar temperature"),
         (
             lambda p, a: evolve_moments_ode(p, 1.0, a),
-            "evolve_moments_ode takes a scalar tau_end, temperature and step",
+            "evolve_moments_ode takes a scalar tau_end and temperature",
         ),
         (
             lambda p, a: evolve_moments_ode(p, a / 4.0, 0.5),
-            "evolve_moments_ode takes a scalar tau_end, temperature and step",
+            "evolve_moments_ode takes a scalar tau_end and temperature",
         ),
         (
             lambda p, a: evolve_fock(p, a / 4.0, 0.5, n_cut=20),

@@ -1,7 +1,9 @@
+import ast
 import gc
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +26,11 @@ from pdc_entanglement import (
     thermal_init,
 )
 from pdc_entanglement.fock_oracle import (
-    _LYAP_COUPLING,
-    _LYAP_MISMATCH,
-    MAX_MOMENT_STEP,
+    _COUPLING,
+    _MISMATCH,
+    _MOMENT_STEP,
     _Layout,
     _mode_rotation,
-    _moment_lyapunov,
 )
 
 # temperatures giving small occupations at the reference frequencies:
@@ -64,23 +65,22 @@ def _rk4_step_matrix(generator, h):
 
 
 def lab_moments_by_step_powers(params, temp, tau_end):
-    """The lab-frame moment ODE end point at tau_end as R^n v0, with R the
-    RK4 step matrix of the full 16-entry Lyapunov operator, formed afresh
-    in long double at the default step."""
+    """The lab-frame moment ODE end point at tau_end as P sigma0 P^T, with
+    P = E4(hF)^n the n-th power of the RK4 step matrix of the drift F,
+    formed afresh in long double at the largest step, 1e-4."""
     y = params.y
     init = thermal_init(params, temp)
     ld = np.longdouble
-    v0 = np.diag(
+    sigma0 = np.diag(
         np.array([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2, dtype=ld)
-    ).reshape(16)
+    )
     drift = np.array(
         [[0, -y, 0, 1], [y, 0, 1, 0], [0, 1, 0, -y], [1, 0, y, 0]], dtype=ld
     )
-    eye4 = np.eye(4, dtype=ld)
     n_steps = int(np.ceil(tau_end / 1e-4))
     h = ld(tau_end) / max(1, n_steps)
-    step_matrix = _rk4_step_matrix(np.kron(drift, eye4) + np.kron(eye4, drift), h)
-    sig = (_matrix_power(step_matrix, n_steps) @ v0).reshape(4, 4)
+    propagator = _matrix_power(_rk4_step_matrix(drift, h), n_steps)
+    sig = propagator @ sigma0 @ propagator.T
     sig = ((sig + sig.T) / 2.0).astype(np.float64)
     rot = _mode_rotation(
         (params.omega1_bar + y) * tau_end, (params.omega2_bar + y) * tau_end
@@ -146,8 +146,8 @@ class TestMomentsOde:
     def test_end_point_past_the_gate_reach_matches_closed_form(
         self, make_params, temp
     ):
-        # at the default step the end point stays within 5e-13 of the
-        # closed form past tau_end = 9, relative to its largest entry
+        # the end point stays within 5e-13 of the closed form past
+        # tau_end = 9, relative to its largest entry
         params = make_params(y=0.9)
         for tau in (8.0, 9.5, 10.0, 12.0, 16.0):
             sigma = evolve_moments_ode(params, tau, temp).final().entries
@@ -172,18 +172,6 @@ class TestMomentsOde:
             n2 = sigma[2, 2] - 0.5
             assert (n1 - n2) == pytest.approx(diff0, abs=1e-8)
 
-    def test_step_halving_fourth_order(self, reference_params):
-        # self-convergence against a fine-step reference isolates the
-        # integrator truncation error from shared rounding floors
-        ref = evolve_moments_ode(reference_params, 2.881, 300.0, step=1e-4)
-        ref_entries = ref.final().entries
-        err = []
-        for step in (1e-3, 5e-4):
-            traj = evolve_moments_ode(reference_params, 2.881, 300.0, step=step)
-            err.append(float(np.max(np.abs(traj.final().entries - ref_entries))))
-        ratio = err[0] / err[1]
-        assert 12.0 < ratio < 21.0
-
     @pytest.mark.parametrize(
         "y,temp,tau",
         [
@@ -198,17 +186,13 @@ class TestMomentsOde:
     )
     def test_end_point_matches_step_matrix_power(self, make_params, y, temp, tau):
         # the integrator applies R^(2^k) - I per set bit k of n to the
-        # moments; the end point must equal R^n v0 formed afresh in long
-        # double
+        # propagator; the end point must equal R^n sigma0 (R^n)^T formed
+        # afresh in long double
         params = make_params(y=y)
         sigma = evolve_moments_ode(params, tau, temp).final().entries
         expected = lab_moments_by_step_powers(params, temp, tau)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(sigma - expected)) <= 1e-14 * scale
-
-    def test_rejects_oversized_step(self, reference_params):
-        with pytest.raises(ValidationError):
-            evolve_moments_ode(reference_params, 1.0, 0.0, step=5e-3)
 
     def test_rejects_negative_time(self, reference_params):
         with pytest.raises(ValidationError):
@@ -220,7 +204,7 @@ class TestMomentsOde:
         # within rounding of the closed form
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = evolve_moments_ode(reference_params, 300.0, 300.0, step=1e-3)
+            traj = evolve_moments_ode(reference_params, 300.0, 300.0)
         expected = covariance_matrix(reference_params, 300.0, 300.0).entries
         scale = np.max(np.abs(expected))
         assert scale > 1e262
@@ -235,29 +219,29 @@ class TestMomentsOde:
             with pytest.raises(
                 IntegrationError, match="moment ODE end point at tau=400.0: an entry"
             ):
-                evolve_moments_ode(reference_params, tau, 300.0, step=1e-3)
+                evolve_moments_ode(reference_params, tau, 300.0)
 
     @pytest.mark.parametrize("tau", [1e307, 1.7e308])
     def test_refuses_a_step_count_past_the_float_range(self, reference_params, tau):
-        # tau / step overflows to inf, refused before math.ceil meets it
+        # tau / 1e-4 overflows to inf, refused before math.ceil meets it
         with pytest.raises(
             IntegrationError, match=re.escape(f"moment ODE end point at tau={tau}: the step count")
         ):
-            evolve_moments_ode(reference_params, tau, 0.5, step=1e-3)
+            evolve_moments_ode(reference_params, tau, 0.5)
 
     @pytest.mark.parametrize("y", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("temp", [0.0, 300.0])
     def test_refusals_set_in_at_one_tau_and_hold(self, make_params, y, temp):
-        # tau_end = 0.25 k from 9 to 500 at the largest step: every point is
-        # returned until the moments leave the float range, and none after;
-        # each returned point agrees with the closed form wherever that
-        # exists (worst measured 9.4e-11 relative to the largest entry)
+        # tau_end = 0.25 k from 9 to 500: every point is returned until the
+        # end point leaves the float range, and none after; each returned
+        # point agrees with the closed form wherever that exists (worst
+        # measured 2.9e-11 relative to the largest entry)
         params = make_params(y=y)
         first_refused = None
         for tau in 0.25 * np.arange(36, 2001):
             tau = float(tau)
             try:
-                sigma = evolve_moments_ode(params, tau, temp, step=1e-3).final().entries
+                sigma = evolve_moments_ode(params, tau, temp).final().entries
             except IntegrationError:
                 first_refused = first_refused or tau
                 continue
@@ -269,9 +253,10 @@ class TestMomentsOde:
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(sigma - expected)) <= 2e-10 * scale
         # where the exact flow leaves the float range; at 352.5 and 406.75
-        # the moments are still finite (largest 1.1e308 and 9.3e307) and
-        # the lab-frame symmetrization overflows, so a check on the moments
-        # alone would let CovarianceMatrix raise ValidationError there
+        # the propagator (largest 6.1e152 and 5.6e152) and the lab-frame
+        # product (1.1e308 and 9.3e307) are still finite and the
+        # symmetrization overflows, so a check before it would let
+        # CovarianceMatrix raise ValidationError there
         expected_first = {
             (0.0, 0.0): 355.25, (0.0, 300.0): 352.5,
             (0.5, 0.0): 410.25, (0.5, 300.0): 406.75,
@@ -321,24 +306,55 @@ class TestMomentsOde:
     @pytest.mark.parametrize("y", [0.0, 0.37, 0.9])
     def test_drift_is_hamiltonian(self, y):
         # F J + J F^T = 0: the drift is Hamiltonian and its flow symplectic;
-        # and the Lyapunov operator the integrator steps is this drift's
+        # and the drift the integrator steps is this one
         drift = np.array(
             [[0, -y, 0, 1], [y, 0, 1, 0], [0, 1, 0, -y], [1, 0, y, 0]], dtype=float
         )
         omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert not np.any(drift @ omega + omega @ drift.T)
-        assert np.array_equal(
-            _moment_lyapunov(drift), _LYAP_COUPLING + y * _LYAP_MISMATCH
-        )
+        assert np.array_equal(_COUPLING + y * _MISMATCH, drift)
 
     @pytest.mark.parametrize("y", [0.0, 0.5, 0.9, 0.999])
     def test_largest_step_stays_inside_the_stability_bound(self, y):
-        # the eigenvalues of the Lyapunov operator are 0 and +-2 sqrt(1 - y^2),
-        # so |h lambda| <= 2e-3 at h = 1e-3, up to rounding (2.0000000000000005e-3
-        # at y = 0)
-        generator = MAX_MOMENT_STEP * (_LYAP_COUPLING + y * _LYAP_MISMATCH)
+        # the eigenvalues of F are +-sqrt(1 - y^2), so |h lambda| <= 1e-4 at
+        # the largest step, h = 1e-4, up to rounding
+        generator = _MOMENT_STEP * (_COUPLING + y * _MISMATCH)
         radius = np.abs(np.linalg.eigvals(generator)).max()
-        assert radius <= 2e-3 * (1.0 + 1e-12)
+        assert radius <= 1e-4 * (1.0 + 1e-12)
+
+
+def test_oracle_takes_nothing_from_the_closed_forms():
+    # the oracles check the closed forms, so they import none of them; the
+    # moment ODE steps F, and with F^2 = (1 - y^2) I its flow is one line
+    # of cosh and sinh away, so neither is called
+    tree = ast.parse(Path(fock_oracle.__file__).read_text())
+    imported = sorted(
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.startswith("pdc_entanglement"))
+        for alias in node.names
+    )
+    assert imported == [
+        ("errors", "IntegrationError"),
+        ("errors", "TruncationError"),
+        ("errors", "ValidationError"),
+        ("gaussian_core", "CovarianceMatrix"),
+        ("gaussian_core", "_check_scalar"),
+        ("pdc_dynamics", "PdcParams"),
+        ("pdc_dynamics", "thermal_init"),
+    ]
+    modules = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    assert modules == {"functools", "math", "numpy"}
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"sinh", "cosh", "_stretch", "covariance_matrix"}
 
 
 class TestEvolveFock:

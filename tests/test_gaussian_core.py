@@ -66,6 +66,19 @@ class TestCovarianceMatrix:
         with pytest.raises(ValidationError, match="finite"):
             CovarianceMatrix(bad)
 
+    @pytest.mark.parametrize(
+        "entries, dtype",
+        [(np.eye(4) * (0.5 + 1j), "complex128"), (np.full((4, 4), "0.5"), "<U3")],
+        ids=["complex", "str"],
+    )
+    def test_rejects_entries_that_are_not_real_numbers(self, entries, dtype):
+        # numpy's float64 copy would cut a complex matrix to its real part
+        # with a ComplexWarning, and raise UFuncTypeError on strings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"real numbers, got dtype {dtype}$"):
+                CovarianceMatrix(entries)
+
     def test_accepts_large_finite_longdouble(self):
         big = np.longdouble("1e300") * np.eye(4, dtype=np.longdouble)
         assert CovarianceMatrix(big).entries[3, 3] == float(big[3, 3])
