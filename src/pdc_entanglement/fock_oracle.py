@@ -24,12 +24,12 @@ resolving ~10^2-10^3 rad frequencies to absolute 1e-8 in the presence of
 
 For the linear autonomous equation dM/d tau = F M, classical RK4 is
 exactly multiplication by its one-step stability matrix R = E4(h*F)
-with E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps are applied as
-M = R^n by squaring increments over the identity (see
+with E4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so 2^k steps of tau / 2^k
+are applied as M = R^(2^k), k squarings of the increment R - I (see
 :func:`evolve_moments_ode`); that keeps RK4's O(h^4) error, at h <=
-1e-4 far below the end point's float64 rounding, and forms only the
-end point.  The Fock generator is Hermitian, so its propagator
-is taken exactly in its eigenbasis, V exp(-i E tau) V^T, exact up to the
+1e-4 far below the end point's float64 rounding, and forms only the end
+point.  The Fock generator is Hermitian, so its propagator is taken
+exactly in its eigenbasis, V exp(-i E tau) V^T, exact up to the
 eigensolver's rounding (C. Moler and C. Van Loan, SIAM Rev. 45, 3
 (2003)).
 
@@ -80,8 +80,10 @@ MAX_ORACLE_OCCUPATION = 2.0
 # The co-rotating drift F is linear in y: F = _COUPLING + y * _MISMATCH.
 _COUPLING = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
 _MISMATCH = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
-# The moment ODE's largest step; the step taken divides tau_end evenly.
+# The moment ODE's largest step; the step taken is tau_end / 2^k, and the
+# step matrix R = I + D is squared on its increment, R^2 - I = D (D + 2I).
 _MOMENT_STEP = 1e-4
+_TWO_I = 2.0 * np.eye(4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,6 +366,18 @@ class _Layout:
         return ladders
 
 
+def _real(name: str, value) -> float:
+    """value as a float; ValidationError naming it if it is not a real
+    number, a numpy complex scalar too, which float() would take as its
+    real part."""
+    try:
+        if isinstance(value, (complex, np.complexfloating)):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _rk4_increment(generator: np.ndarray, h: float) -> np.ndarray:
     """R - I for classical RK4's one-step matrix R = E4(h generator),
     formed from its terms alone: the h-sized increment kept apart from
@@ -391,12 +405,16 @@ def evolve_moments_ode(params: PdcParams, tau_end, temperature) -> MomentTraject
 
     The flow of d sigma/d tau = F sigma + sigma F^T is sigma(tau) =
     M sigma0 M^T with dM/d tau = F M, M(0) = I.  M is carried from 0 to
-    tau_end by n RK4 steps of at most 1e-4, the step dividing tau_end
-    evenly, applied as powers of the step matrix kept as increments over
-    the identity; the end point is rotated to the lab frame and returned.
+    tau_end by 2^k RK4 steps of h = tau_end / 2^k, k >= 0 the least with
+    h <= 1e-4 (one step of h = tau_end up to tau_end = 1e-4), applied as
+    k squarings of the step matrix kept as an increment over the
+    identity; the end point is rotated to the lab frame and returned.
 
     Raises
     ------
+    ValidationError
+        If tau_end or temperature is not a real number (a numeric string
+        is read as its number), or tau_end is not finite and >= 0.
     IntegrationError
         If an entry of the lab-frame end point is not finite; the message
         names tau_end.  The eigenvalues of F are +-x, x = sqrt(1 - y^2)
@@ -412,22 +430,20 @@ def evolve_moments_ode(params: PdcParams, tau_end, temperature) -> MomentTraject
     -----
     Everything runs in float64.  The step matrix R = I + D has D of order
     h, and a float64 I + D would round away all but about 12 digits of D;
-    compounded over 10^4 steps and amplified by the propagator's
-    exp(x tau) growth, that loss would show above the 1e-8 absolute
-    agreement this oracle is held to at high temperature.  So D is formed
-    from its Taylor terms directly and R^n is applied one set bit of n at
-    a time: with D_0 = D and D_{k+1} = (I + D_k)^2 - I = 2 D_k + D_k D_k,
-    bit k moves M to M + D_k M, one 4 x 4 product (N. J. Higham,
-    *Functions of Matrices*, SIAM 2008, ch. 10).  The factors I + D_k are
-    powers of R and commute, so the end point equals n single steps up
-    to rounding.  M comes from stepping F alone: F^2 = x^2 I would give
-    it as cosh(x tau) I + sinh(x tau) F / x, the closed form this oracle
-    checks.
+    squared k times and amplified by the propagator's exp(x tau) growth,
+    that loss would show above the 1e-8 absolute agreement this oracle is
+    held to at high temperature.  So D is formed from its Taylor terms
+    and squared k times as an increment, D <- (I + D)^2 - I = D (D + 2I),
+    where D + 2I is rounded only relative to 2 (scaling and squaring:
+    N. J. Higham, *Functions of Matrices*, SIAM 2008, ch. 10); M = I + D
+    is formed once, and equals 2^k single steps up to rounding.  M comes
+    from stepping F alone: F^2 = x^2 I would give it as
+    cosh(x tau) I + sinh(x tau) F / x, the closed form this oracle checks.
     """
     _check_scalar("evolve_moments_ode", "tau_end and temperature", tau_end, temperature)
-    if not 0.0 <= tau_end < math.inf:
+    tau = _real("tau_end", tau_end)
+    if not 0.0 <= tau < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
-    tau = float(tau_end)
     init = thermal_init(params, temperature)
     sigma0 = np.array([init.nbar1 + 0.5] * 2 + [init.nbar2 + 0.5] * 2)
 
@@ -436,19 +452,16 @@ def evolve_moments_ode(params: PdcParams, tau_end, temperature) -> MomentTraject
         raise IntegrationError(
             f"moment ODE end point at tau={tau}: the step count tau/step left the float range"
         )
-    propagator = np.eye(4)
+    # k >= 0 the least with 2^k >= steps = m 2^e, 0.5 <= m < 1: e, or e - 1 at m = 0.5
+    mantissa, k = math.frexp(steps)
+    k = max(k - (mantissa == 0.5), 0)
     # an end point past the float range turns inf or NaN, which the check
     # refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        if tau != 0.0:
-            n_steps = math.ceil(steps)
-            increment = _rk4_increment(_COUPLING + params.y * _MISMATCH, tau / n_steps)
-            while n_steps:
-                if n_steps & 1:
-                    propagator = propagator + increment @ propagator
-                n_steps >>= 1
-                if n_steps:
-                    increment = 2.0 * increment + increment @ increment
+        increment = _rk4_increment(_COUPLING + params.y * _MISMATCH, math.ldexp(tau, -k))
+        for _ in range(k):
+            increment = increment @ (increment + _TWO_I)
+        propagator = np.eye(4) + increment
         # float64 angle arithmetic deliberately mirrors covariance_matrix:
         # at |angle| ~ 1e3 rad a one-ulp angle difference already moves
         # 1e4-scale entries by ~1e-9
@@ -557,7 +570,9 @@ def evolve_fock(
 
     The oracle is restricted to small occupation (nbar <= 2) and demands
     n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError, as
-    do a step outside (0, inf) and an n_cut that is not an integer.
+    do a step outside (0, inf), an n_cut that is not an integer and a
+    tau_end, temperature or step that is not a real number (a numeric
+    string is read as its number).
     ``step`` is accepted and has no effect; it is removed once the
     benchmark stops passing it.  TruncationError is raised when the
     initial thermal tail dropped at the cut exceeds LEAKAGE_LIMIT; while
@@ -588,9 +603,10 @@ def evolve_fock(
     oracle for the covariance matrix.
     """
     _check_scalar("evolve_fock", "tau_end, temperature and step", tau_end, temperature, step)
-    if not 0.0 <= tau_end < math.inf:
+    tau = _real("tau_end", tau_end)
+    if not 0.0 <= tau < math.inf:
         raise ValidationError("tau_end must be finite and >= 0")
-    if not 0.0 < step < math.inf:
+    if not 0.0 < _real("step", step) < math.inf:
         raise ValidationError("step must be positive and finite")
     _check_n_cut(n_cut)
     init = thermal_init(params, temperature)
@@ -606,7 +622,6 @@ def evolve_fock(
         )
 
     dim = n_cut + 1
-    tau = float(tau_end)
     layout, stacks = _sector_plan(int(n_cut))
     levels = np.arange(dim)
     q1, q2 = init.nbar1 / (init.nbar1 + 1.0), init.nbar2 / (init.nbar2 + 1.0)

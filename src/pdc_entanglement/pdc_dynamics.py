@@ -236,11 +236,19 @@ def _occupations(params: PdcParams, temperature, lib=math):
 def thermal_init(params: PdcParams, temperature) -> ThermalInit:
     """Initial occupations for both modes of a parameter set.
 
-    Raises NumericalDomainError where an occupation, or their sum, leaves
-    the float range.
+    Raises ValidationError where the temperature is not a real number (a
+    numeric string is read as its number) or not finite and >= 0, and
+    NumericalDomainError where an occupation, or their sum, leaves the
+    float range.
     """
     _check_scalar("thermal_init", "temperature", temperature)
-    temperature = float(temperature)
+    # float() would take a numpy complex scalar as its real part
+    try:
+        if isinstance(temperature, (complex, np.complexfloating)):
+            raise TypeError
+        temperature = float(temperature)
+    except (TypeError, ValueError):
+        raise ValidationError(f"temperature must be a real number, got {temperature!r}") from None
     _check_nonnegative(temperature, "temperature")
     n1, n2 = _occupations(params, temperature)
     _check_finite(n1 + n2, "thermal occupation", "T", temperature)
