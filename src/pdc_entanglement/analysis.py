@@ -34,13 +34,12 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian_core import _check_finite, _check_scalar, _every, _pair_threshold, _pointwise
+from .gaussian_core import _check_finite, _check_scalar, _every, _pair_threshold, _pointwise, _real
 from .pdc_dynamics import (
     _EXP_MAX,
     HBAR,
     K_B,
     PdcParams,
-    _check_mismatch,
     _check_nonnegative,
     _occupations,
     _pair_inputs,
@@ -83,6 +82,7 @@ def s0_threshold(nbar1, nbar2):
     state; it vanishes only for vacuum input.  Arrays are taken point by
     point.
     """
+    nbar1, nbar2 = _real("nbar1", nbar1), _real("nbar2", nbar2)
     ok = (nbar1 >= 0.0) & (nbar2 >= 0.0)
     if ok is not True and not _every(ok):
         raise ValidationError("occupations must be >= 0")
@@ -174,7 +174,7 @@ def critical_temperature(
     the float range at t_max, as the birth time does.
     """
     _check_scalar("critical_temperature", "tau_i and t_max", tau_i, t_max)
-    tau_i, t_max = float(tau_i), float(t_max)
+    tau_i, t_max = _real("tau_i", tau_i), _real("t_max", t_max)
     _check_nonnegative(tau_i, "tau_i")
     if not 0.0 < t_max < math.inf:
         raise ValidationError("t_max must be finite and positive")
@@ -235,10 +235,10 @@ def phase_boundary(
     points = []
     for y in y_grid:
         _check_scalar("phase_boundary", "y per y_grid entry", y)
-        _check_mismatch(y)
-        t_c = critical_temperature(replace(params, y=float(y)), tau_i, t_max=t_max)
+        params_y = replace(params, y=y)  # PdcParams converts and checks y
+        t_c = critical_temperature(params_y, tau_i, t_max=t_max)
         if t_c is not None:
-            points.append(PhasePoint(float(y), t_c))
+            points.append(PhasePoint(params_y.y, t_c))
     return points
 
 
@@ -266,7 +266,7 @@ def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
 def _witness(pair) -> WitnessValue:
     """The witness of a pair state; ``witness``."""
     nbar1, nbar2, m, big_k, _, _, _, lib, _, _, tau, temperature = pair
-    threshold = lib.sqrt(s0_threshold(nbar1, nbar2))
+    threshold = lib.sqrt(nbar1 * nbar2 * (nbar1 + 1.0) * (nbar2 + 1.0))
     gain = m * big_k
     mean = (nbar1 + gain + nbar2 + gain) / 2.0
     _check_finite(threshold + mean, "witness", "tau, T", tau, temperature)

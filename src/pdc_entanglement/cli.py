@@ -107,7 +107,7 @@ def build_params(config: RunConfig, y: Optional[float] = None) -> pdc_dynamics.P
         omega1_bar=config.omega1_bar,
         omega2_bar=config.omega2_bar,
         g=config.g,
-        y=config.y if y is None else float(y),
+        y=config.y if y is None else y,
     )
 
 

@@ -72,7 +72,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import IntegrationError, TruncationError, ValidationError
-from .gaussian_core import CovarianceMatrix, _check_scalar
+from .gaussian_core import CovarianceMatrix, _check_scalar, _real
 from .pdc_dynamics import PdcParams, thermal_init
 
 LEAKAGE_LIMIT = 1e-4
@@ -99,7 +99,7 @@ class MomentTrajectory:
 
 
 def _check_n_cut(n_cut) -> None:
-    if not isinstance(n_cut, (int, np.integer)) or n_cut < 1:
+    if not isinstance(n_cut, (int, np.integer)) or isinstance(n_cut, bool) or n_cut < 1:
         raise ValidationError(f"n_cut must be an integer >= 1, got {n_cut!r}")
 
 
@@ -123,7 +123,7 @@ class FockState:
     semidefinite rho passes all of these; a rho that passes them need not
     be positive semidefinite (the minors of order three and up are not
     read), so the check is necessary, not sufficient.  n_cut must be an
-    integer >= 1 and leakage finite; ValidationError if not.
+    integer >= 1 and leakage a finite real number; ValidationError if not.
 
     leakage reports 1 - trace(rho): the thermal weight dropped at
     truncation (the geometric distribution is normalized over the full
@@ -139,6 +139,8 @@ class FockState:
 
     def __init__(self, *, n_cut: int, leakage: float, blocks):
         _check_n_cut(n_cut)
+        _check_scalar("FockState", "leakage", leakage)
+        leakage = _real("leakage", leakage)
         if not -math.inf < leakage < math.inf:
             raise ValidationError(f"leakage must be finite, got {leakage!r}")
         blocks = [(np.asarray(idx, dtype=np.intp), np.asarray(b, dtype=complex)) for idx, b in blocks]
@@ -366,18 +368,6 @@ class _Layout:
         return ladders
 
 
-def _real(name: str, value) -> float:
-    """value as a float; ValidationError naming it if it is not a real
-    number, a numpy complex scalar too, which float() would take as its
-    real part."""
-    try:
-        if isinstance(value, (complex, np.complexfloating)):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
-
-
 def _rk4_increment(generator: np.ndarray, h: float) -> np.ndarray:
     """R - I for classical RK4's one-step matrix R = E4(h generator),
     formed from its terms alone: the h-sized increment kept apart from
@@ -413,8 +403,8 @@ def evolve_moments_ode(params: PdcParams, tau_end, temperature) -> MomentTraject
     Raises
     ------
     ValidationError
-        If tau_end or temperature is not a real number (a numeric string
-        is read as its number), or tau_end is not finite and >= 0.
+        If tau_end or temperature is not a real number, or tau_end is not
+        finite and >= 0.
     IntegrationError
         If an entry of the lab-frame end point is not finite; the message
         names tau_end.  The eigenvalues of F are +-x, x = sqrt(1 - y^2)
@@ -571,8 +561,7 @@ def evolve_fock(
     The oracle is restricted to small occupation (nbar <= 2) and demands
     n_cut >= 8*(1 + max(nbar)); tighter cutoffs raise ValidationError, as
     do a step outside (0, inf), an n_cut that is not an integer and a
-    tau_end, temperature or step that is not a real number (a numeric
-    string is read as its number).
+    tau_end, temperature or step that is not a real number.
     ``step`` is accepted and has no effect; it is removed once the
     benchmark stops passing it.  TruncationError is raised when the
     initial thermal tail dropped at the cut exceeds LEAKAGE_LIMIT; while

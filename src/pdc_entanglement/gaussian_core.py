@@ -89,12 +89,26 @@ def _check_scalar(function, names, *values, arrays=None):
             raise ValidationError(f"{function} takes a scalar {names}{instead}")
 
 
+_REAL_KINDS = "fiu"  # numpy kinds of a real number: float, signed and unsigned int
+
+
+def _real(name, value):
+    """A real input as a Python float, or as a float64 array of one or more
+    dimensions, if its numpy kind is in ``_REAL_KINDS``; else (None, bool,
+    complex, str, list, int past 64 bits) a ValidationError naming ``name``."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, float, np.generic, np.ndarray)):
+        if np.asarray(value).dtype.kind in _REAL_KINDS:
+            return np.asarray(value, dtype=np.float64) if np.ndim(value) else float(value)
+    raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
 def _working(*values):
-    """(conversion, math module) of a closed-form evaluation: ``np.float64``
-    with numpy when ``_has_array``, else ``float`` with ``math``.  Callers
-    convert before they check, so a numpy scalar or a 0-d array enters as
-    a Python float and gives the scalar call's bits."""
-    return (np.float64, np) if _has_array(values) else (float, math)
+    """The math module of a closed-form evaluation: numpy when
+    ``_has_array``, else ``math``; after ``_real``, a numpy scalar or a
+    0-d array is a Python float and gives the scalar call's bits."""
+    return np if _has_array(values) else math
 
 
 def _every(ok):
@@ -232,9 +246,8 @@ def _checked_entries(arr: np.ndarray) -> np.ndarray:
     or integer, finite and symmetric within ``SYMMETRY_TOL`` times
     max(1, its largest |entry|); ValidationError if not.
     """
-    # float or integer; a complex matrix would lose its imaginary part in
-    # the float64 copy
-    if arr.dtype.kind not in "fiu":
+    # a complex matrix would lose its imaginary part in the float64 copy
+    if arr.dtype.kind not in _REAL_KINDS:
         raise ValidationError(
             f"covariance matrix entries must be real numbers, got dtype {arr.dtype}"
         )
@@ -319,7 +332,7 @@ class SymplecticInvariants(NamedTuple):
     @property
     def log_negativity(self):
         """E_N = max(0, -ln 2*nu_minus_pt), natural log, per point."""
-        _, lib = _working(self.nu_minus_pt)
+        lib = _working(self.nu_minus_pt)
         e_n = -lib.log(2.0 * self.nu_minus_pt)
         # max(0, e_n) for a scalar and an array alike, and +0.0 at nu = 1/2
         return (e_n + abs(e_n)) / 2.0

@@ -69,6 +69,7 @@ from .gaussian_core import (
     _first,
     _pair_invariants,
     _pointwise,
+    _real,
     _working,
 )
 
@@ -103,6 +104,18 @@ def _check_frequency(omega, name):
         )
 
 
+def _store_finite(record, names):
+    """Store the fields ``names`` of a frozen dataclass as finite Python floats."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not float:
+            _check_scalar(type(record).__name__, name, value)
+            value = _real(name, value)
+            object.__setattr__(record, name, value)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PdcParams:
     """Static parameters of one down-conversion configuration.
@@ -119,13 +132,7 @@ class PdcParams:
     y: float = 0.0
 
     def __post_init__(self):
-        # stored as Python floats, so a numpy scalar of any width computes
-        # in float64 like the rest of the closed forms
-        for name in ("omega1_bar", "omega2_bar", "g", "y"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+        _store_finite(self, ("omega1_bar", "omega2_bar", "g", "y"))
         if not self.g > 0.0:
             raise ValidationError("coupling rate g must be positive")
         _check_frequency(self.omega1_bar * self.g, "omega1_bar*g")
@@ -142,10 +149,7 @@ class ThermalInit:
     nbar2: float
 
     def __post_init__(self):
-        for name in ("temperature", "nbar1", "nbar2"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+        _store_finite(self, ("temperature", "nbar1", "nbar2"))
         if self.temperature < 0.0:
             raise ValidationError("temperature must be >= 0")
         if self.nbar1 < 0.0 or self.nbar2 < 0.0:
@@ -214,8 +218,8 @@ def thermal_occupation(omega, temperature):
     Raises NumericalDomainError where the occupation leaves the float
     range (k_B T/(hbar omega) past about 1.8e308).
     """
-    num, lib = _working(omega, temperature)
-    omega, temperature = num(omega), num(temperature)
+    omega, temperature = _real("omega", omega), _real("temperature", temperature)
+    lib = _working(omega, temperature)
     if lib is np:
         _check_broadcast(omega=omega, temperature=temperature)
     _check_frequency(omega, "omega")
@@ -236,19 +240,12 @@ def _occupations(params: PdcParams, temperature, lib=math):
 def thermal_init(params: PdcParams, temperature) -> ThermalInit:
     """Initial occupations for both modes of a parameter set.
 
-    Raises ValidationError where the temperature is not a real number (a
-    numeric string is read as its number) or not finite and >= 0, and
-    NumericalDomainError where an occupation, or their sum, leaves the
-    float range.
+    Raises ValidationError where the temperature is not a real number or
+    not finite and >= 0, and NumericalDomainError where an occupation, or
+    their sum, leaves the float range.
     """
     _check_scalar("thermal_init", "temperature", temperature)
-    # float() would take a numpy complex scalar as its real part
-    try:
-        if isinstance(temperature, (complex, np.complexfloating)):
-            raise TypeError
-        temperature = float(temperature)
-    except (TypeError, ValueError):
-        raise ValidationError(f"temperature must be a real number, got {temperature!r}") from None
+    temperature = _real("temperature", temperature)
     _check_nonnegative(temperature, "temperature")
     n1, n2 = _occupations(params, temperature)
     _check_finite(n1 + n2, "thermal occupation", "T", temperature)
@@ -276,13 +273,14 @@ def _stretch(y, tau, lib):
 
 def _pair_inputs(params: PdcParams, tau, temperature, y):
     """(y, tau, T, nbar1, nbar2, lib): the inputs of a pair state, y =
-    ``params.y`` unless given, converted and checked once in the library
-    ``lib`` that ``_working`` picks for them, and the occupations at T.
-    Array inputs must broadcast against each other."""
-    if y is None:
-        y = params.y
-    num, lib = _working(y, tau, temperature)
-    y, tau, temperature = num(y), num(tau), num(temperature)
+    ``params.y`` unless given, converted (``_real``) and checked once in
+    the library ``lib`` that ``_working`` picks for them, and the
+    occupations at T.  Array inputs must broadcast against each other."""
+    # a Python float, the common input, costs no call
+    tau = tau if type(tau) is float else _real("tau", tau)
+    temperature = temperature if type(temperature) is float else _real("temperature", temperature)
+    y = params.y if y is None else y if type(y) is float else _real("y", y)
+    lib = _working(y, tau, temperature)
     if lib is np:
         _check_broadcast(tau=tau, temperature=temperature, y=y)
     _check_nonnegative(tau, "tau")
@@ -303,7 +301,7 @@ def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
     y, tau, temperature, nbar1, nbar2, lib = _pair_inputs(params, tau, temperature, y)
     # x, sinh and cosh run in numpy only for an array y or tau, so that an
     # array of T gets them to the bit as a scalar call does
-    x, ratio, ch = _stretch(y, tau, lib if lib is math else _working(y, tau)[1])
+    x, ratio, ch = _stretch(y, tau, lib if lib is math else _working(y, tau))
     # _make takes one tuple: binding twelve arguments in the generated
     # __new__ costs phase_map 1-2% of its items per second
     return PairState._make((nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio, ch, lib,

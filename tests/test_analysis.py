@@ -119,7 +119,7 @@ def stretch_bisection(params, temperature, y=None):
     if nbar1 * (nbar2 / big_k) == 0.0:
         return 0.0
     y = params.y if y is None else y
-    _, lib = _working(y)
+    lib = _working(y)
 
     def f(tau):
         _, ratio, _ = _stretch(y, tau, lib)

@@ -487,6 +487,34 @@ def test_four_functions_pick_the_library():
     ]
 
 
+def test_one_function_decides_what_a_real_number_is():
+    # every entry point converts through gaussian_core._real, so no other
+    # function refuses a non-real input, and none tests for complex types
+    # itself
+    package = Path(gaussian_core.__file__).parent
+    refusing, complex_checks = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            messages = [
+                node.value
+                for statement in ast.walk(function)
+                if isinstance(statement, ast.Raise)
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            ]
+            if any("must be a real number" in message for message in messages):
+                refusing.append((path.name, function.name))
+        complex_checks += [
+            path.name for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "complexfloating"
+        ]
+    assert refusing == [("gaussian_core.py", "_real")]
+    assert complex_checks == []
+
+
 class TestGenericRouteGuard:
     """A matrix built from entries alone takes the generic route, which
     refuses once the rounding of its entries can move E_N by more than
