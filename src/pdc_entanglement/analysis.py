@@ -156,6 +156,18 @@ def birth_time(
     return BteResult(0.5 * (lo + hi), method)
 
 
+def _bracket_inputs(function, tau_i, t_max):
+    """tau_i and t_max of ``function`` as Python floats, once they are
+    real scalars, tau_i finite and >= 0 and t_max finite and positive;
+    ValidationError if not."""
+    _check_scalar(function, "tau_i and t_max", tau_i, t_max)
+    tau_i, t_max = _real("tau_i", tau_i), _real("t_max", t_max)
+    _check_nonnegative(tau_i, "tau_i")
+    if not 0.0 < t_max < math.inf:
+        raise ValidationError("t_max must be finite and positive")
+    return tau_i, t_max
+
+
 def critical_temperature(
     params: PdcParams, tau_i, t_max: float = 2000.0
 ) -> Optional[float]:
@@ -173,11 +185,7 @@ def critical_temperature(
     Raises NumericalDomainError where an occupation, or their sum, leaves
     the float range at t_max, as the birth time does.
     """
-    _check_scalar("critical_temperature", "tau_i and t_max", tau_i, t_max)
-    tau_i, t_max = _real("tau_i", tau_i), _real("t_max", t_max)
-    _check_nonnegative(tau_i, "tau_i")
-    if not 0.0 < t_max < math.inf:
-        raise ValidationError("t_max must be finite and positive")
+    tau_i, t_max = _bracket_inputs("critical_temperature", tau_i, t_max)
     _, ratio, _ = _stretch(params.y, tau_i, math)
     m = ratio * ratio
     if not m > 0.0:
@@ -229,9 +237,10 @@ def phase_boundary(
     """Map critical_temperature over a mismatch grid.
 
     Points with no root (never entangled, or T_c beyond the bracket) are
-    omitted rather than failing the scan.
+    omitted rather than failing the scan.  tau_i and t_max are checked
+    before the first point, so an empty grid refuses them as any grid does.
     """
-    _check_scalar("phase_boundary", "tau_i and t_max", tau_i, t_max)
+    tau_i, t_max = _bracket_inputs("phase_boundary", tau_i, t_max)
     points = []
     for y in y_grid:
         _check_scalar("phase_boundary", "y per y_grid entry", y)

@@ -161,46 +161,19 @@ def _pointwise(closed_form):
 
 
 def _det2(m):
-    """Determinant of a 2x2 block, written out explicitly; of each block
-    for a stack (..., 2, 2)."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-def _det4(sigma):
-    """Determinant of a 4x4 covariance matrix with det(alpha) > 0; of each
-    matrix for a stack (..., 4, 4).
-
-    Uses the Schur-complement factorization det(sigma) =
-    det(alpha) * det(beta - gamma^T alpha^{-1} gamma), which keeps the
-    large hyperbolic terms from cancelling catastrophically at strong
-    squeezing (a naive cofactor expansion loses ~16 digits there).  Every
-    covariance matrix has det(alpha) >= 1/4; callers refuse the others
-    before calling, or discard their results.
-    """
-    al = sigma[..., :2, :2]
-    ga = sigma[..., :2, 2:]
-    det_al = _det2(al)
-    adj = np.stack(
-        [al[..., 1, 1], -al[..., 0, 1], -al[..., 1, 0], al[..., 0, 0]], axis=-1
-    ).reshape(al.shape)
-    schur = sigma[..., 2:, 2:] - (ga.swapaxes(-1, -2) @ adj @ ga) / det_al[..., None, None]
-    return det_al * _det2(schur)
+    """Determinant of a 2x2 block, written out explicitly."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 def _spectrum_at_least(sigma, i1, t_sq):
     """Whether both symplectic eigenvalues of a positive-definite CM
-    sigma with I1 = det(sigma) are >= t, given t^2; per matrix for a
-    stack (..., 4, 4) with one I1 each.
+    sigma with I1 = det(sigma) are >= t, given t^2.
 
     nu^2 are the roots of q(z) = z^2 - I2 z + I1, so "both nu >= t" is
     equivalent to the sign conditions q(t^2) >= 0 and I2 >= 2 t^2: no
     square root, no clamp, exact for rationals.
     """
-    i2 = (
-        _det2(sigma[..., :2, :2])
-        + _det2(sigma[..., 2:, 2:])
-        + 2 * _det2(sigma[..., :2, 2:])
-    )
+    i2 = _det2(sigma[:2, :2]) + _det2(sigma[2:, 2:]) + 2 * _det2(sigma[:2, 2:])
     return (t_sq * t_sq - i2 * t_sq + i1 >= 0) & (i2 >= 2 * t_sq)
 
 
@@ -436,21 +409,22 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     # a positive-definite sigma keeps every intermediate below 64 max|sigma|^4 <= 2^1018
     if not scale <= 2.0**253:
         raise NumericalDomainError(f"max|sigma| = {scale:.3e} overflows the generic route")
-    det_alpha = _det2(sigma[:2, :2])
+    alpha, gamma = sigma[:2, :2], sigma[:2, 2:]
+    det_alpha = _det2(alpha)
     if not det_alpha > 0.0:
         raise NumericalDomainError(f"det alpha = {float(det_alpha)!r}: not a CM")
-    g1, g2 = sigma[0, 2], sigma[1, 2]
-    schur_11 = sigma[2, 2] - (
-        sigma[1, 1] * g1 * g1 - (sigma[0, 1] + sigma[1, 0]) * g1 * g2 + sigma[0, 0] * g2 * g2
-    ) / det_alpha
-    if not (sigma[0, 0] > 0.0 and schur_11 > 0.0):
+    # det sigma = det alpha det(beta - gamma^T alpha^-1 gamma): no cofactor
+    # expansion, whose terms cancel catastrophically at strong squeezing
+    adj_alpha = np.array([[alpha[1, 1], -alpha[0, 1]], [-alpha[1, 0], alpha[0, 0]]])
+    schur = sigma[2:, 2:] - (gamma.T @ adj_alpha @ gamma) / det_alpha
+    if not (sigma[0, 0] > 0.0 and schur[0, 0] > 0.0):
         raise NumericalDomainError(
             f"sigma_11 = {float(sigma[0, 0])!r}, (beta - gamma^T alpha^-1 gamma)_11 = "
-            f"{float(schur_11)!r}: not positive definite, not a CM"
+            f"{float(schur[0, 0])!r}: not positive definite, not a CM"
         )
     det_beta = _det2(sigma[2:, 2:])
-    det_gamma = _det2(sigma[:2, 2:])
-    i1 = _det4(sigma)
+    det_gamma = _det2(gamma)
+    i1 = det_alpha * _det2(schur)
     eps = np.finfo(np.float64).eps
     allowed = GENERIC_EN_TOL * np.sqrt(i1) if 0.0 < i1 < math.inf else 0.0
     if not eps * scale * scale <= allowed:

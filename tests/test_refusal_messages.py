@@ -145,6 +145,27 @@ def test_temperature_is_named_before_the_mismatch(reference_params, name):
         call(reference_params, np.array([-1.0]), -1.0, y=np.array([1.5]))
 
 
+# the range of the critical-temperature bracket, refused alike by
+# critical_temperature and by phase_boundary on any grid, an empty one too
+BRACKET_CALLS = {
+    "critical_temperature": lambda p, tau_i, t_max: critical_temperature(p, tau_i, t_max),
+    "phase_boundary": lambda p, tau_i, t_max: phase_boundary(p, tau_i, [0.5], t_max),
+    "phase_boundary, empty y_grid": lambda p, tau_i, t_max: phase_boundary(p, tau_i, [], t_max),
+}
+
+
+@pytest.mark.parametrize("name", BRACKET_CALLS)
+@pytest.mark.parametrize(
+    "tau_i, t_max, message",
+    [(tau_i, 2000.0, "tau_i must be finite and >= 0") for tau_i in BAD_SCALARS]
+    + [(2.881, t_max, "t_max must be finite and positive") for t_max in [-5.0, 0.0, np.nan, np.inf]],
+    ids=str,
+)
+def test_bracket_range(reference_params, name, tau_i, t_max, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        BRACKET_CALLS[name](reference_params, tau_i, t_max)
+
+
 def _params(**fields):
     """PdcParams at the reference frequencies, y = 0.5, with ``fields`` replaced."""
     return PdcParams(**{"omega1_bar": 200.0, "omega2_bar": 400.0, "g": G_COUPLING, "y": 0.5, **fields})
@@ -208,6 +229,16 @@ REAL_ARGUMENTS = {
     "phase_boundary tau_i": (
         lambda p, v: phase_boundary(p, v, [0.5]),
         "tau_i",
+        "phase_boundary takes a scalar tau_i and t_max",
+    ),
+    "phase_boundary tau_i, empty y_grid": (
+        lambda p, v: phase_boundary(p, v, []),
+        "tau_i",
+        "phase_boundary takes a scalar tau_i and t_max",
+    ),
+    "phase_boundary t_max, empty y_grid": (
+        lambda p, v: phase_boundary(p, 0.5, [], t_max=v),
+        "t_max",
         "phase_boundary takes a scalar tau_i and t_max",
     ),
     "phase_boundary y_grid entry": (
