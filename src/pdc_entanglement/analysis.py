@@ -13,9 +13,10 @@ Zubairy, PRL 96, 050503 (2006)).  The threshold S0 = P (P + K) is kept
 for reporting only.  The birth time inverts m = m* in closed form (an
 arcsinh); a bracketed bisection in tau on the same condition is kept as
 an independent verification route, each evaluation one sinh(x tau)/x.
-The critical temperature is the root in T of P/K - m at fixed
-interaction time, found by a safeguarded Newton iteration to
-neighbouring floats.
+With theta_j = hbar omega_j/k_B, nbar_j = 1/(exp(theta_j/T) - 1) makes
+m* = 1/(exp((theta1 + theta2)/T) - 1), the occupation of one mode at
+omega1 + omega2; the critical temperature inverts it at fixed
+interaction time, T_c = (theta1 + theta2)/ln(1 + 1/m).
 
 The closed-form birth time and the witness also take numpy arrays of T,
 tau and y (the mismatch then given next to them, in place of
@@ -173,13 +174,16 @@ def critical_temperature(
 ) -> Optional[float]:
     """Temperature above which the state at fixed tau_i turns separable.
 
-    The state is separable exactly where f(T) = P/K - m >= 0 (module
-    docstring).  P/K increases with each occupation, and so with T: for
-    m > 0 the root is unique.  A safeguarded Newton iteration (Press et
-    al., Numerical Recipes, 3rd ed., 9.4, ``rtsafe``) finds it, with
-    f' = nbar1(nbar1+1) nbar2(nbar2+1)(theta1 + theta2)/(KT)^2, theta =
-    hbar omega/k_B, and runs until the bracket ends are neighbouring
-    floats; T_c is the upper one, the least float at which f >= 0.
+    m* increases with T, so for m > 0 the root of m* = m is unique: the
+    closed form T_c = (theta1 + theta2)/ln(1 + 1/m) (module docstring).
+    It is bisected to neighbouring floats on the verdict m* >= m, with
+    m* computed as the birth time and ``entanglement_report`` read it:
+    in a bracket 2^-49 T_c to each side of the closed form, else (1/m
+    past the float range, or a subnormal m, where the float m* can stray
+    from the closed form) in [0, t_max].  The result is
+    separable and one float below it entangled; where the float verdict
+    flips more than once within a few floats, it is one of those flips.
+    Cost: about eight occupation evaluations, at most about 2100.
     Returns None when there is no root in [0, t_max]: either the state
     is never entangled (tau_i = 0) or it is still entangled at t_max.
     Raises NumericalDomainError where an occupation, or their sum, leaves
@@ -189,45 +193,26 @@ def critical_temperature(
     _, ratio, _ = _stretch(params.y, tau_i, math)
     m = ratio * ratio
     if not m > 0.0:
-        return None  # f(0) = -m = 0: separable even at T = 0, as at tau_i = 0
-    theta1 = HBAR * (params.omega1_bar * params.g) / K_B
-    theta2 = HBAR * (params.omega2_bar * params.g) / K_B
+        return None  # m* >= m = 0 even at T = 0, as at tau_i = 0
     # the occupations grow with T, so finite at t_max they are finite in
-    # the whole bracket; m* = P/K as the birth time reads it
+    # the whole bracket
     n1, n2 = _occupations(params, t_max)
     _check_finite(n1 + n2, "thermal occupation", "T", t_max)
     if _pair_threshold(n1, n2) < m:
         return None  # still entangled at t_max: no root in bracket
-    lo, hi = 0.0, t_max
-    temp = t_max
-    # P/K = T/(theta1 + theta2) - 1/2 + O(1/T) once T >> theta: the first
-    # guess, a few Newton steps from the root at the figures' tau
-    guess = (m + 0.5) * (theta1 + theta2)
-    while True:
-        if not lo < guess < hi:
-            guess = 0.5 * (lo + hi)
-            if not lo < guess < hi:
-                break
-        step, temp = abs(guess - temp), guess
-        n1, n2 = _occupations(params, temp)
-        big_k = n1 + n2 + 1.0
-        f = _pair_threshold(n1, n2) - m
-        # f' in factors that stay finite where nbar(nbar+1) or T^2 does not
-        slope = n1 * ((n1 + 1.0) / big_k) / temp * (n2 * ((n2 + 1.0) / big_k) / temp)
-        slope = slope * (theta1 + theta2)
-        if f < 0.0:
-            lo = temp
-        else:
-            hi = temp
-        # Newton, at least one float towards the root.  A step must halve
-        # the one before, unless it is below 1e-9 T, which is the rounding
-        # noise of f near its root; else, or outside the bracket, bisect.
-        guess = temp - f / slope if slope > 0.0 else math.nan
-        move = abs(guess - temp)
-        if move <= math.ulp(temp):
-            guess = math.nextafter(temp, hi if f < 0.0 else lo)
-        elif not (2.0 * move <= step or move <= 1e-9 * temp):
-            guess = math.nan
+
+    def separable(temp):
+        return _pair_threshold(*_occupations(params, temp)) >= m
+
+    theta = HBAR * ((params.omega1_bar + params.omega2_bar) * params.g) / K_B
+    guess = theta / math.log1p(1.0 / m)  # 0 where 1/m overflows
+    lo, hi = guess * (1.0 - 2.0**-49), min(guess * (1.0 + 2.0**-49), t_max)
+    if not (lo < hi and separable(hi) and not separable(lo)):
+        lo, hi = 0.0, t_max
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (lo, mid) if separable(mid) else (mid, hi)
+        mid = 0.5 * (lo + hi)
     return hi
 
 

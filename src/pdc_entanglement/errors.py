@@ -6,12 +6,9 @@ class ValidationError(ValueError):
 
 
 class NumericalDomainError(ArithmeticError):
-    """Raised when a closed-form evaluation leaves its numerical domain.
-
-    The typical trigger is a covariance matrix whose invariants are
-    inconsistent with a physical two-mode Gaussian state (for example a
-    negative discriminant in the symplectic-eigenvalue formula).
-    """
+    """Raised when a result leaves the float64 range, or when the generic
+    covariance-matrix route cannot resolve a matrix (not a covariance
+    matrix, or its entanglement verdict lost to rounding)."""
 
 
 class TruncationError(RuntimeError):
@@ -20,4 +17,5 @@ class TruncationError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a moment integration becomes unphysical (step too large)."""
+    """Raised when an oracle's end point, trace or phase leaves the float
+    range."""

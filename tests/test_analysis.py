@@ -1,6 +1,4 @@
-import inspect
 import math
-import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -162,6 +160,23 @@ class TestBisectionRoute:
             birth_time(reference_params, 300.0, method="bisection")
 
 
+@pytest.fixture
+def occupation_calls(monkeypatch):
+    """[n]: the calls of analysis._occupations since the test last set n.
+    Past 500 a call fails, so a solver that does not converge fails in
+    bounded time."""
+    calls = [0]
+    real = analysis._occupations
+
+    def counting(*args):
+        calls[0] += 1
+        assert calls[0] <= 500, "critical_temperature does not converge"
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_occupations", counting)
+    return calls
+
+
 class TestCriticalTemperature:
     def test_reference_point(self, reference_params):
         t_c = critical_temperature(reference_params, 2.881)
@@ -179,18 +194,36 @@ class TestCriticalTemperature:
             assert log_negativity(below) > 0.0
             assert log_negativity(above) == 0.0
 
-    def test_verdict_flips_at_the_float_root(self, make_params):
+    def test_verdict_flips_at_the_float_root(self, make_params, occupation_calls):
         # entanglement_report reads the condition T_c solves: separable at
-        # T_c, the least float where m* >= m, entangled one float below
+        # T_c, entangled one float below.  Below tau_i of about 1e-154 m
+        # is subnormal, and the float m* is flat over some 1e9 floats of
+        # T, where a solver that steps one float at a time does not
+        # return.  Below about 1e-162 m is 0 and there is no root.
         rng = np.random.default_rng(2403)
-        cases = [(y, 2.881) for y in np.linspace(0.0, 0.9, 19).tolist()]
-        cases += [(0.99 * rng.random(), rng.uniform(0.2, 6.0)) for _ in range(120)]
-        for y, tau in cases:
-            params = make_params(y=y)
-            t_c = critical_temperature(params, tau, t_max=1e6)
+        cases = [(make_params(y=y), 2.881, 1e6) for y in np.linspace(0.0, 0.9, 19).tolist()]
+        cases += [(make_params(y=0.99 * rng.random()), rng.uniform(0.2, 6.0), 1e6) for _ in range(120)]
+        cases += [(make_params(), 1e-6, 2000.0), (make_params(), 1e-160, 1e4)]
+        cases += [
+            (make_params(y=0.99 * rng.random()), 10 ** rng.uniform(-165, -150), 1e4) for _ in range(40)
+        ]
+        # omega2_bar/omega1_bar of 1e4 to 1e8 and a subnormal m: there the
+        # float sign change can lie outside 2^-49 T_c of the closed form
+        for _ in range(40):
+            w1 = 10 ** rng.uniform(-2, 2)
+            params = make_params(
+                y=0.99 * rng.random(), omega1_bar=w1, omega2_bar=w1 * 10 ** rng.uniform(4, 8)
+            )
+            cases.append((params, rng.uniform(7.5e-155, 1.5e-154), 1e6))
+        for params, tau, t_max in cases:
+            occupation_calls[0] = 0
+            t_c = critical_temperature(params, tau, t_max=t_max)
+            if t_c is None:  # m = 0: entangled at no T
+                assert _stretch(params.y, tau, math)[1] ** 2 == 0.0, (params.y, tau)
+                continue
             at = entanglement_report(covariance_matrix(params, tau, t_c))
             below = entanglement_report(covariance_matrix(params, tau, math.nextafter(t_c, 0.0)))
-            assert (at.entangled, below.entangled) == (False, True), (y, tau, t_c)
+            assert (at.entangled, below.entangled) == (False, True), (params, tau, t_c)
 
     def test_decreases_with_mismatch(self, make_params):
         t_first = critical_temperature(make_params(y=0.1), 2.881)
@@ -240,71 +273,46 @@ def ref_critical_temperature(params, tau_i, t_c):
         return root, float(2 * n1n2 / (root * slope))
 
 
-def _line_hits(function, text, call):
-    """How often the line of function's source that reads text, stripped,
-    runs during call()."""
-    lines, first = inspect.getsourcelines(function)
-    target = first + [line.strip() for line in lines].index(text)
-    hits = 0
-
-    def tracer(frame, event, arg):
-        nonlocal hits
-        if frame.f_code is not function.__code__:
-            return None
-        hits += event == "line" and frame.f_lineno == target
-        return tracer
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        call()
-    finally:
-        sys.settrace(previous)
-    return hits
-
-
 class TestCriticalTemperaturePrecision:
     """The root is solved to neighbouring floats, in a few evaluations."""
 
     def test_within_a_few_ulps_of_the_decimal_root(self, make_params):
         rng = np.random.default_rng(2201)
-        for y, tau_i in zip(rng.uniform(0.0, 0.95, 12), rng.uniform(0.3, 3.5, 12)):
+        cases = list(zip(rng.uniform(0.0, 0.95, 12), rng.uniform(0.3, 3.5, 12)))
+        # at tau_i = 1e-6 T_c is far below the figures' hundreds of kelvin
+        cases.append((0.0, 1e-6))
+        for y, tau_i in cases:
             params = make_params(y=float(y))
             t_c = critical_temperature(params, float(tau_i), t_max=1e4)
             root, cond = ref_critical_temperature(params, float(tau_i), t_c)
             ulps = abs(Decimal(t_c) - root) / Decimal(math.ulp(t_c))
             assert ulps <= 4 * max(1.0, cond), (y, tau_i, float(ulps), cond)
+        assert critical_temperature(make_params(), 1e-6) == 0.16257421305826128
 
-    def test_newton_safeguard_falls_back_to_bisection(self, reference_params):
-        # at tau_i = 1e-6 the first guess lies far above the root, and seven
-        # Newton steps that do not halve the step before are replaced by
-        # bisection; the answer is still the least float with m* >= m
-        safeguard = _line_hits(
-            analysis.critical_temperature,
-            "guess = math.nan",
-            lambda: critical_temperature(reference_params, 1e-6),
-        )
-        assert safeguard == 7
-        t_c = critical_temperature(reference_params, 1e-6)
-        assert t_c == 0.16257421305826128
-        root, cond = ref_critical_temperature(reference_params, 1e-6, t_c)
-        assert abs(Decimal(t_c) - root) / Decimal(math.ulp(t_c)) <= 4 * max(1.0, cond)
-        below = covariance_matrix(reference_params, 1e-6, math.nextafter(t_c, 0.0))
-        assert entanglement_report(below).entangled
+    def test_falls_back_to_bisection_over_the_whole_bracket(
+        self, reference_params, occupation_calls
+    ):
+        # at tau_i = 1e-155 m is subnormal and 1/m overflows, so the closed
+        # form gives no bracket and [0, t_max] is bisected; the answer is
+        # still the float verdict's flip, at theta/ln(1/m) as 1/m >> 1
+        tau_i = 1e-155
+        m = _stretch(reference_params.y, tau_i, math)[1] ** 2
+        assert 0.0 < m < 2.0**-1022 and math.isinf(1.0 / m)
+        t_c = critical_temperature(reference_params, tau_i, t_max=1e4)
+        assert 20 < occupation_calls[0] <= 2100
+        theta = analysis.HBAR * 600.0 * reference_params.g / analysis.K_B
+        assert t_c == pytest.approx(theta / -math.log(m), rel=1e-12)
+        at = entanglement_report(covariance_matrix(reference_params, tau_i, t_c))
+        below = covariance_matrix(reference_params, tau_i, math.nextafter(t_c, 0.0))
+        assert (at.entangled, entanglement_report(below).entangled) == (False, True)
 
-    def test_fig4_grid_takes_few_occupation_evaluations(self, make_params, monkeypatch):
+    def test_fig4_grid_takes_few_occupation_evaluations(self, make_params, occupation_calls):
         counts = []
-        real = analysis._occupations
-
-        def counting(*args):
-            counts[-1] += 1
-            return real(*args)
-
-        monkeypatch.setattr(analysis, "_occupations", counting)
         for y in np.linspace(0.0, 0.9, 19):
-            counts.append(0)
+            occupation_calls[0] = 0
             assert critical_temperature(make_params(y=float(y)), 2.881) is not None
-        assert max(counts) <= 20, counts
+            counts.append(occupation_calls[0])
+        assert max(counts) <= 8, counts
 
 
 class TestPhaseBoundary:
