@@ -6,10 +6,10 @@ K = nbar1 + nbar2 + 1 and the pair gain m = sinh^2(x tau)/x^2, the
 paper's S = S0 - |det gamma| factors as (P - mK)(P + mK + K), so the
 thermally seeded state is entangled exactly when
 
-    m > m* = P/K,       computed as nbar1 (nbar2/K),
+    m > m* = P/K,       computed as small (large/K),
 
-which stays finite as long as the occupations' sum does (Hillery and
-Zubairy, PRL 96, 050503 (2006)).  The threshold S0 = P (P + K) is kept
+with small <= large the two occupations, which stays finite as long as
+their sum does (Hillery and Zubairy, PRL 96, 050503 (2006)).  The threshold S0 = P (P + K) is kept
 for reporting only.  The birth time inverts m = m* in closed form (an
 arcsinh); a bracketed bisection in tau on the same condition is kept as
 an independent verification route, each evaluation one sinh(x tau)/x.
@@ -132,17 +132,16 @@ def birth_time(
     if m_star == 0.0:
         return BteResult(0.0, method)
 
-    def f(tau):
-        z = x * tau
+    # m = sinh^2(x tau)/x^2 grows without bound, so the doubling ends;
+    # past the float range it refuses, and so bounds every x * mid below
+    lo, hi = 0.0, 1.0
+    while True:
+        z = x * hi
         if not z <= _EXP_MAX:
             raise _sinh_overflow(z)
         ratio = math.sinh(z) / x
-        return ratio * ratio - m_star
-
-    # f grows without bound, so the doubling ends; past the float range
-    # f refuses
-    lo, hi = 0.0, 1.0
-    while f(hi) <= 0.0:
+        if ratio * ratio - m_star > 0.0:
+            break
         hi *= 2.0
     # past neighbouring floats the midpoint rounds to an end and the
     # bracket cannot shrink, as with a tolerance below their spacing
@@ -150,7 +149,8 @@ def birth_time(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if f(mid) > 0.0:
+        ratio = math.sinh(x * mid) / x
+        if ratio * ratio - m_star > 0.0:
             hi = mid
         else:
             lo = mid

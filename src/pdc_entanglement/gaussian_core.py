@@ -39,13 +39,15 @@ A ``CovarianceMatrix`` built from entries is checked (finite, symmetric)
 and copied to a read-only float64 array.  The matrices of
 ``pdc_dynamics.covariance_matrix`` skip those checks: that function has
 already refused entries that are not finite, and the private constructor
-it calls builds the array itself from the four distinct entries in a
-layout that is symmetric by construction, so the checks could only copy
-it.  Every other construction keeps them.
+it calls keeps the four distinct entries and forms the array from them
+on the first read of ``entries``, in a layout that is symmetric by
+construction; the pair route, the verdict and ``physicality_check``
+never read it.  Every other construction keeps the checks.
 
 Every function is pure.  The results are immutable NamedTuples, and a
-``CovarianceMatrix`` is a frozen dataclass over a read-only array, so
-instances can be shared freely across threads.
+``CovarianceMatrix`` is a frozen dataclass over a read-only array or the
+four floats it is formed from, so instances can be shared freely across
+threads: two threads that form one matrix's array form the same bits.
 """
 
 from __future__ import annotations
@@ -179,9 +181,13 @@ def _spectrum_at_least(sigma, i1, t_sq):
 
 def _pair_threshold(nbar1, nbar2):
     """m* = nbar1 nbar2/K, the pair gain above which a pair state is
-    entangled, as nbar1 (nbar2/K): nbar2/K <= 1, so m* is finite wherever
-    K = nbar1 + nbar2 + 1 is, also where nbar1 nbar2 overflows."""
-    return nbar1 * (nbar2 / (nbar1 + nbar2 + 1.0))
+    entangled, as small (large/K), small <= large the occupations: large/K
+    < 1, so m* is finite wherever K = nbar1 + nbar2 + 1 is, and large/K >=
+    large/(2 large + 1) is normal where small/K can be subnormal."""
+    big_k = nbar1 + nbar2 + 1.0
+    if type(big_k) is float:
+        return nbar2 * (nbar1 / big_k) if nbar1 >= nbar2 else nbar1 * (nbar2 / big_k)
+    return np.minimum(nbar1, nbar2) * (np.maximum(nbar1, nbar2) / big_k)
 
 
 class PairState(NamedTuple):
@@ -249,9 +255,9 @@ class CovarianceMatrix:
     ``pair`` is set by ``pdc_dynamics.covariance_matrix`` to the pair
     state the entries were built from; the invariants then take the pair
     route.  It takes no part in repr.  Those matrices come from
-    ``_of_pair``, which stores the same read-only float64 entries without
-    re-running the checks (see the module docstring).  ``==`` is identity,
-    as for any object: compare ``entries`` to compare two matrices.
+    ``_of_pair``, which forms the same read-only float64 entries on first
+    read, unchecked (see the module docstring).  ``==`` is identity, as
+    for any object: compare ``entries`` to compare two matrices.
     """
 
     entries: np.ndarray
@@ -266,11 +272,20 @@ class CovarianceMatrix:
     @classmethod
     def _of_pair(cls, d1, d2, s13, s14, pair: PairState) -> "CovarianceMatrix":
         """The matrix of a pair state from its four distinct entries, which
-        the caller has checked to be finite, without ``__post_init__``
-        (see the module docstring).  The layout is the one documented at
-        ``pdc_dynamics.covariance_matrix``.  The only caller is
-        ``pdc_dynamics._pair_matrix``, the reader behind that function.
+        the caller has checked to be finite, without ``__post_init__`` (see
+        the module docstring); ``entries`` is formed on its first read, in
+        the layout of ``pdc_dynamics.covariance_matrix``.  The only caller
+        is ``pdc_dynamics._pair_matrix``, the reader behind that function.
         """
+        cm = object.__new__(cls)
+        cm.__dict__.update(pair=pair, _four=(d1, d2, s13, s14))
+        return cm
+
+    def __getattr__(self, name):
+        # reached only when the lookup failed: entries of _of_pair, unread
+        if name != "entries" or "_four" not in self.__dict__:
+            return object.__getattribute__(self, name)  # the usual AttributeError
+        d1, d2, s13, s14 = self._four
         flat = np.array([
             d1, 0.0, s13, s14,
             0.0, d1, s14, -s13,
@@ -278,10 +293,8 @@ class CovarianceMatrix:
             s14, -s13, 0.0, d2,
         ])
         flat.setflags(write=False)
-        cm = object.__new__(cls)
-        object.__setattr__(cm, "entries", flat.reshape(4, 4))
-        object.__setattr__(cm, "pair", pair)
-        return cm
+        self.__dict__["entries"] = entries = flat.reshape(4, 4)
+        return entries
 
 
 class SymplecticInvariants(NamedTuple):

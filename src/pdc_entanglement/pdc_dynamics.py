@@ -273,19 +273,24 @@ def _stretch(y, tau, lib):
 
 def _pair_inputs(params: PdcParams, tau, temperature, y):
     """(y, tau, T, nbar1, nbar2, lib): the inputs of a pair state, y =
-    ``params.y`` unless given, converted (``_real``) and checked once in
-    the library ``lib`` that ``_working`` picks for them, and the
-    occupations at T.  Array inputs must broadcast against each other."""
-    # a Python float, the common input, costs no call
-    tau = tau if type(tau) is float else _real("tau", tau)
-    temperature = temperature if type(temperature) is float else _real("temperature", temperature)
-    y = params.y if y is None else y if type(y) is float else _real("y", y)
-    lib = _working(y, tau, temperature)
-    if lib is np:
-        _check_broadcast(tau=tau, temperature=temperature, y=y)
-    _check_nonnegative(tau, "tau")
-    _check_nonnegative(temperature, "temperature")
-    _check_mismatch(y)
+    ``params.y`` unless given, converted (``_real``) and checked in the
+    order tau, T, y in ``lib`` (``math`` for floats, else ``_working``'s),
+    and the occupations at T.  Arrays must broadcast against each other."""
+    y = params.y if y is None else y
+    # Python floats, the common input, cost one comparison chain to check
+    if type(tau) is type(temperature) is type(y) is float:
+        lib = math
+        ok = 0.0 <= tau < math.inf and 0.0 <= temperature < math.inf and 0.0 <= y < 1.0
+    else:
+        tau, temperature, y = _real("tau", tau), _real("temperature", temperature), _real("y", y)
+        lib = _working(y, tau, temperature)
+        if lib is np:
+            _check_broadcast(tau=tau, temperature=temperature, y=y)
+        ok = False
+    if not ok:
+        _check_nonnegative(tau, "tau")
+        _check_nonnegative(temperature, "temperature")
+        _check_mismatch(y)
     nbar1, nbar2 = _occupations(params, temperature, lib)
     return y, tau, temperature, nbar1, nbar2, lib
 
@@ -364,7 +369,8 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
     returned matrix carries the pair state, so its invariants take the
     pair route.  tau and T are scalars.
     """
-    _check_scalar("covariance_matrix", "tau and T", tau, temperature, arrays="pair_invariants")
+    if type(tau) is not float or type(temperature) is not float:
+        _check_scalar("covariance_matrix", "tau and T", tau, temperature, arrays="pair_invariants")
     return _pair_matrix(_pair_state(params, tau, temperature))
 
 

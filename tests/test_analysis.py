@@ -24,8 +24,8 @@ from pdc_entanglement import (
 )
 from pdc_entanglement import analysis
 from pdc_entanglement.analysis import BTE_ABS_TOL
-from pdc_entanglement.gaussian_core import _working
-from pdc_entanglement.pdc_dynamics import _pair_state, _stretch
+from pdc_entanglement.gaussian_core import _check_finite, _pair_threshold, _working
+from pdc_entanglement.pdc_dynamics import _pair_inputs, _pair_state, _stretch
 from test_array_core import ref_birth_time, ref_occupations, ref_pair_gain
 
 
@@ -113,15 +113,15 @@ def stretch_bisection(params, temperature, y=None):
     """The bisection birth time that re-derives (x, sinh(x tau)/x) from y
     with ``_stretch``, in the library of the y given, at every evaluation."""
     pair = _pair_state(params, 0.0, temperature, y)
-    nbar1, nbar2, big_k = pair.nbar1, pair.nbar2, pair.big_k
-    if nbar1 * (nbar2 / big_k) == 0.0:
+    m_star = _pair_threshold(pair.nbar1, pair.nbar2)
+    if m_star == 0.0:
         return 0.0
     y = params.y if y is None else y
     lib = _working(y)
 
     def f(tau):
         _, ratio, _ = _stretch(y, tau, lib)
-        return ratio * ratio - nbar1 * (nbar2 / big_k)
+        return ratio * ratio - m_star
 
     lo, hi = 0.0, 1.0
     while f(hi) <= 0.0:
@@ -158,6 +158,80 @@ class TestBisectionRoute:
         monkeypatch.setattr(analysis, "_EXP_MAX", 2.0)
         with pytest.raises(NumericalDomainError, match="overflows sinh"):
             birth_time(reference_params, 300.0, method="bisection")
+
+
+def closure_bisection(params, temperature, y=None):
+    """The bisection birth time with every evaluation through a closure
+    that checks x tau against the exp range, as the route was written
+    before its loop went inline."""
+    mismatch, _, _, nbar1, nbar2, _ = _pair_inputs(params, 0.0, temperature, y)
+    _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
+    m_star = _pair_threshold(nbar1, nbar2)
+    x = math.sqrt((1.0 - mismatch) * (1.0 + mismatch))
+    if m_star == 0.0:
+        return 0.0
+
+    def f(tau):
+        z = x * tau
+        if not z <= analysis._EXP_MAX:
+            raise analysis._sinh_overflow(z)
+        ratio = math.sinh(z) / x
+        return ratio * ratio - m_star
+
+    lo, hi = 0.0, 1.0
+    while f(hi) <= 0.0:
+        hi *= 2.0
+    while hi - lo > BTE_ABS_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def outcome(route, *args):
+    """The hex of a float result, or the type and message of a refusal."""
+    try:
+        return route(*args).hex()
+    except (ValidationError, NumericalDomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestInlineBisection:
+    """The bisection's loop evaluates m(tau) inline, with the overflow
+    check in the doubling alone, and gives the closure loop's bits and
+    refusals."""
+
+    def cases(self):
+        rng = np.random.default_rng(1104)
+        cases = [(0.0, 0.0), (0.5, 0.0), (1.0 - 1e-15, 1e5), (1.0 - 1e-15, 300.0)]
+        cases += [(0.3, 1e300), (0.0, 1e160), (0.0, 1e13), (1.0 - 1e-15, 1e13)]
+        for _ in range(200):
+            cases.append((0.99 * rng.random(), 10.0 ** rng.uniform(-1.0, 7.0)))
+        return cases
+
+    def test_same_floats_as_the_closure_loop(self, make_params):
+        for y, temp in self.cases():
+            params = make_params(y=y)
+            inline = outcome(lambda: birth_time(params, temp, method="bisection").tau_e)
+            assert isinstance(inline, str) and inline == outcome(closure_bisection, params, temp)
+
+    def test_same_refusals(self, make_params, monkeypatch):
+        tiny = make_params(omega1_bar=1.0, omega2_bar=1.0, g=1.0)
+        cases = [(tiny, 2e297), (tiny, 7e296), (make_params(), -1.0), (make_params(), math.nan)]
+        # with the exp range cut to x tau <= 2 the doubling passes it
+        # before it brackets the onset at every T above about 30 K
+        monkeypatch.setattr(analysis, "_EXP_MAX", 2.0)
+        cases += [(make_params(y=y), temp) for y, temp in self.cases()]
+        refusals = 0
+        for params, temp in cases:
+            inline = outcome(lambda: birth_time(params, temp, method="bisection").tau_e)
+            assert inline == outcome(closure_bisection, params, temp), (params, temp)
+            refusals += not isinstance(inline, str)
+        assert refusals > 100
 
 
 @pytest.fixture

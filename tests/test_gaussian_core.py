@@ -1,6 +1,11 @@
 import ast
+import dataclasses
+import math
 import re
+import sys
+import threading
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -9,6 +14,7 @@ import numpy as np
 import pytest
 
 from pdc_entanglement import gaussian_core
+from pdc_entanglement.pdc_dynamics import _occupations
 from pdc_entanglement import (
     CovarianceMatrix,
     NumericalDomainError,
@@ -19,6 +25,7 @@ from pdc_entanglement import (
     log_negativity,
     physicality_check,
     symplectic_invariants,
+    witness,
 )
 
 
@@ -448,6 +455,112 @@ class TestPairConstructor:
             ("cli.py", "cmd_eval"),
             ("pdc_dynamics.py", "covariance_matrix"),
         ]
+
+
+class TestBothKindsOfMatrix:
+    """A matrix from covariance_matrix keeps its four distinct entries and
+    forms the 4x4 array on its first read; it is the same class, with the
+    same invariants, as a matrix built from entries."""
+
+    def kinds(self, make_params):
+        rng = np.random.default_rng(1103)
+        for _ in range(20):
+            y, tau, temp = 0.99 * rng.random(), 20.0 * rng.random(), 600.0 * rng.random()
+            cm = covariance_matrix(make_params(y=y), tau, temp)
+            generic = CovarianceMatrix(np.array(cm.entries))
+            yield covariance_matrix(make_params(y=y), tau, temp), generic
+
+    def test_same_class_and_repr(self, make_params):
+        for cm, generic in self.kinds(make_params):
+            assert type(cm) is CovarianceMatrix and type(generic) is CovarianceMatrix
+            assert "entries" not in vars(cm)
+            assert repr(cm) == repr(generic)  # repr reads the entries
+            assert cm.entries.tobytes() == generic.entries.tobytes()
+
+    def test_frozen_and_read_only(self, make_params):
+        for cm, generic in self.kinds(make_params):
+            for matrix in (cm, generic):
+                for name in ("entries", "pair"):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(matrix, name, np.eye(4))
+                entries = matrix.entries
+                assert entries is matrix.entries  # formed once
+                assert entries.dtype == np.float64 and entries.shape == (4, 4)
+                assert not entries.flags.writeable
+                with pytest.raises(ValueError):
+                    entries[0, 0] = 0.0
+            assert cm == cm and cm != generic  # == is identity
+
+    def test_an_unknown_attribute_is_an_attribute_error(self, reference_params):
+        cm = covariance_matrix(reference_params, 2.881, 300.0)
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            cm.nope  # noqa: B018
+        assert not hasattr(CovarianceMatrix.__new__(CovarianceMatrix), "entries")
+
+    def test_threads_that_form_one_array_read_the_same_bits(self, make_params):
+        pairs = list(self.kinds(make_params)) * 10
+        seen = [[] for _ in range(8)]
+
+        def read(out):
+            out.extend(cm.entries for cm, _ in pairs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for out in seen:
+            assert len(out) == len(pairs)
+            for entries, (cm, generic) in zip(out, pairs):
+                assert not entries.flags.writeable
+                assert entries.tobytes() == generic.entries.tobytes() == cm.entries.tobytes()
+
+    def test_readers_of_the_verdict_do_not_form_the_array(self, make_params, monkeypatch):
+        formed = []
+        form = CovarianceMatrix.__getattr__
+
+        def counting(cm, name):
+            formed.append(name)
+            return form(cm, name)
+
+        monkeypatch.setattr(CovarianceMatrix, "__getattr__", counting)
+        for y, tau, temp in [(0.0, 2.881, 300.0), (0.5, 20.0, 0.0), (0.9, 0.0, 600.0)]:
+            params = make_params(y=y)
+            cm = covariance_matrix(params, tau, temp)
+            symplectic_invariants(cm)
+            entanglement_report(cm)
+            log_negativity(cm)
+            assert physicality_check(cm)
+            witness(params, tau, temp)
+            assert formed == [] and "entries" not in vars(cm)
+            cm.entries  # noqa: B018
+            cm.entries  # noqa: B018
+            assert formed == ["entries"]  # the counter sees the first read alone
+            formed.clear()
+
+
+@pytest.mark.parametrize("omega_bars", [(0.00754, 59113.0), (59113.0, 0.00754)])
+def test_pair_threshold_keeps_the_bits_of_a_subnormal_occupation(make_params, omega_bars):
+    # at 0.624 K the high mode's occupation is 9.5e-309, below the normal
+    # range, and K = 1.1e4: divided by K first it lost about 1800 ulps
+    params = make_params(y=0.657, omega1_bar=omega_bars[0], omega2_bar=omega_bars[1])
+    nbar1, nbar2 = _occupations(params, 0.624)
+    assert min(nbar1, nbar2) < sys.float_info.min < 1e4 < max(nbar1, nbar2)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(nbar1) * Decimal(nbar2) / (Decimal(nbar1) + Decimal(nbar2) + 1)
+    m_star = gaussian_core._pair_threshold(nbar1, nbar2)
+    assert type(m_star) is float
+    assert abs(Decimal(m_star) - exact) <= 2 * Decimal(math.ulp(m_star))
+    swapped = gaussian_core._pair_threshold(nbar2, nbar1)
+    arrays = gaussian_core._pair_threshold(np.array([nbar1, nbar2]), np.array([nbar2, nbar1]))
+    assert swapped == m_star and arrays.tolist() == [m_star, m_star]
 
 
 def enclosing_functions(node, attr, function=None):
