@@ -11,8 +11,9 @@ thermally seeded state is entangled exactly when
 with small <= large the two occupations, which stays finite as long as
 their sum does (Hillery and Zubairy, PRL 96, 050503 (2006)).  The threshold S0 = P (P + K) is kept
 for reporting only.  The birth time inverts m = m* in closed form (an
-arcsinh); a bracketed bisection in tau on the same condition is kept as
-an independent verification route, each evaluation one sinh(x tau)/x.
+arcsinh).  A bracketed bisection in tau solves the same m = m* with the
+same sinh(x tau)/x, one per evaluation; it checks the arcsinh inversion
+alone, not m* or the sinh form.
 With theta_j = hbar omega_j/k_B, nbar_j = 1/(exp(theta_j/T) - 1) makes
 m* = 1/(exp((theta1 + theta2)/T) - 1), the occupation of one mode at
 omega1 + omega2; the critical temperature inverts it at fixed
@@ -22,8 +23,8 @@ The closed-form birth time and the witness also take numpy arrays of T,
 tau and y (the mismatch then given next to them, in place of
 ``params.y``) and return arrays of their broadcast shape; the bisection
 and the critical temperature take scalars.  A 0-d array is a scalar.
-Each call computes in the one library ``_pair_inputs`` picks, which the
-witness reads from the pair state.
+Each call computes in the one library ``_pair_inputs`` picks; the
+witness reads it off the pair state (``math`` for Python floats).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian_core import _check_finite, _check_scalar, _every, _pair_threshold, _pointwise, _real
+from .gaussian_core import _check_finite, _check_scalar, _every, _pointwise, _real
 from .pdc_dynamics import (
     _EXP_MAX,
     HBAR,
@@ -45,6 +46,7 @@ from .pdc_dynamics import (
     _occupations,
     _pair_inputs,
     _pair_state,
+    _pair_threshold,
     _sinh_overflow,
     _stretch,
 )
@@ -106,8 +108,9 @@ def birth_time(
     ----------
     method : "closed_form" inverts m = sinh^2(x tau)/x^2 at m*;
         "bisection" doubles its bracket from tau = 1 until it holds the
-        onset and bisects to 1e-10 absolute, or to neighbouring floats,
-        serving as the independent check.
+        onset and bisects to 1e-10 absolute, or to neighbouring floats.
+        It solves the same m = m* with the same sinh form, so it checks
+        only the asinh inversion.
     y : mismatch in place of ``params.y``.  With the closed form, T and y
         may be numpy arrays; tau_e then has their broadcast shape, and is
         a Python float for scalar inputs.
@@ -190,7 +193,7 @@ def critical_temperature(
     the float range at t_max, as the birth time does.
     """
     tau_i, t_max = _bracket_inputs("critical_temperature", tau_i, t_max)
-    _, ratio, _ = _stretch(params.y, tau_i, math)
+    _, ratio = _stretch(params.y, tau_i, math)
     m = ratio * ratio
     if not m > 0.0:
         return None  # m* >= m = 0 even at T = 0, as at tau_i = 0
@@ -259,9 +262,12 @@ def witness(params: PdcParams, tau, temperature, y=None) -> WitnessValue:
 
 def _witness(pair) -> WitnessValue:
     """The witness of a pair state; ``witness``."""
-    nbar1, nbar2, m, big_k, _, _, _, lib, _, _, tau, temperature = pair
+    nbar1, nbar2 = pair.nbar1, pair.nbar2
+    lib = math if type(nbar1) is float else np
     threshold = lib.sqrt(nbar1 * nbar2 * (nbar1 + 1.0) * (nbar2 + 1.0))
-    gain = m * big_k
+    gain = pair.m * pair.big_k
     mean = (nbar1 + gain + nbar2 + gain) / 2.0
-    _check_finite(threshold + mean, "witness", "tau, T", tau, temperature)
+    _check_finite(threshold + mean, "witness", "tau, T", pair.tau, pair.temperature)
+    if lib is np:  # sqrt(S0) reads T alone; the mean has the shape of every input
+        threshold = np.broadcast_to(threshold, mean.shape).copy()
     return WitnessValue(threshold - mean, mean, threshold)

@@ -267,14 +267,14 @@ def cmd_eval(config: RunConfig) -> int:
     ``mean_photon_numbers``, ``covariance_matrix``, ``witness`` and
     ``det_gamma_closed_form`` take it alone in that order, each with its own
     finiteness check, so a refusal is the one those functions would give
-    first; the verdict is ``entanglement_report``'s, from the invariants
-    the report prints.  Nothing is written before every value is known.
+    first; the verdict is the pair state's ``entangled()``, as in
+    ``entanglement_report``.  Nothing is written before every value is known.
     """
     pair = pdc_dynamics._pair_state(build_params(config), config.tau, config.temp_k)
     n1, n2 = pdc_dynamics._photon_numbers(pair)
     cm = pdc_dynamics._pair_matrix(pair)
     inv = gaussian_core.symplectic_invariants(cm)
-    entangled = gaussian_core._verdict(cm, inv)
+    entangled = pair.entangled()
     w = analysis._witness(pair).w
     det_gamma = pdc_dynamics._det_gamma(pair)
     sys.stdout.write(_EVAL_REPORT.format(

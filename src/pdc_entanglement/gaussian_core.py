@@ -9,31 +9,22 @@ Entanglement is decided from the two scalar symplectic invariants of the
 partially transposed state; no generic eigensolver is involved.  The
 indicator S is negative exactly when the state is entangled (PPT
 criterion, necessary and sufficient for 1x1 modes), and the logarithmic
-negativity is E_N = max(0, -ln 2*nu_minus_pt).  ``entanglement_report``,
-the one verdict, reads S < 0 for a matrix built from entries, and for a
-pair state the sign of the first factor of S = (P - mK)(P + mK + K),
-P = nbar1 nbar2: m > m* = P/K.  Near the boundary the float sign of S, a
-difference of terms of order nbar^4, can differ from it; neither is yet
-certified within rounding of the boundary.
+negativity is E_N = max(0, -ln 2*nu_minus_pt).
 
-The invariants have two routes:
-
-* the pair route, for a matrix that carries a :class:`PairState` (every
-  matrix from ``pdc_dynamics.covariance_matrix``).  The state is then a
-  thermally seeded two-mode squeezed state, fixed by its initial
-  occupations nbar1, nbar2, the pair gain m and K = nbar1 + nbar2 + 1,
-  and every invariant has a closed form with no subtraction of large
-  terms.  It is exact until the invariants leave the float range, where
-  it raises NumericalDomainError.  A pair state whose fields are numpy
-  arrays gives arrays of invariants, one per point of their broadcast,
-  and raises if any point leaves the float range;
-* the generic route, for any other matrix.  It computes determinants of
-  the 4x4 entries in float64; at strong squeezing the combinations
-  cancel, so it loses digits once sinh(x tau) is large.  The rounding of
-  the entries themselves (relative eps of float64) then reaches E_N as an
-  error of about eps * max|sigma|^2 / sqrt(I1); once that estimate passes
-  GENERIC_EN_TOL the route raises NumericalDomainError instead of
-  returning a verdict.
+A matrix has one of two routes.  A matrix whose ``pair`` is set (every
+matrix from ``pdc_dynamics.covariance_matrix``) takes the pair route:
+``pair`` is an object with two methods, ``invariants()``, which returns
+its :class:`SymplecticInvariants`, and ``entangled()``, its verdict.
+``symplectic_invariants`` and ``entanglement_report`` call them, and
+``physicality_check`` answers True; this module reads nothing else of
+it, and the closed forms behind it live in ``pdc_dynamics``.  Any other
+matrix takes the generic route: determinants of the 4x4 entries in
+float64, with the verdict S < 0.  At strong squeezing those combinations
+cancel, so the route loses digits once sinh(x tau) is large.  The
+rounding of the entries themselves (relative eps of float64) then
+reaches E_N as an error of about eps * max|sigma|^2 / sqrt(I1); once that
+estimate passes GENERIC_EN_TOL the route raises NumericalDomainError
+instead of returning a verdict.
 
 A ``CovarianceMatrix`` built from entries is checked (finite, symmetric)
 and copied to a read-only float64 array.  The matrices of
@@ -56,7 +47,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,44 +170,6 @@ def _spectrum_at_least(sigma, i1, t_sq):
     return (t_sq * t_sq - i2 * t_sq + i1 >= 0) & (i2 >= 2 * t_sq)
 
 
-def _pair_threshold(nbar1, nbar2):
-    """m* = nbar1 nbar2/K, the pair gain above which a pair state is
-    entangled, as small (large/K), small <= large the occupations: large/K
-    < 1, so m* is finite wherever K = nbar1 + nbar2 + 1 is, and large/K >=
-    large/(2 large + 1) is normal where small/K can be subnormal."""
-    big_k = nbar1 + nbar2 + 1.0
-    if type(big_k) is float:
-        return nbar2 * (nbar1 / big_k) if nbar1 >= nbar2 else nbar1 * (nbar2 / big_k)
-    return np.minimum(nbar1, nbar2) * (np.maximum(nbar1, nbar2) / big_k)
-
-
-class PairState(NamedTuple):
-    """A thermally seeded two-mode squeezed state and the point it is at.
-
-    nbar1, nbar2 are the initial thermal occupations, m = sinh^2(x tau)/x^2
-    the pair gain and big_k = nbar1 + nbar2 + 1; x, ratio = sinh(x tau)/x
-    and ch = cosh(x tau) are kept for the covariance-matrix entries.  lib
-    is ``math`` or numpy, as ``_working`` picked it for the inputs; the
-    closed forms that read the state compute in it.  params (a
-    ``pdc_dynamics.PdcParams``), y, tau and temperature are those inputs,
-    converted and checked; the readers' refusals name them.  Each number
-    is a scalar or a numpy array, and they broadcast together.
-    """
-
-    nbar1: float
-    nbar2: float
-    m: float
-    big_k: float
-    x: float
-    ratio: float
-    ch: float
-    lib: object
-    params: object
-    y: float
-    tau: float
-    temperature: float
-
-
 _FLOAT64_MAX = float(np.finfo(np.float64).max)
 
 
@@ -253,15 +206,16 @@ class CovarianceMatrix:
     refused like any other entry that is not finite.
 
     ``pair`` is set by ``pdc_dynamics.covariance_matrix`` to the pair
-    state the entries were built from; the invariants then take the pair
-    route.  It takes no part in repr.  Those matrices come from
+    state the entries were built from, an object with ``invariants()``
+    and ``entangled()``; the invariants and the verdict then take the
+    pair route (see the module docstring).  It takes no part in repr.  Those matrices come from
     ``_of_pair``, which forms the same read-only float64 entries on first
     read, unchecked (see the module docstring).  ``==`` is identity, as
     for any object: compare ``entries`` to compare two matrices.
     """
 
     entries: np.ndarray
-    pair: Optional[PairState] = field(default=None, repr=False)
+    pair: object = field(default=None, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.entries)
@@ -270,7 +224,7 @@ class CovarianceMatrix:
         object.__setattr__(self, "entries", _checked_entries(arr))
 
     @classmethod
-    def _of_pair(cls, d1, d2, s13, s14, pair: PairState) -> "CovarianceMatrix":
+    def _of_pair(cls, d1, d2, s13, s14, pair) -> "CovarianceMatrix":
         """The matrix of a pair state from its four distinct entries, which
         the caller has checked to be finite, without ``__post_init__`` (see
         the module docstring); ``entries`` is formed on its first read, in
@@ -362,37 +316,6 @@ def _pt_eigenvalue_pair(delta, i1):
     return np.sqrt(nu_minus_sq), np.sqrt(nu_plus_sq)
 
 
-def _pair_invariants(pair: PairState) -> SymplecticInvariants:
-    """The invariant set of a pair state, with no cancelling subtraction.
-
-    With a = nbar1 + 1/2, b = nbar2 + 1/2 and |det gamma| = m(m+1)K^2:
-    I1 = (ab)^2 and I2 = a^2 + b^2 are conserved by the evolution,
-    delta_tilde = I2 + 4|det gamma|, and the PT symplectic eigenvalues are
-    nu_plus = D/2 and nu_minus = ab/nu_plus with
-    D = K(1+2m) + sqrt((nbar1-nbar2)^2 + 4K^2 m(m+1)), so that
-    E_N = ln(D/((2nbar1+1)(2nbar2+1))).  D is formed from sqrt(m)
-    sqrt(m+1), not from |det gamma|, so it stays finite while m does.
-    Array fields give arrays of invariants.
-    """
-    n1, n2, m, big_k, lib = pair.nbar1, pair.nbar2, pair.m, pair.big_k, pair.lib
-    a = n1 + 0.5
-    b = n2 + 0.5
-    i1 = a * b * a * b
-    i2 = a * a + b * b
-    s0 = n1 * n2 * (n1 + 1.0) * (n2 + 1.0)
-    correlation = m * (m + 1.0) * big_k * big_k
-    spread = 2.0 * big_k * lib.sqrt(m) * lib.sqrt(m + 1.0)
-    nu_plus = (big_k * (1.0 + 2.0 * m) + lib.hypot(n1 - n2, spread)) / 2.0
-    s = s0 - correlation
-    delta_tilde = i2 + 4.0 * correlation
-    # every term but -s is >= 0 and s0 - s >= 0, so the sum is finite
-    # exactly when every invariant is
-    _check_finite(
-        i1 + i2 + s0 - s + delta_tilde + nu_plus, "invariants", "nbar1, nbar2, m", n1, n2, m
-    )
-    return SymplecticInvariants(i1, i2, s0, s, delta_tilde, a * b / nu_plus, nu_plus)
-
-
 def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     """Compute the invariant set (I1, I2, S0, S, PT symplectic spectrum).
 
@@ -416,7 +339,7 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
         >= 4*I1 holds up to rounding.
     """
     if cm.pair is not None:
-        return _pair_invariants(cm.pair)
+        return cm.pair.invariants()
     sigma = cm.entries
     scale = np.max(np.abs(sigma))
     # a positive-definite sigma keeps every intermediate below 64 max|sigma|^4 <= 2^1018
@@ -464,21 +387,13 @@ def log_negativity(cm: CovarianceMatrix) -> float:
 
 
 def entanglement_report(cm: CovarianceMatrix) -> EntanglementReport:
-    """Bundle E_N, S and the verdict (:func:`_verdict`) for one covariance
-    matrix."""
+    """Bundle E_N, S and the verdict for one covariance matrix: the pair
+    state's ``entangled()`` on the pair route, else S < 0."""
     inv = symplectic_invariants(cm)
+    entangled = inv.s < 0.0 if cm.pair is None else cm.pair.entangled()
     return EntanglementReport(
-        float(inv.log_negativity), float(inv.s), bool(_verdict(cm, inv)), float(inv.nu_minus_pt)
+        float(inv.log_negativity), float(inv.s), bool(entangled), float(inv.nu_minus_pt)
     )
-
-
-def _verdict(cm: CovarianceMatrix, inv: SymplecticInvariants):
-    """Whether ``cm``, whose invariants are ``inv``, is entangled: m > m*
-    for a pair state, which the birth time and T_c solve, else S < 0."""
-    pair = cm.pair
-    if pair is None:
-        return inv.s < 0.0
-    return pair.m > _pair_threshold(pair.nbar1, pair.nbar2)
 
 
 def physicality_check(cm: CovarianceMatrix) -> bool:

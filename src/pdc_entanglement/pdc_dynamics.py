@@ -18,36 +18,41 @@ exact to rounding for every float y < 1 (where x >= 1.5e-8), so
 sinh(x tau)/x needs no series branch near y = 1.
 
 Every closed form reads one core, ``_pair_state``.  It validates tau and
-T once and returns the four numbers that fix the state: the initial
-occupations nbar1 and nbar2, the pair gain m = sinh^2(x tau)/x^2 and
-K = nbar1 + nbar2 + 1, plus x, sinh(x tau)/x and cosh(x tau) for the
-covariance-matrix entries, and the params, y, tau and T it was built
-from, converted and checked.  Each public closed form is ``_pair_state``
-followed by a private reader that takes the state alone and runs its
-own finiteness check, which names the state's tau and T
-(``_photon_numbers``, ``_pair_matrix``, ``_det_gamma``,
-``analysis._witness``), so ``eval`` builds the state once for all of
-them.  The birth time, which needs no tau, reads only the checked inputs
-and occupations (``_pair_inputs``) and takes x itself.  The same
+T once and returns a :class:`PairState`: the initial occupations nbar1
+and nbar2, the pair gain m = sinh^2(x tau)/x^2, K = nbar1 + nbar2 + 1,
+x and sinh(x tau)/x for the covariance-matrix entries, and the params,
+y, tau and T it was built from, converted and checked.  Each public
+closed form is ``_pair_state`` followed by a reader that takes the state
+alone and runs its own finiteness check, which names the state's tau
+and T (``_photon_numbers``, ``_pair_matrix``, ``_det_gamma``,
+``PairState.invariants``, ``analysis._witness``), so ``eval`` builds the
+state once for all of them.  The birth time, which needs no tau, reads
+only the checked inputs and occupations (``_pair_inputs``).  The same
 formulas run in float64 on two kinds of input (``gaussian_core._working``
-picks the kind once per call, and the pair state carries it as ``lib``):
+picks the kind once per call, and the readers follow it, see PairState):
 
 * Python floats, evaluated with ``math``; a numpy scalar of any width or
   a 0-d array enters as a Python float, and is checked after that;
 * numpy arrays of y, tau and T, evaluated with numpy and broadcast
-  against each other, so a whole (y, T) map is one call.  The mismatch
-  then travels as an argument next to tau and T and is checked point by
-  point against the rule of ``PdcParams``.  A point that fails a check
-  or leaves the float range makes the whole call raise the error the
-  same scalar input would; arrays whose shapes do not broadcast are
-  refused with a ValidationError that names them.
+  against each other, so a whole (y, T) map is one call and every field
+  of a result has the broadcast shape.  The mismatch then travels as an
+  argument next to tau and T and is checked point by point against the
+  rule of ``PdcParams``.  A point that fails a check or leaves the float
+  range makes the whole call raise the error the same scalar input
+  would; arrays whose shapes do not broadcast are refused with a
+  ValidationError that names them.
 
-``covariance_matrix`` attaches the pair state to the matrix it returns,
-so ``gaussian_core`` takes E_N and S from (nbar1, nbar2, m, K) without
-cancellation (the pair route); a matrix built from entries alone goes
-through the generic 4x4 route.  ``pair_invariants`` gives the pair-route
-invariants of array inputs directly; ``covariance_matrix`` stays a
-scalar 4x4.
+The pair route: ``covariance_matrix`` attaches the pair state to its
+matrix, and ``gaussian_core`` calls its two methods in place of reading
+the 4x4 entries.  ``PairState.invariants`` forms E_N, S and the PT
+spectrum with no cancelling subtraction, exact to a few roundings until
+an invariant leaves the float range, where it raises
+NumericalDomainError.  ``PairState.entangled`` is the package's one
+verdict, m > m* = nbar1 nbar2/K, which the birth time and T_c solve
+(``analysis``); near the boundary the float sign of S, a difference of
+terms of order nbar^4, can differ from it, and neither is yet certified
+there.  ``pair_invariants`` gives the invariants of array inputs;
+``covariance_matrix`` stays a scalar 4x4.
 """
 
 from __future__ import annotations
@@ -55,19 +60,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalDomainError, ValidationError
 from .gaussian_core import (
     CovarianceMatrix,
-    PairState,
     SymplecticInvariants,
     _check_finite,
     _check_scalar,
     _every,
     _first,
-    _pair_invariants,
     _pointwise,
     _real,
     _working,
@@ -258,8 +262,8 @@ def _sinh_overflow(z):
 
 
 def _stretch(y, tau, lib):
-    """Return (x, sinh(x tau)/x, cosh(x tau)), x = sqrt((1 - y)(1 + y)),
-    in ``lib``, the library ``_working`` picks for y and tau.
+    """Return (x, sinh(x tau)/x), x = sqrt((1 - y)(1 + y)), in ``lib``,
+    the library ``_working`` picks for y and tau.
 
     Raises NumericalDomainError once x*tau leaves the exponent range.
     """
@@ -268,7 +272,7 @@ def _stretch(y, tau, lib):
     fits = z <= _EXP_MAX
     if fits is not True and not _every(fits):
         raise _sinh_overflow(_first(z, fits))
-    return x, lib.sinh(z) / x, lib.cosh(z)
+    return x, lib.sinh(z) / x
 
 
 def _pair_inputs(params: PdcParams, tau, temperature, y):
@@ -295,21 +299,94 @@ def _pair_inputs(params: PdcParams, tau, temperature, y):
     return y, tau, temperature, nbar1, nbar2, lib
 
 
+def _pair_threshold(nbar1, nbar2):
+    """m* = nbar1 nbar2/K, the pair gain above which a pair state is
+    entangled, as small (large/K), small <= large the occupations: large/K
+    < 1, so m* is finite wherever K = nbar1 + nbar2 + 1 is, and large/K >=
+    large/(2 large + 1) is normal where small/K can be subnormal."""
+    big_k = nbar1 + nbar2 + 1.0
+    if type(big_k) is float:
+        return nbar2 * (nbar1 / big_k) if nbar1 >= nbar2 else nbar1 * (nbar2 / big_k)
+    return np.minimum(nbar1, nbar2) * (np.maximum(nbar1, nbar2) / big_k)
+
+
+class PairState(NamedTuple):
+    """A thermally seeded two-mode squeezed state and the point it is at.
+
+    nbar1, nbar2 are the initial thermal occupations, m = sinh^2(x tau)/x^2
+    the pair gain and big_k = nbar1 + nbar2 + 1; x and ratio = sinh(x tau)/x
+    are kept for the covariance-matrix entries.  params, y, tau and
+    temperature are the inputs, converted and checked; the readers'
+    refusals name them.  Each number is a scalar or a numpy array, and
+    they broadcast together; the readers compute in ``math`` when nbar1 is
+    a Python float, else in numpy.
+    """
+
+    nbar1: float
+    nbar2: float
+    m: float
+    big_k: float
+    x: float
+    ratio: float
+    params: PdcParams
+    y: float
+    tau: float
+    temperature: float
+
+    def invariants(self) -> SymplecticInvariants:
+        """The invariant set, with no cancelling subtraction.
+
+        With a = nbar1 + 1/2, b = nbar2 + 1/2 and |det gamma| = m(m+1)K^2:
+        I1 = (ab)^2 and I2 = a^2 + b^2 are conserved by the evolution,
+        delta_tilde = I2 + 4|det gamma|, and the PT symplectic eigenvalues
+        are nu_plus = D/2 and nu_minus = ab/nu_plus with
+        D = K(1+2m) + sqrt((nbar1-nbar2)^2 + 4K^2 m(m+1)), so that
+        E_N = ln(D/((2nbar1+1)(2nbar2+1))).  D is formed from sqrt(m)
+        sqrt(m+1), not from |det gamma|, so it stays finite while m does.
+        Array fields give arrays of invariants.
+        """
+        n1, n2, m, big_k = self.nbar1, self.nbar2, self.m, self.big_k
+        lib = math if type(n1) is float else np
+        a = n1 + 0.5
+        b = n2 + 0.5
+        i1 = a * b * a * b
+        i2 = a * a + b * b
+        s0 = n1 * n2 * (n1 + 1.0) * (n2 + 1.0)
+        correlation = m * (m + 1.0) * big_k * big_k
+        spread = 2.0 * big_k * lib.sqrt(m) * lib.sqrt(m + 1.0)
+        nu_plus = (big_k * (1.0 + 2.0 * m) + lib.hypot(n1 - n2, spread)) / 2.0
+        s = s0 - correlation
+        delta_tilde = i2 + 4.0 * correlation
+        # every term but -s is >= 0 and s0 - s >= 0, so the sum is finite
+        # exactly when every invariant is
+        _check_finite(
+            i1 + i2 + s0 - s + delta_tilde + nu_plus, "invariants", "nbar1, nbar2, m", n1, n2, m
+        )
+        if lib is np:  # I1, I2 and S0 read T alone; S has the shape of every input
+            i1, i2, s0 = (np.broadcast_to(v, s.shape).copy() for v in (i1, i2, s0))
+        return SymplecticInvariants(i1, i2, s0, s, delta_tilde, a * b / nu_plus, nu_plus)
+
+    def entangled(self):
+        """Whether the state is entangled: m > m*, the condition the birth
+        time and T_c solve; per point for array fields."""
+        return self.m > _pair_threshold(self.nbar1, self.nbar2)
+
+
 def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
     """The core every closed form reads: (nbar1, nbar2, m, K) at
-    (tau, T), plus the (x, sinh(x tau)/x, cosh(x tau)) of the entries.
+    (tau, T), plus the (x, sinh(x tau)/x) of the entries.
 
     Picks the library, and converts and validates tau, T and y
     (``params.y`` unless given), once (:func:`_pair_inputs`).
     m = sinh^2(x tau)/x^2 is the pair gain and K = nbar1 + nbar2 + 1.
     """
     y, tau, temperature, nbar1, nbar2, lib = _pair_inputs(params, tau, temperature, y)
-    # x, sinh and cosh run in numpy only for an array y or tau, so that an
-    # array of T gets them to the bit as a scalar call does
-    x, ratio, ch = _stretch(y, tau, lib if lib is math else _working(y, tau))
-    # _make takes one tuple: binding twelve arguments in the generated
+    # x and sinh run in numpy only for an array y or tau, so that an array
+    # of T gets them to the bit as a scalar call does
+    x, ratio = _stretch(y, tau, lib if lib is math else _working(y, tau))
+    # _make takes one tuple: binding ten arguments in the generated
     # __new__ costs phase_map 1-2% of its items per second
-    return PairState._make((nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio, ch, lib,
+    return PairState._make((nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio,
                             params, y, tau, temperature))
 
 
@@ -328,7 +405,7 @@ def pair_invariants(
     Raises NumericalDomainError if an invariant leaves the float range at
     any point.
     """
-    return _pair_invariants(_pair_state(params, tau, temperature, y))
+    return _pair_state(params, tau, temperature, y).invariants()
 
 
 @_pointwise
@@ -376,7 +453,8 @@ def covariance_matrix(params: PdcParams, tau, temperature) -> CovarianceMatrix:
 
 def _pair_matrix(pair: PairState) -> CovarianceMatrix:
     """The matrix of a scalar pair state; ``covariance_matrix``."""
-    nbar1, nbar2, m, big_k, _, ratio, ch, _, params, y, tau, _ = pair
+    nbar1, nbar2, m, big_k, x, ratio, params, y, tau, _ = pair
+    ch = math.cosh(x * tau)
     gain = m * big_k
     # phase accumulated per mode; summed this way it matches the local
     # rotations used by the moment-ODE oracle to the last ulp

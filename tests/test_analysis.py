@@ -24,8 +24,8 @@ from pdc_entanglement import (
 )
 from pdc_entanglement import analysis
 from pdc_entanglement.analysis import BTE_ABS_TOL
-from pdc_entanglement.gaussian_core import _check_finite, _pair_threshold, _working
-from pdc_entanglement.pdc_dynamics import _pair_inputs, _pair_state, _stretch
+from pdc_entanglement.gaussian_core import _check_finite, _working
+from pdc_entanglement.pdc_dynamics import _pair_inputs, _pair_state, _pair_threshold, _stretch
 from test_array_core import ref_birth_time, ref_occupations, ref_pair_gain
 
 
@@ -120,7 +120,7 @@ def stretch_bisection(params, temperature, y=None):
     lib = _working(y)
 
     def f(tau):
-        _, ratio, _ = _stretch(y, tau, lib)
+        _, ratio = _stretch(y, tau, lib)
         return ratio * ratio - m_star
 
     lo, hi = 0.0, 1.0

@@ -63,19 +63,17 @@ def ref_occupations(params, temperature):
 
 
 def ref_stretch(y, tau):
-    """(x, sinh(x tau)/x, cosh(x tau)) with x = sqrt(1 - y^2) of the exact
-    float y."""
+    """(x, sinh(x tau)/x) with x = sqrt(1 - y^2) of the exact float y."""
     y = Decimal(y)
     x = (1 - y * y).sqrt()
     z = x * Decimal(tau)
     sinh = (z.exp() - (-z).exp()) / 2
-    cosh = (z.exp() + (-z).exp()) / 2
-    return x, sinh / x, cosh
+    return x, sinh / x
 
 
 def ref_pair_gain(y, tau):
     """(x, m) with x = sqrt(1 - y^2) of the exact float y, m = sinh^2(x tau)/x^2."""
-    x, ratio, _ = ref_stretch(y, tau)
+    x, ratio = ref_stretch(y, tau)
     return x, ratio * ratio
 
 
@@ -281,6 +279,32 @@ def test_arrays_broadcast_over_a_grid(reference_params):
     assert pair_invariants(reference_params, 2.881, temps, y=ys).s.shape == (4, 3)
     assert birth_time(reference_params, temps, y=ys).tau_e.shape == (4, 3)
     assert witness(reference_params, 2.881, temps, y=ys).w.shape == (4, 3)
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        {"tau": [1.0, 2.881]},
+        {"y": [0.0, 0.5]},
+        {"temperature": [50.0, 300.0]},
+        {"y": [[0.0], [0.5]], "temperature": [[0.0, 50.0, 300.0]]},
+    ],
+    ids=["tau", "y", "temperature", "y_by_temperature"],
+)
+def test_every_field_has_the_broadcast_shape(reference_params, arrays):
+    # I1, I2, S0 and the witness threshold depend on T alone, yet every
+    # field has the broadcast shape of (y, tau, T), each point the bits
+    # of the scalar call
+    point = {"tau": 2.881, "y": 0.3, "temperature": 300.0}
+    arrays = {name: np.array(value) for name, value in arrays.items()}
+    shape = np.broadcast_shapes(*(a.shape for a in arrays.values()))
+    for closed_form in (pair_invariants, witness):
+        result = closed_form(reference_params, **{**point, **arrays})
+        assert [np.shape(v) for v in result] == [shape] * len(result)
+        for index in np.ndindex(shape):
+            one = {k: float(np.broadcast_to(a, shape)[index]) for k, a in arrays.items()}
+            want = bits(closed_form(reference_params, **{**point, **one}))
+            assert bits(tuple(float(v[index]) for v in result)) == want, (index, one)
 
 
 def csv_text(header, rows):

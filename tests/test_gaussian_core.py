@@ -1,6 +1,8 @@
 import ast
+import copy
 import dataclasses
 import math
+import pickle
 import re
 import sys
 import threading
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from pdc_entanglement import gaussian_core
-from pdc_entanglement.pdc_dynamics import _occupations
+from pdc_entanglement.pdc_dynamics import _occupations, _pair_threshold
 from pdc_entanglement import (
     CovarianceMatrix,
     NumericalDomainError,
@@ -491,6 +493,19 @@ class TestBothKindsOfMatrix:
                     entries[0, 0] = 0.0
             assert cm == cm and cm != generic  # == is identity
 
+    def test_pickle_and_deepcopy_keep_bits_and_route(self, make_params):
+        # the pair state holds numbers and the params alone, so both kinds
+        # of matrix copy, before and after the first read of the entries
+        for cm, generic in self.kinds(make_params):
+            report = entanglement_report(cm)
+            for matrix in (cm, generic, cm):  # cm again, its entries formed
+                for copied in (pickle.loads(pickle.dumps(matrix)), copy.deepcopy(matrix)):
+                    assert copied.entries.tobytes() == matrix.entries.tobytes()
+                    assert (copied.pair is None) == (matrix.pair is None)
+                    if matrix is cm:
+                        assert copied.pair == cm.pair
+                        assert entanglement_report(copied) == report
+
     def test_an_unknown_attribute_is_an_attribute_error(self, reference_params):
         cm = covariance_matrix(reference_params, 2.881, 300.0)
         with pytest.raises(AttributeError, match="has no attribute 'nope'"):
@@ -555,11 +570,11 @@ def test_pair_threshold_keeps_the_bits_of_a_subnormal_occupation(make_params, om
     with localcontext() as ctx:
         ctx.prec = 60
         exact = Decimal(nbar1) * Decimal(nbar2) / (Decimal(nbar1) + Decimal(nbar2) + 1)
-    m_star = gaussian_core._pair_threshold(nbar1, nbar2)
+    m_star = _pair_threshold(nbar1, nbar2)
     assert type(m_star) is float
     assert abs(Decimal(m_star) - exact) <= 2 * Decimal(math.ulp(m_star))
-    swapped = gaussian_core._pair_threshold(nbar2, nbar1)
-    arrays = gaussian_core._pair_threshold(np.array([nbar1, nbar2]), np.array([nbar2, nbar1]))
+    swapped = _pair_threshold(nbar2, nbar1)
+    arrays = _pair_threshold(np.array([nbar1, nbar2]), np.array([nbar2, nbar1]))
     assert swapped == m_star and arrays.tolist() == [m_star, m_star]
 
 
@@ -579,7 +594,8 @@ def enclosing_functions(node, attr, function=None):
 
 def test_four_functions_pick_the_library():
     # math or numpy is picked once per call, where the call converts its
-    # inputs; the closed forms downstream read the pick from the pair state
+    # inputs; the readers of the pair state follow the type of its
+    # occupations
     package = Path(gaussian_core.__file__).parent
     sites = [
         (path.name, function)
@@ -592,6 +608,33 @@ def test_four_functions_pick_the_library():
         ("pdc_dynamics.py", "_pair_inputs"),
         ("pdc_dynamics.py", "_pair_state"),
     ]
+
+
+def test_the_pair_route_lives_in_pdc_dynamics():
+    # gaussian_core holds the generic 4x4 algebra and calls the pair
+    # state's two methods; it defines and loads no name of the pair route,
+    # and the CLI reaches gaussian_core through public names alone
+    package = Path(gaussian_core.__file__).parent
+    named = set()
+    for node in ast.walk(ast.parse((package / "gaussian_core.py").read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            named.add(node.name)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.asname or alias.name for alias in node.names)
+    assert "CovarianceMatrix" in named  # the scan reads the module
+    assert named & {"PairState", "_pair_threshold", "_pair_invariants", "_verdict"} == set()
+    privates = []
+    for node in ast.walk(ast.parse((package / "cli.py").read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "gaussian_core" and node.attr.startswith("_"):
+                privates.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("gaussian_core"):
+            privates += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert privates == []
 
 
 def test_one_function_decides_what_a_real_number_is():

@@ -173,28 +173,25 @@ class TestThermalOccupation:
 
 
 class TestStretch:
-    """_stretch gives (x, sinh(x tau)/x, cosh(x tau)); the Bogoliubov pair
-    of the mode evolution is A = ch + i y ratio, B = i ratio."""
+    """_stretch gives (x, sinh(x tau)/x); the Bogoliubov pair of the mode
+    evolution is A = cosh(x tau) + i y ratio, B = i ratio."""
 
     def test_identity_at_tau_zero(self):
         # (A, B) = (1, 0)
         for y in (0.0, 0.5, 0.999):
-            _, ratio, ch = _stretch(y, 0.0, math)
+            _, ratio = _stretch(y, 0.0, math)
             assert ratio == 0.0
-            assert ch == 1.0
 
     def test_matched_case(self):
-        x, ratio, ch = _stretch(0.0, 1.0, math)
+        x, ratio = _stretch(0.0, 1.0, math)
         assert x == 1.0
         assert ratio == pytest.approx(np.sinh(1.0), rel=1e-14)
-        assert ch == pytest.approx(np.cosh(1.0), rel=1e-14)
 
     def test_near_unit_mismatch_limit(self):
-        # x = sqrt(2e-14) ~ 1.4e-7: ratio -> tau and ch -> 1, so
-        # A -> 1 + 2i and B -> 2i at tau = 2
-        _, ratio, ch = _stretch(1.0 - 1e-14, 2.0, math)
+        # x = sqrt(2e-14) ~ 1.4e-7: ratio -> tau, so A -> 1 + 2i and
+        # B -> 2i at tau = 2
+        _, ratio = _stretch(1.0 - 1e-14, 2.0, math)
         assert ratio == pytest.approx(2.0, abs=1e-7)
-        assert ch == pytest.approx(1.0, abs=1e-7)
 
     def test_branch_continuity(self):
         # y values straddling x = 1e-6 differ by ~1e-19, so any visible
@@ -203,15 +200,14 @@ class TestStretch:
         y_lo = np.sqrt(1.0 - x_lo * x_lo)
         y_hi = np.sqrt(1.0 - x_hi * x_hi)
         for tau in (0.5, 3.0, 10.0):
-            _, ratio_lo, ch_lo = _stretch(y_lo, tau, math)
-            _, ratio_hi, ch_hi = _stretch(y_hi, tau, math)
+            _, ratio_lo = _stretch(y_lo, tau, math)
+            _, ratio_hi = _stretch(y_hi, tau, math)
             assert abs(ratio_lo - ratio_hi) < 1e-9
-            assert abs(ch_lo - ch_hi) < 1e-9
 
     def test_canonical_invariant_on_grid(self):
         # |A|^2 - |B|^2 = ch^2 - x^2 ratio^2 = 1 cancels ~1e8 hyperbolics at
-        # tau = 10, below float64 resolution; so each of x, ratio and ch is
-        # held to the decimal reference instead, to a few ulps
+        # tau = 10, below float64 resolution; so x and ratio are each held
+        # to the decimal reference instead, to a few ulps
         with localcontext() as ctx:
             ctx.prec = 40
             for y in np.linspace(0.0, 0.99, 12).tolist():
@@ -220,11 +216,11 @@ class TestStretch:
                         assert abs(Decimal(got) - want) <= Decimal("1e-14") * want
 
     def test_array_temperature_leaves_scalar_y_and_tau_in_math(self, make_params):
-        # the pair state's x, sinh and cosh are those of the scalar call
+        # the pair state's x and sinh are those of the scalar call
         for y_arg, tau in ((None, 2.881), (np.array(0.3), np.array(4.543))):
             pair = _pair_state(make_params(y=0.3), tau, np.array([0.0, 300.0]), y_arg)
-            assert all(type(v) is float for v in (pair.x, pair.ratio, pair.ch))
-            assert (pair.x, pair.ratio, pair.ch) == _stretch(0.3, float(tau), math)
+            assert all(type(v) is float for v in (pair.x, pair.ratio))
+            assert (pair.x, pair.ratio) == _stretch(0.3, float(tau), math)
 
 
 class TestMeanPhotonNumbers:
