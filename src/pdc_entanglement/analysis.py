@@ -4,20 +4,14 @@ phase boundary and the photon-number witness.
 Everything here reduces to one scalar condition.  With P = nbar1 nbar2,
 K = nbar1 + nbar2 + 1 and the pair gain m = sinh^2(x tau)/x^2, the
 paper's S = S0 - |det gamma| factors as (P - mK)(P + mK + K), so the
-thermally seeded state is entangled exactly when
-
-    m > m* = P/K,       computed as small (large/K),
-
-with small <= large the two occupations, which stays finite as long as
-their sum does (Hillery and Zubairy, PRL 96, 050503 (2006)).  The threshold S0 = P (P + K) is kept
-for reporting only.  The birth time inverts m = m* in closed form (an
-arcsinh).  A bracketed bisection in tau solves the same m = m* with the
-same sinh(x tau)/x, one per evaluation; it checks the arcsinh inversion
-alone, not m* or the sinh form.
-With theta_j = hbar omega_j/k_B, nbar_j = 1/(exp(theta_j/T) - 1) makes
-m* = 1/(exp((theta1 + theta2)/T) - 1), the occupation of one mode at
-omega1 + omega2; the critical temperature inverts it at fixed
-interaction time, T_c = (theta1 + theta2)/ln(1 + 1/m).
+thermally seeded state is entangled exactly when m > m* = P/K (Hillery
+and Zubairy, PRL 96, 050503 (2006)); S0 = P (P + K) is kept for
+reporting only.  With theta = hbar (omega1 + omega2)/k_B, m* is
+1/(exp(theta/T) - 1), the occupation of one mode at omega1 + omega2, so
+the verdict reads theta/T > ln(1 + 1/m) (``PairState.entangled``), and
+T_c = theta/ln(1 + 1/m).  The birth time inverts m = m* by an arcsinh; a
+bracketed bisection in tau solves the same m = m* with the same
+sinh(x tau)/x, and so checks the arcsinh inversion alone.
 
 The closed-form birth time and the witness also take numpy arrays of T,
 tau and y (the mismatch then given next to them, in place of
@@ -39,16 +33,17 @@ from .errors import ValidationError
 from .gaussian_core import _check_finite, _check_scalar, _every, _pointwise, _real
 from .pdc_dynamics import (
     _EXP_MAX,
-    HBAR,
-    K_B,
     PdcParams,
     _check_nonnegative,
+    _critical_ratio,
+    _entangled_at,
     _occupations,
     _pair_inputs,
     _pair_state,
-    _pair_threshold,
     _sinh_overflow,
     _stretch,
+    _theta,
+    _threshold_gain,
 )
 
 BTE_ABS_TOL = 1e-10
@@ -101,8 +96,8 @@ def birth_time(
 ) -> BteResult:
     """Minimum interaction time before the output state is entangled.
 
-    Solves m(tau_E) = m* = nbar1 nbar2/K.  For vacuum input (T = 0) the
-    state is entangled immediately and tau_E = 0 for every mismatch.
+    Solves m(tau_E) = m* (``_threshold_gain``).  For vacuum input (T = 0)
+    the state is entangled immediately and tau_E = 0 for every mismatch.
 
     Parameters
     ----------
@@ -121,10 +116,9 @@ def birth_time(
     if method not in ("closed_form", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
     # the occupations and x alone: tau = 0 only goes through the checks
-    mismatch, _, _, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
-    # an infinite K would make m* read 0
+    mismatch, _, temp, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
     _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
-    m_star = _pair_threshold(nbar1, nbar2)
+    m_star = _threshold_gain(params, temp, lib)
     x = lib.sqrt((1.0 - mismatch) * (1.0 + mismatch))
 
     if method == "closed_form":
@@ -177,46 +171,28 @@ def critical_temperature(
 ) -> Optional[float]:
     """Temperature above which the state at fixed tau_i turns separable.
 
-    m* increases with T, so for m > 0 the root of m* = m is unique: the
-    closed form T_c = (theta1 + theta2)/ln(1 + 1/m) (module docstring).
-    It is bisected to neighbouring floats on the verdict m* >= m, with
-    m* computed as the birth time and ``entanglement_report`` read it:
-    in a bracket 2^-49 T_c to each side of the closed form, else (1/m
-    past the float range, or a subnormal m, where the float m* can stray
-    from the closed form) in [0, t_max].  The result is
-    separable and one float below it entangled; where the float verdict
-    flips more than once within a few floats, it is one of those flips.
-    Cost: about eight occupation evaluations, at most about 2100.
-    Returns None when there is no root in [0, t_max]: either the state
-    is never entangled (tau_i = 0) or it is still entangled at t_max.
-    Raises NumericalDomainError where an occupation, or their sum, leaves
-    the float range at t_max, as the birth time does.
+    The verdict is theta/T > c = ln(1 + 1/m) (``PairState.entangled``), so
+    T_c = theta/c, taken as the least float T with fl(theta/T) <= c: since
+    fl(theta/T) never rises with T, the state is separable from T_c up and
+    entangled below it.  Returns None when there is no root in [0, t_max]:
+    either the state is never entangled (tau_i = 0) or it is still
+    entangled at t_max.  Raises NumericalDomainError where an occupation,
+    or their sum, leaves the float range at t_max, as the birth time does.
     """
     tau_i, t_max = _bracket_inputs("critical_temperature", tau_i, t_max)
     _, ratio = _stretch(params.y, tau_i, math)
     m = ratio * ratio
     if not m > 0.0:
         return None  # m* >= m = 0 even at T = 0, as at tau_i = 0
-    # the occupations grow with T, so finite at t_max they are finite in
-    # the whole bracket
     n1, n2 = _occupations(params, t_max)
     _check_finite(n1 + n2, "thermal occupation", "T", t_max)
-    if _pair_threshold(n1, n2) < m:
+    theta, c = _theta(params), _critical_ratio(m)
+    if _entangled_at(theta, t_max, c):
         return None  # still entangled at t_max: no root in bracket
-
-    def separable(temp):
-        return _pair_threshold(*_occupations(params, temp)) >= m
-
-    theta = HBAR * ((params.omega1_bar + params.omega2_bar) * params.g) / K_B
-    guess = theta / math.log1p(1.0 / m)  # 0 where 1/m overflows
-    lo, hi = guess * (1.0 - 2.0**-49), min(guess * (1.0 + 2.0**-49), t_max)
-    if not (lo < hi and separable(hi) and not separable(lo)):
-        lo, hi = 0.0, t_max
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        lo, hi = (lo, mid) if separable(mid) else (mid, hi)
-        mid = 0.5 * (lo + hi)
-    return hi
+    t_c = math.nextafter(theta / c, math.inf)  # past theta/c, so separable
+    while not _entangled_at(theta, below := math.nextafter(t_c, 0.0), c):
+        t_c = below
+    return t_c
 
 
 def phase_boundary(

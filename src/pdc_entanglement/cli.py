@@ -21,8 +21,8 @@ verdict and a failed oracle-check.
 CSV output has a one-line header, comma separators, LF line endings and
 12 significant digits; identical configurations produce byte-identical
 files.  Every dataset but fig4 is one array call into the closed forms
-over its whole grid; fig4 solves each mismatch for its critical
-temperature and reports on stderr the points it skips.  Each subcommand
+over its whole grid; fig4 takes each mismatch's critical temperature
+in turn and reports on stderr the points it skips.  Each subcommand
 takes only the flags it reads; a --config file may set any key, and
 flags win over its entries, which win over built-in defaults.
 Temperatures are kelvin, nu1 is Hz, the coupling rate is rad/s, and

@@ -48,11 +48,11 @@ the 4x4 entries.  ``PairState.invariants`` forms E_N, S and the PT
 spectrum with no cancelling subtraction, exact to a few roundings until
 an invariant leaves the float range, where it raises
 NumericalDomainError.  ``PairState.entangled`` is the package's one
-verdict, m > m* = nbar1 nbar2/K, which the birth time and T_c solve
-(``analysis``); near the boundary the float sign of S, a difference of
-terms of order nbar^4, can differ from it, and neither is yet certified
-there.  ``pair_invariants`` gives the invariants of array inputs;
-``covariance_matrix`` stays a scalar 4x4.
+verdict, m > m* = nbar1 nbar2/K = 1/(exp(theta/T) - 1), read as the
+float comparison theta/T > ln(1 + 1/m); near the boundary the float sign
+of S, a difference of terms of order nbar^4, can differ from it, and
+neither is yet certified there.  ``pair_invariants`` gives the
+invariants of array inputs; ``covariance_matrix`` stays a scalar 4x4.
 """
 
 from __future__ import annotations
@@ -299,15 +299,38 @@ def _pair_inputs(params: PdcParams, tau, temperature, y):
     return y, tau, temperature, nbar1, nbar2, lib
 
 
-def _pair_threshold(nbar1, nbar2):
-    """m* = nbar1 nbar2/K, the pair gain above which a pair state is
-    entangled, as small (large/K), small <= large the occupations: large/K
-    < 1, so m* is finite wherever K = nbar1 + nbar2 + 1 is, and large/K >=
-    large/(2 large + 1) is normal where small/K can be subnormal."""
-    big_k = nbar1 + nbar2 + 1.0
-    if type(big_k) is float:
-        return nbar2 * (nbar1 / big_k) if nbar1 >= nbar2 else nbar1 * (nbar2 / big_k)
-    return np.minimum(nbar1, nbar2) * (np.maximum(nbar1, nbar2) / big_k)
+def _theta(params: PdcParams):
+    """theta = hbar (omega1 + omega2)/k_B in kelvin: m* = 1/(exp(theta/T) - 1)."""
+    return HBAR * ((params.omega1_bar + params.omega2_bar) * params.g) / K_B
+
+
+def _critical_ratio(m):
+    """c = ln(1 + 1/m) of a Python float or array m, inf at m = 0; -ln(m),
+    to the bit the same, where 1/m overflows (a subnormal m)."""
+    if type(m) is float:
+        inverse = 1.0 / m if m > 0.0 else math.inf
+        return math.log1p(inverse) if inverse < math.inf or m == 0.0 else -math.log(m)
+    with np.errstate(divide="ignore", over="ignore"):  # 1/0 and -log(0) read inf
+        inverse = np.divide(1.0, m)
+        return np.where(inverse < math.inf, np.log1p(inverse), -np.log(m))
+
+
+def _entangled_at(theta, temperature, c):
+    """fl(theta/T) > c for a checked T, float or array; c < inf (m > 0) at T = 0."""
+    if type(temperature) is float:
+        return theta / temperature > c if temperature > 0.0 else c < math.inf
+    with np.errstate(divide="ignore"):  # theta/0 reads inf: entangled where c is finite
+        return np.divide(theta, temperature) > c
+
+
+def _threshold_gain(params: PdcParams, temperature, lib):
+    """m* = 1/expm1(theta/T) in ``lib`` for a checked T, exp(-theta/T) where
+    expm1 overflows, so 0 at T = 0; arrays come with warnings off (``_pointwise``)."""
+    if lib is np:
+        ratio = np.divide(_theta(params), temperature)
+        return np.where(ratio > _EXP_MAX, np.exp(-ratio), 1.0 / np.expm1(ratio))
+    ratio = _theta(params) / temperature if temperature > 0.0 else math.inf
+    return math.exp(-ratio) if ratio > _EXP_MAX else 1.0 / math.expm1(ratio)
 
 
 class PairState(NamedTuple):
@@ -367,9 +390,8 @@ class PairState(NamedTuple):
         return SymplecticInvariants(i1, i2, s0, s, delta_tilde, a * b / nu_plus, nu_plus)
 
     def entangled(self):
-        """Whether the state is entangled: m > m*, the condition the birth
-        time and T_c solve; per point for array fields."""
-        return self.m > _pair_threshold(self.nbar1, self.nbar2)
+        """Whether m > m*, per point: fl(theta/T) > c = ln(1 + 1/m) (``_entangled_at``)."""
+        return _entangled_at(_theta(self.params), self.temperature, _critical_ratio(self.m))
 
 
 def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:

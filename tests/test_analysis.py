@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -25,7 +26,13 @@ from pdc_entanglement import (
 from pdc_entanglement import analysis
 from pdc_entanglement.analysis import BTE_ABS_TOL
 from pdc_entanglement.gaussian_core import _check_finite, _working
-from pdc_entanglement.pdc_dynamics import _pair_inputs, _pair_state, _pair_threshold, _stretch
+from pdc_entanglement.pdc_dynamics import (
+    _pair_inputs,
+    _pair_state,
+    _stretch,
+    _theta,
+    _threshold_gain,
+)
 from test_array_core import ref_birth_time, ref_occupations, ref_pair_gain
 
 
@@ -108,12 +115,29 @@ class TestBirthTime:
         with pytest.raises(ValidationError):
             birth_time(reference_params, 10.0, method="newton")
 
+    def test_any_float_width_gives_the_python_float_bits(self, reference_params):
+        # theta/T from 700 down: a float32 theta/T, or expm1 in float32,
+        # overflows past 88.7 and would read m* = 0 there
+        theta = _theta(reference_params)
+        ratios = (700.0, 300.0, 100.0, 89.5, 30.0)
+        temps = [0.0, *(theta / r for r in ratios), 0.3, 77.3, 300.1, 1e4]
+        singles = [float(np.float32(t)) for t in temps]
+        expected = [birth_time(reference_params, t).tau_e for t in singles]
+        for temp, tau_e in zip(singles, expected):
+            assert birth_time(reference_params, np.float32(temp)).tau_e == tau_e
+            wide = np.longdouble(temp) * (1 + np.longdouble(2.0) ** -60)
+            assert birth_time(reference_params, wide).tau_e == birth_time(
+                reference_params, float(wide)
+            ).tau_e
+        arrays = birth_time(reference_params, np.array(singles, dtype=np.float32))
+        assert arrays.tau_e.tolist() == expected
+
 
 def stretch_bisection(params, temperature, y=None):
     """The bisection birth time that re-derives (x, sinh(x tau)/x) from y
     with ``_stretch``, in the library of the y given, at every evaluation."""
     pair = _pair_state(params, 0.0, temperature, y)
-    m_star = _pair_threshold(pair.nbar1, pair.nbar2)
+    m_star = _threshold_gain(params, pair.temperature, math)
     if m_star == 0.0:
         return 0.0
     y = params.y if y is None else y
@@ -164,9 +188,9 @@ def closure_bisection(params, temperature, y=None):
     """The bisection birth time with every evaluation through a closure
     that checks x tau against the exp range, as the route was written
     before its loop went inline."""
-    mismatch, _, _, nbar1, nbar2, _ = _pair_inputs(params, 0.0, temperature, y)
+    mismatch, _, temp, nbar1, nbar2, _ = _pair_inputs(params, 0.0, temperature, y)
     _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
-    m_star = _pair_threshold(nbar1, nbar2)
+    m_star = _threshold_gain(params, temp, math)
     x = math.sqrt((1.0 - mismatch) * (1.0 + mismatch))
     if m_star == 0.0:
         return 0.0
@@ -361,20 +385,18 @@ class TestCriticalTemperaturePrecision:
             root, cond = ref_critical_temperature(params, float(tau_i), t_c)
             ulps = abs(Decimal(t_c) - root) / Decimal(math.ulp(t_c))
             assert ulps <= 4 * max(1.0, cond), (y, tau_i, float(ulps), cond)
-        assert critical_temperature(make_params(), 1e-6) == 0.16257421305826128
+        assert critical_temperature(make_params(), 1e-6) == 0.1625742130582613
 
-    def test_falls_back_to_bisection_over_the_whole_bracket(
-        self, reference_params, occupation_calls
-    ):
-        # at tau_i = 1e-155 m is subnormal and 1/m overflows, so the closed
-        # form gives no bracket and [0, t_max] is bisected; the answer is
-        # still the float verdict's flip, at theta/ln(1/m) as 1/m >> 1
+    def test_answers_where_one_over_m_overflows(self, reference_params, occupation_calls):
+        # at tau_i = 1e-155 m is subnormal and 1/m overflows, so c is
+        # log1p(m) - log(m); the answer is still the float verdict's flip,
+        # at theta/ln(1/m) as 1/m >> 1
         tau_i = 1e-155
         m = _stretch(reference_params.y, tau_i, math)[1] ** 2
         assert 0.0 < m < 2.0**-1022 and math.isinf(1.0 / m)
         t_c = critical_temperature(reference_params, tau_i, t_max=1e4)
-        assert 20 < occupation_calls[0] <= 2100
-        theta = analysis.HBAR * 600.0 * reference_params.g / analysis.K_B
+        assert occupation_calls[0] <= 1
+        theta = HBAR * 600.0 * reference_params.g / K_B
         assert t_c == pytest.approx(theta / -math.log(m), rel=1e-12)
         at = entanglement_report(covariance_matrix(reference_params, tau_i, t_c))
         below = covariance_matrix(reference_params, tau_i, math.nextafter(t_c, 0.0))
@@ -386,7 +408,72 @@ class TestCriticalTemperaturePrecision:
             occupation_calls[0] = 0
             assert critical_temperature(make_params(y=float(y)), 2.881) is not None
             counts.append(occupation_calls[0])
-        assert max(counts) <= 8, counts
+        assert max(counts) <= 1, counts
+
+
+def float_window(center, half):
+    """The 2 half + 1 consecutive floats around ``center``, in order."""
+    below, above = [center], [center]
+    for _ in range(half):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestMonotoneVerdict:
+    """entangled() compares fl(theta/T) with c = ln(1 + 1/m): it flips once
+    in T, at the float critical_temperature returns, and once in tau.
+    The product m* = nbar1 nbar2/K of two rounded occupations flipped
+    twice within 20 floats in 3 of these 46 windows."""
+
+    def draws(self, make_params):
+        rng = random.Random(2026)
+        for _ in range(46):
+            yield make_params(y=rng.uniform(0.0, 0.99)), rng.uniform(0.3, 6.0)
+
+    def test_flips_once_in_t_at_the_critical_temperature(self, make_params):
+        for params, tau in self.draws(make_params):
+            t_c = critical_temperature(params, tau, t_max=1e6)
+            temps = float_window(t_c, 20)
+            verdicts = [_pair_state(params, tau, temp).entangled() for temp in temps]
+            assert verdicts == [True] * 20 + [False] * 21, (params.y, tau, t_c)
+            arrays = _pair_state(params, tau, np.array(temps)).entangled()
+            assert arrays.tolist() == verdicts
+
+    def test_flips_once_in_tau_near_the_birth_time(self, make_params):
+        for params, _ in self.draws(make_params):
+            for temp in (1.0, 300.0, 1e4):
+                taus = float_window(birth_time(params, temp).tau_e, 20)
+                verdicts = [_pair_state(params, tau, temp).entangled() for tau in taus]
+                flip = verdicts.index(True)
+                assert 0 < flip and verdicts == [False] * flip + [True] * (41 - flip)
+                # an array of tau takes sinh from numpy, which can move the
+                # flip by a float, and flips once too
+                arrays = _pair_state(params, np.array(taus), temp).entangled().tolist()
+                flip = arrays.index(True)
+                assert 0 < flip and arrays == [False] * flip + [True] * (41 - flip)
+
+    def test_zero_temperature_is_entangled_iff_m_is_positive(self, reference_params):
+        # m is 0 at tau = 0 and 1e-170, subnormal at 1e-160
+        taus = [0.0, 1e-170, 1e-160, 2.881]
+        expected = [False, False, True, True]
+        for tau, entangled in zip(taus, expected):
+            assert _pair_state(reference_params, tau, 0.0).entangled() is entangled
+        arrays = _pair_state(reference_params, np.array(taus), np.zeros(4)).entangled()
+        assert arrays.tolist() == expected
+
+    def test_flips_at_the_critical_temperature_where_one_over_m_overflows(
+        self, reference_params
+    ):
+        for tau in (1e-155, 1e-158, 1e-160):
+            m = _stretch(reference_params.y, tau, math)[1] ** 2
+            assert math.isinf(1.0 / m)
+            t_c = critical_temperature(reference_params, tau, t_max=1e4)
+            temps = [0.0, *float_window(t_c, 2), 1e4]
+            expected = [True] * 3 + [False] * 4
+            assert [_pair_state(reference_params, tau, t).entangled() for t in temps] == expected
+            arrays = _pair_state(reference_params, np.full(7, tau), np.array(temps))
+            assert arrays.entangled().tolist() == expected
 
 
 class TestPhaseBoundary:

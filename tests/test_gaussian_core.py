@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pdc_entanglement import gaussian_core
-from pdc_entanglement.pdc_dynamics import _occupations, _pair_threshold
+from pdc_entanglement.pdc_dynamics import _occupations, _theta, _threshold_gain
 from pdc_entanglement import (
     CovarianceMatrix,
     NumericalDomainError,
@@ -561,21 +561,21 @@ class TestBothKindsOfMatrix:
 
 
 @pytest.mark.parametrize("omega_bars", [(0.00754, 59113.0), (59113.0, 0.00754)])
-def test_pair_threshold_keeps_the_bits_of_a_subnormal_occupation(make_params, omega_bars):
+def test_threshold_gain_keeps_the_bits_of_a_subnormal_occupation(make_params, omega_bars):
     # at 0.624 K the high mode's occupation is 9.5e-309, below the normal
-    # range, and K = 1.1e4: divided by K first it lost about 1800 ulps
+    # range, and K = 1.1e4: nbar1 nbar2/K from the two rounded occupations
+    # lands some 420 ulps from 1/(exp(theta/T) - 1), which rounds once
     params = make_params(y=0.657, omega1_bar=omega_bars[0], omega2_bar=omega_bars[1])
     nbar1, nbar2 = _occupations(params, 0.624)
     assert min(nbar1, nbar2) < sys.float_info.min < 1e4 < max(nbar1, nbar2)
     with localcontext() as ctx:
         ctx.prec = 60
-        exact = Decimal(nbar1) * Decimal(nbar2) / (Decimal(nbar1) + Decimal(nbar2) + 1)
-    m_star = _pair_threshold(nbar1, nbar2)
+        exact = 1 / ((Decimal(_theta(params) / 0.624)).exp() - 1)
+    m_star = _threshold_gain(params, 0.624, math)
     assert type(m_star) is float
-    assert abs(Decimal(m_star) - exact) <= 2 * Decimal(math.ulp(m_star))
-    swapped = _pair_threshold(nbar2, nbar1)
-    arrays = _pair_threshold(np.array([nbar1, nbar2]), np.array([nbar2, nbar1]))
-    assert swapped == m_star and arrays.tolist() == [m_star, m_star]
+    assert abs(Decimal(m_star) - exact) <= Decimal(math.ulp(m_star))
+    arrays = _threshold_gain(params, np.array([0.624, 0.624]), np)
+    assert arrays.tolist() == [m_star, m_star]
 
 
 def enclosing_functions(node, attr, function=None):
@@ -626,7 +626,9 @@ def test_the_pair_route_lives_in_pdc_dynamics():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             named.update(alias.asname or alias.name for alias in node.names)
     assert "CovarianceMatrix" in named  # the scan reads the module
-    assert named & {"PairState", "_pair_threshold", "_pair_invariants", "_verdict"} == set()
+    pair_route = {"PairState", "_theta", "_critical_ratio", "_entangled_at", "_threshold_gain",
+                  "_pair_invariants"}
+    assert named & (pair_route | {"_verdict"}) == set()
     privates = []
     for node in ast.walk(ast.parse((package / "cli.py").read_text())):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
