@@ -33,6 +33,7 @@ from .errors import ValidationError
 from .gaussian_core import _check_finite, _check_scalar, _every, _pointwise, _real
 from .pdc_dynamics import (
     _EXP_MAX,
+    K_B,
     PdcParams,
     _check_nonnegative,
     _critical_ratio,
@@ -115,9 +116,16 @@ def birth_time(
     """
     if method not in ("closed_form", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
-    # the occupations and x alone: tau = 0 only goes through the checks
-    mismatch, _, temp, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
-    _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
+    mismatch = params.y if y is None else y
+    # each occupation is below about 2^900 while k_B T < 2^900 hbar omega_j,
+    # so their sum cannot overflow: a Python float T there skips them
+    if type(temperature) is type(mismatch) is float and 0.0 <= mismatch < 1.0 and (
+        0.0 <= temperature < min(params._hw1, params._hw2) * 2.0**900 / K_B
+    ):
+        temp, lib = temperature, math
+    else:  # the checks and occupations alone: tau = 0 only goes through them
+        mismatch, _, temp, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
+        _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
     m_star = _threshold_gain(params, temp, lib)
     x = lib.sqrt((1.0 - mismatch) * (1.0 + mismatch))
 

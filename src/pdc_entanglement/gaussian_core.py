@@ -140,15 +140,21 @@ def _pointwise(closed_form):
     zero, which the thermal occupation turns into inf for Python floats
     as well.  So a call with an array argument runs with those warnings
     off: any point of an array past the float range then raises the
-    error that point alone would.
+    error that point alone would.  The positional arguments are tested
+    inline, as ``_has_array`` does, so a call on Python floats and no
+    keywords makes no call besides ``closed_form``.
     """
 
     @functools.wraps(closed_form)
     def call(*args, **kwargs):
-        if _has_array(args) or kwargs and _has_array(kwargs.values()):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for value in args:
+            if type(value) is not float and isinstance(value, np.ndarray) and value.ndim:
+                break
+        else:
+            if not kwargs or not _has_array(kwargs.values()):
                 return closed_form(*args, **kwargs)
-        return closed_form(*args, **kwargs)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return closed_form(*args, **kwargs)
 
     return call
 
@@ -272,8 +278,8 @@ class SymplecticInvariants(NamedTuple):
     @property
     def log_negativity(self):
         """E_N = max(0, -ln 2*nu_minus_pt), natural log, per point."""
-        lib = _working(self.nu_minus_pt)
-        e_n = -lib.log(2.0 * self.nu_minus_pt)
+        nu = self.nu_minus_pt
+        e_n = -(math.log if type(nu) is float else _working(nu).log)(2.0 * nu)
         # max(0, e_n) for a scalar and an array alike, and +0.0 at nu = 1/2
         return (e_n + abs(e_n)) / 2.0
 

@@ -27,7 +27,10 @@ alone and runs its own finiteness check, which names the state's tau
 and T (``_photon_numbers``, ``_pair_matrix``, ``_det_gamma``,
 ``PairState.invariants``, ``analysis._witness``), so ``eval`` builds the
 state once for all of them.  The birth time, which needs no tau, reads
-only the checked inputs and occupations (``_pair_inputs``).  The same
+only the checked inputs (``_pair_inputs``), and the occupations only to
+refuse a T where their sum overflows.  ``PdcParams`` carries hbar omega_j
+and theta = hbar (omega1 + omega2)/k_B, formed once from its fields, for
+every reader.  The same
 formulas run in float64 on two kinds of input (``gaussian_core._working``
 picks the kind once per call, and the readers follow it, see PairState):
 
@@ -95,10 +98,10 @@ def _check_mismatch(y):
 
 
 def _check_frequency(omega, name):
-    """Refuse an angular frequency unless hbar*omega is a positive float:
-    besides 0, negatives, NaN and inf, this refuses an omega so small that
-    hbar*omega underflows to 0 and the occupation would divide by it.
-    omega may be an array, checked point by point."""
+    """hbar*omega, once it is a positive float: besides 0, negatives, NaN
+    and inf, this refuses an omega so small that hbar*omega underflows to
+    0 and the occupation would divide by it.  omega may be an array,
+    checked point by point."""
     hw = HBAR * omega
     ok = (0.0 < hw) & (hw < math.inf)
     if ok is not True and not _every(ok):
@@ -106,6 +109,7 @@ def _check_frequency(omega, name):
             f"{name} must be finite and > 0, with hbar*{name} > 0 in float64, "
             f"got {_first(omega, ok)}"
         )
+    return hw
 
 
 def _store_finite(record, names):
@@ -128,6 +132,11 @@ class PdcParams:
     g : coupling rate in rad/s (sets the absolute frequency scale used
         for thermal occupations, omega_j = omega_j_bar * g)
     y : dimensionless mismatch delta/g, 0 <= y < 1
+
+    It also holds the constants the closed forms read, formed once from
+    the checked fields: hbar omega_j (``_hw1``, ``_hw2``) and theta =
+    hbar (omega1 + omega2)/k_B (``_theta``), private attributes that
+    ``==``, hash, repr, ``asdict`` and ``replace`` do not see.
     """
 
     omega1_bar: float
@@ -139,9 +148,14 @@ class PdcParams:
         _store_finite(self, ("omega1_bar", "omega2_bar", "g", "y"))
         if not self.g > 0.0:
             raise ValidationError("coupling rate g must be positive")
-        _check_frequency(self.omega1_bar * self.g, "omega1_bar*g")
-        _check_frequency(self.omega2_bar * self.g, "omega2_bar*g")
+        hw1 = _check_frequency(self.omega1_bar * self.g, "omega1_bar*g")
+        hw2 = _check_frequency(self.omega2_bar * self.g, "omega2_bar*g")
         _check_mismatch(self.y)
+        theta = HBAR * ((self.omega1_bar + self.omega2_bar) * self.g) / K_B
+        # not through __dict__: CPython then keeps a dict, and reads are slower
+        object.__setattr__(self, "_hw1", hw1)
+        object.__setattr__(self, "_hw2", hw2)
+        object.__setattr__(self, "_theta", theta)
 
 
 @dataclass(frozen=True)
@@ -162,27 +176,30 @@ class ThermalInit:
             raise ValidationError("zero temperature forces zero occupation")
 
 
-def _bose(omega, temperature, lib):
-    """1/(exp(beta) - 1) at beta = hbar omega/(k_B T) for a validated T.
+def _bose(hw, temperature, lib):
+    """1/(exp(beta) - 1) at beta = hw/(k_B T), hw = hbar omega, for a
+    validated T, in ``lib``.
 
     Exactly 0 at T = 0, and also once exp(beta) reaches the end of the
     float range, where the occupation is below its smallest normal
-    value.  Those cold points divide by k_B T + hbar omega in place of
-    k_B T, which keeps beta below 1, and are then multiplied by
-    False, so no point of an array divides by zero or overflows.  A hot
-    beta that underflows to 0 gives inf, as numpy does, for the callers'
-    finiteness checks to refuse.
+    value.  Python floats branch on that; arrays divide those cold points
+    by k_B T + hw in place of k_B T, which keeps beta below 1, and then
+    multiply them by False, so no point divides by zero or overflows; the
+    two give the same bits.  A hot beta that underflows to 0 gives inf,
+    as numpy does, for the callers' finiteness checks to refuse.
     """
-    hw = HBAR * omega
     kt = K_B * temperature
     # hot points have beta = hw/kt below the exp range, a few ulps to spare
     scaled = kt * _EXP_MAX
     limit = hw * (1.0 + 2.0**-50)
-    beta = hw / (kt + hw * (scaled <= limit))
-    try:
-        return (scaled > limit) * (1.0 / lib.expm1(beta))
-    except ZeroDivisionError:  # Python floats divide by zero with an error
-        return math.inf
+    if lib is math:
+        if not scaled > limit:
+            return 0.0
+        try:
+            return 1.0 / math.expm1(hw / kt)
+        except ZeroDivisionError:  # Python floats divide by zero with an error
+            return math.inf
+    return (scaled > limit) * (1.0 / np.expm1(hw / (kt + hw * (scaled <= limit))))
 
 
 def _check_nonnegative(value, name):
@@ -226,19 +243,16 @@ def thermal_occupation(omega, temperature):
     lib = _working(omega, temperature)
     if lib is np:
         _check_broadcast(omega=omega, temperature=temperature)
-    _check_frequency(omega, "omega")
+    hw = _check_frequency(omega, "omega")
     _check_nonnegative(temperature, "temperature")
-    nbar = _bose(omega, temperature, lib)
+    nbar = _bose(hw, temperature, lib)
     _check_finite(nbar, "thermal occupation", "T", temperature)
     return nbar
 
 
 def _occupations(params: PdcParams, temperature, lib=math):
     """Initial occupations (nbar1, nbar2) of both modes at a validated T."""
-    return (
-        _bose(params.omega1_bar * params.g, temperature, lib),
-        _bose(params.omega2_bar * params.g, temperature, lib),
-    )
+    return _bose(params._hw1, temperature, lib), _bose(params._hw2, temperature, lib)
 
 
 def thermal_init(params: PdcParams, temperature) -> ThermalInit:
@@ -300,8 +314,9 @@ def _pair_inputs(params: PdcParams, tau, temperature, y):
 
 
 def _theta(params: PdcParams):
-    """theta = hbar (omega1 + omega2)/k_B in kelvin: m* = 1/(exp(theta/T) - 1)."""
-    return HBAR * ((params.omega1_bar + params.omega2_bar) * params.g) / K_B
+    """theta = hbar (omega1 + omega2)/k_B in kelvin: m* = 1/(exp(theta/T) - 1);
+    the per-point readers take ``params._theta`` itself, a call less."""
+    return params._theta
 
 
 def _critical_ratio(m):
@@ -327,9 +342,9 @@ def _threshold_gain(params: PdcParams, temperature, lib):
     """m* = 1/expm1(theta/T) in ``lib`` for a checked T, exp(-theta/T) where
     expm1 overflows, so 0 at T = 0; arrays come with warnings off (``_pointwise``)."""
     if lib is np:
-        ratio = np.divide(_theta(params), temperature)
+        ratio = np.divide(params._theta, temperature)
         return np.where(ratio > _EXP_MAX, np.exp(-ratio), 1.0 / np.expm1(ratio))
-    ratio = _theta(params) / temperature if temperature > 0.0 else math.inf
+    ratio = params._theta / temperature if temperature > 0.0 else math.inf
     return math.exp(-ratio) if ratio > _EXP_MAX else 1.0 / math.expm1(ratio)
 
 
@@ -391,7 +406,7 @@ class PairState(NamedTuple):
 
     def entangled(self):
         """Whether m > m*, per point: fl(theta/T) > c = ln(1 + 1/m) (``_entangled_at``)."""
-        return _entangled_at(_theta(self.params), self.temperature, _critical_ratio(self.m))
+        return _entangled_at(self.params._theta, self.temperature, _critical_ratio(self.m))
 
 
 def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:

@@ -9,6 +9,7 @@ from pdc_entanglement import (
     HBAR,
     K_B,
     NumericalDomainError,
+    PdcParams,
     ValidationError,
     birth_time,
     covariance_matrix,
@@ -681,3 +682,81 @@ class TestFloatRange:
         for temps in (1e80, np.array([300.0, 1e80])):
             with pytest.raises(NumericalDomainError):
                 witness(reference_params, 1.0, temps)
+
+
+def every_point_birth_time(params, temperature):
+    """The closed-form birth time with both occupations formed and their
+    sum checked at every T, as before the check was skipped where the sum
+    cannot overflow."""
+    mismatch, _, temp, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, None)
+    _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
+    m_star = _threshold_gain(params, temp, lib)
+    x = math.sqrt((1.0 - mismatch) * (1.0 + mismatch))
+    return math.asinh(x * math.sqrt(m_star)) / x
+
+
+class TestBirthTimeRefusalParity:
+    """The birth time forms the occupations only at T where their sum can
+    overflow, and refuses exactly where ``thermal_init`` does."""
+
+    def temperatures(self, params):
+        # log-spaced to 1.7e308, and dense about the overflow edge, near
+        # theta_j 2^1023, and about the T where the check starts, near
+        # theta_j 2^900
+        theta_min = min(params._hw1, params._hw2) / K_B
+        temps = np.geomspace(1e-320, 1.7e308, 1500).tolist()
+        for center in (theta_min * 2.0**1023, theta_min * 2.0**900):
+            temps += np.geomspace(center / 8, min(center * 8, 1.7e308), 800).tolist()
+            temps += [center * (1 + k * 2.0**-52) for k in range(-40, 41)]
+        return [t for t in temps if t <= 1.7e308]
+
+    @pytest.mark.parametrize("omega2_factor", [1.0, 3.0, 1e300])
+    def test_refuses_where_thermal_init_does(self, omega2_factor):
+        # the least omega that _check_frequency admits: hbar omega is the
+        # least subnormal, so theta_1 is the least theta_j there is
+        least = math.ulp(0.0) / HBAR
+        params = PdcParams(omega1_bar=least, omega2_bar=least * omega2_factor, g=1.0, y=0.5)
+        assert params._hw1 == math.ulp(0.0)
+        refused = answered = 0
+        for temp in self.temperatures(params):
+            try:
+                thermal_init(params, temp)
+            except NumericalDomainError as exc:
+                with pytest.raises(NumericalDomainError) as got:
+                    birth_time(params, temp)
+                assert str(got.value) == str(exc), temp
+                refused += 1
+            else:
+                got = birth_time(params, temp).tau_e
+                assert got.hex() == every_point_birth_time(params, temp).hex(), temp
+                answered += 1
+        assert refused > 500 and answered > 500
+
+    def test_same_floats_below_the_bound(self, make_params):
+        rng = random.Random(3704)
+        for _ in range(300):
+            params = make_params(y=rng.uniform(0.0, 1.0 - 1e-15))
+            temp = rng.choice([0.0, -0.0, 10 ** rng.uniform(-5.0, 12.0)])
+            assert birth_time(params, temp).tau_e.hex() == every_point_birth_time(params, temp).hex()
+
+
+def test_an_array_of_t_gives_the_scalar_verdict_near_the_critical_temperature(make_params):
+    # m and c come from math for an array of T alone, so within 20 floats
+    # of T_c the array verdict is the scalar one at every point; arrays of
+    # tau or y take np.sinh and np.log1p and may differ there by a float
+    rng = random.Random(3703)
+    windows = 0
+    for _ in range(60):
+        y = rng.choice([rng.uniform(0.0, 0.99), 1.0 - 10 ** rng.uniform(-15.0, -2.0)])
+        w1 = 10 ** rng.uniform(-1.0, 3.0)
+        params = make_params(y=y, omega1_bar=w1, omega2_bar=w1 * 10 ** rng.uniform(-2.0, 2.0))
+        tau = 10 ** rng.uniform(-3.0, 1.3)
+        t_c = critical_temperature(params, tau, t_max=1e300)
+        if t_c is None:
+            continue
+        temps = float_window(t_c, 20)
+        scalar = [entanglement_report(covariance_matrix(params, tau, t)).entangled for t in temps]
+        assert scalar == [True] * 20 + [False] * 21, (y, tau, t_c)
+        assert _pair_state(params, tau, np.array(temps)).entangled().tolist() == scalar
+        windows += 1
+    assert windows > 50

@@ -1,5 +1,9 @@
+import copy
 import math
+import pickle
+import random
 import warnings
+from dataclasses import asdict, fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -24,7 +28,7 @@ from pdc_entanglement import (
     thermal_occupation,
     witness,
 )
-from pdc_entanglement.pdc_dynamics import _pair_state, _stretch
+from pdc_entanglement.pdc_dynamics import _EXP_MAX, _bose, _pair_state, _stretch
 from conftest import G_COUPLING
 from test_array_core import ref_stretch
 
@@ -433,3 +437,90 @@ class TestOccupationUnderflow:
             cm = covariance_matrix(reference_params, 1.0, 0.004)
         assert init.nbar2 == 0.0
         assert cm.entries[2, 2] == covariance_matrix(reference_params, 1.0, 0.0).entries[2, 2]
+
+
+class TestParameterConstants:
+    """PdcParams forms hbar omega_1, hbar omega_2 and theta once, from its
+    fields as Python floats, and keeps them as attributes, not fields."""
+
+    @staticmethod
+    def stored(params):
+        return [value.hex() for value in (params._hw1, params._hw2, params._theta)]
+
+    @staticmethod
+    def formed(params):
+        w1, w2, g = params.omega1_bar, params.omega2_bar, params.g
+        values = (HBAR * (w1 * g), HBAR * (w2 * g), HBAR * ((w1 + w2) * g) / K_B)
+        return [value.hex() for value in values]
+
+    def test_equal_their_expressions_bit_for_bit(self, make_params):
+        rng = random.Random(3701)
+        for _ in range(300):
+            w1 = 10 ** rng.uniform(-3.0, 5.0)
+            params = make_params(
+                y=rng.uniform(0.0, 0.99), omega1_bar=w1,
+                omega2_bar=w1 * 10 ** rng.uniform(-4.0, 4.0), g=10 ** rng.uniform(-2.0, 14.0),
+            )
+            assert self.stored(params) == self.formed(params)
+            for again in (
+                replace(params, y=rng.uniform(0.0, 0.99)),
+                replace(params, omega2_bar=params.omega2_bar * 3.0),
+                pickle.loads(pickle.dumps(params)),
+                copy.deepcopy(params),
+            ):
+                assert self.stored(again) == self.formed(again)
+
+    def test_smallest_and_largest_frequencies(self):
+        # hbar omega of the least admitted omega is the least subnormal
+        tiny = PdcParams(omega1_bar=math.ulp(0.0) / HBAR, omega2_bar=1e300, g=1.0)
+        assert tiny._hw1 == math.ulp(0.0)
+        assert self.stored(tiny) == self.formed(tiny)
+
+    def test_not_fields(self, reference_params):
+        names = ["omega1_bar", "omega2_bar", "g", "y"]
+        assert [field.name for field in fields(reference_params)] == names
+        assert list(asdict(reference_params)) == names
+        assert repr(reference_params) == (
+            f"PdcParams(omega1_bar=200.0, omega2_bar=400.0, g={G_COUPLING!r}, y=0.0)"
+        )
+        # equality and hash read the four fields alone
+        other = PdcParams(**asdict(reference_params))
+        object.__setattr__(other, "_theta", 0.0)
+        assert other == reference_params and hash(other) == hash(reference_params)
+        assert replace(reference_params, y=0.5) != reference_params
+
+    def test_formed_after_numpy_fields_become_python_floats(self):
+        # formed from a long double field, theta would be a long double
+        params = PdcParams(
+            omega1_bar=np.longdouble(200.0),
+            omega2_bar=np.float32(400.0),
+            g=np.longdouble(G_COUPLING),
+            y=np.longdouble(0.5),
+        )
+        assert all(type(v) is float for v in (params._hw1, params._hw2, params._theta))
+        assert self.stored(params) == self.formed(params)
+        assert self.stored(params) == self.stored(PdcParams(200.0, 400.0, G_COUPLING, 0.5))
+
+    def test_scalar_occupation_keeps_the_branch_free_bits(self):
+        # _bose branches on Python floats; the branch-free form it replaced
+        # there, which arrays keep, gives the same bits across the cold
+        # edge beta ~ 709.78, past it, and where beta underflows to 0
+        def branch_free(hw, temperature):
+            kt = K_B * temperature
+            scaled, limit = kt * _EXP_MAX, hw * (1.0 + 2.0**-50)
+            try:
+                return (scaled > limit) * (1.0 / math.expm1(hw / (kt + hw * (scaled <= limit))))
+            except ZeroDivisionError:
+                return math.inf
+
+        rng = random.Random(3702)
+        values = set()
+        for hw in (HBAR * 400 * G_COUPLING, math.ulp(0.0), 1e-300, 1.0):
+            edge = hw / (K_B * _EXP_MAX)
+            temps = [0.0, 5e-324, *(edge * (1 + k * 2.0**-52) for k in range(-64, 65))]
+            temps += [10 ** rng.uniform(-320.0, 308.2) for _ in range(2000)]
+            got = [_bose(hw, temp, math) for temp in temps]
+            assert [v.hex() for v in got] == [branch_free(hw, t).hex() for t in temps]
+            values.update(got)
+        assert {0.0, math.inf} <= values
+        assert any(0.0 < value < 2.0**-1022 for value in values)  # subnormal occupations
