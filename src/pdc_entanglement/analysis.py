@@ -15,10 +15,10 @@ sinh(x tau)/x, and so checks the arcsinh inversion alone.
 
 The closed-form birth time and the witness also take numpy arrays of T,
 tau and y (the mismatch then given next to them, in place of
-``params.y``) and return arrays of their broadcast shape; the bisection
-and the critical temperature take scalars.  A 0-d array is a scalar.
-Each call computes in the one library ``_pair_inputs`` picks; the
-witness reads it off the pair state (``math`` for Python floats).
+``params.y``) and return arrays of their broadcast shape; the bisection,
+the critical temperature and the verdict take scalars.  A 0-d array is a
+scalar.  Each call computes in the one library ``_pair_inputs`` picks;
+the witness reads it off the pair state (``math`` for Python floats).
 """
 
 from __future__ import annotations
@@ -33,17 +33,15 @@ from .errors import ValidationError
 from .gaussian_core import _check_finite, _check_scalar, _every, _pointwise, _real
 from .pdc_dynamics import (
     _EXP_MAX,
-    K_B,
     PdcParams,
     _check_nonnegative,
+    _check_occupations,
     _critical_ratio,
     _entangled_at,
-    _occupations,
     _pair_inputs,
     _pair_state,
     _sinh_overflow,
     _stretch,
-    _theta,
     _threshold_gain,
 )
 
@@ -74,18 +72,25 @@ class WitnessValue(NamedTuple):
     threshold: float
 
 
+@_pointwise
 def s0_threshold(nbar1, nbar2):
     """Entanglement threshold S0 = nbar1 nbar2 (nbar1+1)(nbar2+1).
 
     This equals I1 - I2/4 + 1/16 evaluated on the initial thermal product
     state; it vanishes only for vacuum input.  Arrays are taken point by
-    point.
+    point.  Raises ValidationError for an occupation that is negative or
+    not finite, and NumericalDomainError where S0 leaves the float range.
     """
     nbar1, nbar2 = _real("nbar1", nbar1), _real("nbar2", nbar2)
     ok = (nbar1 >= 0.0) & (nbar2 >= 0.0)
     if ok is not True and not _every(ok):
         raise ValidationError("occupations must be >= 0")
-    return nbar1 * nbar2 * (nbar1 + 1.0) * (nbar2 + 1.0)
+    ok = (nbar1 < math.inf) & (nbar2 < math.inf)
+    if ok is not True and not _every(ok):
+        raise ValidationError("occupations must be finite")
+    s0 = nbar1 * nbar2 * (nbar1 + 1.0) * (nbar2 + 1.0)
+    _check_finite(s0, "S0", "nbar1, nbar2", nbar1, nbar2)
+    return s0
 
 
 @_pointwise
@@ -117,16 +122,15 @@ def birth_time(
     if method not in ("closed_form", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
     mismatch = params.y if y is None else y
-    # each occupation is below about 2^900 while k_B T < 2^900 hbar omega_j,
-    # so their sum cannot overflow: a Python float T there skips them
+    # Python floats, the common input, cost one comparison chain to check
     if type(temperature) is type(mismatch) is float and 0.0 <= mismatch < 1.0 and (
-        0.0 <= temperature < min(params._hw1, params._hw2) * 2.0**900 / K_B
+        0.0 <= temperature < math.inf
     ):
-        temp, lib = temperature, math
-    else:  # the checks and occupations alone: tau = 0 only goes through them
-        mismatch, _, temp, nbar1, nbar2, lib = _pair_inputs(params, 0.0, temperature, y)
-        _check_finite(nbar1 + nbar2, "thermal occupation", "T", temperature)
-    m_star = _threshold_gain(params, temp, lib)
+        lib = math
+    else:  # the checks alone: tau = 0 only goes through them
+        mismatch, _, temperature, lib = _pair_inputs(params, 0.0, temperature, y)
+    _check_occupations(params, temperature, lib)
+    m_star = _threshold_gain(params, temperature, lib)
     x = lib.sqrt((1.0 - mismatch) * (1.0 + mismatch))
 
     if method == "closed_form":
@@ -192,9 +196,8 @@ def critical_temperature(
     m = ratio * ratio
     if not m > 0.0:
         return None  # m* >= m = 0 even at T = 0, as at tau_i = 0
-    n1, n2 = _occupations(params, t_max)
-    _check_finite(n1 + n2, "thermal occupation", "T", t_max)
-    theta, c = _theta(params), _critical_ratio(m)
+    _check_occupations(params, t_max)
+    theta, c = params._theta, _critical_ratio(m)
     if _entangled_at(theta, t_max, c):
         return None  # still entangled at t_max: no root in bracket
     t_c = math.nextafter(theta / c, math.inf)  # past theta/c, so separable

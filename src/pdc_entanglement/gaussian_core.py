@@ -11,8 +11,8 @@ indicator S is negative exactly when the state is entangled (PPT
 criterion, necessary and sufficient for 1x1 modes), and the logarithmic
 negativity is E_N = max(0, -ln 2*nu_minus_pt).
 
-A matrix has one of two routes.  A matrix whose ``pair`` is set (every
-matrix from ``pdc_dynamics.covariance_matrix``) takes the pair route:
+A matrix has one of two routes.  A matrix whose ``pair`` is set (only
+those from ``pdc_dynamics.covariance_matrix``) takes the pair route:
 ``pair`` is an object with two methods, ``invariants()``, which returns
 its :class:`SymplecticInvariants`, and ``entangled()``, its verdict.
 ``symplectic_invariants`` and ``entanglement_report`` call them, and
@@ -211,17 +211,17 @@ class CovarianceMatrix:
     The entries are stored as float64; an entry past the float64 range is
     refused like any other entry that is not finite.
 
-    ``pair`` is set by ``pdc_dynamics.covariance_matrix`` to the pair
-    state the entries were built from, an object with ``invariants()``
-    and ``entangled()``; the invariants and the verdict then take the
-    pair route (see the module docstring).  It takes no part in repr.  Those matrices come from
-    ``_of_pair``, which forms the same read-only float64 entries on first
-    read, unchecked (see the module docstring).  ``==`` is identity, as
-    for any object: compare ``entries`` to compare two matrices.
+    ``pair`` is set only by ``pdc_dynamics.covariance_matrix``, through
+    ``_of_pair``, to the pair state the entries were built from, an object
+    with ``invariants()`` and ``entangled()``; the invariants and the
+    verdict then take the pair route, and the same read-only float64
+    entries are formed on first read, unchecked (see the module
+    docstring).  It is not a constructor argument, is not in repr, and
+    ``replace`` drops it.  ``==`` is identity: compare ``entries``.
     """
 
     entries: np.ndarray
-    pair: object = field(default=None, repr=False)
+    pair: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.entries)
@@ -238,12 +238,14 @@ class CovarianceMatrix:
         is ``pdc_dynamics._pair_matrix``, the reader behind that function.
         """
         cm = object.__new__(cls)
-        cm.__dict__.update(pair=pair, _four=(d1, d2, s13, s14))
+        # not through __dict__: CPython then keeps a dict, and reads are slower
+        object.__setattr__(cm, "pair", pair)
+        object.__setattr__(cm, "_four", (d1, d2, s13, s14))
         return cm
 
     def __getattr__(self, name):
         # reached only when the lookup failed: entries of _of_pair, unread
-        if name != "entries" or "_four" not in self.__dict__:
+        if name != "entries" or self.pair is None:
             return object.__getattribute__(self, name)  # the usual AttributeError
         d1, d2, s13, s14 = self._four
         flat = np.array([
@@ -253,8 +255,8 @@ class CovarianceMatrix:
             s14, -s13, 0.0, d2,
         ])
         flat.setflags(write=False)
-        self.__dict__["entries"] = entries = flat.reshape(4, 4)
-        return entries
+        object.__setattr__(self, "entries", flat.reshape(4, 4))
+        return self.entries
 
 
 class SymplecticInvariants(NamedTuple):

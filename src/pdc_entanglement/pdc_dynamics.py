@@ -27,12 +27,12 @@ alone and runs its own finiteness check, which names the state's tau
 and T (``_photon_numbers``, ``_pair_matrix``, ``_det_gamma``,
 ``PairState.invariants``, ``analysis._witness``), so ``eval`` builds the
 state once for all of them.  The birth time, which needs no tau, reads
-only the checked inputs (``_pair_inputs``), and the occupations only to
-refuse a T where their sum overflows.  ``PdcParams`` carries hbar omega_j
-and theta = hbar (omega1 + omega2)/k_B, formed once from its fields, for
-every reader.  The same
-formulas run in float64 on two kinds of input (``gaussian_core._working``
-picks the kind once per call, and the readers follow it, see PairState):
+only the checked inputs (``_pair_inputs``); it, ``thermal_init`` and
+``critical_temperature`` refuse an overflowing nbar1 + nbar2 through
+``_check_occupations``.  ``PdcParams`` carries hbar omega_j and a finite
+theta = hbar (omega1 + omega2)/k_B for every reader.  The same formulas
+run in float64 on two kinds of input (``gaussian_core._working`` picks
+the kind once per call, and the readers follow it, see PairState):
 
 * Python floats, evaluated with ``math``; a numpy scalar of any width or
   a 0-d array enters as a Python float, and is checked after that;
@@ -45,17 +45,18 @@ picks the kind once per call, and the readers follow it, see PairState):
   would; arrays whose shapes do not broadcast are refused with a
   ValidationError that names them.
 
-The pair route: ``covariance_matrix`` attaches the pair state to its
-matrix, and ``gaussian_core`` calls its two methods in place of reading
-the 4x4 entries.  ``PairState.invariants`` forms E_N, S and the PT
-spectrum with no cancelling subtraction, exact to a few roundings until
-an invariant leaves the float range, where it raises
+The pair route: ``covariance_matrix`` alone attaches the pair state to
+its matrix, and ``gaussian_core`` calls its two methods in place of
+reading the 4x4 entries.  ``PairState.invariants`` forms E_N, S and
+the PT spectrum with no cancelling subtraction, exact to a few roundings
+until an invariant leaves the float range, where it raises
 NumericalDomainError.  ``PairState.entangled`` is the package's one
-verdict, m > m* = nbar1 nbar2/K = 1/(exp(theta/T) - 1), read as the
-float comparison theta/T > ln(1 + 1/m); near the boundary the float sign
-of S, a difference of terms of order nbar^4, can differ from it, and
-neither is yet certified there.  ``pair_invariants`` gives the
-invariants of array inputs; ``covariance_matrix`` stays a scalar 4x4.
+verdict, m > m* = nbar1 nbar2/K = 1/(exp(theta/T) - 1), read on a state
+of Python floats as the float comparison theta/T > ln(1 + 1/m); near the
+boundary the float sign of S, a difference of terms of order nbar^4, can
+differ from it, and neither is yet certified there.  ``pair_invariants``
+gives the invariants of array inputs; ``covariance_matrix`` stays a
+scalar 4x4.
 """
 
 from __future__ import annotations
@@ -152,6 +153,11 @@ class PdcParams:
         hw2 = _check_frequency(self.omega2_bar * self.g, "omega2_bar*g")
         _check_mismatch(self.y)
         theta = HBAR * ((self.omega1_bar + self.omega2_bar) * self.g) / K_B
+        if not theta < math.inf:  # each hbar omega_j fits, yet their sum may not
+            raise ValidationError(
+                f"theta = hbar*(omega1_bar + omega2_bar)*g/k_B must be finite in float64, "
+                f"got {theta}"
+            )
         # not through __dict__: CPython then keeps a dict, and reads are slower
         object.__setattr__(self, "_hw1", hw1)
         object.__setattr__(self, "_hw2", hw2)
@@ -255,6 +261,16 @@ def _occupations(params: PdcParams, temperature, lib=math):
     return _bose(params._hw1, temperature, lib), _bose(params._hw2, temperature, lib)
 
 
+def _check_occupations(params: PdcParams, temperature, lib=math):
+    """Refuse a checked T where nbar1 + nbar2 leaves the float range; each
+    is below about 2^900 while k_B T < 2^900 hbar omega_j, so a Python-float
+    T below that bound evaluates neither."""
+    if type(temperature) is float and temperature < min(params._hw1, params._hw2) * 2.0**900 / K_B:
+        return
+    n1, n2 = _occupations(params, temperature, lib)
+    _check_finite(n1 + n2, "thermal occupation", "T", temperature)
+
+
 def thermal_init(params: PdcParams, temperature) -> ThermalInit:
     """Initial occupations for both modes of a parameter set.
 
@@ -265,8 +281,8 @@ def thermal_init(params: PdcParams, temperature) -> ThermalInit:
     _check_scalar("thermal_init", "temperature", temperature)
     temperature = _real("temperature", temperature)
     _check_nonnegative(temperature, "temperature")
+    _check_occupations(params, temperature)
     n1, n2 = _occupations(params, temperature)
-    _check_finite(n1 + n2, "thermal occupation", "T", temperature)
     return ThermalInit(temperature=temperature, nbar1=n1, nbar2=n2)
 
 
@@ -290,10 +306,10 @@ def _stretch(y, tau, lib):
 
 
 def _pair_inputs(params: PdcParams, tau, temperature, y):
-    """(y, tau, T, nbar1, nbar2, lib): the inputs of a pair state, y =
-    ``params.y`` unless given, converted (``_real``) and checked in the
-    order tau, T, y in ``lib`` (``math`` for floats, else ``_working``'s),
-    and the occupations at T.  Arrays must broadcast against each other."""
+    """(y, tau, T, lib): the inputs of a pair state, y = ``params.y``
+    unless given, converted (``_real``) and checked in the order tau, T, y,
+    and the library ``lib`` (``math`` for floats, else ``_working``'s).
+    Arrays must broadcast against each other."""
     y = params.y if y is None else y
     # Python floats, the common input, cost one comparison chain to check
     if type(tau) is type(temperature) is type(y) is float:
@@ -309,33 +325,19 @@ def _pair_inputs(params: PdcParams, tau, temperature, y):
         _check_nonnegative(tau, "tau")
         _check_nonnegative(temperature, "temperature")
         _check_mismatch(y)
-    nbar1, nbar2 = _occupations(params, temperature, lib)
-    return y, tau, temperature, nbar1, nbar2, lib
-
-
-def _theta(params: PdcParams):
-    """theta = hbar (omega1 + omega2)/k_B in kelvin: m* = 1/(exp(theta/T) - 1);
-    the per-point readers take ``params._theta`` itself, a call less."""
-    return params._theta
+    return y, tau, temperature, lib
 
 
 def _critical_ratio(m):
-    """c = ln(1 + 1/m) of a Python float or array m, inf at m = 0; -ln(m),
-    to the bit the same, where 1/m overflows (a subnormal m)."""
-    if type(m) is float:
-        inverse = 1.0 / m if m > 0.0 else math.inf
-        return math.log1p(inverse) if inverse < math.inf or m == 0.0 else -math.log(m)
-    with np.errstate(divide="ignore", over="ignore"):  # 1/0 and -log(0) read inf
-        inverse = np.divide(1.0, m)
-        return np.where(inverse < math.inf, np.log1p(inverse), -np.log(m))
+    """c = ln(1 + 1/m) of a Python float m, inf at m = 0; -ln(m), to the
+    bit the same, where 1/m overflows (a subnormal m)."""
+    inverse = 1.0 / m if m > 0.0 else math.inf
+    return math.log1p(inverse) if inverse < math.inf or m == 0.0 else -math.log(m)
 
 
 def _entangled_at(theta, temperature, c):
-    """fl(theta/T) > c for a checked T, float or array; c < inf (m > 0) at T = 0."""
-    if type(temperature) is float:
-        return theta / temperature > c if temperature > 0.0 else c < math.inf
-    with np.errstate(divide="ignore"):  # theta/0 reads inf: entangled where c is finite
-        return np.divide(theta, temperature) > c
+    """fl(theta/T) > c for a checked Python-float T; c < inf (m > 0) at T = 0."""
+    return theta / temperature > c if temperature > 0.0 else c < math.inf
 
 
 def _threshold_gain(params: PdcParams, temperature, lib):
@@ -404,8 +406,9 @@ class PairState(NamedTuple):
             i1, i2, s0 = (np.broadcast_to(v, s.shape).copy() for v in (i1, i2, s0))
         return SymplecticInvariants(i1, i2, s0, s, delta_tilde, a * b / nu_plus, nu_plus)
 
-    def entangled(self):
-        """Whether m > m*, per point: fl(theta/T) > c = ln(1 + 1/m) (``_entangled_at``)."""
+    def entangled(self) -> bool:
+        """Whether m > m*, as fl(theta/T) > c = ln(1 + 1/m) (``_entangled_at``),
+        for a state of Python floats."""
         return _entangled_at(self.params._theta, self.temperature, _critical_ratio(self.m))
 
 
@@ -417,7 +420,8 @@ def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
     (``params.y`` unless given), once (:func:`_pair_inputs`).
     m = sinh^2(x tau)/x^2 is the pair gain and K = nbar1 + nbar2 + 1.
     """
-    y, tau, temperature, nbar1, nbar2, lib = _pair_inputs(params, tau, temperature, y)
+    y, tau, temperature, lib = _pair_inputs(params, tau, temperature, y)
+    nbar1, nbar2 = _occupations(params, temperature, lib)
     # x and sinh run in numpy only for an array y or tau, so that an array
     # of T gets them to the bit as a scalar call does
     x, ratio = _stretch(y, tau, lib if lib is math else _working(y, tau))
@@ -498,6 +502,8 @@ def _pair_matrix(pair: PairState) -> CovarianceMatrix:
     alpha1 = (params.omega1_bar + y) * tau
     alpha2 = (params.omega2_bar + y) * tau
     phase = alpha1 + alpha2
+    if not phase < math.inf:  # math.sin and math.cos refuse it with a bare ValueError
+        _check_finite(phase, "lab-frame phase", "tau", tau)
     sn, cs = math.sin(phase), math.cos(phase)
     s13 = big_k * ratio * (sn * ch - cs * y * ratio)
     s14 = big_k * ratio * (cs * ch + sn * y * ratio)

@@ -586,6 +586,24 @@ class TestPackageErrorsExit2:
         assert out == ""
         assert "error: thermal occupation overflows the float range at (T) = (1e+300)" in err
 
+    def test_lab_phase_past_the_float_range(self, capsys):
+        # the phase (omega1_bar + y) tau is inf: a bare ValueError exited 1
+        argv = ["eval", "--nu1-hz", "1", "--omega1-bar", "1e308", "--tau", "2", "--temp-k", "0"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: lab-frame phase overflows the float range at (tau) = (2.0)\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["eval", "--tau", "0.5", "--temp-k", "1e300"], ["fig4", "--t-max", "1e300"]]
+    )
+    def test_theta_past_the_float_range(self, capsys, argv):
+        # eval said "entangled" and fig4 skipped every y, from an inf theta
+        code, out, err = run_cli(
+            [*argv, "--nu1-hz", "1", "--omega1-bar", "1e308", "--omega2-bar", "1e308"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta = hbar*(omega1_bar + omega2_bar)*g/k_B must be finite")
+
     def test_overflow_names_the_occupations(self, capsys):
         # m is finite at 1e160 K; the occupations make S0 and K^2 overflow
         code, out, err = run_cli(["eval", "--temp-k", "1e160"], capsys)

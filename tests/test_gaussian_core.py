@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pdc_entanglement import gaussian_core
-from pdc_entanglement.pdc_dynamics import _occupations, _theta, _threshold_gain
+from pdc_entanglement.pdc_dynamics import _occupations, _threshold_gain
 from pdc_entanglement import (
     CovarianceMatrix,
     NumericalDomainError,
@@ -394,6 +394,21 @@ class TestPairRoute:
         assert np.array_equal(generic_cm.entries, cm.entries)
         assert repr(cm) == repr(generic_cm)
 
+    def test_pair_is_not_a_constructor_argument(self, reference_params):
+        # with pair= a matrix borrowed another state's verdict: the vacuum
+        # read entangled with E_N = 5.82, and 0.1 I read physical
+        cm = covariance_matrix(reference_params, 3.0, 0.0)
+        with pytest.raises(TypeError, match="pair"):
+            CovarianceMatrix(0.5 * np.eye(4), pair=cm.pair)
+        # replace builds from the entries alone, so the result is generic
+        vacuum = dataclasses.replace(cm, entries=0.5 * np.eye(4))
+        assert vacuum.pair is None
+        assert entanglement_report(vacuum) == entanglement_report(CovarianceMatrix(0.5 * np.eye(4)))
+        assert not entanglement_report(vacuum).entangled
+        assert not physicality_check(dataclasses.replace(cm, entries=0.1 * np.eye(4)))
+        same = dataclasses.replace(cm)
+        assert same.pair is None and same.entries.tobytes() == cm.entries.tobytes()
+
     def test_overflow_past_float_range_raises(self, reference_params):
         # m(m+1)K^2 overflows a double from tau ~ 177 on at y = 0, T = 0
         cm = covariance_matrix(reference_params, 200.0, 0.0)
@@ -570,7 +585,7 @@ def test_threshold_gain_keeps_the_bits_of_a_subnormal_occupation(make_params, om
     assert min(nbar1, nbar2) < sys.float_info.min < 1e4 < max(nbar1, nbar2)
     with localcontext() as ctx:
         ctx.prec = 60
-        exact = 1 / ((Decimal(_theta(params) / 0.624)).exp() - 1)
+        exact = 1 / ((Decimal(params._theta / 0.624)).exp() - 1)
     m_star = _threshold_gain(params, 0.624, math)
     assert type(m_star) is float
     assert abs(Decimal(m_star) - exact) <= Decimal(math.ulp(m_star))
@@ -627,7 +642,7 @@ def test_the_pair_route_lives_in_pdc_dynamics():
             named.update(alias.asname or alias.name for alias in node.names)
     assert "CovarianceMatrix" in named  # the scan reads the module
     pair_route = {"PairState", "_theta", "_critical_ratio", "_entangled_at", "_threshold_gain",
-                  "_pair_invariants"}
+                  "_check_occupations", "_pair_invariants"}
     assert named & (pair_route | {"_verdict"}) == set()
     privates = []
     for node in ast.walk(ast.parse((package / "cli.py").read_text())):
@@ -637,6 +652,42 @@ def test_the_pair_route_lives_in_pdc_dynamics():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("gaussian_core"):
             privates += [alias.name for alias in node.names if alias.name.startswith("_")]
     assert privates == []
+
+
+def test_one_function_owns_the_occupation_overflow_refusal():
+    # analysis refuses an overflowing nbar1 + nbar2 through
+    # pdc_dynamics._check_occupations and reads theta off PdcParams; the
+    # bound below which no occupation is evaluated is written once; the
+    # verdict helpers take Python floats alone
+    package = Path(gaussian_core.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    imported = {
+        alias.name
+        for node in ast.walk(trees["analysis.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "_check_occupations" in imported  # the scan reads the imports
+    assert imported & {"K_B", "_occupations", "_theta"} == set()
+    sites = {
+        (name, function)
+        for name, tree in trees.items()
+        for function in enclosing_functions(tree, "_occupations")
+    }
+    assert sites == {
+        ("pdc_dynamics.py", "_check_occupations"),
+        ("pdc_dynamics.py", "thermal_init"),
+        ("pdc_dynamics.py", "_pair_state"),
+    }
+    assert sum(path.read_text().count("2.0**900") for path in package.glob("*.py")) == 1
+    helpers = [
+        node
+        for node in ast.walk(trees["pdc_dynamics.py"])
+        if isinstance(node, ast.FunctionDef) and node.name in ("_critical_ratio", "_entangled_at")
+    ]
+    assert len(helpers) == 2
+    for helper in helpers:
+        assert not any(isinstance(node, ast.Name) and node.id == "np" for node in ast.walk(helper))
 
 
 def test_one_function_decides_what_a_real_number_is():

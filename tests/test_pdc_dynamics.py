@@ -294,6 +294,17 @@ class TestCovarianceMatrix:
         assert got.entries.dtype == np.float64
         assert np.allclose(got.entries, want, rtol=1e-14, atol=0.0)
 
+    def test_refuses_a_lab_phase_past_the_float_range(self):
+        # sinh(x tau) is finite, but (omega1_bar + y) tau overflows, where
+        # math.sin raised a bare ValueError
+        params = PdcParams(omega1_bar=1e308, omega2_bar=600.0, g=math.pi * 1e-2)
+        with pytest.raises(
+            NumericalDomainError,
+            match=r"^lab-frame phase overflows the float range at \(tau\) = \(2\.0\)$",
+        ):
+            covariance_matrix(params, 2.0, 0.0)
+        assert np.isfinite(covariance_matrix(params, 1.0, 0.0).entries).all()
+
     def test_entry_symmetry_structure(self, make_params):
         cm = covariance_matrix(make_params(y=0.3), 1.1, 60.0).entries
         assert cm[0, 1] == 0.0 and cm[2, 3] == 0.0
@@ -488,6 +499,21 @@ class TestParameterConstants:
         object.__setattr__(other, "_theta", 0.0)
         assert other == reference_params and hash(other) == hash(reference_params)
         assert replace(reference_params, y=0.5) != reference_params
+
+    @pytest.mark.parametrize(
+        "omega1_bar, omega2_bar, g", [(1e308, 1e308, math.pi * 1e-2), (1e308, 7e307, 1.5)]
+    )
+    def test_refuses_a_theta_past_the_float_range(self, omega1_bar, omega2_bar, g):
+        # each hbar omega_j fits, but (omega1_bar + omega2_bar) g does not:
+        # an inf theta read every T as entangled (m* = 0), tau_E as 0 and
+        # T_c as absent
+        assert math.isfinite(HBAR * (omega1_bar * g)) and math.isfinite(HBAR * (omega2_bar * g))
+        with pytest.raises(ValidationError, match=r"theta = hbar\*\(omega1_bar \+ omega2_bar\)"):
+            PdcParams(omega1_bar=omega1_bar, omega2_bar=omega2_bar, g=g)
+        params = PdcParams(omega1_bar=omega1_bar, omega2_bar=1.0, g=g)
+        assert math.isfinite(params._theta)
+        with pytest.raises(ValidationError, match="theta"):
+            replace(params, omega2_bar=omega2_bar)
 
     def test_formed_after_numpy_fields_become_python_floats(self):
         # formed from a long double field, theta would be a long double
