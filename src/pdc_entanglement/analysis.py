@@ -17,14 +17,14 @@ The closed-form birth time and the witness also take numpy arrays of T,
 tau and y (the mismatch then given next to them, in place of
 ``params.y``) and return arrays of their broadcast shape; the bisection,
 the critical temperature and the verdict take scalars.  A 0-d array is a
-scalar.  Each call computes in the one library ``_pair_inputs`` picks;
-the witness reads it off the pair state (``math`` for Python floats).
+scalar.  Each call computes in one library, ``math`` for Python floats
+and else the one ``_pair_inputs`` picks; the witness reads it off the
+pair state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -34,6 +34,8 @@ from .gaussian_core import _check_finite, _check_scalar, _every, _pointwise, _re
 from .pdc_dynamics import (
     _EXP_MAX,
     PdcParams,
+    _check_broadcast,
+    _check_mismatch,
     _check_nonnegative,
     _check_occupations,
     _critical_ratio,
@@ -79,9 +81,12 @@ def s0_threshold(nbar1, nbar2):
     This equals I1 - I2/4 + 1/16 evaluated on the initial thermal product
     state; it vanishes only for vacuum input.  Arrays are taken point by
     point.  Raises ValidationError for an occupation that is negative or
-    not finite, and NumericalDomainError where S0 leaves the float range.
+    not finite, or arrays that do not broadcast, and NumericalDomainError
+    where S0 leaves the float range.
     """
     nbar1, nbar2 = _real("nbar1", nbar1), _real("nbar2", nbar2)
+    if type(nbar1) is not float or type(nbar2) is not float:
+        _check_broadcast(nbar1=nbar1, nbar2=nbar2)
     ok = (nbar1 >= 0.0) & (nbar2 >= 0.0)
     if ok is not True and not _every(ok):
         raise ValidationError("occupations must be >= 0")
@@ -134,12 +139,12 @@ def birth_time(
     x = lib.sqrt((1.0 - mismatch) * (1.0 + mismatch))
 
     if method == "closed_form":
-        return BteResult(lib.asinh(x * lib.sqrt(m_star)) / x, method)
+        return tuple.__new__(BteResult, (lib.asinh(x * lib.sqrt(m_star)) / x, method))
 
     if lib is np:
         raise ValidationError("the bisection route takes a scalar T and y")
     if m_star == 0.0:
-        return BteResult(0.0, method)
+        return tuple.__new__(BteResult, (0.0, method))
 
     # m = sinh^2(x tau)/x^2 grows without bound, so the doubling ends;
     # past the float range it refuses, and so bounds every x * mid below
@@ -163,7 +168,7 @@ def birth_time(
             hi = mid
         else:
             lo = mid
-    return BteResult(0.5 * (lo + hi), method)
+    return tuple.__new__(BteResult, (0.5 * (lo + hi), method))
 
 
 def _bracket_inputs(function, tau_i, t_max):
@@ -179,7 +184,7 @@ def _bracket_inputs(function, tau_i, t_max):
 
 
 def critical_temperature(
-    params: PdcParams, tau_i, t_max: float = 2000.0
+    params: PdcParams, tau_i, t_max: float = 2000.0, y=None
 ) -> Optional[float]:
     """Temperature above which the state at fixed tau_i turns separable.
 
@@ -188,11 +193,15 @@ def critical_temperature(
     fl(theta/T) never rises with T, the state is separable from T_c up and
     entangled below it.  Returns None when there is no root in [0, t_max]:
     either the state is never entangled (tau_i = 0) or it is still
-    entangled at t_max.  Raises NumericalDomainError where an occupation,
-    or their sum, leaves the float range at t_max, as the birth time does.
+    entangled at t_max.  y, a scalar, replaces ``params.y``.  Raises
+    NumericalDomainError where an occupation, or their sum, leaves the
+    float range at t_max, as the birth time does.
     """
     tau_i, t_max = _bracket_inputs("critical_temperature", tau_i, t_max)
-    _, ratio = _stretch(params.y, tau_i, math)
+    if y is not None and (type(y) is not float or not 0.0 <= y < 1.0):
+        _check_scalar("critical_temperature", "y", y)
+        _check_mismatch(y := _real("y", y))
+    _, ratio = _stretch(params.y if y is None else y, tau_i, math)
     m = ratio * ratio
     if not m > 0.0:
         return None  # m* >= m = 0 even at T = 0, as at tau_i = 0
@@ -214,15 +223,17 @@ def phase_boundary(
     Points with no root (never entangled, or T_c beyond the bracket) are
     omitted rather than failing the scan.  tau_i and t_max are checked
     before the first point, so an empty grid refuses them as any grid does.
+    An entry gets the refusal, and its order, that ``PdcParams`` gives a y.
     """
     tau_i, t_max = _bracket_inputs("phase_boundary", tau_i, t_max)
     points = []
     for y in y_grid:
         _check_scalar("phase_boundary", "y per y_grid entry", y)
-        params_y = replace(params, y=y)  # PdcParams converts and checks y
-        t_c = critical_temperature(params_y, tau_i, t_max=t_max)
+        if not abs(y := _real("y", y)) < math.inf:  # critical_temperature checks the range
+            raise ValidationError(f"y must be finite, got {y}")
+        t_c = critical_temperature(params, tau_i, t_max, y)
         if t_c is not None:
-            points.append(PhasePoint(params_y.y, t_c))
+            points.append(tuple.__new__(PhasePoint, (y, t_c)))
     return points
 
 
@@ -254,7 +265,9 @@ def _witness(pair) -> WitnessValue:
     threshold = lib.sqrt(nbar1 * nbar2 * (nbar1 + 1.0) * (nbar2 + 1.0))
     gain = pair.m * pair.big_k
     mean = (nbar1 + gain + nbar2 + gain) / 2.0
-    _check_finite(threshold + mean, "witness", "tau, T", pair.tau, pair.temperature)
+    total = threshold + mean
+    if lib is np or not abs(total) < math.inf:  # a float is tested inline
+        _check_finite(total, "witness", "tau, T", pair.tau, pair.temperature)
     if lib is np:  # sqrt(S0) reads T alone; the mean has the shape of every input
         threshold = np.broadcast_to(threshold, mean.shape).copy()
-    return WitnessValue(threshold - mean, mean, threshold)
+    return tuple.__new__(WitnessValue, (threshold - mean, mean, threshold))

@@ -382,7 +382,7 @@ def symplectic_invariants(cm: CovarianceMatrix) -> SymplecticInvariants:
     s = s0 + (det_gamma - np.abs(det_gamma)) / 2.0
     delta_tilde = det_alpha + det_beta - 2.0 * det_gamma
     nu_minus, nu_plus = _pt_eigenvalue_pair(delta_tilde, i1)
-    return SymplecticInvariants(i1, i2, s0, s, delta_tilde, nu_minus, nu_plus)
+    return tuple.__new__(SymplecticInvariants, (i1, i2, s0, s, delta_tilde, nu_minus, nu_plus))
 
 
 def log_negativity(cm: CovarianceMatrix) -> float:
@@ -396,12 +396,13 @@ def log_negativity(cm: CovarianceMatrix) -> float:
 
 def entanglement_report(cm: CovarianceMatrix) -> EntanglementReport:
     """Bundle E_N, S and the verdict for one covariance matrix: the pair
-    state's ``entangled()`` on the pair route, else S < 0."""
-    inv = symplectic_invariants(cm)
-    entangled = inv.s < 0.0 if cm.pair is None else cm.pair.entangled()
-    return EntanglementReport(
+    state's ``invariants()`` and ``entangled()`` on the pair route, else S < 0."""
+    pair = cm.pair
+    inv = symplectic_invariants(cm) if pair is None else pair.invariants()
+    entangled = inv.s < 0.0 if pair is None else pair.entangled()
+    return tuple.__new__(EntanglementReport, (
         float(inv.log_negativity), float(inv.s), bool(entangled), float(inv.nu_minus_pt)
-    )
+    ))
 
 
 def physicality_check(cm: CovarianceMatrix) -> bool:

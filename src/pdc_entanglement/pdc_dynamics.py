@@ -17,8 +17,8 @@ oscillatory regime y >= 1 is out of scope.  Written as a product, x is
 exact to rounding for every float y < 1 (where x >= 1.5e-8), so
 sinh(x tau)/x needs no series branch near y = 1.
 
-Every closed form reads one core, ``_pair_state``.  It validates tau and
-T once and returns a :class:`PairState`: the initial occupations nbar1
+Every closed form reads one core, ``_pair_state``.  It validates tau, T
+and y once and returns a :class:`PairState`: the initial occupations nbar1
 and nbar2, the pair gain m = sinh^2(x tau)/x^2, K = nbar1 + nbar2 + 1,
 x and sinh(x tau)/x for the covariance-matrix entries, and the params,
 y, tau and T it was built from, converted and checked.  Each public
@@ -26,13 +26,14 @@ closed form is ``_pair_state`` followed by a reader that takes the state
 alone and runs its own finiteness check, which names the state's tau
 and T (``_photon_numbers``, ``_pair_matrix``, ``_det_gamma``,
 ``PairState.invariants``, ``analysis._witness``), so ``eval`` builds the
-state once for all of them.  The birth time, which needs no tau, reads
-only the checked inputs (``_pair_inputs``); it, ``thermal_init`` and
-``critical_temperature`` refuse an overflowing nbar1 + nbar2 through
-``_check_occupations``.  ``PdcParams`` carries hbar omega_j and a finite
-theta = hbar (omega1 + omega2)/k_B for every reader.  The same formulas
-run in float64 on two kinds of input (``gaussian_core._working`` picks
-the kind once per call, and the readers follow it, see PairState):
+state once for all of them.  ``_pair_state`` and the birth time check
+Python floats by one comparison chain and leave any other input to
+``_pair_inputs``, which converts it.  The birth time, ``thermal_init``
+and ``critical_temperature`` refuse an overflowing nbar1 + nbar2
+through ``_check_occupations``.  ``PdcParams`` carries hbar omega_j and
+a finite theta = hbar (omega1 + omega2)/k_B for every reader.  The same
+formulas run in float64 on two kinds of input (``gaussian_core._working``
+picks the kind once per call, and the readers follow it, see PairState):
 
 * Python floats, evaluated with ``math``; a numpy scalar of any width or
   a 0-d array enters as a Python float, and is checked after that;
@@ -306,25 +307,18 @@ def _stretch(y, tau, lib):
 
 
 def _pair_inputs(params: PdcParams, tau, temperature, y):
-    """(y, tau, T, lib): the inputs of a pair state, y = ``params.y``
-    unless given, converted (``_real``) and checked in the order tau, T, y,
-    and the library ``lib`` (``math`` for floats, else ``_working``'s).
-    Arrays must broadcast against each other."""
+    """(y, tau, T, lib) of an input the float chains of ``_pair_state`` and
+    ``birth_time`` do not pass: y = ``params.y`` unless given, converted
+    (``_real``) and checked in the order tau, T, y, and ``lib`` (``math``
+    for floats, else ``_working``'s).  Arrays must broadcast together."""
     y = params.y if y is None else y
-    # Python floats, the common input, cost one comparison chain to check
-    if type(tau) is type(temperature) is type(y) is float:
-        lib = math
-        ok = 0.0 <= tau < math.inf and 0.0 <= temperature < math.inf and 0.0 <= y < 1.0
-    else:
-        tau, temperature, y = _real("tau", tau), _real("temperature", temperature), _real("y", y)
-        lib = _working(y, tau, temperature)
-        if lib is np:
-            _check_broadcast(tau=tau, temperature=temperature, y=y)
-        ok = False
-    if not ok:
-        _check_nonnegative(tau, "tau")
-        _check_nonnegative(temperature, "temperature")
-        _check_mismatch(y)
+    tau, temperature, y = _real("tau", tau), _real("temperature", temperature), _real("y", y)
+    lib = _working(y, tau, temperature)
+    if lib is np:
+        _check_broadcast(tau=tau, temperature=temperature, y=y)
+    _check_nonnegative(tau, "tau")
+    _check_nonnegative(temperature, "temperature")
+    _check_mismatch(y)
     return y, tau, temperature, lib
 
 
@@ -398,13 +392,14 @@ class PairState(NamedTuple):
         s = s0 - correlation
         delta_tilde = i2 + 4.0 * correlation
         # every term but -s is >= 0 and s0 - s >= 0, so the sum is finite
-        # exactly when every invariant is
-        _check_finite(
-            i1 + i2 + s0 - s + delta_tilde + nu_plus, "invariants", "nbar1, nbar2, m", n1, n2, m
-        )
+        # exactly when every invariant is; a float is tested inline
+        total = i1 + i2 + s0 - s + delta_tilde + nu_plus
+        if lib is np or not abs(total) < math.inf:
+            _check_finite(total, "invariants", "nbar1, nbar2, m", n1, n2, m)
         if lib is np:  # I1, I2 and S0 read T alone; S has the shape of every input
             i1, i2, s0 = (np.broadcast_to(v, s.shape).copy() for v in (i1, i2, s0))
-        return SymplecticInvariants(i1, i2, s0, s, delta_tilde, a * b / nu_plus, nu_plus)
+        return tuple.__new__(SymplecticInvariants,
+                             (i1, i2, s0, s, delta_tilde, a * b / nu_plus, nu_plus))
 
     def entangled(self) -> bool:
         """Whether m > m*, as fl(theta/T) > c = ln(1 + 1/m) (``_entangled_at``),
@@ -413,22 +408,31 @@ class PairState(NamedTuple):
 
 
 def _pair_state(params: PdcParams, tau, temperature, y=None) -> PairState:
-    """The core every closed form reads: (nbar1, nbar2, m, K) at
-    (tau, T), plus the (x, sinh(x tau)/x) of the entries.
+    """The core every closed form reads: the :class:`PairState` at (tau, T).
 
-    Picks the library, and converts and validates tau, T and y
-    (``params.y`` unless given), once (:func:`_pair_inputs`).
-    m = sinh^2(x tau)/x^2 is the pair gain and K = nbar1 + nbar2 + 1.
+    Python floats tau, T and y (``params.y`` unless given) that pass one
+    comparison chain call only ``_bose`` and ``math``; any other input is
+    converted and checked by :func:`_pair_inputs`, with the same refusals.
     """
-    y, tau, temperature, lib = _pair_inputs(params, tau, temperature, y)
-    nbar1, nbar2 = _occupations(params, temperature, lib)
-    # x and sinh run in numpy only for an array y or tau, so that an array
-    # of T gets them to the bit as a scalar call does
-    x, ratio = _stretch(y, tau, lib if lib is math else _working(y, tau))
-    # _make takes one tuple: binding ten arguments in the generated
-    # __new__ costs phase_map 1-2% of its items per second
-    return PairState._make((nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio,
-                            params, y, tau, temperature))
+    y = params.y if y is None else y
+    if type(tau) is type(temperature) is type(y) is float and (
+        0.0 <= tau < math.inf and 0.0 <= temperature < math.inf and 0.0 <= y < 1.0
+    ):
+        nbar1, nbar2 = _bose(params._hw1, temperature, math), _bose(params._hw2, temperature, math)
+        x = math.sqrt((1.0 - y) * (1.0 + y))  # as _stretch, inline
+        z = x * tau
+        if not z <= _EXP_MAX:
+            raise _sinh_overflow(z)
+        ratio = math.sinh(z) / x
+    else:
+        y, tau, temperature, lib = _pair_inputs(params, tau, temperature, y)
+        nbar1, nbar2 = _occupations(params, temperature, lib)
+        # x and sinh run in numpy only for an array y or tau, so that an
+        # array of T gets them to the bit as a scalar call does
+        x, ratio = _stretch(y, tau, lib if lib is math else _working(y, tau))
+    # not PairState(...) or _make: the one binds ten arguments, the other calls len
+    return tuple.__new__(PairState, (nbar1, nbar2, ratio * ratio, nbar1 + nbar2 + 1.0, x, ratio,
+                                     params, y, tau, temperature))
 
 
 @_pointwise
@@ -509,7 +513,9 @@ def _pair_matrix(pair: PairState) -> CovarianceMatrix:
     s14 = big_k * ratio * (cs * ch + sn * y * ratio)
     d1 = nbar1 + gain + 0.5
     d2 = nbar2 + gain + 0.5
-    _check_finite(abs(s13) + abs(s14) + d1 + d2, "covariance matrix", "tau", tau)
+    total = abs(s13) + abs(s14) + d1 + d2
+    if not abs(total) < math.inf:
+        _check_finite(total, "covariance matrix", "tau", tau)
     return CovarianceMatrix._of_pair(d1, d2, s13, s14, pair)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -354,6 +355,32 @@ class TestCriticalTemperature:
     def test_bracket_too_small_reports_no_root(self, reference_params):
         assert critical_temperature(reference_params, 2.881, t_max=100.0) is None
 
+    def test_y_replaces_params_y(self, make_params):
+        # to the bit the T_c of a PdcParams at that mismatch
+        params = make_params(y=0.5)
+        for y in (0.0, -0.0, 0.3, 0.9, math.nextafter(1.0, 0.0), np.float32(0.6), np.array(0.2), 0):
+            want = critical_temperature(make_params(y=float(y)), 2.881)
+            assert critical_temperature(params, 2.881, y=y) == want, y
+        assert critical_temperature(params, 2.881, y=None) == critical_temperature(params, 2.881)
+
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            (1.0, "mismatch y must lie in [0, 1), got 1.0"),
+            (-0.5, "mismatch y must lie in [0, 1), got -0.5"),
+            (np.nan, "mismatch y must lie in [0, 1), got nan"),
+            (np.float32(1.5), "mismatch y must lie in [0, 1), got 1.5"),
+            (np.array([0.1, 0.2]), "critical_temperature takes a scalar y"),
+            ("0.5", "y must be a real number, got '0.5'"),
+        ],
+        ids=str,
+    )
+    def test_refuses_a_bad_y_after_the_bracket(self, reference_params, y, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            critical_temperature(reference_params, 2.881, y=y)
+        with pytest.raises(ValidationError, match="^tau_i must be finite and >= 0$"):
+            critical_temperature(reference_params, -1.0, y=y)
+
 
 def ref_indicator(params, m, temp):
     """nbar1 nbar2 - m K at T in the current decimal context, from the same
@@ -513,6 +540,22 @@ class TestPhaseBoundary:
     def test_rejects_bad_mismatch(self, reference_params):
         with pytest.raises(ValidationError):
             phase_boundary(reference_params, 2.881, [0.2, 1.0])
+
+    def test_each_point_is_the_critical_temperature_at_its_y(self, make_params):
+        grid = [0.0, -0.0, 0.3, np.float32(0.6), np.array(0.9), 0, math.nextafter(1.0, 0.0)]
+        points = phase_boundary(make_params(y=0.5), 2.881, grid)
+        want = [(float(y), critical_temperature(make_params(y=float(y)), 2.881)) for y in grid]
+        assert [(p.y.hex(), p.t_c.hex()) for p in points] == [(y.hex(), t.hex()) for y, t in want]
+
+    @pytest.mark.parametrize(
+        "y", [np.inf, -np.inf, np.nan, 1.0, -0.5, np.float32(2.0), "0.5", None, True], ids=repr
+    )
+    def test_refuses_an_entry_as_pdc_params_refuses_its_y(self, make_params, y):
+        # the same refusal, checked in the same order: real, finite, in [0, 1)
+        with pytest.raises(ValidationError) as by_params:
+            make_params(y=y)
+        with pytest.raises(ValidationError, match="^" + re.escape(str(by_params.value)) + "$"):
+            phase_boundary(make_params(), 2.881, [0.3, y])
 
 
 class TestWitness:

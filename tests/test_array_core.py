@@ -247,12 +247,37 @@ def bits(result):
     return [(type(v), v.hex() if isinstance(v, float) else v) for v in fields]
 
 
+def outcome(call):
+    """The bits of ``call()``, or the type and message of its refusal."""
+    try:
+        return bits(call())
+    except (ValidationError, NumericalDomainError) as error:
+        return type(error), str(error)
+
+
+# the ends of the Python-float comparison chain, each at an otherwise
+# ordinary (y, tau, T): tau = 0, T = 0, y = -0.0 and the last float below
+# 1 pass it; y = 1, tau = inf and T = nan are refused
+CHAIN_EDGES = [
+    (0.3, 0.0, 300.0),
+    (0.3, 2.881, 0.0),
+    (-0.0, 2.881, 300.0),
+    (math.nextafter(1.0, 0.0), 2.881, 300.0),
+    (1.0, 2.881, 300.0),
+    (0.3, math.inf, 300.0),
+    (0.3, 2.881, math.nan),
+]
+
+
 def test_zero_dim_arrays_give_the_scalar_bits(reference_params):
     # each point passes a seeded, non-empty subset of its inputs as 0-d
     # arrays; the result must be the scalar call's, in Python floats
     rng = np.random.default_rng(20261019)
     omega = reference_params.omega1_bar * reference_params.g
     closed_forms = {
+        "covariance_matrix": lambda p, y, tau, t: (
+            lambda cm: (*cm.entries.ravel().tolist(), *entanglement_report(cm))
+        )(covariance_matrix(p, tau, t)),
         "pair_invariants": lambda p, y, tau, t: pair_invariants(reference_params, tau, t, y),
         "witness": lambda p, y, tau, t: witness(reference_params, tau, t, y),
         "mean_photon_numbers": lambda p, y, tau, t: mean_photon_numbers(p, tau, t),
@@ -271,6 +296,19 @@ def test_zero_dim_arrays_give_the_scalar_bits(reference_params):
                 continue
             want = bits(closed_form(params, *point))
             assert bits(closed_form(wrapped_params, *wrapped)) == want, (name, point, zero_dim)
+    # at the chain's edges, all three inputs as Python floats, as
+    # np.float64 and as 0-d arrays give the same bits or the same refusal;
+    # PdcParams refuses y = 1 itself, so there the closed forms that read
+    # params.y run at the reference y and those that take y meet it
+    for point in CHAIN_EDGES:
+        for name, closed_form in closed_forms.items():
+            for kind in (float, np.float64, np.array):
+                y, tau, t = (kind(v) for v in point)
+                params = params_at(y) if point[0] < 1.0 else reference_params
+                got = outcome(lambda: closed_form(params, y, tau, t))
+                if kind is float:
+                    want = got
+                assert got == want, (name, point, kind)
 
 
 def test_arrays_broadcast_over_a_grid(reference_params):

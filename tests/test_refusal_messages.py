@@ -145,6 +145,13 @@ def test_temperature_is_named_before_the_mismatch(reference_params, name):
         call(reference_params, np.array([-1.0]), -1.0, y=np.array([1.5]))
 
 
+def test_s0_threshold_shapes_that_do_not_broadcast():
+    # named as the closed forms name theirs, not numpy's bare ValueError
+    message = "array arguments do not broadcast together: nbar1 of shape (3,), nbar2 of shape (2,)"
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        s0_threshold(np.array([0.5, 1.0, 2.0]), np.array([0.5, 1.0]))
+
+
 # the range of the critical-temperature bracket, refused alike by
 # critical_temperature and by phase_boundary on any grid, an empty one too
 BRACKET_CALLS = {
